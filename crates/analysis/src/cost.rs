@@ -507,27 +507,25 @@ pub struct DesignCost {
     /// subsets of the one-state-per-specialised-name `Nuta`.
     pub duta_states: Bounds,
     /// Bracket of the total states a covering cold run grows. The lower
-    /// end counts only the *guaranteed* work — one memoised
-    /// determinisation per target rule — so a state quota of
-    /// `states.lower − 1` provably trips on any document exercising every
-    /// rule.
+    /// end counts only the *guaranteed* work — the subset states of the
+    /// determinised target, at least one per element of a DTD target that
+    /// admits the empty child word — so a state quota of `states.lower − 1`
+    /// provably trips.
     pub states: Bounds,
-    /// Bracket of the total governed steps (subset scans, BFS edge scans,
-    /// residual walks) a covering cold run charges.
+    /// Bracket of the total governed steps (label-machine scans, fixpoint
+    /// evaluations, product walks, residual walks) a covering cold run
+    /// charges. The lower end is the per-rule subset-construction floor:
+    /// determinising the target runs every content model as a subset
+    /// simulation inside its label's Moore machine.
     pub steps: Bounds,
-    /// Bracket of `equiv.bfs_states` per local-check inclusion, under the
-    /// self-inclusion approximation of the realizable language (coarse —
-    /// reported, not calibrated at design level).
-    pub bfs_states: Bounds,
-    /// Matching bracket of `equiv.bfs_transitions` (coarse).
-    pub bfs_steps: Bounds,
     /// Coarse bracket of the universal-residual walk steps of a
     /// `perfect_schema` run: each walk scans at most the determinised
     /// states times the union alphabet.
     pub residual_steps: Bounds,
     /// Coarse bracket of the Section-7 per-function `D`-fixpoint
-    /// iterations (exactly 0 for DTD-target designs; each Kleene round
-    /// on a box design grows a monotone set over the specialised names).
+    /// evaluations (exactly 0 for a design without functions; each
+    /// evaluation grows a monotone set over the specialised names, which
+    /// for a DTD target are its element names).
     pub fixpoint_iters: Bounds,
     /// The dominating location, when one content model accounts for at
     /// least half of the design's predicted upper state bound.
@@ -539,15 +537,17 @@ impl DesignCost {
         target: SchemaCost,
         functions: Vec<(String, SchemaCost)>,
         nuta_states: usize,
+        states_floor: u64,
         fixpoint_iters: Bounds,
     ) -> DesignCost {
         let duta_states = Bounds::new(1, pow2_minus1(nuta_states).max(1));
-        // Guaranteed floor: each target rule's content DFA is memoised and
-        // built once a node with that label is checked, so a covering
-        // document forces at least the per-rule lowers. Function-schema
-        // and duta states also count against the same budget but are not
-        // part of the floor (their exercise depends on the document).
-        let states_lower = target.subset_states.lower.max(1);
+        // Guaranteed floor: every cold run determinises the target, which
+        // grows its subset states and runs each rule's content automaton
+        // as a subset simulation inside the label's Moore machine, so the
+        // per-rule step lowers are forced. Extension-side and residual
+        // work also counts against the same budget but is not part of the
+        // floor (its exercise depends on the document).
+        let states_lower = states_floor.max(1);
         let mut states_upper = duta_states
             .upper
             .saturating_add(target.subset_states.upper);
@@ -555,26 +555,21 @@ impl DesignCost {
         let mut steps_upper = target
             .subset_steps
             .upper
-            // Coarse duta-determinisation step term: per subset state one
-            // scan over the label alphabet.
-            .saturating_add(duta_states.upper.saturating_mul(nuta_states as u64 + 1));
-        let mut bfs_states = Bounds::exact(0);
-        let mut bfs_steps = Bounds::exact(0);
-        for (_, cost) in &target.rules {
-            let width = cost.metrics.alphabet.len() as u64;
-            let pairs = cost
-                .subset_states
-                .upper
-                .saturating_add(1)
-                .saturating_mul(cost.subset_states.upper.saturating_add(1));
-            bfs_states = bfs_states.plus(Bounds::new(0, pairs));
-            bfs_steps = bfs_steps.plus(Bounds::new(0, pairs.saturating_mul(width)));
-        }
+            // Coarse duta-determinisation step term: every label-machine
+            // configuration (a content model's subset state, or a label's
+            // leaf or dead one) scans every subset letter once.
+            .saturating_add(
+                target
+                    .subset_states
+                    .upper
+                    .saturating_add(nuta_states as u64 + 1)
+                    .saturating_mul(duta_states.upper),
+            )
+            .saturating_add(fixpoint_iters.upper);
         for (_, schema) in &functions {
             states_upper = states_upper.saturating_add(schema.subset_states.upper);
             steps_upper = steps_upper.saturating_add(schema.subset_steps.upper);
         }
-        steps_upper = steps_upper.saturating_add(bfs_steps.upper);
         let residual_steps = Bounds::new(0, states_upper.saturating_mul(nuta_states as u64 + 1));
         steps_upper = steps_upper.saturating_add(residual_steps.upper);
         let states = Bounds::new(states_lower, states_upper.max(states_lower));
@@ -607,8 +602,6 @@ impl DesignCost {
             duta_states,
             states,
             steps,
-            bfs_states,
-            bfs_steps,
             residual_steps,
             fixpoint_iters,
             dominant,
@@ -616,7 +609,19 @@ impl DesignCost {
     }
 }
 
-/// Composes the design-level cost model of a DTD-target design problem.
+/// Coarse bracket of the per-function `D`-fixpoint evaluations over a
+/// target with `names` specialised names.
+fn fixpoint_bracket(functions: usize, names: usize) -> Bounds {
+    let n_funs = functions as u64;
+    Bounds::new(
+        n_funs.min(1),
+        n_funs.saturating_mul(names as u64 + 1).max(n_funs.min(1)),
+    )
+}
+
+/// Composes the design-level cost model of a DTD-target design problem:
+/// the box engine's model on the trivial embedding (one specialised name
+/// per element), with the locations named by element.
 pub fn design_cost(problem: &DesignProblem) -> DesignCost {
     let target = dtd_cost(problem.doc_schema());
     let functions: Vec<(String, SchemaCost)> = problem
@@ -624,8 +629,14 @@ pub fn design_cost(problem: &DesignProblem) -> DesignCost {
         .iter()
         .map(|(f, schema)| (format!("schema of function `{f}`"), dtd_cost(schema)))
         .collect();
-    let nuta_states = problem.doc_schema().alphabet().len();
-    DesignCost::compose(target, functions, nuta_states, Bounds::exact(0))
+    let names = problem.doc_schema().alphabet().len();
+    let fixpoint = fixpoint_bracket(functions.len(), names);
+    // Every element admitting the empty child word roots a one-node tree
+    // typed by that element alone: a subset state of its own.
+    let dtd = problem.doc_schema();
+    let leaves = dtd.alphabet().iter().filter(|name| !dtd.has_rule(name)).count()
+        + target.rules.iter().filter(|(_, c)| c.metrics.min_word_len == Some(0)).count();
+    DesignCost::compose(target, functions, names, leaves as u64, fixpoint)
 }
 
 /// Composes the design-level cost model of a box (R-EDTD-target) design
@@ -637,13 +648,9 @@ pub fn box_design_cost(problem: &BoxDesignProblem) -> DesignCost {
         .iter()
         .map(|(f, schema)| (format!("schema of function `{f}`"), edtd_cost(schema)))
         .collect();
-    let spec_names = problem.doc_schema().specialized_names().len();
-    let n_funs = functions.len() as u64;
-    let fixpoint = Bounds::new(
-        n_funs.min(1),
-        n_funs.saturating_mul(spec_names as u64 + 1).max(n_funs.min(1)),
-    );
-    DesignCost::compose(target, functions, spec_names, fixpoint)
+    let names = problem.doc_schema().specialized_names().len();
+    let fixpoint = fixpoint_bracket(functions.len(), names);
+    DesignCost::compose(target, functions, names, 1, fixpoint)
 }
 
 // ---------------------------------------------------------------------

@@ -3,7 +3,8 @@
 //! target and every function schema, plus the rules that need the
 //! distributed document — shadowing, never-docked and schema-less
 //! functions, vacuous designs, and the multi-parent docking advisory that
-//! predicts `SynthesisUnsupported` for box synthesis.
+//! predicts `SynthesisUnsupported` for perfect-schema synthesis on
+//! non-local EDTD targets.
 
 use std::collections::BTreeSet;
 
@@ -19,8 +20,8 @@ use crate::{sort_report, Diagnostic, Severity};
 
 /// Analyzes a design problem with a DTD target: schema rules over the
 /// target and the function schemas, plus the design-level rules. Multi-
-/// parent docking is *not* flagged here — `DesignProblem::perfect_schema`
-/// supports it via uniform context residuals.
+/// parent docking is *not* flagged here — every DTD target is local, and
+/// `DesignProblem::perfect_schema` synthesises it.
 pub fn analyze_design(problem: &DesignProblem, doc: &DistributedDoc) -> Vec<Diagnostic> {
     let mut out = prefixed(analyze_dtd(problem.doc_schema()), "target schema");
     for (f, schema) in problem.fun_schemas() {
@@ -46,7 +47,9 @@ pub fn analyze_design(problem: &DesignProblem, doc: &DistributedDoc) -> Vec<Diag
 /// including the definability advisories that unlock the SDTD/DTD fast
 /// paths — plus the design-level rules and the multi-parent docking
 /// advisory (`DX012`), which predicts exactly the condition under which
-/// [`BoxDesignProblem::perfect_schema`] refuses with `SynthesisUnsupported`.
+/// [`BoxDesignProblem::perfect_schema`] refuses with `SynthesisUnsupported`:
+/// a function docking under several parents of a target that is not local
+/// ([`BoxTargetCache::is_local`](dxml_core::BoxTargetCache::is_local)).
 pub fn analyze_box_design(problem: &BoxDesignProblem, doc: &DistributedDoc) -> Vec<Diagnostic> {
     let mut out = prefixed(analyze_edtd(problem.doc_schema()), "target schema");
     for (f, schema) in problem.fun_schemas() {
@@ -63,8 +66,15 @@ pub fn analyze_box_design(problem: &BoxDesignProblem, doc: &DistributedDoc) -> V
         problem.doc_schema().language_is_empty(),
         &problem.fun_schemas().keys().copied().collect(),
     ));
-    // Multi-parent docking: the same scan `perfect_schema` performs.
+    // Multi-parent docking: the same scan `perfect_schema` performs. A
+    // target with one specialisation per label is local without
+    // determinising anything; any other is asked of the target cache.
     let kernel = doc.kernel();
+    let target = problem.doc_schema();
+    let local = || {
+        target.labels().len() == target.specialized_names().len()
+            || problem.target_cache().is_local()
+    };
     for f in doc.called_functions() {
         let mut parents = BTreeSet::new();
         for parent in kernel.document_order() {
@@ -75,15 +85,16 @@ pub fn analyze_box_design(problem: &BoxDesignProblem, doc: &DistributedDoc) -> V
                 parents.insert(parent);
             }
         }
-        if parents.len() > 1 {
+        if parents.len() > 1 && !local() {
             out.push(
                 Diagnostic::new(
                     "DX012",
                     Severity::Warning,
                     format!("function `{f}`"),
                     format!(
-                        "function `{f}` docks under {} distinct parents: box schema \
-                         synthesis (`perfect_schema`) will refuse with `SynthesisUnsupported`",
+                        "function `{f}` docks under {} distinct parents of a target whose \
+                         labels have several typings: schema synthesis (`perfect_schema`) \
+                         will refuse with `SynthesisUnsupported`",
                         parents.len()
                     ),
                 )
@@ -309,19 +320,26 @@ mod tests {
 
     #[test]
     fn multi_parent_docking_predicts_synthesis_unsupported() {
-        // Target s -> b b, b -> f?: `f` docks under both `b` nodes.
+        // Target s -> t t where each `t` is typed `ta` or `tb` by its
+        // children: `f` docks under both `t` nodes of a non-local target.
         let mut target = REdtd::new(RFormalism::Nre, "s", "s");
-        target.set_rule("s", RSpec::Nre(Regex::parse("b, b").unwrap()));
-        target.set_rule("b", RSpec::Nre(Regex::parse("c?").unwrap()));
+        target.add_specialization("ta", "t");
+        target.add_specialization("tb", "t");
+        target.set_rule("s", RSpec::Nre(Regex::parse("ta, tb").unwrap()));
+        target.set_rule("ta", RSpec::Nre(Regex::parse("c?").unwrap()));
+        target.set_rule("tb", RSpec::Nre(Regex::parse("c, c").unwrap()));
         let mut fschema = REdtd::new(RFormalism::Nre, "c", "c");
         fschema.add_specialization("c", "c");
-        let problem = BoxDesignProblem::new(target).with_function("f", fschema);
-        let mut kernel = XTree::leaf("s");
-        let b1 = kernel.add_child(0, "b");
-        let b2 = kernel.add_child(0, "b");
-        kernel.add_child(b1, "f");
-        kernel.add_child(b2, "f");
-        let doc = DistributedDoc::new(kernel, ["f"]).unwrap();
+        let problem = BoxDesignProblem::new(target).with_function("f", fschema.clone());
+        let two_parents = |parent: &str| {
+            let mut kernel = XTree::leaf("s");
+            let t1 = kernel.add_child(0, parent);
+            let t2 = kernel.add_child(0, parent);
+            kernel.add_child(t1, "f");
+            kernel.add_child(t2, "f");
+            DistributedDoc::new(kernel, ["f"]).unwrap()
+        };
+        let doc = two_parents("t");
         let report = analyze_box_design(&problem, &doc);
         assert!(codes(&report).contains(&"DX012"), "{report:?}");
         // The advisory predicts the actual synthesis error.
@@ -331,12 +349,24 @@ mod tests {
         ));
         // A single-parent variant is clean.
         let mut kernel = XTree::leaf("s");
-        let b1 = kernel.add_child(0, "b");
-        kernel.add_child(0, "b");
-        kernel.add_child(b1, "f");
+        let t1 = kernel.add_child(0, "t");
+        kernel.add_child(0, "t");
+        kernel.add_child(t1, "f");
         let doc = DistributedDoc::new(kernel, ["f"]).unwrap();
         let report = analyze_box_design(&problem, &doc);
         assert!(!codes(&report).contains(&"DX012"), "{report:?}");
+        // On a local target (s -> b b, b -> c?) the two-parent kernel is
+        // clean and synthesis succeeds.
+        let mut target = REdtd::new(RFormalism::Nre, "s", "s");
+        target.set_rule("s", RSpec::Nre(Regex::parse("b, b").unwrap()));
+        target.set_rule("b", RSpec::Nre(Regex::parse("c?").unwrap()));
+        let problem = BoxDesignProblem::new(target).with_function("f", fschema);
+        let doc = two_parents("b");
+        let report = analyze_box_design(&problem, &doc);
+        assert!(!codes(&report).contains(&"DX012"), "{report:?}");
+        let perfect = problem.perfect_schema(&doc, "f").expect("local targets synthesise");
+        let solved = problem.clone().with_function("f", perfect);
+        assert!(solved.typecheck(&doc).unwrap().is_valid());
     }
 
     #[test]

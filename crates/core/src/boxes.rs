@@ -1,21 +1,22 @@
-//! Box-design subsystem: the design problems for **R-EDTD targets**
-//! (Section 7).
+//! The design engine: typing verification, local verification and perfect
+//! typing for **R-EDTD targets** (Section 7).
 //!
-//! [`crate::DesignProblem`] decides typing verification against DTD targets,
-//! where validation is per-node-local and the string-level fast path only
-//! needs plain words. Section 7 of the paper lifts every design problem to
-//! full R-EDTD targets (unranked regular tree languages) by reducing the
-//! tree problems to string problems whose constant parts are *boxes*
-//! `B(fn)` ([`BoxLang`], Definition 21): with the target in the normal form
-//! of Lemma 4.10 — operationally, its bottom-up **determinised** specialised
-//! automaton — every kernel subtree evaluates to a unique subset of
-//! specialised names, so a sequence of fixed kernel children contributes a
-//! box `Σ1 Σ2 … Σn` of specialised names, and every docking point
-//! contributes a regular gap language over the same specialised alphabet.
+//! Section 7 of the paper lifts every design problem to full R-EDTD targets
+//! (unranked regular tree languages) by reducing the tree problems to string
+//! problems whose constant parts are *boxes* `B(fn)` ([`BoxLang`],
+//! Definition 21): with the target in the normal form of Lemma 4.10 —
+//! operationally, its bottom-up **determinised** specialised automaton —
+//! every kernel subtree evaluates to a unique subset of specialised names,
+//! so a sequence of fixed kernel children contributes a box `Σ1 Σ2 … Σn` of
+//! specialised names, and every docking point contributes a regular gap
+//! language over the same specialised alphabet.
 //!
 //! [`BoxDesignProblem`] packages an [`REdtd`] target with one [`REdtd`]
-//! schema per function (DTD schemas embed through [`RDtd::to_edtd`]) and
-//! offers the same three decision procedures as the DTD layer:
+//! schema per function and is the crate's only decision engine. A DTD is
+//! the EDTD with one specialisation per label ([`RDtd::to_edtd`]), and
+//! [`crate::DesignProblem`] is the DTD-typed view that embeds its schemas
+//! that way and renders the verdicts back as words and DTDs. The three
+//! decision procedures:
 //!
 //! * [`BoxDesignProblem::typecheck`] — the ground-truth tree-automaton
 //!   route: extension automaton vs. determinised target, with a full
@@ -26,34 +27,40 @@
 //!   children (Moore-machine image, [`Duta::outputs_over`]); sound **and**
 //!   complete because the determinised run is unique, with the offending
 //!   realizable child word reported as a box;
-//! * [`BoxDesignProblem::perfect_schema`] — perfect typing for EDTD
-//!   targets: the admissible gap language is propagated top-down along the
-//!   spine from the root to the docking parent by universal context
-//!   residuals over the per-label Moore machines, and the resulting maximal
-//!   schema is itself an [`REdtd`] (one specialised name per inhabited
-//!   `(label, subset state)` pair) — which a DTD could not express. The
-//!   candidate is confirmed by the [`BoxDesignProblem::typecheck`] oracle in
-//!   the refute-and-refine style of [`crate::perfect`].
+//! * [`BoxDesignProblem::perfect_schema`] — perfect typing: the admissible
+//!   gap language is propagated top-down from the root to the docking
+//!   parents by context residuals over the per-label Moore machines, and
+//!   the resulting maximal schema is itself an [`REdtd`] (one specialised
+//!   name per inhabited `(label, subset state)` pair) — which a DTD could
+//!   not express in general. The candidate is confirmed by the typecheck
+//!   oracle against the cached target automaton, in the refute-or-confirm
+//!   style of implicit-hitting-set abduction.
 //!
 //! All target- and schema-derived artefacts (the determinised specialised
-//! target, the per-function gap languages over subset states) are built
-//! lazily once per problem in a [`BoxTargetCache`] behind an `OnceLock`,
-//! mirroring [`crate::design::TargetCache`].
+//! target, the per-function gap languages over subset states, the
+//! determinised Moore-machine skeletons) are built lazily once per problem
+//! in a [`BoxTargetCache`] behind an `OnceLock`; extension automata are
+//! memoised per document in a small FIFO.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use dxml_automata::{AutomataError, BoxLang, Budget, Dfa, Nfa, RFormalism, RSpec, StateSet, Symbol};
-use dxml_schema::{RDtd, REdtd};
+use dxml_schema::{RDtd, REdtd, SchemaError};
 use dxml_telemetry as telemetry;
 use dxml_tree::uta::Duta;
-use dxml_tree::{uta, NodeId, Nuta};
+use dxml_tree::{uta, NodeId, Nuta, XTree};
 
-use crate::design::{CacheStats, Origin, ResidualDfaCache, TypingVerdict};
+use crate::design::{CacheStats, Origin, TypingVerdict};
 use crate::doc::DistributedDoc;
 use crate::error::DesignError;
+
+/// How many `(document, extension automaton)` pairs a problem memoises —
+/// enough for the few documents a problem is typically checked against
+/// back-to-back, small enough that stale documents do not accumulate.
+pub(crate) const EXT_CACHE_CAP: usize = 4;
 
 /// The symbol standing for the determinised target's subset state `i` in
 /// the string languages of the reduction (`#` cannot occur in parsed
@@ -94,6 +101,58 @@ fn machine_skeleton(duta: &Duta, label: &Symbol) -> Dfa {
 // Cached artefacts
 // ----------------------------------------------------------------------
 
+/// A lazily filled memo of determinised residual inputs: the key identifies
+/// the *machine* (a per-label Moore machine) and the value is its
+/// determinisation, shared by every residual taken against it. Kept behind
+/// a `Mutex` so the enclosing cache stays usable through `&self`.
+#[derive(Debug, Default)]
+struct ResidualDfaCache {
+    memo: Mutex<BTreeMap<Symbol, Arc<Dfa>>>,
+    /// Memo misses (machines actually determinised) and hits, kept as plain
+    /// per-problem atomics so test assertions stay deterministic even when
+    /// the process-global telemetry registry is shared with other work; the
+    /// same events are mirrored into `cache.residual_dfa_builds`/`_hits`.
+    builds: AtomicU64,
+    hits: AtomicU64,
+}
+
+impl ResidualDfaCache {
+    /// The determinisation of the machine identified by `key`, built by
+    /// `make` on first use and shared afterwards. A `make` that *panicked*
+    /// on an earlier call poisons the mutex; the memo is only ever mutated
+    /// after a successful build, so the poison is benign and recovered from.
+    fn get_or_build(&self, key: &Symbol, make: impl FnOnce() -> Dfa) -> Arc<Dfa> {
+        let mut memo = self.memo.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(d) = memo.get(key) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            telemetry::count(telemetry::Metric::ResidualDfaHits, 1);
+            return Arc::clone(d);
+        }
+        let d = Arc::new(make());
+        memo.insert(*key, Arc::clone(&d));
+        self.builds.fetch_add(1, Ordering::Relaxed);
+        telemetry::count(telemetry::Metric::ResidualDfaBuilds, 1);
+        d
+    }
+
+    /// Memo misses and hits so far, in that order.
+    fn stats(&self) -> (u64, u64) {
+        (self.builds.load(Ordering::Relaxed), self.hits.load(Ordering::Relaxed))
+    }
+}
+
+impl Clone for ResidualDfaCache {
+    fn clone(&self) -> Self {
+        ResidualDfaCache {
+            memo: Mutex::new(
+                self.memo.lock().map(|memo| memo.clone()).unwrap_or_default(),
+            ),
+            builds: AtomicU64::new(self.builds.load(Ordering::Relaxed)),
+            hits: AtomicU64::new(self.hits.load(Ordering::Relaxed)),
+        }
+    }
+}
+
 /// Per-function artefacts of the box reduction: which trees the function can
 /// realize, expressed in the determinised target's subset states.
 #[derive(Clone, Debug)]
@@ -108,6 +167,11 @@ struct FunArtifacts {
     /// A realizable element label unknown to the target, if any (every
     /// extension is then invalid no matter the kernel).
     unknown: Option<Symbol>,
+    /// A realizable tree the target types by no name at all, if any: the
+    /// label of its root, whose children all stay typable, and a shortest
+    /// child word (over [`state_sym`] symbols) that already leaves the root
+    /// untypable. Every extension the tree lands in is invalid.
+    violation: Option<(Symbol, Vec<Symbol>)>,
 }
 
 impl FunArtifacts {
@@ -124,12 +188,17 @@ impl FunArtifacts {
         let forest_restricted = restrict(schema.content(schema.start()).to_nfa());
         let mut realizable: BTreeSet<Symbol> = forest_restricted.alphabet().iter().cloned().collect();
         let mut contents: BTreeMap<Symbol, Nfa> = BTreeMap::new();
-        let mut queue: VecDeque<Symbol> = realizable.iter().cloned().collect();
-        while let Some(spec) = queue.pop_front() {
+        // Discovery order, and the names whose content mentions each name.
+        let mut discovered: Vec<Symbol> = realizable.iter().cloned().collect();
+        let mut parents: BTreeMap<Symbol, Vec<Symbol>> = BTreeMap::new();
+        let mut next_ix = 0;
+        while let Some(&spec) = discovered.get(next_ix) {
+            next_ix += 1;
             let content = restrict(schema.content(&spec).to_nfa());
             for next in content.alphabet().iter() {
+                parents.entry(*next).or_default().push(spec);
                 if realizable.insert(*next) {
-                    queue.push_back(*next);
+                    discovered.push(*next);
                 }
             }
             contents.insert(spec, content);
@@ -148,111 +217,66 @@ impl FunArtifacts {
         // independent state choices, so the image of a content word is the
         // full product of the per-name sets. The slot map (ã → its states
         // as symbols) is the same data seen by `expand_symbols`; it grows
-        // monotonically with `d`, so it is maintained incrementally instead
-        // of being rebuilt from `d` on every fixpoint iteration.
+        // monotonically with `d`, so it is maintained incrementally. A
+        // worklist seeded deepest-first re-evaluates a name only when one
+        // of its children grew, so an acyclic schema settles in about one
+        // evaluation per name.
         let universe = duta.num_states();
         let mut d: BTreeMap<Symbol, StateSet> =
             realizable.iter().map(|s| (*s, StateSet::empty(universe))).collect();
         let mut slots: BTreeMap<Symbol, BTreeSet<Symbol>> =
             realizable.iter().map(|s| (*s, BTreeSet::new())).collect();
         if unknown.is_none() && !forest_empty {
-            loop {
-                let mut changed = false;
-                for spec in &realizable {
-                    budget.step()?;
-                    let word_lang = contents[spec].expand_symbols(&slots);
-                    let outs =
-                        duta.outputs_over_with_budget(&label_of(spec), &word_lang, letter_of, budget)?;
-                    let entry = d.get_mut(spec).expect("d covers every realizable name");
-                    let slot = slots.get_mut(spec).expect("slots covers every realizable name");
-                    for &o in outs.keys() {
-                        if entry.insert(o) {
-                            slot.insert(state_sym(o));
-                            changed = true;
+            let mut queue: VecDeque<Symbol> = discovered.iter().rev().cloned().collect();
+            let mut queued: BTreeSet<Symbol> = realizable.clone();
+            while let Some(spec) = queue.pop_front() {
+                queued.remove(&spec);
+                budget.step()?;
+                let word_lang = contents[&spec].expand_symbols(&slots);
+                let outs =
+                    duta.outputs_over_with_budget(&label_of(&spec), &word_lang, letter_of, budget)?;
+                let entry = d.get_mut(&spec).expect("d covers every realizable name");
+                let slot = slots.get_mut(&spec).expect("slots covers every realizable name");
+                let mut grew = false;
+                for &o in outs.keys() {
+                    if entry.insert(o) {
+                        slot.insert(state_sym(o));
+                        grew = true;
+                    }
+                }
+                if grew {
+                    for parent in parents.get(&spec).into_iter().flatten() {
+                        if queued.insert(*parent) {
+                            queue.push_back(*parent);
                         }
                     }
                 }
-                if !changed {
+            }
+        }
+
+        // Some realizable tree is untypable: a smallest one has typable
+        // children only, so search the names again with the empty subset
+        // removed from every slot. Only invalid designs pay for this pass.
+        let mut violation = None;
+        if let Some(e) = duta.empty_subset().filter(|&e| d.values().any(|s| s.contains(e))) {
+            let untypable = state_sym(e);
+            let typable: BTreeMap<Symbol, BTreeSet<Symbol>> = slots
+                .iter()
+                .map(|(spec, slot)| (*spec, slot.iter().filter(|s| **s != untypable).cloned().collect()))
+                .collect();
+            for spec in &realizable {
+                let word_lang = contents[spec].expand_symbols(&typable);
+                let mut outs =
+                    duta.outputs_over_with_budget(&label_of(spec), &word_lang, letter_of, budget)?;
+                if let Some(witness) = outs.remove(&e) {
+                    violation = Some((label_of(spec), witness));
                     break;
                 }
             }
         }
         let forest_states = forest_restricted.expand_symbols(&slots).trim();
-        Ok(FunArtifacts { forest_states, forest_empty, unknown })
+        Ok(FunArtifacts { forest_states, forest_empty, unknown, violation })
     }
-}
-
-/// Builds the per-function artefacts, fanning the independent fixpoints out
-/// over [`std::thread::scope`] workers. Each function's `D`-fixpoint only
-/// reads the shared determinised target, so the builds are embarrassingly
-/// parallel; the offline (per-problem, once) cost dominates cold decisions
-/// on many-function designs. Work is handed out through an atomic cursor so
-/// an expensive schema does not serialise the cheap ones behind it, and the
-/// results land in a `BTreeMap`, making the output independent of
-/// completion order.
-///
-/// A budget trip in one worker stops that worker after its current build;
-/// the shared budget makes every sibling trip at its own next check, and the
-/// first trip is what the caller sees. A genuine panic in a worker is
-/// re-raised on the calling thread with its original payload.
-fn build_fun_artifacts(
-    fun_schemas: &BTreeMap<Symbol, REdtd>,
-    duta: &Duta,
-    budget: &Budget,
-) -> Result<BTreeMap<Symbol, FunArtifacts>, AutomataError> {
-    let workers = std::thread::available_parallelism()
-        .map_or(1, std::num::NonZeroUsize::get)
-        .min(fun_schemas.len());
-    if workers <= 1 {
-        return fun_schemas
-            .iter()
-            .map(|(f, schema)| FunArtifacts::build(schema, duta, budget).map(|a| (*f, a)))
-            .collect();
-    }
-    let entries: Vec<(&Symbol, &REdtd)> = fun_schemas.iter().collect();
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut built = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(&(f, schema)) = entries.get(i) else { break };
-                        let artifacts = FunArtifacts::build(schema, duta, budget);
-                        let tripped = artifacts.is_err();
-                        built.push((*f, artifacts));
-                        if tripped {
-                            break;
-                        }
-                    }
-                    built
-                })
-            })
-            .collect();
-        let mut out = BTreeMap::new();
-        let mut first_trip: Option<AutomataError> = None;
-        for handle in handles {
-            match handle.join() {
-                Ok(built) => {
-                    for (f, artifacts) in built {
-                        match artifacts {
-                            Ok(a) => {
-                                out.insert(f, a);
-                            }
-                            Err(e) => {
-                                if first_trip.is_none() {
-                                    first_trip = Some(e);
-                                }
-                            }
-                        }
-                    }
-                }
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-        first_trip.map_or(Ok(out), Err)
-    })
 }
 
 /// Problem artefacts of a [`BoxDesignProblem`] that are expensive to build
@@ -281,18 +305,29 @@ impl BoxTargetCache {
 
     /// Governed cache build: the target determinisation and every
     /// per-function `D`-fixpoint charge `budget`. A trip aborts the build
-    /// and caches nothing.
+    /// and caches nothing. The one build site of the crate: a target whose
+    /// every specialised name is its own label (a DTD) is counted under
+    /// `design.*`, any other under `boxes.*`.
     fn build_with(
         target: &REdtd,
         fun_schemas: &BTreeMap<Symbol, REdtd>,
         budget: &Budget,
     ) -> Result<BoxTargetCache, AutomataError> {
-        let _span = telemetry::span(telemetry::SpanKind::BoxTargetCacheBuild);
-        telemetry::count(telemetry::Metric::BoxTargetCacheBuilds, 1);
+        let dtd_target = target.specialized_names().iter().all(|n| target.label_of(n) == Some(n));
+        let (span, metric) = if dtd_target {
+            (telemetry::SpanKind::TargetCacheBuild, telemetry::Metric::TargetCacheBuilds)
+        } else {
+            (telemetry::SpanKind::BoxTargetCacheBuild, telemetry::Metric::BoxTargetCacheBuilds)
+        };
+        let _span = telemetry::span(span);
+        telemetry::count(metric, 1);
         let duta = target.to_nuta().determinize_with_budget(&target.labels(), budget)?;
         let accepting = StateSet::from_iter(duta.num_states(), duta.accepting_states());
         let empty_subset = duta.empty_subset();
-        let funs = build_fun_artifacts(fun_schemas, &duta, budget)?;
+        let funs = fun_schemas
+            .iter()
+            .map(|(f, schema)| FunArtifacts::build(schema, &duta, budget).map(|a| (*f, a)))
+            .collect::<Result<_, _>>()?;
         Ok(BoxTargetCache {
             duta,
             accepting,
@@ -325,9 +360,47 @@ impl BoxTargetCache {
         dfa
     }
 
+    /// The child-word language of kernel `children` over subset-state
+    /// symbols: a docking point contributes its function's gap language,
+    /// any other child its `achievable` subset states.
+    fn child_word(&self, doc: &DistributedDoc, children: &[NodeId], achievable: &[StateSet]) -> Nfa {
+        children.iter().fold(Nfa::epsilon(), |word, &child| {
+            let label = doc.kernel().label(child);
+            word.concat(&match self.funs.get(label) {
+                Some(fa) if doc.is_function(label) => fa.forest_states.clone(),
+                _ => state_set_nfa(&achievable[child]),
+            })
+        })
+    }
+
+    /// For a *local* target — every label has at most one non-empty
+    /// inhabited subset state — the unique such state of each label that
+    /// has one; `None` for any other target. Every DTD target is local:
+    /// a DTD node is typed by its own label or not at all.
+    fn local_states(&self) -> Option<BTreeMap<Symbol, usize>> {
+        let mut out = BTreeMap::new();
+        for (label, states) in self.duta.inhabited_label_states() {
+            let mut typed = states.into_iter().filter(|&i| Some(i) != self.empty_subset);
+            if let Some(i) = typed.next() {
+                if typed.next().is_some() {
+                    return None;
+                }
+                out.insert(label, i);
+            }
+        }
+        Some(out)
+    }
+
+    /// Whether the target is *local*: every label has at most one non-empty
+    /// inhabited subset state. Perfect-schema synthesis handles docking
+    /// points under several distinct parents exactly on local targets.
+    pub fn is_local(&self) -> bool {
+        self.local_states().is_some()
+    }
+
     /// Residual-memo misses and hits so far (backs
     /// [`BoxDesignProblem::cache_stats`]).
-    pub(crate) fn residual_stats(&self) -> (u64, u64) {
+    fn residual_stats(&self) -> (u64, u64) {
         self.machine_dfas.stats()
     }
 
@@ -346,7 +419,6 @@ impl BoxTargetCache {
         self.funs.get(function).map(|fa| &fa.forest_states)
     }
 }
-
 // ----------------------------------------------------------------------
 // Verdicts
 // ----------------------------------------------------------------------
@@ -383,32 +455,23 @@ pub enum BoxViolation {
 
 impl fmt::Display for BoxViolation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let origin = |o: &Origin| match o {
-            Origin::Kernel { path } => {
-                let p: Vec<&str> = path.iter().map(Symbol::as_str).collect();
-                format!("kernel node /{}", p.join("/"))
-            }
-            Origin::Function { function } => format!("documents returned by `{function}`"),
-        };
         match self {
-            BoxViolation::UnknownElement { element, origin: o } => {
-                write!(f, "element `{element}` ({}) is not declared in the target schema", origin(o))
+            BoxViolation::UnknownElement { element, origin } => {
+                write!(f, "element `{element}` ({origin}) is not declared in the target schema")
             }
-            BoxViolation::Content { element, counterexample, admitted, origin: o } => {
+            BoxViolation::Content { element, counterexample, admitted, origin } => {
                 if admitted.is_empty() {
                     write!(
                         f,
-                        "children ⟨{counterexample}⟩ of `{element}` ({}) are realizable but admit \
-                         no typing under the target",
-                        origin(o)
+                        "children ⟨{counterexample}⟩ of `{element}` ({origin}) are realizable but \
+                         admit no typing under the target"
                     )
                 } else {
                     let names: Vec<&str> = admitted.iter().map(Symbol::as_str).collect();
                     write!(
                         f,
-                        "children ⟨{counterexample}⟩ of `{element}` ({}) type the node as \
+                        "children ⟨{counterexample}⟩ of `{element}` ({origin}) type the node as \
                          [{}], which does not include the start name",
-                        origin(o),
                         names.join(", ")
                     )
                 }
@@ -438,16 +501,40 @@ impl BoxVerdict {
 // The problem
 // ----------------------------------------------------------------------
 
-/// A typing-verification instance with an **R-EDTD target**: the target
-/// schema `τ` plus one R-EDTD schema per function symbol. The EDTD analogue
-/// of [`crate::DesignProblem`] — DTD targets embed through
-/// [`RDtd::to_edtd`] / [`From<&DesignProblem>`](BoxDesignProblem::from) and
-/// produce identical verdicts (asserted by the test suite).
-#[derive(Clone)]
+/// A design problem: the target schema `τ` plus one R-EDTD schema per
+/// function symbol. DTD problems embed through [`RDtd::to_edtd`] /
+/// [`From<&DesignProblem>`](BoxDesignProblem::from); [`crate::DesignProblem`]
+/// is the DTD-typed view over this engine.
+///
+/// The problem-derived artefacts ([`BoxTargetCache`]) are built lazily on
+/// the first decision and reused by every later one; the extension
+/// automaton is additionally memoised per document (a FIFO of the last few
+/// documents). Mutating the problem invalidates both.
 pub struct BoxDesignProblem {
     doc_schema: REdtd,
     fun_schemas: BTreeMap<Symbol, REdtd>,
     target: OnceLock<BoxTargetCache>,
+    /// FIFO memo of extension automata, keyed by the document.
+    ext_cache: Mutex<Vec<(DistributedDoc, Arc<Nuta>)>>,
+    /// Extension-memo hits/misses for [`BoxDesignProblem::cache_stats`]
+    /// (mirrored into the global `design.ext_memo_*` telemetry counters).
+    ext_hits: AtomicU64,
+    ext_misses: AtomicU64,
+}
+
+impl Clone for BoxDesignProblem {
+    fn clone(&self) -> Self {
+        BoxDesignProblem {
+            doc_schema: self.doc_schema.clone(),
+            fun_schemas: self.fun_schemas.clone(),
+            target: self.target.clone(),
+            ext_cache: Mutex::new(
+                self.ext_cache.lock().map(|entries| entries.clone()).unwrap_or_default(),
+            ),
+            ext_hits: AtomicU64::new(self.ext_hits.load(Ordering::Relaxed)),
+            ext_misses: AtomicU64::new(self.ext_misses.load(Ordering::Relaxed)),
+        }
+    }
 }
 
 impl fmt::Debug for BoxDesignProblem {
@@ -464,18 +551,21 @@ impl From<&crate::DesignProblem> for BoxDesignProblem {
     /// Embeds a DTD design problem as a box design problem with trivial
     /// specialisations (every element name is its own specialisation).
     fn from(problem: &crate::DesignProblem) -> BoxDesignProblem {
-        let mut out = BoxDesignProblem::new(problem.doc_schema().to_edtd());
-        for (f, schema) in problem.fun_schemas() {
-            out.add_function(*f, schema.to_edtd());
-        }
-        out
+        problem.engine.clone()
     }
 }
 
 impl BoxDesignProblem {
     /// Creates a box design problem with no function schemas.
     pub fn new(doc_schema: REdtd) -> BoxDesignProblem {
-        BoxDesignProblem { doc_schema, fun_schemas: BTreeMap::new(), target: OnceLock::new() }
+        BoxDesignProblem {
+            doc_schema,
+            fun_schemas: BTreeMap::new(),
+            target: OnceLock::new(),
+            ext_cache: Mutex::new(Vec::new()),
+            ext_hits: AtomicU64::new(0),
+            ext_misses: AtomicU64::new(0),
+        }
     }
 
     /// Declares the R-EDTD schema of a function (builder style).
@@ -494,7 +584,7 @@ impl BoxDesignProblem {
     /// problem artefacts.
     pub fn add_function(&mut self, function: impl Into<Symbol>, schema: REdtd) {
         self.fun_schemas.insert(function.into(), schema);
-        self.target = OnceLock::new();
+        self.invalidate_caches();
     }
 
     /// The target document schema `τ`.
@@ -506,7 +596,14 @@ impl BoxDesignProblem {
     /// target.
     pub fn set_doc_schema(&mut self, doc_schema: REdtd) {
         self.doc_schema = doc_schema;
+        self.invalidate_caches();
+    }
+
+    fn invalidate_caches(&mut self) {
         self.target = OnceLock::new();
+        if let Ok(entries) = self.ext_cache.get_mut() {
+            entries.clear();
+        }
     }
 
     /// The declared function schemas.
@@ -567,9 +664,11 @@ impl BoxDesignProblem {
         self.target.get().is_some()
     }
 
-    /// Point-in-time statistics of this problem's caches. The extension
-    /// memo fields stay zero — box problems build their extension automata
-    /// per call and memoise only the target-derived artefacts.
+    /// Point-in-time statistics of this problem's caches: target-cache
+    /// readiness, residual-DFA memo builds/hits and extension-memo
+    /// hits/misses. Exact for this problem regardless of other work in the
+    /// process; the same events also feed the global [`dxml_telemetry`]
+    /// counters.
     pub fn cache_stats(&self) -> CacheStats {
         let (residual_dfa_builds, residual_dfa_hits) = self
             .target
@@ -579,8 +678,8 @@ impl BoxDesignProblem {
             target_cache_built: self.target_cache_ready(),
             residual_dfa_builds,
             residual_dfa_hits,
-            ext_memo_hits: 0,
-            ext_memo_misses: 0,
+            ext_memo_hits: self.ext_hits.load(Ordering::Relaxed),
+            ext_memo_misses: self.ext_misses.load(Ordering::Relaxed),
         }
     }
 
@@ -629,17 +728,55 @@ impl BoxDesignProblem {
 
     /// A [`Nuta`] recognising exactly the extensions of `doc`: the kernel
     /// with every docking point `f` replaced by a forest of trees valid
-    /// under `τf`'s specialised rules. The construction mirrors
-    /// [`crate::DesignProblem::extension_nuta`] with specialised names as
-    /// the per-function states.
-    pub fn extension_nuta(&self, doc: &DistributedDoc) -> Result<Nuta, DesignError> {
+    /// under `τf`'s specialised rules whose root word matches the content
+    /// model of `τf`'s start name.
+    ///
+    /// States are `#k<i>` for kernel node `i` and `<f>$<ã>` for specialised
+    /// name `ã` of function `f`'s schema (the `$`/`#` mangling cannot
+    /// collide with parsed element names). Each call site expands
+    /// independently, so the automaton over-approximates snapshot
+    /// materialisation when the same function occurs twice — matching the
+    /// paper, where every docking point is its own call.
+    ///
+    /// The automaton is memoised per document (FIFO of the last few
+    /// documents): back-to-back decisions on the same document hand back
+    /// the very same `Arc` without rebuilding. Mutating the problem clears
+    /// the memo.
+    pub fn extension_nuta(&self, doc: &DistributedDoc) -> Result<Arc<Nuta>, DesignError> {
         self.require_schemas(doc)?;
+        if let Ok(entries) = self.ext_cache.lock() {
+            if let Some((_, ext)) = entries.iter().find(|(d, _)| d == doc) {
+                self.ext_hits.fetch_add(1, Ordering::Relaxed);
+                telemetry::count(telemetry::Metric::ExtMemoHits, 1);
+                return Ok(Arc::clone(ext));
+            }
+        }
+        self.ext_misses.fetch_add(1, Ordering::Relaxed);
+        telemetry::count(telemetry::Metric::ExtMemoMisses, 1);
+        let ext = Arc::new(self.build_extension_nuta(doc, None));
+        if let Ok(mut entries) = self.ext_cache.lock() {
+            if entries.len() >= EXT_CACHE_CAP {
+                entries.remove(0);
+            }
+            entries.push((doc.clone(), Arc::clone(&ext)));
+        }
+        Ok(ext)
+    }
+
+    /// Builds the extension automaton of `doc` (no memoisation), with the
+    /// schema of one function optionally `replaced` — the synthesis oracle
+    /// checks a candidate schema this way without cloning the problem.
+    /// Callers have checked that every called function has a schema.
+    fn build_extension_nuta(&self, doc: &DistributedDoc, replaced: Option<(&Symbol, &REdtd)>) -> Nuta {
         let kernel = doc.kernel();
         let mut a = Nuta::new();
 
         let mut forest_nfas: BTreeMap<Symbol, Nfa> = BTreeMap::new();
         for f in doc.called_functions() {
-            let schema = &self.fun_schemas[&f];
+            let schema = match replaced {
+                Some((g, schema)) if *g == f => schema,
+                _ => &self.fun_schemas[&f],
+            };
             let prefix = |name: &Symbol| Symbol::new(format!("{f}${name}"));
             for spec in schema.specialized_names().iter() {
                 let content = schema.content(spec).to_nfa().map_symbols(prefix);
@@ -667,7 +804,7 @@ impl BoxDesignProblem {
             a.set_rule(state_of(node), *kernel.label(node), content);
         }
         a.set_final(state_of(kernel.root()));
-        Ok(a)
+        a
     }
 
     /// Decides whether every extension of `doc` validates against the EDTD
@@ -675,6 +812,10 @@ impl BoxDesignProblem {
     /// the determinised specialised target. On failure the verdict carries
     /// a full counterexample document and the typing failure it triggers
     /// ([`REdtd::validate`]).
+    ///
+    /// The target automaton is determinised once per problem (see
+    /// [`BoxDesignProblem::target_cache`]); repeated calls only pay for the
+    /// extension side.
     pub fn typecheck(&self, doc: &DistributedDoc) -> Result<TypingVerdict, DesignError> {
         self.typecheck_with_budget(doc, &Budget::unlimited())
     }
@@ -688,20 +829,43 @@ impl BoxDesignProblem {
         doc: &DistributedDoc,
         budget: &Budget,
     ) -> Result<TypingVerdict, DesignError> {
+        self.typecheck_by(doc, budget, |tree| self.doc_schema.validate(tree))
+    }
+
+    /// [`BoxDesignProblem::typecheck_with_budget`] with the counterexample
+    /// explained by `validate` — the target's own validator, in whichever
+    /// schema language the caller states the target.
+    pub(crate) fn typecheck_by(
+        &self,
+        doc: &DistributedDoc,
+        budget: &Budget,
+        validate: impl Fn(&XTree) -> Result<(), SchemaError>,
+    ) -> Result<TypingVerdict, DesignError> {
         let _span = telemetry::span(telemetry::SpanKind::Typecheck);
         budget.check_interrupts().map_err(DesignError::from)?;
         let ext = self.extension_nuta(doc)?;
         let cache = self.target_cache_with_budget(budget)?;
-        match uta::included_in_duta_with_budget(&ext, &cache.duta, budget)
+        Self::included(&ext, cache, budget, validate)
+    }
+
+    /// Tree-language inclusion of an extension automaton in the cached
+    /// target, with the counterexample re-validated by `validate`.
+    fn included(
+        ext: &Nuta,
+        cache: &BoxTargetCache,
+        budget: &Budget,
+        validate: impl Fn(&XTree) -> Result<(), SchemaError>,
+    ) -> Result<TypingVerdict, DesignError> {
+        match uta::included_in_duta_with_budget(ext, &cache.duta, budget)
             .map_err(DesignError::from)?
         {
             Ok(()) => Ok(TypingVerdict::Valid),
-            Err(counterexample) => match self.doc_schema.validate(&counterexample) {
+            Err(counterexample) => match validate(&counterexample) {
                 Err(violation) => Ok(TypingVerdict::Invalid { counterexample, violation }),
                 Ok(()) => Err(DesignError::InvariantViolation {
                     detail: format!(
                         "tree-inclusion counterexample `{counterexample}` unexpectedly \
-                         validates against the EDTD target"
+                         validates against the target"
                     ),
                 }),
             },
@@ -735,8 +899,12 @@ impl BoxDesignProblem {
     /// [`BoxDesignProblem::typecheck`] on every input (asserted by the
     /// tests).
     ///
-    /// If some called function has an empty schema language no extension
-    /// exists and the verdict is vacuously valid.
+    /// Checks run in this order: a called function with an empty schema
+    /// language makes the verdict vacuously valid; a function realizing an
+    /// element unknown to the target, or a tree the target cannot type,
+    /// is reported with [`Origin::Function`]; then the kernel pass reports
+    /// the first violating node bottom-up, so of several kernel violations
+    /// the deepest is the one reported.
     pub fn verify_local(&self, doc: &DistributedDoc) -> Result<BoxVerdict, DesignError> {
         self.verify_local_with_budget(doc, &Budget::unlimited())
     }
@@ -762,10 +930,19 @@ impl BoxDesignProblem {
             }
         }
         for f in &called {
+            let origin = Origin::Function { function: *f };
             if let Some(label) = &cache.funs[f].unknown {
                 return Ok(BoxVerdict::Invalid(BoxViolation::UnknownElement {
                     element: *label,
-                    origin: Origin::Function { function: *f },
+                    origin,
+                }));
+            }
+            if let Some((label, witness)) = &cache.funs[f].violation {
+                return Ok(BoxVerdict::Invalid(BoxViolation::Content {
+                    element: *label,
+                    counterexample: self.box_of(cache, witness),
+                    admitted: Vec::new(),
+                    origin,
                 }));
             }
         }
@@ -784,15 +961,7 @@ impl BoxDesignProblem {
                     origin: origin(),
                 }));
             }
-            let mut word = Nfa::epsilon();
-            for &child in kernel.children(node) {
-                let child_label = kernel.label(child);
-                let piece = match cache.funs.get(child_label) {
-                    Some(fa) if doc.is_function(child_label) => fa.forest_states.clone(),
-                    _ => state_set_nfa(&achievable[child]),
-                };
-                word = word.concat(&piece);
-            }
+            let word = cache.child_word(doc, kernel.children(node), &achievable);
             let outs = cache
                 .duta
                 .outputs_over_with_budget(label, &word, letter_of, budget)
@@ -829,24 +998,33 @@ impl BoxDesignProblem {
     }
 
     // ------------------------------------------------------------------
-    // Perfect typing for EDTD targets
+    // Perfect typing
     // ------------------------------------------------------------------
 
-    /// Computes the **perfect schema** of `function` for the EDTD target:
-    /// the most permissive R-EDTD schema under which the design still
-    /// typechecks, the other functions keeping their declared schemas.
+    /// Computes the **perfect schema** of `function`: the most permissive
+    /// R-EDTD schema under which the design still typechecks, the other
+    /// functions keeping their declared schemas (Sections 6 and 7).
     ///
-    /// The admissible gap language is computed exactly by walking the spine
-    /// from the root down to the docking parent: at each level the set of
-    /// *safe* subset states is the universal context residual of the
-    /// admissible-children language (the per-label Moore machine with every
-    /// admissible output marked final) by the
-    /// realizable sibling languages, restricted to single states; at the
-    /// parent the full residual (uniform for several docking points,
-    /// [`Nfa::uniform_context_residual`]) is the gap language. The schema
-    /// materialises it with one specialised name per inhabited
-    /// `(label, subset state)` pair — maximal per construction, confirmed
-    /// by the [`BoxDesignProblem::typecheck`] oracle.
+    /// The admissible gap language is computed exactly by walking the
+    /// *spine* — the kernel nodes on a path from the root to a docking
+    /// parent — top-down. With a single docking parent, the safe subset
+    /// states of each spine level are the universal context residual of
+    /// the admissible-children language (the per-label Moore machine with
+    /// every admissible output marked final) by the realizable sibling
+    /// languages, restricted to single states. With several docking
+    /// parents the target must be *local* ([`BoxTargetCache::is_local`],
+    /// true for every DTD): every spine node must then evaluate to its
+    /// label's unique non-empty state, a spine node without a docking
+    /// point of its own must admit its fixed child word, and the gap
+    /// language is the intersection of the docking parents' residuals. At a
+    /// docking parent the residual is universal for one docking point and
+    /// uniform ([`Nfa::uniform_context_residual`]) for several.
+    ///
+    /// The schema materialises the gap language with one specialised name
+    /// per inhabited `(label, subset state)` pair. The candidate is an
+    /// upper bound on every schema the design typechecks with, so it is the
+    /// maximum iff the typecheck oracle — run against the cached target
+    /// automaton — confirms it.
     ///
     /// # Errors
     ///
@@ -858,9 +1036,8 @@ impl BoxDesignProblem {
     ///   empty (the design is vacuous), or several docking points under the
     ///   same parent interact without a unique maximum.
     /// * [`DesignError::SynthesisUnsupported`] — the docking points of
-    ///   `function` sit under several distinct parents; the per-parent
-    ///   residuals of this construction cannot bound that case for EDTD
-    ///   targets.
+    ///   `function` sit under several distinct parents of a target that is
+    ///   not local.
     /// * [`DesignError::InvariantViolation`] — the oracle refuted a
     ///   candidate the construction proves maximal; a bug in this library,
     ///   never a property of the input.
@@ -886,8 +1063,8 @@ impl BoxDesignProblem {
     ///
     /// # Panics
     ///
-    /// Only on a broken internal invariant (an admitted function with an
-    /// empty docking set).
+    /// Only on a broken internal invariant (a single-parent spine node
+    /// without its spine child).
     pub fn perfect_schema_with_budget(
         &self,
         doc: &DistributedDoc,
@@ -913,13 +1090,19 @@ impl BoxDesignProblem {
         if !doc.is_function(&f) || docking.is_empty() {
             return Err(DesignError::FunctionNotCalled { function: f });
         }
-        if docking.len() > 1 {
-            return Err(DesignError::SynthesisUnsupported {
-                function: f,
-                detail: "its docking points sit under several distinct parents".into(),
-            });
-        }
         let cache = self.target_cache_with_budget(budget)?;
+        // Several docking parents: every spine node is pinned to its
+        // label's unique typing, which only local targets guarantee.
+        let local = if docking.len() > 1 {
+            Some(cache.local_states().ok_or_else(|| DesignError::SynthesisUnsupported {
+                function: f,
+                detail: "its docking points sit under several distinct parents of a target \
+                         whose labels have several typings"
+                    .into(),
+            })?)
+        } else {
+            None
+        };
         let mut forced_empty = false;
         for g in doc.called_functions() {
             if g == f {
@@ -932,76 +1115,68 @@ impl BoxDesignProblem {
             if art.forest_empty {
                 return Err(DesignError::NoMaximalSchema { function: f });
             }
-            if art.unknown.is_some() {
-                // A sibling realizes trees outside the target's universe:
-                // every non-vacuous design fails, independent of `f`.
+            if art.unknown.is_some() || art.violation.is_some() {
+                // A sibling realizes trees the target rejects: every
+                // non-vacuous design fails, independent of `f`.
                 forced_empty = true;
             }
         }
-        let (&parent, positions) = docking.iter().next().expect("docking is non-empty");
 
-        // The spine from the root down to the docking parent; everything
-        // off the spine is free of `f` and gets an exact achievable set.
-        let mut spine = vec![parent];
-        let mut cursor = parent;
-        while let Some(p) = kernel.parent(cursor) {
-            spine.push(p);
-            cursor = p;
+        // The spine: every kernel node on a path from the root to a
+        // docking parent, top-down. Everything off the spine is free of
+        // `f` and gets an exact achievable set.
+        let mut spine_set: BTreeSet<NodeId> = BTreeSet::new();
+        for &parent in docking.keys() {
+            let mut cursor = Some(parent);
+            while let Some(node) = cursor.filter(|&n| spine_set.insert(n)) {
+                cursor = kernel.parent(node);
+            }
         }
-        spine.reverse();
-        let spine_set: BTreeSet<NodeId> = spine.iter().copied().collect();
+        let spine: Vec<NodeId> =
+            kernel.document_order().into_iter().filter(|n| spine_set.contains(n)).collect();
 
+        // Bottom-up: every off-spine node gets its exact achievable set; on
+        // a local target every spine node is pinned to its label's unique
+        // typing (accepting, at the root).
         let universe = cache.duta.num_states();
         let mut achievable: Vec<StateSet> = vec![StateSet::empty(universe); kernel.size()];
         for node in kernel.bottom_up_order() {
             let label = kernel.label(node);
-            if spine_set.contains(&node) || doc.is_function(label) {
+            if doc.is_function(label) {
                 continue;
             }
             if !cache.duta.labels().contains(label) {
                 forced_empty = true;
-                continue;
-            }
-            let mut word = Nfa::epsilon();
-            for &child in kernel.children(node) {
-                let child_label = kernel.label(child);
-                let piece = match cache.funs.get(child_label) {
-                    Some(fa) if doc.is_function(child_label) => fa.forest_states.clone(),
-                    _ => state_set_nfa(&achievable[child]),
-                };
-                word = word.concat(&piece);
-            }
-            achievable[node] = StateSet::from_iter(
-                universe,
-                cache
+            } else if !spine_set.contains(&node) {
+                let word = cache.child_word(doc, kernel.children(node), &achievable);
+                let outs = cache
                     .duta
                     .outputs_over_with_budget(label, &word, letter_of, budget)
-                    .map_err(DesignError::from)?
-                    .keys()
-                    .copied(),
-            );
-        }
-
-        // Top-down: the safe subset states per spine level, then the gap
-        // language at the parent.
-        let piece_for = |child: NodeId| -> Nfa {
-            let child_label = kernel.label(child);
-            match cache.funs.get(child_label) {
-                Some(fa) if doc.is_function(child_label) => fa.forest_states.clone(),
-                _ => state_set_nfa(&achievable[child]),
+                    .map_err(DesignError::from)?;
+                achievable[node] = StateSet::from_iter(universe, outs.keys().copied());
+            } else if let Some(local) = &local {
+                let typing = local
+                    .get(label)
+                    .copied()
+                    .filter(|&i| node != kernel.root() || cache.accepting.contains(i));
+                achievable[node] = StateSet::from_iter(universe, typing);
             }
-        };
-        let segment = |range: &[NodeId]| {
-            range.iter().fold(Nfa::epsilon(), |acc, &c| acc.concat(&piece_for(c)))
-        };
+        }
+        let segment = |range: &[NodeId]| cache.child_word(doc, range, &achievable);
+
+        // Top-down: the admissible outputs per spine level, then the
+        // residual at every docking parent.
         let mut safe: StateSet = cache.accepting.clone();
-        let mut gap = Nfa::empty();
-        for (level, &x) in spine.iter().enumerate() {
+        let mut gap: Option<Nfa> = None;
+        for &x in &spine {
             if forced_empty {
                 break;
             }
             let label = kernel.label(x);
-            if !cache.duta.labels().contains(label) {
+            if local.is_some() {
+                safe = achievable[x].clone();
+            }
+            if safe.is_empty() {
                 forced_empty = true;
                 break;
             }
@@ -1009,26 +1184,7 @@ impl BoxDesignProblem {
             // (the admissible outputs at this level) differ per call.
             let admissible_children = cache.admissible_children_dfa(label, &safe);
             let children = kernel.children(x);
-            if level + 1 < spine.len() {
-                let next = spine[level + 1];
-                let position = children
-                    .iter()
-                    .position(|&c| c == next)
-                    .expect("spine child is a child of its spine parent");
-                let prefix = segment(&children[..position]);
-                let suffix = segment(&children[position + 1..]);
-                let residual = admissible_children
-                    .universal_context_residual_with_budget(&prefix, &suffix, budget)
-                    .map_err(DesignError::from)?;
-                safe = StateSet::from_iter(
-                    universe,
-                    (0..universe).filter(|&j| residual.accepts(&[state_sym(j)])),
-                );
-                if safe.is_empty() {
-                    forced_empty = true;
-                }
-            } else {
-                // The docking parent: residual over the gap(s).
+            if let Some(positions) = docking.get(&x) {
                 let mut contexts: Vec<Nfa> = Vec::with_capacity(positions.len() + 1);
                 let mut prev = 0usize;
                 for &position in positions {
@@ -1036,7 +1192,7 @@ impl BoxDesignProblem {
                     prev = position + 1;
                 }
                 contexts.push(segment(&children[prev..]));
-                gap = if positions.len() == 1 {
+                let residual = if positions.len() == 1 {
                     admissible_children.universal_context_residual_with_budget(
                         &contexts[0],
                         &contexts[1],
@@ -1046,16 +1202,49 @@ impl BoxDesignProblem {
                     admissible_children.uniform_context_residual_with_budget(&contexts, budget)
                 }
                 .map_err(DesignError::from)?;
+                gap = Some(match gap {
+                    Some(g) => g.intersect(&residual),
+                    None => residual,
+                });
+            } else if local.is_some() {
+                // No docking point of its own: with every spine child
+                // pinned, the child word is fixed and must be admissible.
+                let outs = cache
+                    .duta
+                    .outputs_over_with_budget(label, &segment(children), letter_of, budget)
+                    .map_err(DesignError::from)?;
+                if outs.keys().any(|&o| !safe.contains(o)) {
+                    forced_empty = true;
+                }
+            } else {
+                // The single spine child: its safe states are the single
+                // letters the universal residual of its context admits.
+                let position = children
+                    .iter()
+                    .position(|c| spine_set.contains(c))
+                    .expect("a spine node above the docking parent has a spine child");
+                let prefix = segment(&children[..position]);
+                let suffix = segment(&children[position + 1..]);
+                let residual = admissible_children
+                    .universal_context_residual_with_budget(&prefix, &suffix, budget)
+                    .map_err(DesignError::from)?;
+                safe = StateSet::from_iter(
+                    universe,
+                    (0..universe).filter(|&j| residual.accepts(&[state_sym(j)])),
+                );
             }
         }
-        let gap = if forced_empty { Nfa::empty() } else { gap };
+        let gap = match gap {
+            Some(gap) if !forced_empty => gap,
+            _ => Nfa::empty(),
+        };
 
         let schema = self.build_perfect(&gap, cache);
-        let candidate = self.clone().with_function(f, schema.clone());
-        match candidate.typecheck_with_budget(doc, budget)? {
+        let candidate = self.build_extension_nuta(doc, Some((&f, &schema)));
+        match Self::included(&candidate, cache, budget, |tree| self.doc_schema.validate(tree))? {
             TypingVerdict::Valid => Ok(schema),
             TypingVerdict::Invalid { counterexample, .. } => {
-                if positions.len() > 1 {
+                if docking.values().any(|positions| positions.len() > 1) {
                     // The uniform candidate is an upper bound on every
                     // valid gap language (substituting any of its words at
                     // every docking point stays valid), so a refutation
@@ -1064,7 +1253,7 @@ impl BoxDesignProblem {
                 } else {
                     Err(DesignError::InvariantViolation {
                         detail: format!(
-                            "typecheck refuted the maximal box candidate for `{f}` \
+                            "typecheck refuted the maximal candidate for `{f}` \
                              with `{counterexample}`"
                         ),
                     })
@@ -1107,7 +1296,9 @@ impl BoxDesignProblem {
             start.push('_');
         }
         let mut schema = REdtd::new(RFormalism::Nfa, start.as_str(), start.as_str());
-        let forest = gap.trim().expand_symbols(&slots);
+        // `trim` keeps the start state, loops included, even when the
+        // language is empty; an empty gap must not pull in any name.
+        let forest = if gap.is_empty() { Nfa::empty() } else { gap.trim().expand_symbols(&slots) };
         schema.set_rule(start.as_str(), RSpec::Nfa(forest.clone()));
         let mut queue: VecDeque<Symbol> = forest.alphabet().iter().cloned().collect();
         let mut seen: BTreeSet<Symbol> = queue.iter().cloned().collect();
@@ -1225,6 +1416,27 @@ mod tests {
             p2.verify_local(&doc2).unwrap(),
             BoxVerdict::Invalid(BoxViolation::UnknownElement { origin: Origin::Function { .. }, .. })
         ));
+    }
+
+    #[test]
+    fn untypable_function_trees_are_blamed_on_the_function() {
+        // f returns a(b b): neither `ab` (one b) nor `ac` types it, so the
+        // violation lies inside f's forests, not at the kernel root.
+        let mut schema = REdtd::new(RFormalism::Nre, "r", "r");
+        schema.add_specialization("x", "a");
+        schema.set_rule("r", RSpec::Nre(Regex::parse("x").unwrap()));
+        schema.set_rule("x", RSpec::Nre(Regex::parse("b b").unwrap()));
+        let p = BoxDesignProblem::new(one_c_target()).with_function("f", schema);
+        let doc = DistributedDoc::parse("s(a(c) f)", ["f"]).unwrap();
+        assert!(!agree(&p, &doc));
+        match p.verify_local(&doc).unwrap() {
+            BoxVerdict::Invalid(BoxViolation::Content { element, counterexample, origin, .. }) => {
+                assert_eq!(element.as_str(), "a");
+                assert_eq!(counterexample.width(), 2);
+                assert_eq!(origin, Origin::Function { function: Symbol::new("f") });
+            }
+            other => panic!("expected a content violation inside f, got {other:?}"),
+        }
     }
 
     #[test]
@@ -1349,17 +1561,31 @@ mod tests {
             p.perfect_schema(&doc, "g"),
             Err(DesignError::FunctionNotCalled { .. })
         ));
-        // Docking under two distinct parents is unsupported for EDTD
-        // targets.
+        // Docking under two distinct parents is unsupported when a label
+        // has several typings: here `t` is typed `ta` or `tb` by its
+        // children.
         let mut nested = REdtd::new(RFormalism::Nre, "s", "s");
-        nested.set_rule("s", RSpec::Nre(Regex::parse("t t").unwrap()));
-        nested.set_rule("t", RSpec::Nre(Regex::parse("a*").unwrap()));
+        nested.add_specialization("ta", "t");
+        nested.add_specialization("tb", "t");
+        nested.set_rule("s", RSpec::Nre(Regex::parse("ta tb").unwrap()));
+        nested.set_rule("ta", RSpec::Nre(Regex::parse("a a*").unwrap()));
+        nested.set_rule("tb", RSpec::Nre(Regex::parse("b b*").unwrap()));
         let p2 = BoxDesignProblem::new(nested);
         let doc2 = DistributedDoc::parse("s(t(f) t(f))", ["f"]).unwrap();
+        assert!(!p2.target_cache().is_local());
         assert!(matches!(
             p2.perfect_schema(&doc2, "f"),
             Err(DesignError::SynthesisUnsupported { .. })
         ));
+        // With one typing per label the same kernel synthesises.
+        let mut local = REdtd::new(RFormalism::Nre, "s", "s");
+        local.set_rule("s", RSpec::Nre(Regex::parse("t t").unwrap()));
+        local.set_rule("t", RSpec::Nre(Regex::parse("a*").unwrap()));
+        let p5 = BoxDesignProblem::new(local);
+        assert!(p5.target_cache().is_local());
+        let perfect = p5.perfect_schema(&doc2, "f").unwrap();
+        let solved = p5.clone().with_function("f", perfect);
+        assert!(solved.typecheck(&doc2).unwrap().is_valid());
         // Interacting docking points under one parent: (ab ac | ac ab)
         // admits {ab-word} and {ac-word}… use the DTD-style (a,a)|(b,b).
         let mut t = REdtd::new(RFormalism::Nre, "s", "s");

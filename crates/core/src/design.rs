@@ -1,4 +1,4 @@
-//! Design problems and typing verification (Sections 3–5).
+//! Design problems and typing verification for DTD targets (Sections 3–5).
 //!
 //! A [`DesignProblem`] pairs the *global type* `τ` a distributed document
 //! must conform to with a schema `τf` for each function, describing the
@@ -6,254 +6,30 @@
 //! possible extension `ext_T(t1…tn)` with `ti ∈ [τfi]` validates against `τ`
 //! — the typing-verification problem.
 //!
-//! Two decision procedures are provided and proved against each other by the
-//! test suite:
+//! A DTD is the EDTD with one specialisation per label, so a
+//! [`DesignProblem`] is a DTD-typed view over the one engine,
+//! [`BoxDesignProblem`]: it embeds its schemas trivially, delegates every
+//! decision and renders the results back in DTD terms.
 //!
-//! * [`DesignProblem::typecheck`] — the general tree-automaton route: build a
-//!   [`Nuta`] recognising exactly the extension language
-//!   ([`DesignProblem::extension_nuta`]), then decide tree-language inclusion
-//!   in `τ` (product/complement inside [`dxml_tree::uta`]), extracting a full
-//!   counterexample document on failure.
-//! * [`DesignProblem::verify_local`] — the DTD fast path: since DTD
-//!   validation is per-node-local, the extension language is included in
-//!   `[τ]` iff a family of *string*-language inclusions holds, each decided
-//!   by [`dxml_automata::equiv::included`] with a counterexample word.
+//! * [`DesignProblem::typecheck`] — the tree-automaton route: extension
+//!   automaton vs. determinised target, with a full counterexample document
+//!   validated against the DTD;
+//! * [`DesignProblem::verify_local`] — the string route: a bottom-up pass
+//!   over the kernel by Moore-machine images. In a DTD embedding every
+//!   typable subtree is typed by its own label alone, so the witness boxes
+//!   are plain label words, reported against the DTD content model.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::Arc;
 
-use dxml_automata::equiv::included_with_budget as str_included_with_budget;
-use dxml_telemetry as telemetry;
-use dxml_automata::{AutomataError, Budget, Dfa, Nfa, RSpec, Symbol};
+use dxml_automata::{Budget, RSpec, Symbol};
 use dxml_schema::{RDtd, SchemaError};
-use dxml_tree::uta::Duta;
-use dxml_tree::{uta, Nuta, XTree};
+use dxml_tree::{Nuta, XTree};
 
+use crate::boxes::{BoxDesignProblem, BoxTargetCache, BoxVerdict, BoxViolation};
 use crate::doc::DistributedDoc;
 use crate::error::DesignError;
-
-/// How many `(document, extension automaton)` pairs a problem memoises —
-/// enough for the few documents a problem is typically checked against
-/// back-to-back, small enough that stale documents do not accumulate.
-const EXT_CACHE_CAP: usize = 4;
-
-/// A function schema reduced once per problem (every surviving name
-/// realizable, Definition 5) together with its *forest* language — the
-/// root-word language its documents contribute at a docking point.
-#[derive(Clone, Debug)]
-pub struct ReducedFun {
-    schema: RDtd,
-    forest: Nfa,
-    empty: bool,
-}
-
-impl ReducedFun {
-    fn build(schema: &RDtd) -> ReducedFun {
-        let schema = schema.reduce();
-        let empty = schema.language_is_empty();
-        let forest = schema.content(schema.start()).to_nfa();
-        ReducedFun { schema, forest, empty }
-    }
-
-    /// The reduced schema.
-    pub fn schema(&self) -> &RDtd {
-        &self.schema
-    }
-
-    /// The forest language: the content model of the reduced start symbol.
-    pub fn forest(&self) -> &Nfa {
-        &self.forest
-    }
-
-    /// Whether the schema's language is empty (the function can return no
-    /// document at all).
-    pub fn language_is_empty(&self) -> bool {
-        self.empty
-    }
-}
-
-/// A lazily filled memo of determinised residual inputs: the key identifies
-/// the *machine* (a target content model, or a per-label Moore machine) and
-/// the value is its determinisation, shared by every residual taken against
-/// it. Kept behind a `Mutex` so the enclosing cache stays usable through
-/// `&self` (the synthesis loops hold the cache by shared reference).
-#[derive(Default)]
-pub(crate) struct ResidualDfaCache {
-    memo: Mutex<BTreeMap<Symbol, Arc<Dfa>>>,
-    /// Memo misses (machines actually determinised) and hits, kept as plain
-    /// per-problem atomics so test assertions stay deterministic even when
-    /// the process-global telemetry registry is shared with other work; the
-    /// same events are mirrored into `cache.residual_dfa_builds`/`_hits`.
-    builds: AtomicU64,
-    hits: AtomicU64,
-}
-
-impl ResidualDfaCache {
-    /// The determinisation of the machine identified by `key`, built by
-    /// `make` on first use and shared afterwards.
-    pub(crate) fn get_or_build(&self, key: &Symbol, make: impl FnOnce() -> Dfa) -> Arc<Dfa> {
-        self.get_or_try_build(key, || Ok::<Dfa, AutomataError>(make()))
-            .expect("an infallible build cannot fail")
-    }
-
-    /// Fallible twin of [`ResidualDfaCache::get_or_build`]: a `make` that
-    /// errors (a budget trip) inserts nothing, so the memo stays clean and a
-    /// retry with a larger budget rebuilds from scratch. A `make` that
-    /// *panicked* on an earlier call poisons the mutex; the memo data is
-    /// only ever mutated after a successful build, so the poison is benign
-    /// and recovered from.
-    pub(crate) fn get_or_try_build<E>(
-        &self,
-        key: &Symbol,
-        make: impl FnOnce() -> Result<Dfa, E>,
-    ) -> Result<Arc<Dfa>, E> {
-        let mut memo = self.memo.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(d) = memo.get(key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            telemetry::count(telemetry::Metric::ResidualDfaHits, 1);
-            return Ok(Arc::clone(d));
-        }
-        let d = Arc::new(make()?);
-        memo.insert(*key, Arc::clone(&d));
-        self.builds.fetch_add(1, Ordering::Relaxed);
-        telemetry::count(telemetry::Metric::ResidualDfaBuilds, 1);
-        Ok(d)
-    }
-
-    /// Memo misses and hits so far, in that order.
-    pub(crate) fn stats(&self) -> (u64, u64) {
-        (self.builds.load(Ordering::Relaxed), self.hits.load(Ordering::Relaxed))
-    }
-}
-
-impl Clone for ResidualDfaCache {
-    fn clone(&self) -> Self {
-        ResidualDfaCache {
-            memo: Mutex::new(
-                self.memo.lock().map(|memo| memo.clone()).unwrap_or_default(),
-            ),
-            builds: AtomicU64::new(self.builds.load(Ordering::Relaxed)),
-            hits: AtomicU64::new(self.hits.load(Ordering::Relaxed)),
-        }
-    }
-}
-
-impl fmt::Debug for ResidualDfaCache {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let machines = self.memo.lock().map_or(0, |memo| memo.len());
-        write!(f, "ResidualDfaCache({machines} machines)")
-    }
-}
-
-/// Problem artefacts that are expensive to build and independent of the
-/// document being checked: computed lazily on first use and shared by
-/// [`DesignProblem::typecheck`], [`DesignProblem::verify_local`] and the
-/// perfect-schema synthesis of [`crate::perfect`]. Besides the
-/// target-derived artefacts this caches the *reduced* function schemas, so
-/// repeated local verification stops re-reducing them per call, and the
-/// determinised content models the residual constructions consume, so
-/// repeated synthesis stops re-determinising them per call.
-#[derive(Clone, Debug)]
-pub struct TargetCache {
-    duta: Duta,
-    content_nfas: BTreeMap<Symbol, Nfa>,
-    epsilon: Nfa,
-    productive: BTreeSet<Symbol>,
-    reduced_fun: BTreeMap<Symbol, ReducedFun>,
-    residual_dfas: ResidualDfaCache,
-}
-
-impl TargetCache {
-    fn build(target: &RDtd, fun_schemas: &BTreeMap<Symbol, RDtd>) -> TargetCache {
-        TargetCache::build_with(target, fun_schemas, &Budget::unlimited())
-            .expect("the unlimited budget never trips")
-    }
-
-    /// Governed cache build: the target determinisation charges `budget`
-    /// and a trip aborts the build *before* anything is cached, so a later
-    /// retry (with a larger budget or none) starts clean.
-    fn build_with(
-        target: &RDtd,
-        fun_schemas: &BTreeMap<Symbol, RDtd>,
-        budget: &Budget,
-    ) -> Result<TargetCache, AutomataError> {
-        let _span = telemetry::span(telemetry::SpanKind::TargetCacheBuild);
-        telemetry::count(telemetry::Metric::TargetCacheBuilds, 1);
-        let nuta = target.to_uta();
-        let duta = nuta.determinize_with_budget(target.alphabet(), budget)?;
-        let content_nfas = target
-            .alphabet()
-            .iter()
-            .map(|a| (*a, target.content(a).to_nfa()))
-            .collect();
-        let reduced_fun = fun_schemas
-            .iter()
-            .map(|(f, schema)| (*f, ReducedFun::build(schema)))
-            .collect();
-        Ok(TargetCache {
-            duta,
-            content_nfas,
-            epsilon: Nfa::epsilon(),
-            productive: target.bound_names(),
-            reduced_fun,
-            residual_dfas: ResidualDfaCache::default(),
-        })
-    }
-
-    /// The target's tree automaton, determinised (bottom-up) over the
-    /// target's own label universe.
-    pub fn duta(&self) -> &Duta {
-        &self.duta
-    }
-
-    /// The content model of `name` as an NFA (`{ε}` for names without a
-    /// rule, matching the leaf-only convention of [`RDtd::content`]).
-    pub fn content_nfa(&self, name: &Symbol) -> &Nfa {
-        self.content_nfas.get(name).unwrap_or(&self.epsilon)
-    }
-
-    /// The *productive* (bound, Definition 5) element names of the target:
-    /// the names that can root a complete valid subtree.
-    pub fn productive(&self) -> &BTreeSet<Symbol> {
-        &self.productive
-    }
-
-    /// The reduced schema of a declared function (with its forest language
-    /// and emptiness), reduced once per problem.
-    pub fn reduced_fun(&self, function: &Symbol) -> Option<&ReducedFun> {
-        self.reduced_fun.get(function)
-    }
-
-    /// The determinisation of the content model of `name`, memoised per
-    /// problem (keyed by the element name — the machine's identity within
-    /// this cache). The universal/uniform context residuals of the
-    /// perfect-typing synthesis consume this instead of re-determinising
-    /// `content_nfa(name)` on every call.
-    pub fn content_dfa(&self, name: &Symbol) -> Arc<Dfa> {
-        self.residual_dfas
-            .get_or_build(name, || Dfa::from_nfa(self.content_nfa(name)))
-    }
-
-    /// Governed variant of [`TargetCache::content_dfa`]: a budget trip
-    /// during the determinisation caches nothing, so retrying with a larger
-    /// budget rebuilds the machine cleanly.
-    pub fn content_dfa_with_budget(
-        &self,
-        name: &Symbol,
-        budget: &Budget,
-    ) -> Result<Arc<Dfa>, AutomataError> {
-        self.residual_dfas
-            .get_or_try_build(name, || Dfa::from_nfa_with_budget(self.content_nfa(name), budget))
-    }
-
-    /// Residual-memo misses and hits so far (backs
-    /// [`DesignProblem::cache_stats`]).
-    pub(crate) fn residual_stats(&self) -> (u64, u64) {
-        self.residual_dfas.stats()
-    }
-}
 
 /// Point-in-time cache statistics of one design problem: how much of the
 /// lazily built machinery exists and how well the memos are doing. The same
@@ -264,10 +40,11 @@ impl TargetCache {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct CacheStats {
-    /// Whether the target cache (determinised target automaton, content
-    /// NFAs, reduced function schemas) has been built.
+    /// Whether the target cache (determinised target automaton,
+    /// per-function gap languages) has been built.
     pub target_cache_built: bool,
-    /// Residual-DFA memo misses: content models actually determinised.
+    /// Residual-DFA memo misses: Moore-machine skeletons actually
+    /// determinised.
     pub residual_dfa_builds: u64,
     /// Residual-DFA memo hits: determinisations served from the memo.
     pub residual_dfa_hits: u64,
@@ -277,43 +54,23 @@ pub struct CacheStats {
     pub ext_memo_misses: u64,
 }
 
-/// A typing-verification instance: the target document schema `τ` plus one
-/// schema per function symbol.
+/// A typing-verification instance with a DTD target: the target document
+/// schema `τ` plus one DTD schema per function symbol.
 ///
-/// The determinised target automaton (and the other problem-derived
-/// artefacts in [`TargetCache`], including the reduced function schemas) is
-/// computed lazily on the first decision and reused by every subsequent
-/// [`DesignProblem::typecheck`], [`DesignProblem::verify_local`] and
-/// [`DesignProblem::perfect_schema`](crate::perfect) call. The *extension*
-/// automaton is additionally memoised per document, so back-to-back
-/// decisions on the same document stop rebuilding it. Mutating the problem
+/// Decisions run on the trivial EDTD embedding of the problem, a
+/// [`BoxDesignProblem`] held alongside the DTDs: its target cache
+/// ([`BoxTargetCache`]) is built lazily on the first decision and reused
+/// by every later [`DesignProblem::typecheck`],
+/// [`DesignProblem::verify_local`] and
+/// [`DesignProblem::perfect_schema`](crate::perfect) call, and its
+/// extension automata are memoised per document. Mutating the problem
 /// through [`DesignProblem::set_doc_schema`] or
-/// [`DesignProblem::add_function`] invalidates both caches.
+/// [`DesignProblem::add_function`] invalidates both.
+#[derive(Clone)]
 pub struct DesignProblem {
     doc_schema: RDtd,
     fun_schemas: BTreeMap<Symbol, RDtd>,
-    target: OnceLock<TargetCache>,
-    /// FIFO memo of extension automata, keyed by the document.
-    ext_cache: Mutex<Vec<(DistributedDoc, Arc<Nuta>)>>,
-    /// Extension-memo hits/misses for [`DesignProblem::cache_stats`]
-    /// (mirrored into the global `design.ext_memo_*` telemetry counters).
-    ext_hits: AtomicU64,
-    ext_misses: AtomicU64,
-}
-
-impl Clone for DesignProblem {
-    fn clone(&self) -> Self {
-        DesignProblem {
-            doc_schema: self.doc_schema.clone(),
-            fun_schemas: self.fun_schemas.clone(),
-            target: self.target.clone(),
-            ext_cache: Mutex::new(
-                self.ext_cache.lock().map(|entries| entries.clone()).unwrap_or_default(),
-            ),
-            ext_hits: AtomicU64::new(self.ext_hits.load(Ordering::Relaxed)),
-            ext_misses: AtomicU64::new(self.ext_misses.load(Ordering::Relaxed)),
-        }
-    }
+    pub(crate) engine: BoxDesignProblem,
 }
 
 impl fmt::Debug for DesignProblem {
@@ -363,6 +120,18 @@ pub enum Origin {
     },
 }
 
+impl fmt::Display for Origin {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Origin::Kernel { path } => {
+                let p: Vec<&str> = path.iter().map(Symbol::as_str).collect();
+                write!(f, "kernel node /{}", p.join("/"))
+            }
+            Origin::Function { function } => write!(f, "documents returned by `{function}`"),
+        }
+    }
+}
+
 /// A violation found by the local (string-level) typing check.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum LocalViolation {
@@ -397,27 +166,20 @@ pub enum LocalViolation {
 
 impl fmt::Display for LocalViolation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let origin = |o: &Origin| match o {
-            Origin::Kernel { path } => {
-                let p: Vec<&str> = path.iter().map(Symbol::as_str).collect();
-                format!("kernel node /{}", p.join("/"))
-            }
-            Origin::Function { function } => format!("documents returned by `{function}`"),
-        };
         match self {
             LocalViolation::RootLabel { expected, found } => {
                 write!(f, "kernel root is `{found}` but the target schema starts at `{expected}`")
             }
-            LocalViolation::UnknownElement { element, origin: o } => {
-                write!(f, "element `{element}` ({}) is not declared in the target schema", origin(o))
+            LocalViolation::UnknownElement { element, origin } => {
+                write!(f, "element `{element}` ({origin}) is not declared in the target schema")
             }
-            LocalViolation::Content { element, counterexample, expected, origin: o } => {
+            LocalViolation::Content { element, counterexample, expected, origin } => {
                 let w: Vec<&str> = counterexample.iter().map(Symbol::as_str).collect();
                 write!(
                     f,
-                    "children [{}] of `{element}` ({}) are possible but do not match {expected}",
-                    w.join(" "),
-                    origin(o)
+                    "children [{}] of `{element}` ({origin}) are possible but do not match \
+                     {expected}",
+                    w.join(" ")
                 )
             }
         }
@@ -441,17 +203,12 @@ impl LocalVerdict {
     }
 }
 
+
 impl DesignProblem {
     /// Creates a design problem with no function schemas.
     pub fn new(doc_schema: RDtd) -> DesignProblem {
-        DesignProblem {
-            doc_schema,
-            fun_schemas: BTreeMap::new(),
-            target: OnceLock::new(),
-            ext_cache: Mutex::new(Vec::new()),
-            ext_hits: AtomicU64::new(0),
-            ext_misses: AtomicU64::new(0),
-        }
+        let engine = BoxDesignProblem::new(doc_schema.to_edtd());
+        DesignProblem { doc_schema, fun_schemas: BTreeMap::new(), engine }
     }
 
     /// Declares the schema of a function (builder style).
@@ -460,12 +217,13 @@ impl DesignProblem {
         self
     }
 
-    /// Declares the schema of a function, invalidating the cached
-    /// problem artefacts (the reduced form of the new schema is cached, and
-    /// the memoised extension automata depend on the function schemas).
+    /// Declares the schema of a function, invalidating the cached problem
+    /// artefacts (the memoised extension automata depend on the function
+    /// schemas).
     pub fn add_function(&mut self, function: impl Into<Symbol>, schema: RDtd) {
-        self.fun_schemas.insert(function.into(), schema);
-        self.invalidate_caches();
+        let function = function.into();
+        self.engine.add_function(function, schema.to_edtd());
+        self.fun_schemas.insert(function, schema);
     }
 
     /// The target document schema `τ`.
@@ -476,15 +234,8 @@ impl DesignProblem {
     /// Replaces the target document schema, invalidating the cached
     /// determinised target.
     pub fn set_doc_schema(&mut self, doc_schema: RDtd) {
+        self.engine.set_doc_schema(doc_schema.to_edtd());
         self.doc_schema = doc_schema;
-        self.invalidate_caches();
-    }
-
-    fn invalidate_caches(&mut self) {
-        self.target = OnceLock::new();
-        if let Ok(entries) = self.ext_cache.get_mut() {
-            entries.clear();
-        }
     }
 
     /// The declared function schemas.
@@ -517,152 +268,46 @@ impl DesignProblem {
         out
     }
 
-    /// The lazily built problem artefacts (determinised target automaton,
-    /// content NFAs, productive names, reduced function schemas). The first
-    /// call pays for the determinisation and the reductions; later calls
-    /// are free.
-    pub fn target_cache(&self) -> &TargetCache {
-        self.target.get_or_init(|| TargetCache::build(&self.doc_schema, &self.fun_schemas))
+    /// The lazily built problem artefacts of the embedded box problem
+    /// (determinised target automaton, per-function gap languages). The
+    /// first call pays for the determinisation; later calls are free.
+    pub fn target_cache(&self) -> &BoxTargetCache {
+        self.engine.target_cache()
     }
 
     /// Governed variant of [`DesignProblem::target_cache`]: the cold build
-    /// charges `budget`, and a trip propagates *without* initialising the
-    /// cache cell — the cell is only set from a fully built cache, so a
-    /// tripped build leaves the problem exactly as it was and a retry (with
-    /// any budget) rebuilds from scratch.
-    pub fn target_cache_with_budget(&self, budget: &Budget) -> Result<&TargetCache, DesignError> {
-        if let Some(cache) = self.target.get() {
-            return Ok(cache);
-        }
-        let built = TargetCache::build_with(&self.doc_schema, &self.fun_schemas, budget)?;
-        Ok(self.target.get_or_init(|| built))
+    /// charges `budget`, and a trip leaves the problem exactly as it was —
+    /// a retry (with any budget) rebuilds from scratch.
+    pub fn target_cache_with_budget(&self, budget: &Budget) -> Result<&BoxTargetCache, DesignError> {
+        self.engine.target_cache_with_budget(budget)
     }
 
     /// Whether the target cache has already been built (used by tests and
     /// benches to pin that repeated decisions do not re-determinise).
     pub fn target_cache_ready(&self) -> bool {
-        self.target.get().is_some()
+        self.engine.target_cache_ready()
     }
 
-    /// Point-in-time statistics of this problem's caches: target-cache
-    /// readiness, residual-DFA memo builds/hits and extension-memo
-    /// hits/misses. Exact for this problem regardless of other work in the
-    /// process; the same events also feed the global [`dxml_telemetry`]
-    /// counters.
+    /// Point-in-time statistics of this problem's caches (see
+    /// [`BoxDesignProblem::cache_stats`]).
     pub fn cache_stats(&self) -> CacheStats {
-        let (residual_dfa_builds, residual_dfa_hits) = self
-            .target
-            .get()
-            .map_or((0, 0), TargetCache::residual_stats);
-        CacheStats {
-            target_cache_built: self.target_cache_ready(),
-            residual_dfa_builds,
-            residual_dfa_hits,
-            ext_memo_hits: self.ext_hits.load(Ordering::Relaxed),
-            ext_memo_misses: self.ext_misses.load(Ordering::Relaxed),
-        }
+        self.engine.cache_stats()
     }
-
-    fn require_schemas(&self, doc: &DistributedDoc) -> Result<(), DesignError> {
-        for f in doc.called_functions() {
-            if !self.fun_schemas.contains_key(&f) {
-                return Err(DesignError::MissingFunctionSchema { function: f });
-            }
-        }
-        Ok(())
-    }
-
-    // ------------------------------------------------------------------
-    // Extension language as a tree automaton
-    // ------------------------------------------------------------------
 
     /// A [`Nuta`] recognising exactly the extensions of `doc`: the kernel
     /// with every docking point `f` replaced by a forest of `τf`-valid trees
     /// whose root-label word matches the content model of `τf`'s start
-    /// symbol.
-    ///
-    /// States are `#k<i>` for kernel node `i` and `<f>$<a>` for element `a`
-    /// of function `f`'s schema (the `$`/`#` mangling cannot collide with
-    /// parsed element names). Each call site expands independently, so the
-    /// automaton over-approximates snapshot materialisation when the same
-    /// function occurs twice — matching the paper, where every docking point
-    /// is its own call.
-    ///
-    /// The automaton is memoised per document (FIFO of the last few
-    /// documents): back-to-back decisions on the same document hand back
-    /// the very same `Arc` without rebuilding. Mutating the problem clears
-    /// the memo.
+    /// symbol. Memoised per document; see
+    /// [`BoxDesignProblem::extension_nuta`].
     pub fn extension_nuta(&self, doc: &DistributedDoc) -> Result<Arc<Nuta>, DesignError> {
-        self.require_schemas(doc)?;
-        if let Ok(entries) = self.ext_cache.lock() {
-            if let Some((_, ext)) = entries.iter().find(|(d, _)| d == doc) {
-                self.ext_hits.fetch_add(1, Ordering::Relaxed);
-                telemetry::count(telemetry::Metric::ExtMemoHits, 1);
-                return Ok(Arc::clone(ext));
-            }
-        }
-        self.ext_misses.fetch_add(1, Ordering::Relaxed);
-        telemetry::count(telemetry::Metric::ExtMemoMisses, 1);
-        let ext = Arc::new(self.build_extension_nuta(doc));
-        if let Ok(mut entries) = self.ext_cache.lock() {
-            if entries.len() >= EXT_CACHE_CAP {
-                entries.remove(0);
-            }
-            entries.push((doc.clone(), Arc::clone(&ext)));
-        }
-        Ok(ext)
+        self.engine.extension_nuta(doc)
     }
-
-    /// Builds the extension automaton (no memoisation; callers go through
-    /// [`DesignProblem::extension_nuta`]).
-    fn build_extension_nuta(&self, doc: &DistributedDoc) -> Nuta {
-        let kernel = doc.kernel();
-        let mut a = Nuta::new();
-
-        // Rules for the trees producible by each called function.
-        let mut forest_nfas: BTreeMap<Symbol, Nfa> = BTreeMap::new();
-        for f in doc.called_functions() {
-            let schema = &self.fun_schemas[&f];
-            let prefix = |name: &Symbol| Symbol::new(format!("{f}${name}"));
-            for name in schema.alphabet().iter() {
-                let content = schema.content(name).to_nfa().map_symbols(prefix);
-                a.set_rule(prefix(name), *name, content);
-            }
-            let forest = schema.content(schema.start()).to_nfa().map_symbols(prefix);
-            forest_nfas.insert(f, forest);
-        }
-
-        // One state per kernel node; the content of a node concatenates its
-        // children, with each docking point contributing its forest language.
-        let state_of = |node: usize| Symbol::new(format!("#k{node}"));
-        for node in kernel.document_order() {
-            if doc.is_function(kernel.label(node)) {
-                continue;
-            }
-            let mut content = Nfa::epsilon();
-            for &child in kernel.children(node) {
-                let label = kernel.label(child);
-                let piece = match forest_nfas.get(label) {
-                    Some(forest) => forest.clone(),
-                    None => Nfa::symbol(state_of(child)),
-                };
-                content = content.concat(&piece);
-            }
-            a.set_rule(state_of(node), *kernel.label(node), content);
-        }
-        a.set_final(state_of(kernel.root()));
-        a
-    }
-
-    // ------------------------------------------------------------------
-    // Typing verification
-    // ------------------------------------------------------------------
 
     /// Decides whether every extension of `doc` validates against
     /// [`DesignProblem::doc_schema`], via tree-language inclusion of the
     /// extension automaton in the target automaton. On failure the verdict
-    /// carries a full counterexample document and the validation error it
-    /// triggers.
+    /// carries a full counterexample document and the DTD validation error
+    /// it triggers.
     ///
     /// The target automaton is determinised once per problem (see
     /// [`DesignProblem::target_cache`]); repeated calls only pay for the
@@ -680,160 +325,70 @@ impl DesignProblem {
         doc: &DistributedDoc,
         budget: &Budget,
     ) -> Result<TypingVerdict, DesignError> {
-        let _span = telemetry::span(telemetry::SpanKind::Typecheck);
-        budget.check_interrupts().map_err(DesignError::from)?;
-        let ext = self.extension_nuta(doc)?;
-        let cache = self.target_cache_with_budget(budget)?;
-        match uta::included_in_duta_with_budget(&ext, cache.duta(), budget)
-            .map_err(DesignError::from)?
-        {
-            Ok(()) => Ok(TypingVerdict::Valid),
-            Err(counterexample) => match self.doc_schema.validate(&counterexample) {
-                Err(violation) => Ok(TypingVerdict::Invalid { counterexample, violation }),
-                Ok(()) => Err(DesignError::InvariantViolation {
-                    detail: format!(
-                        "tree-inclusion counterexample `{counterexample}` unexpectedly \
-                         validates against the target schema"
-                    ),
-                }),
-            },
-        }
+        self.engine.typecheck_by(doc, budget, |tree| self.doc_schema.validate(tree))
     }
 
-    /// The DTD fast path: local typing verification by string-language
-    /// inclusions only (no tree automata). Sound and complete for DTD
-    /// targets because DTD validation is per-node-local; agrees with
+    /// Local typing verification: the string route of the engine, with
+    /// the verdict rendered in DTD terms. Sound and complete; agrees with
     /// [`DesignProblem::typecheck`] on every input (asserted by the tests).
     ///
-    /// Checks performed:
-    ///
-    /// 1. the kernel root label is the target start symbol;
-    /// 2. for every kernel node, the language of realizable child words is
-    ///    included in the target content model of its label;
-    /// 3. for every element name reachable inside a forest attached by a
-    ///    function `f`, the name is declared in the target and the (reduced)
-    ///    content model of `τf` is included in the target's.
-    ///
-    /// If some called function has an empty schema language no extension
-    /// exists and the verdict is vacuously valid.
+    /// A called function with an empty schema language makes the verdict
+    /// vacuously valid. Otherwise a kernel root other than the target start
+    /// symbol is reported as [`LocalViolation::RootLabel`]; then, in the
+    /// engine's order, an element undeclared in the target as
+    /// [`LocalViolation::UnknownElement`] and a realizable child word
+    /// outside a target content model as [`LocalViolation::Content`] —
+    /// inside function forests first, then in the kernel bottom-up, so of
+    /// several kernel violations the deepest is the one reported.
     pub fn verify_local(&self, doc: &DistributedDoc) -> Result<LocalVerdict, DesignError> {
         self.verify_local_with_budget(doc, &Budget::unlimited())
     }
 
-    /// Governed variant of [`DesignProblem::verify_local`]: every
-    /// string-language inclusion (and the cold target-cache build) charges
+    /// Governed variant of [`DesignProblem::verify_local`]: the cold
+    /// target-cache build and every per-node Moore-machine image charge
     /// `budget`; a trip surfaces as [`DesignError::BudgetExceeded`].
-    ///
-    /// # Panics
-    ///
-    /// Only on a broken internal invariant (a call site surviving
-    /// `require_schemas` without a reduced schema).
     pub fn verify_local_with_budget(
         &self,
         doc: &DistributedDoc,
         budget: &Budget,
     ) -> Result<LocalVerdict, DesignError> {
-        let _span = telemetry::span(telemetry::SpanKind::VerifyLocal);
-        budget.check_interrupts().map_err(DesignError::from)?;
-        self.require_schemas(doc)?;
-        let kernel = doc.kernel();
+        let violation = match self.engine.verify_local_with_budget(doc, budget)? {
+            BoxVerdict::Valid => return Ok(LocalVerdict::Valid),
+            BoxVerdict::Invalid(violation) => violation,
+        };
         let tau = &self.doc_schema;
-        let cache = self.target_cache_with_budget(budget)?;
-        let called = doc.called_functions();
-
-        // The reduced function schemas (every surviving name realizable —
-        // what makes counterexample words realizable and the check
-        // complete) come from the problem cache: reduced once, reused by
-        // every later call.
-        let mut reduced: BTreeMap<Symbol, &ReducedFun> = BTreeMap::new();
-        for f in &called {
-            let r = cache.reduced_fun(f).expect("require_schemas admitted only declared functions");
-            if r.language_is_empty() {
-                return Ok(LocalVerdict::Valid);
-            }
-            reduced.insert(*f, r);
-        }
-
-        if kernel.root_label() != tau.start() {
+        let root = doc.kernel().root_label();
+        if root != tau.start() {
             return Ok(LocalVerdict::Invalid(LocalViolation::RootLabel {
                 expected: *tau.start(),
-                found: *kernel.root_label(),
+                found: *root,
             }));
         }
-
-        // (2) kernel nodes: realizable child words vs target content models.
-        for node in kernel.document_order() {
-            let label = kernel.label(node);
-            if doc.is_function(label) {
-                continue;
+        Ok(LocalVerdict::Invalid(match violation {
+            BoxViolation::UnknownElement { element, origin } => {
+                LocalViolation::UnknownElement { element, origin }
             }
-            let origin = || Origin::Kernel { path: kernel.anc_str(node) };
-            if !tau.alphabet().contains(label) {
-                return Ok(LocalVerdict::Invalid(LocalViolation::UnknownElement {
-                    element: *label,
-                    origin: origin(),
-                }));
-            }
-            let mut realizable = Nfa::epsilon();
-            for &child in kernel.children(node) {
-                let child_label = kernel.label(child);
-                let piece = match reduced.get(child_label) {
-                    Some(r) => r.forest().clone(),
-                    None => Nfa::symbol(*child_label),
-                };
-                realizable = realizable.concat(&piece);
-            }
-            let verdict = str_included_with_budget(&realizable, cache.content_nfa(label), budget)
-                .map_err(DesignError::from)?;
-            if let Err(ce) = verdict {
-                return Ok(LocalVerdict::Invalid(LocalViolation::Content {
-                    element: *label,
-                    counterexample: ce.word,
-                    expected: format!("{}", tau.content(label)),
-                    origin: origin(),
-                }));
-            }
-        }
-
-        // (3) function forests: every name reachable below an attached root.
-        for f in &called {
-            let r = reduced[f].schema();
-            let mut seen: BTreeSet<Symbol> = r
-                .content(r.start())
-                .alphabet()
-                .iter()
-                .filter(|s| r.alphabet().contains(s))
-                .cloned()
-                .collect();
-            let mut queue: VecDeque<Symbol> = seen.iter().cloned().collect();
-            while let Some(name) = queue.pop_front() {
-                if !tau.alphabet().contains(&name) {
-                    return Ok(LocalVerdict::Invalid(LocalViolation::UnknownElement {
-                        element: name,
-                        origin: Origin::Function { function: *f },
-                    }));
-                }
-                let content = r.content(&name);
-                let verdict =
-                    str_included_with_budget(&content.to_nfa(), cache.content_nfa(&name), budget)
-                        .map_err(DesignError::from)?;
-                if let Err(ce) = verdict {
-                    return Ok(LocalVerdict::Invalid(LocalViolation::Content {
-                        element: name,
-                        counterexample: ce.word,
-                        expected: format!("{}", tau.content(&name)),
-                        origin: Origin::Function { function: *f },
-                    }));
-                }
-                for next in content.alphabet().iter() {
-                    if r.alphabet().contains(next) && seen.insert(*next) {
-                        queue.push_back(*next);
-                    }
+            BoxViolation::Content { element, counterexample, origin, .. } => {
+                // Each slot holds the one label typing a child.
+                let word: Option<Vec<Symbol>> = counterexample
+                    .slots()
+                    .iter()
+                    .map(|slot| slot.first().copied().filter(|_| slot.len() == 1))
+                    .collect();
+                let counterexample = word.ok_or_else(|| DesignError::InvariantViolation {
+                    detail: format!(
+                        "the witness ⟨{counterexample}⟩ under `{element}` is not a word of \
+                         the DTD embedding"
+                    ),
+                })?;
+                LocalViolation::Content {
+                    element,
+                    counterexample,
+                    expected: format!("{}", tau.content(&element)),
+                    origin,
                 }
             }
-        }
-
-        Ok(LocalVerdict::Valid)
+        }))
     }
 }
 
@@ -967,24 +522,18 @@ mod tests {
         let doc = DistributedDoc::parse("s(a f)", ["f"]).unwrap();
         assert!(problem.verify_local(&doc).unwrap().is_valid());
         let f = Symbol::new("f");
-        let first = problem.target_cache().reduced_fun(&f).unwrap() as *const _;
-        // The cached reduction dropped the unprofitable `junk` rule.
-        assert!(!problem
-            .target_cache()
-            .reduced_fun(&f)
-            .unwrap()
-            .schema()
-            .alphabet()
-            .contains(&Symbol::new("junk")));
+        // The function is reduced once into its gap language over the
+        // target's states; the unproductive `junk` rule leaves no trace.
+        let first = problem.target_cache().forest_states(&f).unwrap() as *const _;
         assert!(problem.verify_local(&doc).unwrap().is_valid());
         assert!(problem.typecheck(&doc).unwrap().is_valid());
-        let second = problem.target_cache().reduced_fun(&f).unwrap() as *const _;
+        let second = problem.target_cache().forest_states(&f).unwrap() as *const _;
         assert!(std::ptr::eq(first, second), "verify_local must not re-reduce function schemas");
         // Declaring a new function invalidates the problem cache.
         let mut changed = problem.clone();
         changed.add_function("g", dtd("r -> b"));
         assert!(!changed.target_cache_ready());
-        assert!(changed.target_cache().reduced_fun(&Symbol::new("g")).is_some());
+        assert!(changed.target_cache().forest_states(&Symbol::new("g")).is_some());
     }
 
     #[test]
@@ -1010,7 +559,7 @@ mod tests {
         changed.add_function("f", dtd("r -> b"));
         assert!(!Arc::ptr_eq(&first, &changed.extension_nuta(&doc).unwrap()));
         // The FIFO is bounded: flooding it evicts the oldest entry.
-        for i in 0..super::EXT_CACHE_CAP {
+        for i in 0..crate::boxes::EXT_CACHE_CAP {
             let flood = DistributedDoc::parse(&format!("s(a {} f)", "b ".repeat(i + 2)), ["f"])
                 .unwrap();
             problem.extension_nuta(&flood).unwrap();

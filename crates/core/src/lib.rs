@@ -7,20 +7,19 @@
 //!
 //! * [`DistributedDoc`] — a kernel document whose leaves may be typed
 //!   function calls (docking points), with snapshot materialisation;
-//! * [`DesignProblem`] — a target document schema plus a schema per
-//!   function;
-//! * [`DesignProblem::typecheck`] — typing verification via tree-automaton
-//!   inclusion of the extension language, with counterexample documents;
-//! * [`DesignProblem::verify_local`] — the string-inclusion fast path for
-//!   DTD targets, with counterexample words;
-//! * [`DesignProblem::perfect_schema`] — perfect typing (Section 6): the
+//! * [`BoxDesignProblem`] — the design engine (Section 7): a target
+//!   R-EDTD plus an R-EDTD per function, with typing verification by
+//!   tree-automaton inclusion, local verification reduced to string
+//!   problems over the determinised specialised alphabet whose constant
+//!   parts are kernel boxes `B(fn)`, and perfect typing by context
+//!   residuals confirmed against the cached target;
+//! * [`DesignProblem`] — the DTD-typed view over the same engine: a DTD
+//!   target plus a DTD per function, embedded as trivial EDTDs, with
+//!   [`DesignProblem::typecheck`] (counterexample documents),
+//!   [`DesignProblem::verify_local`] (counterexample words) and
+//!   [`DesignProblem::perfect_schema`] (perfect typing, Section 6: the
 //!   most permissive function schema for which the design still
-//!   typechecks, synthesised by residual construction with a
-//!   counterexample-driven refinement loop;
-//! * [`BoxDesignProblem`] — the box-design subsystem (Section 7): the same
-//!   three decision procedures for full **R-EDTD targets**, reduced to
-//!   string problems over the determinised specialised alphabet whose
-//!   constant parts are kernel boxes `B(fn)`;
+//!   typechecks, returned as a DTD);
 //! * [`validate_batch`] — a batch front end fanning one-pass streaming
 //!   SDTD validation of many documents over all cores, with per-document
 //!   panic isolation.
@@ -33,10 +32,10 @@
 //! limit, a wall-clock deadline and cooperative cancellation, surfacing
 //! [`DesignError::BudgetExceeded`] without poisoning the problem's caches.
 //!
-//! The problem-derived artefacts (determinised tree automaton, content
-//! NFAs, productive names, reduced function schemas, per-document extension
+//! The problem-derived artefacts (determinised tree automaton, per-function
+//! gap languages, determinised Moore machines, per-document extension
 //! automata) are computed once per problem and shared by all decision
-//! procedures — see [`design::TargetCache`] and [`boxes::BoxTargetCache`].
+//! procedures — see [`boxes::BoxTargetCache`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,8 +50,7 @@ pub mod perfect;
 pub use batch::{validate_batch, validate_batch_with_budget};
 pub use boxes::{BoxDesignProblem, BoxTargetCache, BoxVerdict, BoxViolation};
 pub use design::{
-    CacheStats, DesignProblem, LocalVerdict, LocalViolation, Origin, ReducedFun, TargetCache,
-    TypingVerdict,
+    CacheStats, DesignProblem, LocalVerdict, LocalViolation, Origin, TypingVerdict,
 };
 pub use doc::DistributedDoc;
 pub use error::DesignError;

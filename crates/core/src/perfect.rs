@@ -10,10 +10,10 @@
 //!
 //! # Construction
 //!
-//! The synthesis runs over the target artefacts cached in
-//! [`crate::design::TargetCache`] (the determinised tree automaton, the
-//! per-element content NFAs and the productive names) and proceeds in two
-//! interleaved phases, in the style of implicit-hitting-set abduction:
+//! The synthesis is [`BoxDesignProblem::perfect_schema`](crate::BoxDesignProblem::perfect_schema)
+//! run on the
+//! trivial EDTD embedding of the problem, in the style of
+//! implicit-hitting-set abduction:
 //!
 //! 1. **Candidate construction.** Inside the forests `f` may return, target
 //!    validation is per-node-local, so the maximal content model of an
@@ -22,12 +22,12 @@
 //!    language `W` contributed at the docking points: for a docking point
 //!    under a kernel node labelled `b`, with sibling languages `P` (to the
 //!    left) and `S` (to the right), the admissible words are the universal
-//!    residual `{ w : ∀u∈P, ∀v∈S, u·w·v ∈ π(b) }`
-//!    ([`dxml_automata::Nfa::universal_context_residual`]). When `f` docks
+//!    residual `{ w : ∀u∈P, ∀v∈S, u·w·v ∈ π(b) }`. When `f` docks
 //!    *several times under the same parent*, the candidate is the uniform
-//!    residual instead ([`dxml_automata::Nfa::uniform_context_residual`]):
-//!    the words `w` whose substitution at *every* docking point stays in
-//!    `π(b)`. The candidate `U` is the intersection over all parents.
+//!    residual instead: the words `w` whose substitution at *every*
+//!    docking point stays in `π(b)`. A DTD node is typed by its own label
+//!    or not at all, so docking parents constrain `W` independently and
+//!    the candidate `U` is the intersection over all of them.
 //!
 //!    `U` is an upper bound by construction: a forest language `V` is
 //!    valid iff every combination of its words at the docking points
@@ -36,16 +36,16 @@
 //!    maximal schema exists iff `U` itself is valid, and is then exactly
 //!    `U`** — mixed-word combinations from `U` are what the oracle below
 //!    decides.
-//! 2. **Refute or confirm.** The candidate is submitted to the
-//!    [`DesignProblem::typecheck`] oracle. A counterexample either exposes
-//!    a violation *independent* of `f` (in which case only the empty forest
-//!    language typechecks, vacuously), or proves — by the maximality
-//!    argument above — that incomparable maximal languages exist
-//!    ([`DesignError::NoMaximalSchema`]: e.g. `(a,a) | (b,b)` with two `f`
-//!    docking points, where `{a}` and `{b}` are both maximal), or, when
-//!    neither explanation applies, reveals a broken invariant of the
-//!    construction, reported as [`DesignError::InvariantViolation`] rather
-//!    than being papered over.
+//! 2. **Refute or confirm.** The candidate is submitted to the typecheck
+//!    oracle against the cached target automaton. A refutation proves —
+//!    by the maximality argument above — that incomparable maximal
+//!    languages exist ([`DesignError::NoMaximalSchema`]: e.g. `(a,a) |
+//!    (b,b)` with two `f` docking points, where `{a}` and `{b}` are both
+//!    maximal). A violation independent of `f` is found before the oracle
+//!    runs: only the empty forest language typechecks then, vacuously.
+//!
+//! The engine's maximal R-EDTD has one specialised name per typable
+//! label, so it projects 1:1 onto the DTD returned here.
 //!
 //! # Worked example (the paper's Eurostat scenario, Figures 1–4)
 //!
@@ -87,14 +87,12 @@
 //! assert!(solved.typecheck(&doc).unwrap().is_valid());
 //! ```
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::BTreeMap;
 
-use dxml_automata::equiv::included_with_budget as str_included_with_budget;
-use dxml_automata::{Alphabet, Budget, Nfa, RFormalism, RSpec, Symbol};
-use dxml_schema::RDtd;
-use dxml_tree::NodeId;
+use dxml_automata::{Budget, RFormalism, RSpec, Symbol};
+use dxml_schema::{RDtd, REdtd};
 
-use crate::design::{DesignProblem, ReducedFun, TargetCache, TypingVerdict};
+use crate::design::DesignProblem;
 use crate::doc::DistributedDoc;
 use crate::error::DesignError;
 
@@ -124,8 +122,8 @@ impl DesignProblem {
     ///   points of `function` interact through a content model with several
     ///   incomparable maximal languages.
     /// * [`DesignError::InvariantViolation`] — the typecheck oracle refuted
-    ///   a converged candidate for a reason the construction cannot
-    ///   explain; a bug in this library, never a property of the input.
+    ///   a candidate for a reason the construction cannot explain; a bug in
+    ///   this library, never a property of the input.
     pub fn perfect_schema(
         &self,
         doc: &DistributedDoc,
@@ -151,92 +149,8 @@ impl DesignProblem {
         function: impl Into<Symbol>,
         budget: &Budget,
     ) -> Result<RDtd, DesignError> {
-        let _span = dxml_telemetry::span(dxml_telemetry::SpanKind::PerfectSchema);
-        budget.check_interrupts().map_err(DesignError::from)?;
-        let f = function.into();
-        let kernel = doc.kernel();
-
-        // The docking points of `f`, grouped by the kernel node they hang
-        // under (positions in increasing order, courtesy of the child scan).
-        let mut docking: BTreeMap<NodeId, Vec<usize>> = BTreeMap::new();
-        for parent in kernel.document_order() {
-            if doc.is_function(kernel.label(parent)) {
-                continue;
-            }
-            for (position, &child) in kernel.children(parent).iter().enumerate() {
-                if kernel.label(child) == &f {
-                    docking.entry(parent).or_default().push(position);
-                }
-            }
-        }
-        if !doc.is_function(&f) || docking.is_empty() {
-            return Err(DesignError::FunctionNotCalled { function: f });
-        }
-
-        // Reduced schemas and forest languages of the *other* called
-        // functions, straight from the problem cache (reduced once per
-        // problem). An empty one makes the design vacuous: every schema
-        // for `f` typechecks and no maximal schema exists.
-        let cache = self.target_cache_with_budget(budget)?;
-        let mut siblings: BTreeMap<Symbol, &ReducedFun> = BTreeMap::new();
-        for g in doc.called_functions() {
-            if g == f {
-                continue;
-            }
-            let reduced = cache
-                .reduced_fun(&g)
-                .ok_or(DesignError::MissingFunctionSchema { function: g })?;
-            if reduced.language_is_empty() {
-                return Err(DesignError::NoMaximalSchema { function: f });
-            }
-            siblings.insert(g, reduced);
-        }
-        let productive = Alphabet::from_iter(cache.productive().iter().cloned());
-
-        // The candidate: intersection over all parents of the residual
-        // languages, seeded with all words over productive names.
-        let tau = self.doc_schema();
-        let mut w = Nfa::sigma_star(&productive);
-        for (&parent, positions) in &docking {
-            let label = kernel.label(parent);
-            if !tau.alphabet().contains(label) {
-                // The parent element itself is unknown to the target: no
-                // forest whatsoever can make the design typecheck.
-                w = Nfa::empty();
-                break;
-            }
-            // The fixed-language segments between consecutive docking
-            // points (and before the first / after the last one).
-            let children = kernel.children(parent);
-            let segment = |range: &[NodeId]| {
-                range.iter().fold(Nfa::epsilon(), |acc, &c| {
-                    acc.concat(&self.fixed_child_language(doc, c, &siblings))
-                })
-            };
-            let mut contexts: Vec<Nfa> = Vec::with_capacity(positions.len() + 1);
-            let mut prev = 0usize;
-            for &position in positions {
-                contexts.push(segment(&children[prev..position]));
-                prev = position + 1;
-            }
-            contexts.push(segment(&children[prev..]));
-            // The determinised content model comes from the problem cache:
-            // synthesis re-enters here once per docking parent and once per
-            // synthesised function, but each content model is determinised
-            // at most once per problem.
-            let content = cache.content_dfa_with_budget(label, budget).map_err(DesignError::from)?;
-            let residual = if positions.len() == 1 {
-                content.universal_context_residual_with_budget(&contexts[0], &contexts[1], budget)
-            } else {
-                content.uniform_context_residual_with_budget(&contexts, budget)
-            }
-            .map_err(DesignError::from)?;
-            w = w.intersect(&residual);
-            if w.is_empty() {
-                break;
-            }
-        }
-        self.confirm_candidate(doc, &f, &docking, &siblings, &w, cache, budget)
+        let schema = self.engine.perfect_schema_with_budget(doc, function, budget)?;
+        Ok(project(&schema))
     }
 
     /// Perfect schemas for every called function of `doc`, each synthesised
@@ -250,187 +164,18 @@ impl DesignProblem {
             .map(|f| self.perfect_schema(doc, f).map(|s| (f, s)))
             .collect()
     }
+}
 
-    // ------------------------------------------------------------------
-    // Candidate construction
-    // ------------------------------------------------------------------
-
-    /// The language of child words a single kernel child contributes to its
-    /// parent: the declared (reduced) forest language for docking points of
-    /// other functions, the singleton of its own label for plain elements.
-    /// Callers never pass docking points of the synthesised function.
-    fn fixed_child_language(
-        &self,
-        doc: &DistributedDoc,
-        child: NodeId,
-        siblings: &BTreeMap<Symbol, &ReducedFun>,
-    ) -> Nfa {
-        let label = doc.kernel().label(child);
-        if let Some(reduced) = siblings.get(label) {
-            reduced.forest().clone()
-        } else {
-            Nfa::symbol(*label)
-        }
+/// Projects a perfect R-EDTD onto its labels: every specialised name
+/// becomes its element name. On a DTD target each label carries at most
+/// one specialised name, so the projection is 1:1 and keeps the language.
+fn project(schema: &REdtd) -> RDtd {
+    let label = |name: &Symbol| schema.label_of(name).copied().unwrap_or(*name);
+    let mut dtd = RDtd::new(RFormalism::Nfa, label(schema.start()));
+    for (name, spec) in schema.rules() {
+        dtd.set_rule(label(name), RSpec::Nfa(spec.to_nfa().map_symbols(label)));
     }
-
-    /// Materialises the candidate forest language `w` as a schema: a fresh
-    /// start symbol whose content model is `w`, plus one rule per element
-    /// name reachable from `w`, carrying the target's content model of that
-    /// element restricted to productive names.
-    fn build_perfect(&self, w: &Nfa, cache: &TargetCache) -> RDtd {
-        let tau = self.doc_schema();
-        let mut start = String::from("result");
-        while tau.alphabet().contains(&Symbol::new(&start)) {
-            start.push('_');
-        }
-        let mut schema = RDtd::new(RFormalism::Nfa, start.as_str());
-        let trimmed = w.trim();
-        let mut queue: VecDeque<Symbol> = trimmed.alphabet().iter().cloned().collect();
-        let mut seen: BTreeSet<Symbol> = queue.iter().cloned().collect();
-        schema.set_rule(start.as_str(), RSpec::Nfa(trimmed));
-        while let Some(name) = queue.pop_front() {
-            let content = cache
-                .content_nfa(&name)
-                .filter_symbols(|s| cache.productive().contains(s))
-                .trim();
-            for next in content.alphabet().iter() {
-                if seen.insert(*next) {
-                    queue.push_back(*next);
-                }
-            }
-            schema.set_rule(name, RSpec::Nfa(content));
-        }
-        schema
-    }
-
-    // ------------------------------------------------------------------
-    // The typecheck oracle
-    // ------------------------------------------------------------------
-
-    /// Submits the candidate to the typecheck oracle. On refutation the
-    /// counterexample is explained: a violation independent of `f` means
-    /// only the empty forest language typechecks (vacuously); otherwise,
-    /// for interacting docking points, the refutation *proves* incomparable
-    /// maximal languages exist (the candidate is an upper bound on every
-    /// valid forest language); any other refutation is a broken invariant
-    /// of the construction.
-    #[allow(clippy::too_many_arguments)] // internal: the synthesis walk's full working set
-    fn confirm_candidate(
-        &self,
-        doc: &DistributedDoc,
-        f: &Symbol,
-        docking: &BTreeMap<NodeId, Vec<usize>>,
-        siblings: &BTreeMap<Symbol, &ReducedFun>,
-        w: &Nfa,
-        cache: &TargetCache,
-        budget: &Budget,
-    ) -> Result<RDtd, DesignError> {
-        let schema = self.build_perfect(w, cache);
-        let candidate = self.clone().with_function(*f, schema.clone());
-        match candidate.typecheck_with_budget(doc, budget)? {
-            TypingVerdict::Valid => Ok(schema),
-            TypingVerdict::Invalid { counterexample, .. } => {
-                if self.violation_independent_of(doc, docking, siblings, cache, budget)? {
-                    let empty = self.build_perfect(&Nfa::empty(), cache);
-                    let check = self.clone().with_function(*f, empty.clone());
-                    match check.typecheck_with_budget(doc, budget)? {
-                        TypingVerdict::Valid => Ok(empty),
-                        TypingVerdict::Invalid { counterexample, .. } => {
-                            Err(DesignError::InvariantViolation {
-                                detail: format!(
-                                    "the empty forest language for `{f}` still admits the \
-                                     invalid extension `{counterexample}`"
-                                ),
-                            })
-                        }
-                    }
-                } else if docking.values().any(|positions| positions.len() > 1) {
-                    // Several docking points share a parent: the refuted
-                    // upper bound proves incomparable maximal languages.
-                    Err(DesignError::NoMaximalSchema { function: *f })
-                } else {
-                    Err(DesignError::InvariantViolation {
-                        detail: format!(
-                            "typecheck refuted the maximal perfect candidate for `{f}` \
-                             with `{counterexample}`"
-                        ),
-                    })
-                }
-            }
-        }
-    }
-
-    /// Whether the design violates the target for a reason no schema of the
-    /// synthesised function can influence: a wrong root label, an undeclared
-    /// kernel element, a kernel node without docking-point children whose
-    /// realizable child words escape the target content model, or another
-    /// function whose forests violate the target. (The checks mirror
-    /// [`DesignProblem::verify_local`] with every constraint that depends on
-    /// the synthesised function removed.)
-    fn violation_independent_of(
-        &self,
-        doc: &DistributedDoc,
-        docking: &BTreeMap<NodeId, Vec<usize>>,
-        siblings: &BTreeMap<Symbol, &ReducedFun>,
-        cache: &TargetCache,
-        budget: &Budget,
-    ) -> Result<bool, DesignError> {
-        let kernel = doc.kernel();
-        let tau = self.doc_schema();
-        if kernel.root_label() != tau.start() {
-            return Ok(true);
-        }
-        for node in kernel.document_order() {
-            let label = kernel.label(node);
-            if doc.is_function(label) {
-                continue;
-            }
-            if !tau.alphabet().contains(label) {
-                return Ok(true);
-            }
-            if docking.contains_key(&node) {
-                continue;
-            }
-            let realizable = kernel.children(node).iter().fold(Nfa::epsilon(), |acc, &c| {
-                acc.concat(&self.fixed_child_language(doc, c, siblings))
-            });
-            let verdict = str_included_with_budget(&realizable, cache.content_nfa(label), budget)
-                .map_err(DesignError::from)?;
-            if verdict.is_err() {
-                return Ok(true);
-            }
-        }
-        // Forests of the other functions: every reachable name must be
-        // declared with a content model inside the target's.
-        for sibling in siblings.values() {
-            let reduced = sibling.schema();
-            let mut queue: VecDeque<Symbol> = sibling
-                .forest()
-                .alphabet()
-                .iter()
-                .filter(|s| reduced.alphabet().contains(s))
-                .cloned()
-                .collect();
-            let mut seen: BTreeSet<Symbol> = queue.iter().cloned().collect();
-            while let Some(name) = queue.pop_front() {
-                if !tau.alphabet().contains(&name) {
-                    return Ok(true);
-                }
-                let content = reduced.content(&name).to_nfa();
-                let verdict = str_included_with_budget(&content, cache.content_nfa(&name), budget)
-                    .map_err(DesignError::from)?;
-                if verdict.is_err() {
-                    return Ok(true);
-                }
-                for next in content.alphabet().iter() {
-                    if reduced.alphabet().contains(next) && seen.insert(*next) {
-                        queue.push_back(*next);
-                    }
-                }
-            }
-        }
-        Ok(false)
-    }
+    dtd
 }
 
 #[cfg(test)]

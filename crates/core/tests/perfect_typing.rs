@@ -179,3 +179,34 @@ fn residual_determinisations_are_memoised_per_problem() {
     let fb = second.content(second.start()).to_nfa();
     assert!(dxml_automata::equiv::is_equivalent(&fa, &fb));
 }
+
+#[test]
+fn docking_points_under_several_parents_are_maximal() {
+    // `f` docks once under each of two `b` children of the root: every
+    // docking parent contributes its own residual, and the maximum is
+    // their intersection.
+    let problem = DesignProblem::new(dtd("s -> b, b\nb -> c*, d?"));
+    let doc = DistributedDoc::parse("s(b(f) b(f))", ["f"]).unwrap();
+    assert_perfect_and_maximal(&problem, &doc, "f");
+}
+
+#[test]
+fn docking_points_at_the_root_and_below_a_sibling_are_maximal() {
+    // One docking point sits directly under the root, the other under the
+    // root's `b` child: the root residual sees the `b` child as a fixed
+    // valid `b`, and `b`'s own residual bounds the forests below it.
+    let problem = DesignProblem::new(dtd("s -> c*, b\nb -> c, c?"));
+    let doc = DistributedDoc::parse("s(f b(f))", ["f"]).unwrap();
+    assert_perfect_and_maximal(&problem, &doc, "f");
+}
+
+#[test]
+fn an_off_spine_violation_under_several_parents_forces_the_empty_maximum() {
+    // The root's `x` child misses its required `a` whatever `f` returns,
+    // so the only typing forest language is the empty one.
+    let problem = DesignProblem::new(dtd("s -> b, b, x\nb -> c*\nx -> a"));
+    let doc = DistributedDoc::parse("s(b(f) b(f) x)", ["f"]).unwrap();
+    let perfect = problem.perfect_schema(&doc, "f").expect("synthesis succeeds");
+    assert!(perfect.content(perfect.start()).to_nfa().is_empty());
+    assert_perfect_and_maximal(&problem, &doc, "f");
+}

@@ -39,11 +39,11 @@
 //! | `equiv.bfs_runs` | product-BFS searches (inclusion/equivalence oracles) |
 //! | `equiv.bfs_states` | product state pairs popped across all searches |
 //! | `equiv.bfs_transitions` | product edges traversed across all searches |
-//! | `design.target_cache_builds` | cold `TargetCache` builds (DTD targets) |
-//! | `boxes.target_cache_builds` | cold `BoxTargetCache` builds (EDTD targets) |
+//! | `design.target_cache_builds` | cold `BoxTargetCache` builds of DTD targets (each specialised name its own label) |
+//! | `boxes.target_cache_builds` | cold `BoxTargetCache` builds of every other EDTD target |
 //! | `cache.residual_dfa_builds` | residual-DFA memo misses (machines determinised) |
 //! | `cache.residual_dfa_hits` | residual-DFA memo hits |
-//! | `design.ext_memo_hits` | extension-automaton FIFO memo hits |
+//! | `design.ext_memo_hits` | extension-automaton FIFO memo hits (every target kind) |
 //! | `design.ext_memo_misses` | extension-automaton FIFO memo misses (rebuilds) |
 //! | `stream.docs` | documents validated by `StreamValidator` |
 //! | `stream.events` | SAX events consumed across all streaming runs |
@@ -72,8 +72,8 @@
 //! | `span.verify_local_ns` | ns | `verify_local` wall time |
 //! | `span.perfect_schema_ns` | ns | `perfect_schema` wall time |
 //! | `span.validate_stream_ns` | ns | one streaming validation wall time |
-//! | `span.target_cache_build_ns` | ns | cold DTD target-cache build wall time |
-//! | `span.box_target_cache_build_ns` | ns | cold EDTD target-cache build wall time |
+//! | `span.target_cache_build_ns` | ns | cold target-cache build wall time, DTD targets |
+//! | `span.box_target_cache_build_ns` | ns | cold target-cache build wall time, other EDTD targets |
 //! | `span.batch_ns` | ns | whole `validate_batch` wall time |
 //!
 //! # Span semantics

@@ -43,9 +43,10 @@ pub enum Metric {
     EquivBfsStates,
     /// Product edges traversed across all searches.
     EquivBfsTransitions,
-    /// Cold `TargetCache` builds (DTD targets).
+    /// Cold `BoxTargetCache` builds of DTD targets (every specialised
+    /// name its own label).
     TargetCacheBuilds,
-    /// Cold `BoxTargetCache` builds (EDTD targets).
+    /// Cold `BoxTargetCache` builds of every other EDTD target.
     BoxTargetCacheBuilds,
     /// Residual-DFA memo misses: machines actually determinised.
     ResidualDfaBuilds,
@@ -169,9 +170,10 @@ pub enum Hist {
     SpanPerfectSchemaNs,
     /// One streaming validation's wall time, nanoseconds.
     SpanValidateStreamNs,
-    /// Cold DTD target-cache build wall time, nanoseconds.
+    /// Cold target-cache build wall time of DTD targets, nanoseconds.
     SpanTargetCacheBuildNs,
-    /// Cold EDTD target-cache build wall time, nanoseconds.
+    /// Cold target-cache build wall time of other EDTD targets,
+    /// nanoseconds.
     SpanBoxTargetCacheBuildNs,
     /// Whole `validate_batch` wall time, nanoseconds.
     SpanBatchNs,

@@ -25,9 +25,10 @@ pub enum SpanKind {
     PerfectSchema,
     /// One `StreamValidator` document validation.
     ValidateStream,
-    /// Cold `TargetCache` build (DTD targets).
+    /// Cold `BoxTargetCache` build of a DTD target (every specialised name
+    /// its own label).
     TargetCacheBuild,
-    /// Cold `BoxTargetCache` build (EDTD targets).
+    /// Cold `BoxTargetCache` build of any other EDTD target.
     BoxTargetCacheBuild,
     /// One whole `validate_batch` run.
     ValidateBatch,

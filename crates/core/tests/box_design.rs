@@ -6,7 +6,8 @@
 //! enumerated and materialised; the design typechecks iff every
 //! materialisation validates against the target. Both `typecheck` and
 //! `verify_local` must agree with that ground truth, for EDTD targets and
-//! for DTD targets seen through `DesignProblem`, whose verdicts are also
+//! for DTD targets seen through `DesignProblem` and through their trivial
+//! EDTD embedding on the box engine; the DTD-view verdicts are also
 //! certified: every counterexample document is rejected by the plain DTD
 //! validator, and every local counterexample word is realizable where it
 //! is reported and rejected by the DTD content model.
@@ -204,8 +205,12 @@ fn box_typecheck_agrees_with_brute_force_enumeration() {
     // vacuous.
     assert!(valids >= 5, "only {valids} valid cases sampled");
     assert!(invalids >= 5, "only {invalids} invalid cases sampled");
+}
 
-    // DTD targets, decided through the DTD view with certified verdicts.
+#[test]
+fn dtd_targets_embedded_as_edtds_agree_with_design_problem() {
+    // DTD targets, decided through the DTD view with certified verdicts,
+    // and through the box engine on the DTDs' trivial EDTD embeddings.
     let targets = [
         "s -> a, b*\nb -> c?",
         "s -> (b, c)*",
@@ -242,6 +247,17 @@ fn box_typecheck_agrees_with_brute_force_enumeration() {
         let local = problem.verify_local(&doc).expect("verify_local runs");
         assert_eq!(global.is_valid(), brute, "case {case}: typecheck on {doc:?} against {target:?}");
         assert_eq!(local.is_valid(), brute, "case {case}: verify_local on {doc:?} against {target:?}");
+        let embedded = BoxDesignProblem::new(target.to_edtd()).with_function("f", schema.to_edtd());
+        assert_eq!(
+            embedded.typecheck(&doc).expect("box typecheck runs").is_valid(),
+            brute,
+            "case {case}: box typecheck on the embedding of {target:?} disagrees on {doc:?}"
+        );
+        assert_eq!(
+            embedded.verify_local(&doc).expect("box verify_local runs").is_valid(),
+            brute,
+            "case {case}: box verify_local on the embedding of {target:?} disagrees on {doc:?}"
+        );
         if let TypingVerdict::Invalid { counterexample, .. } = &global {
             assert!(
                 target.validate(counterexample).is_err(),

@@ -9,7 +9,7 @@ CARGO ?= cargo
 BENCH_TARGETS := $(shell sed -n 's/^name = "\([a-z0-9_]*\)"$$/\1/p' \
                  crates/bench/Cargo.toml | grep -v '^dxml')
 
-.PHONY: all build test clippy doc fmt-check bench bench-smoke bench-baselines bench-compare fuzz-smoke examples lint-schemas lint-repo verify
+.PHONY: all build test clippy doc fmt-check bench bench-smoke bench-baselines bench-compare fuzz-smoke perfbench-test examples lint-schemas lint-repo verify
 
 all: verify
 
@@ -108,6 +108,14 @@ fuzz-smoke:
 	timeout $(FUZZ_SMOKE_TIMEOUT) $(CARGO) test -q --release -p dxml-core --test governance
 	timeout $(FUZZ_SMOKE_TIMEOUT) $(CARGO) test -q --release -p dxml-bench --test cost_calibration
 	@echo "fuzz-smoke: governance fault suite passed within $(FUZZ_SMOKE_TIMEOUT)s per binary"
+
+# The end-to-end benchmark package (declared by BENCHMARK.json) is its own
+# workspace and calls the engine's public API by path; neither `make test`
+# nor `make build` compiles it. Its known-answer self-tests pin the
+# workloads' verdicts, so an engine API or behaviour change that breaks the
+# benchmark fails here instead of at benchmark time.
+perfbench-test:
+	$(CARGO) test --release --offline --manifest-path perfbench/Cargo.toml
 
 examples:
 	$(CARGO) run -q --release --example quickstart

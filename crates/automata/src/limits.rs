@@ -51,8 +51,8 @@
 //! no clock, mirroring the `dxml-telemetry` gate discipline. The ungoverned
 //! public APIs (`Dfa::from_nfa`, `typecheck`, …) call the governed
 //! implementations with the unlimited budget and are byte-identical to
-//! their pre-governance behaviour; the `governance_overhead` bench target
-//! pins the claim against a committed baseline.
+//! their pre-governance behaviour; the `instrumentation_overhead` bench
+//! target pins the claim against a committed baseline.
 //!
 //! A `Budget` is cheaply clonable (an `Arc` handle); clones share the spent
 //! counters, so one budget governs a whole request even when the engine

@@ -6,11 +6,12 @@
 //! ```
 //!
 //! For every `BENCH_*.json` in `baseline_dir`, the tool loads the matching
-//! file from `current_dir` and compares the **warm-path medians** — the
-//! cases whose name contains `warm`, plus the `*_interned` cases of the
-//! `symbol_interning` target (the cache-hit / dense-id paths, which are the
-//! stable, machine-variance-tolerant signals; cold paths determinise from
-//! scratch and are too noisy to gate on). A current median more than
+//! file from `current_dir` and compares the **gated medians** — the cases
+//! whose name contains `warm`, plus the dense-kernel `*_interned/` and
+//! `*_bitset/` cases of `automata_kernels` and the one-pass `*_stream/`
+//! cases (the cache-hit / dense-id / streaming paths, which are the stable,
+//! machine-variance-tolerant signals; cold paths determinise from scratch
+//! and are too noisy to gate on). A current median more than
 //! `threshold`× (default 2×) the baseline median is a regression and fails
 //! the run with exit code 1. Missing current files fail too — a bench
 //! target silently disappearing is how perf trajectories die.
@@ -213,10 +214,99 @@ mod tests {
         assert!(is_gated("outputs_over_bitset/n=16"));
         assert!(is_gated("definable_dtd_warm/n=12"));
         assert!(is_gated("analyze_box_warm/n=16"));
+        assert!(is_gated("validate_stream/deep/n=1000"));
         assert!(!is_gated("typecheck_cold/n=16"));
-        assert!(!is_gated("subset_construction_strings/n=32"));
-        assert!(!is_gated("membership_btreeset/n=32"));
-        assert!(!is_gated("outputs_over_btreeset/n=16"));
+        assert!(!is_gated("typecheck_refute/n=16"));
+        assert!(!is_gated("validate_tree/deep/n=1000"));
+        assert!(!is_gated("enabled_streaming/n=256"));
         assert!(!is_gated("perfect_schema/n=16"));
+    }
+
+    /// A scratch directory unique to one test, emptied on creation.
+    fn scratch_dir(test: &str) -> PathBuf {
+        let dir = std::env::temp_dir()
+            .join(format!("dxml-bench-compare-{}-{test}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// Writes `BENCH_<bench>.json` into `dir` in the `Session::to_json`
+    /// layout, one `(name, median_ns)` case per line.
+    fn write_bench(dir: &Path, bench: &str, smoke: bool, cases: &[(&str, u128)]) {
+        let lines: Vec<String> = cases
+            .iter()
+            .map(|(name, median)| {
+                format!(r#"    {{"name":"{name}","iters":10,"median_ns":{median},"mean_ns":{median}}}"#)
+            })
+            .collect();
+        let text = format!(
+            "{{\n  \"bench\": \"{bench}\",\n  \"smoke\": {smoke},\n  \"results\": [\n{}\n  ]\n}}\n",
+            lines.join(",\n")
+        );
+        std::fs::write(dir.join(format!("BENCH_{bench}.json")), text).unwrap();
+    }
+
+    /// Runs [`run`] on one baseline/current pair of `BENCH_t.json` files;
+    /// `current: None` leaves the current directory empty.
+    fn compare(
+        test: &str,
+        baseline: &[(&str, u128)],
+        current: Option<(bool, &[(&str, u128)])>,
+    ) -> Result<(), String> {
+        let root = scratch_dir(test);
+        let (base_dir, cur_dir) = (root.join("base"), root.join("cur"));
+        std::fs::create_dir_all(&base_dir).unwrap();
+        std::fs::create_dir_all(&cur_dir).unwrap();
+        write_bench(&base_dir, "t", false, baseline);
+        if let Some((smoke, cases)) = current {
+            write_bench(&cur_dir, "t", smoke, cases);
+        }
+        let result = run(&base_dir, &cur_dir, 2.0);
+        std::fs::remove_dir_all(&root).unwrap();
+        result
+    }
+
+    #[test]
+    fn a_missing_gated_case_fails() {
+        let err = compare(
+            "missing-case",
+            &[("typecheck_warm/n=8", 1000), ("typecheck_cold/n=8", 1000)],
+            Some((false, &[("typecheck_cold/n=8", 1000)])),
+        )
+        .unwrap_err();
+        assert!(err.contains("`typecheck_warm/n=8` disappeared"), "{err}");
+    }
+
+    #[test]
+    fn gated_medians_fail_only_beyond_the_threshold() {
+        let base: &[(&str, u128)] = &[("typecheck_warm/n=8", 1000)];
+        let err = compare("ratio-2.1", base, Some((false, &[("typecheck_warm/n=8", 2100)])))
+            .unwrap_err();
+        assert!(err.contains("regressed 2.10×"), "{err}");
+        compare("ratio-1.9", base, Some((false, &[("typecheck_warm/n=8", 1900)]))).unwrap();
+    }
+
+    #[test]
+    fn ungated_cold_cases_never_fail() {
+        compare(
+            "cold",
+            &[("typecheck_cold/n=8", 1000), ("membership_bitset/n=8", 1000)],
+            Some((false, &[("typecheck_cold/n=8", 1_000_000), ("membership_bitset/n=8", 1000)])),
+        )
+        .unwrap();
+    }
+
+    #[test]
+    fn smoke_files_are_rejected() {
+        let cases: &[(&str, u128)] = &[("typecheck_warm/n=8", 1000)];
+        let err = compare("smoke", cases, Some((true, cases))).unwrap_err();
+        assert!(err.contains("smoke-mode timings"), "{err}");
+    }
+
+    #[test]
+    fn a_baseline_without_a_current_file_fails() {
+        let err = compare("no-current", &[("typecheck_warm/n=8", 1000)], None).unwrap_err();
+        assert!(err.contains("stop emitting its timing file"), "{err}");
     }
 }

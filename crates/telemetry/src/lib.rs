@@ -14,7 +14,7 @@
 //! Telemetry is **off by default**. When off, every record operation is a
 //! relaxed atomic load plus one predictable branch — cheap enough that the
 //! instrumentation stays compiled into the hot paths gated by the committed
-//! `bench_compare` baselines (pinned by the `telemetry_overhead` bench
+//! `bench_compare` baselines (pinned by the `instrumentation_overhead` bench
 //! target). It is switched:
 //!
 //! * by the environment: `DXML_TELEMETRY=1` (or any value other than `0`,

@@ -13,7 +13,10 @@
 //! * `RI003`/`RI004` — every bench target declared in
 //!   `crates/bench/Cargo.toml` has a committed gated baseline
 //!   (`baselines/BENCH_<name>.json`) and a row in `crates/bench/README.md`:
-//!   a target without a baseline is not regression-gated at all.
+//!   a target without a baseline is not regression-gated at all. In
+//!   reverse, RI003 also flags every baseline that names no declared
+//!   target: a stale baseline of a deleted target would otherwise surface
+//!   only as a failure of the full-timing `make bench-compare` run.
 //! * `RI005` — every governed `*_with_budget` function has an ungoverned
 //!   twin of the same name in the same crate (the workspace's API
 //!   convention: governance is opt-in, never forced).
@@ -190,6 +193,30 @@ fn main() -> ExitCode {
                 location: format!("bench target `{target}`"),
                 message: format!(
                     "bench target `{target}` has no row in crates/bench/README.md"
+                ),
+            });
+        }
+    }
+
+    // RI003, reverse — every committed baseline names a declared target.
+    if let Ok(entries) = fs::read_dir(root.join("baselines")) {
+        let mut stale: Vec<String> = entries
+            .flatten()
+            .filter_map(|e| e.file_name().into_string().ok())
+            .filter(|f| {
+                f.strip_prefix("BENCH_")
+                    .and_then(|r| r.strip_suffix(".json"))
+                    .is_some_and(|name| !targets.iter().any(|t| t == name))
+            })
+            .collect();
+        stale.sort();
+        for file in stale {
+            findings.push(Finding {
+                code: "RI003",
+                location: format!("baselines/{file}"),
+                message: format!(
+                    "baseline baselines/{file} names no [[bench]] target in \
+                     crates/bench/Cargo.toml — delete it or restore the target"
                 ),
             });
         }

@@ -34,8 +34,12 @@ clippy:
 doc:
 	RUSTDOCFLAGS="-D warnings" $(CARGO) doc --no-deps -q
 
+# Compile every bench target and the end-to-end benchmark package, which
+# sits outside the workspace: tier-1 never builds it, so an engine API
+# change that breaks it would otherwise go unnoticed until benchmark time.
 bench:
 	$(CARGO) check --benches
+	$(CARGO) check --offline --manifest-path perfbench/Cargo.toml
 
 # Run every bench target once (release profile): exercises the real bench
 # code paths and their assertions, and emits machine-readable

@@ -12,8 +12,9 @@
 //!    [`analyze_schema`] / [`analyze_design`] pass producing rustc-style
 //!    [`Diagnostic`]s: dead schema parts, non-deterministic content models,
 //!    design-level pitfalls and definability *advisories* whose suggestion
-//!    is the downgraded schema (unlocking the `verify_local` /
-//!    `StreamValidator` fast paths of the lower layers).
+//!    is the downgraded schema (a single-type schema unlocks streaming
+//!    validation with `StreamValidator`; a DTD is a local target, on which
+//!    schema synthesis handles multi-parent docking).
 //!
 //! # Diagnostic codes
 //!
@@ -25,12 +26,12 @@
 //! | `DX004` | warning  | empty content model (the rule accepts no child word at all) |
 //! | `DX005` | warning  | content model is not one-unambiguous (not a dRE in the W3C sense) |
 //! | `DX006` | info     | the EDTD is SDTD-definable — the suggested single-type schema enables top-down/streaming validation |
-//! | `DX007` | info     | the EDTD/SDTD is DTD-definable — the suggested DTD enables the `verify_local` fast path |
+//! | `DX007` | info     | the EDTD/SDTD is DTD-definable — the suggested DTD is a local target (one typing per label), on which schema synthesis also handles functions docking under several parents |
 //! | `DX008` | error    | vacuous design: the target schema has an empty language |
 //! | `DX009` | warning  | a function name shadows an element name of the target schema |
 //! | `DX010` | warning  | a function has a schema but is never called by the document |
 //! | `DX011` | error    | a called function has no schema (typechecking will fail) |
-//! | `DX012` | warning  | a function docks under several distinct parents (box synthesis will refuse with `SynthesisUnsupported`) |
+//! | `DX012` | warning  | a function docks under several distinct parents of a non-local target (labels with several typings): box synthesis will refuse with `SynthesisUnsupported` |
 //! | `DX013` | warning  | a function schema has an empty language (every call site is unsatisfiable) |
 //! | `DX014` | warning  | predicted-exponential content model: a suffix-counting shape forces `2^n` subset states (witness family attached) |
 //! | `DX015` | info     | budget advisory: the recommended step/state quotas for running this design governed ([`cost::recommend_budget`]) |

@@ -384,8 +384,9 @@ fn dtd_advisory(dtd: &RDtd) -> Diagnostic {
         "DX007",
         Severity::Info,
         "schema",
-        "the language is DTD-definable: an equivalent plain DTD exists, \
-         enabling the local-verification fast path (`verify_local`)",
+        "the language is DTD-definable: an equivalent plain DTD exists; it is \
+         a local target (one typing per label), on which schema synthesis \
+         also handles functions docking under several parents",
     )
     .with_suggestion(format!("{dtd}"))
 }

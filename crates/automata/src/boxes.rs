@@ -7,26 +7,18 @@
 //! whose constant parts are boxes rather than single words (Section 7,
 //! Definition 21).
 //!
-//! Besides the box datatype itself, this module provides the automaton
-//! operations the Section-7 reduction needs:
-//!
-//! * [`BoxLang::intersect`] / [`BoxLang::is_disjoint_from`] — slot-wise
-//!   boolean structure of boxes (boxes of different widths are disjoint);
-//! * [`BoxLang::product_nfa`] — the box↔NFA product `[B] ∩ [A]`, built
-//!   directly on the layered structure of the box (no subset construction);
-//! * [`Nfa::residual_by_box`] / [`Nfa::right_residual_by_box`] — the
-//!   existential residuals `B⁻¹[A]` and `[A]·B⁻¹` of an NFA by a box,
-//!   computed by stepping state sets through the slots;
-//! * [`Nfa::expand_symbols`] — the slot substitution `σ(a) ⊆ Σ'` applied to
-//!   every transition, turning a word automaton over constant symbols into
-//!   one over *boxes* of specialised names (the inverse-morphism step of the
-//!   reduction from R-EDTD tree problems to string problems).
+//! Besides the box datatype itself (membership, concatenation, enumeration
+//! and [`BoxLang::to_nfa`]), this module provides the one automaton
+//! operation the Section-7 reduction needs: [`Nfa::expand_symbols`], the
+//! slot substitution `σ(a) ⊆ Σ'` applied to every transition. It turns a
+//! word automaton over constant symbols into one over *boxes* of specialised
+//! names (the inverse-morphism step of the reduction from R-EDTD tree
+//! problems to string problems).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use crate::nfa::{Nfa, StateId};
-use crate::stateset::StateSet;
+use crate::nfa::Nfa;
 use crate::symbol::{Alphabet, Symbol, Word};
 
 /// A box `Σ1 Σ2 … Σn`: a finite regular language that is a cartesian product
@@ -46,14 +38,6 @@ impl BoxLang {
     /// makes the whole language empty.
     pub fn new(slots: Vec<BTreeSet<Symbol>>) -> Self {
         BoxLang { slots }
-    }
-
-    /// Builds a box from one single-symbol slot per symbol of the word (the
-    /// box whose language is exactly `{word}`).
-    pub fn from_word(word: &[Symbol]) -> Self {
-        BoxLang {
-            slots: word.iter().map(|s| BTreeSet::from([*s])).collect(),
-        }
     }
 
     /// Appends a slot.
@@ -78,15 +62,6 @@ impl BoxLang {
     /// Whether the language of the box is empty (some slot has no symbols).
     pub fn is_empty_language(&self) -> bool {
         self.slots.iter().any(BTreeSet::is_empty)
-    }
-
-    /// Number of words in the box (`|Σ1| · … · |Σn|`), saturating at
-    /// `usize::MAX`.
-    pub fn num_words(&self) -> usize {
-        self.slots
-            .iter()
-            .map(BTreeSet::len)
-            .fold(1usize, usize::saturating_mul)
     }
 
     /// Whether `word` belongs to the box.
@@ -122,61 +97,6 @@ impl BoxLang {
         nfa
     }
 
-    /// The slot-wise intersection `[self] ∩ [other]` as a box. Boxes of
-    /// different widths have no word in common; the result is then a box of
-    /// `self`'s width whose first slot is empty (so its language is empty).
-    pub fn intersect(&self, other: &BoxLang) -> BoxLang {
-        if self.width() != other.width() {
-            let mut slots = vec![BTreeSet::new()];
-            slots.extend(self.slots.iter().skip(1).cloned());
-            return BoxLang { slots };
-        }
-        BoxLang {
-            slots: self
-                .slots
-                .iter()
-                .zip(&other.slots)
-                .map(|(a, b)| a.intersection(b).cloned().collect())
-                .collect(),
-        }
-    }
-
-    /// Whether the two boxes share no word (`[self] ∩ [other] = ∅`).
-    pub fn is_disjoint_from(&self, other: &BoxLang) -> bool {
-        self.intersect(other).is_empty_language()
-    }
-
-    /// The box↔NFA product: an NFA for `[self] ∩ [nfa]`, built layer by
-    /// layer on the box structure — state `(i, q)` means "`i` slots read,
-    /// `nfa` in state `q`" — rather than through a generic product of
-    /// subset constructions.
-    pub fn product_nfa(&self, nfa: &Nfa) -> Nfa {
-        if self.is_empty_language() {
-            return Nfa::empty();
-        }
-        let n = nfa.num_states();
-        let layers = self.width() + 1;
-        let mut out = Nfa::new(layers * n, nfa.start());
-        let id = |layer: usize, q: StateId| layer * n + q;
-        for layer in 0..layers {
-            for (q, lbl, t) in nfa.transitions() {
-                match lbl {
-                    // ε-transitions stay inside their layer.
-                    None => out.add_epsilon(id(layer, q), id(layer, t)),
-                    Some(sym) => {
-                        if layer < self.width() && self.slots[layer].contains(sym) {
-                            out.add_transition(id(layer, q), *sym, id(layer + 1, t));
-                        }
-                    }
-                }
-            }
-        }
-        for &f in nfa.finals() {
-            out.set_final(id(self.width(), f));
-        }
-        out.trim()
-    }
-
     /// Enumerates the words of the box in lexicographic slot order, up to
     /// `limit` words.
     pub fn enumerate(&self, limit: usize) -> Vec<Word> {
@@ -203,64 +123,6 @@ impl BoxLang {
 }
 
 impl Nfa {
-    /// The set of states reachable from the (ε-closed) start set by reading
-    /// some word of the box: one slot step unions the plain [`Nfa::step`]
-    /// over the slot's symbols.
-    fn states_after_box(&self, b: &BoxLang) -> StateSet {
-        let mut current = self.start_closure();
-        for slot in b.slots() {
-            current = self.step_all(&current, slot);
-            if current.is_empty() {
-                break;
-            }
-        }
-        current
-    }
-
-    /// The existential left residual of the automaton by a box:
-    /// `B⁻¹[self] = { w : ∃u ∈ [B], u·w ∈ [self] }`.
-    ///
-    /// Unlike the generic [`Nfa::left_quotient`] this never determinises:
-    /// it steps the state set once per slot (a box is a finite language with
-    /// a single "spine"), then grafts a fresh start state.
-    pub fn residual_by_box(&self, b: &BoxLang) -> Nfa {
-        let entry = self.states_after_box(b);
-        let mut out = self.clone();
-        let start = out.add_state();
-        out.set_start(start);
-        for q in &entry {
-            out.add_epsilon(start, q);
-        }
-        out.trim()
-    }
-
-    /// The existential right residual of the automaton by a box:
-    /// `[self]·B⁻¹ = { w : ∃v ∈ [B], w·v ∈ [self] }`.
-    pub fn right_residual_by_box(&self, b: &BoxLang) -> Nfa {
-        // `q` is final in the residual iff some box word leads from `q` to a
-        // final state: step `{q}` through the slots.
-        let mut out = self.clone();
-        let finals: Vec<StateId> = out.finals().iter().copied().collect();
-        for f in finals {
-            out.unset_final(f);
-        }
-        let finals = self.finals_set();
-        for q in 0..self.num_states() {
-            let mut current =
-                self.epsilon_closure(&StateSet::singleton(self.num_states(), q));
-            for slot in b.slots() {
-                current = self.step_all(&current, slot);
-                if current.is_empty() {
-                    break;
-                }
-            }
-            if current.intersects(&finals) {
-                out.set_final(q);
-            }
-        }
-        out.trim()
-    }
-
     /// Substitutes every transition symbol by a *slot* (a set of symbols):
     /// the language becomes `{ b1…bn : a1…an ∈ [self], bi ∈ slots(ai) }`.
     ///
@@ -328,7 +190,7 @@ mod tests {
     fn membership_and_counts() {
         let b = sample_box();
         assert_eq!(b.width(), 3);
-        assert_eq!(b.num_words(), 4);
+        assert_eq!(b.enumerate(100).len(), 4);
         assert!(b.contains(&word_chars("aca")));
         assert!(b.contains(&word_chars("bcd")));
         assert!(!b.contains(&word_chars("acc")));
@@ -354,15 +216,14 @@ mod tests {
         assert!(b.is_empty_language());
         assert!(b.to_nfa().is_empty());
         assert_eq!(b.enumerate(10), Vec::<Word>::new());
-        assert_eq!(b.num_words(), 0);
     }
 
     #[test]
     fn from_word_and_concat() {
         let w = word_chars("ab");
-        let b = BoxLang::from_word(&w);
+        let b = BoxLang::new(w.iter().map(|s| BTreeSet::from([*s])).collect());
         assert!(b.contains(&w));
-        assert_eq!(b.num_words(), 1);
+        assert_eq!(b.enumerate(100), vec![w]);
         let b2 = b.concat(&sample_box());
         assert_eq!(b2.width(), 5);
         assert!(b2.contains(&word_chars("abaca")));
@@ -381,74 +242,6 @@ mod tests {
     fn display_format() {
         let b = sample_box();
         assert_eq!(format!("{b}"), "{a,b} c {a,d}");
-    }
-
-    #[test]
-    fn intersection_is_slotwise() {
-        let mut other = BoxLang::epsilon();
-        other.push_slot(["b", "c"]);
-        other.push_slot(["c", "d"]);
-        other.push_slot(["d"]);
-        let inter = sample_box().intersect(&other);
-        assert_eq!(inter.width(), 3);
-        assert!(inter.contains(&word_chars("bcd")));
-        assert_eq!(inter.num_words(), 1);
-        assert!(!sample_box().is_disjoint_from(&other));
-        // Different widths are disjoint, and the intersection is empty.
-        let narrow = BoxLang::from_word(&word_chars("ac"));
-        assert!(sample_box().intersect(&narrow).is_empty_language());
-        assert!(sample_box().is_disjoint_from(&narrow));
-        assert!(sample_box().is_disjoint_from(&BoxLang::epsilon()));
-        assert!(!BoxLang::epsilon().is_disjoint_from(&BoxLang::epsilon()));
-    }
-
-    #[test]
-    fn product_with_nfa_agrees_with_generic_intersection() {
-        let b = sample_box();
-        // (a|b) c* (a|d)* — overlaps the box on acd? no: on aca, acd, bca, bcd
-        // minus whatever c* rules out.
-        let lang = Nfa::any_of(["a", "b"])
-            .concat(&Nfa::symbol("c").star())
-            .concat(&Nfa::any_of(["a", "d"]).star());
-        let product = b.product_nfa(&lang);
-        let generic = b.to_nfa().intersect(&lang);
-        for w in b.enumerate(100) {
-            assert_eq!(product.accepts(&w), generic.accepts(&w), "word {w:?}");
-        }
-        assert!(product.accepts(&word_chars("aca")));
-        assert!(!product.accepts(&word_chars("ac")));
-        assert!(!product.accepts(&word_chars("acc")));
-        // Width-0 boxes intersect to {ε} ∩ L.
-        assert!(BoxLang::epsilon().product_nfa(&Nfa::epsilon()).accepts(&[]));
-        assert!(BoxLang::epsilon().product_nfa(&Nfa::symbol("a")).is_empty());
-        // An empty-slot box yields the empty language.
-        let mut dead = sample_box();
-        dead.push_slot(Vec::<Symbol>::new());
-        assert!(dead.product_nfa(&lang).is_empty());
-    }
-
-    #[test]
-    fn residuals_by_box() {
-        // L = (a|b) c (a|d) e*; residual by the sample box is e*.
-        let lang = sample_box().to_nfa().concat(&Nfa::symbol("e").star());
-        let res = lang.residual_by_box(&sample_box());
-        assert!(res.accepts(&[]));
-        assert!(res.accepts(&word_chars("ee")));
-        assert!(!res.accepts(&word_chars("a")));
-        // Residual by a disjoint box is empty.
-        let off = BoxLang::from_word(&word_chars("ccc"));
-        assert!(lang.residual_by_box(&off).is_empty());
-        // Right residual: {w : w · (aca|…|bcd) ∈ L} = {ε, e…}? No: e* comes
-        // after the box, so the right residual of L by the box is {ε} only.
-        let rres = lang.right_residual_by_box(&sample_box());
-        assert!(rres.accepts(&[]));
-        assert!(!rres.accepts(&word_chars("e")));
-        // And on e* ◦ box, the right residual is e*.
-        let lang2 = Nfa::symbol("e").star().concat(&sample_box().to_nfa());
-        let rres2 = lang2.right_residual_by_box(&sample_box());
-        assert!(rres2.accepts(&[]));
-        assert!(rres2.accepts(&word_chars("eee")));
-        assert!(!rres2.accepts(&word_chars("a")));
     }
 
     #[test]

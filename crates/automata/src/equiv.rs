@@ -119,12 +119,6 @@ pub fn disjoint(a: &Nfa, b: &Nfa) -> Result<(), Word> {
     }
 }
 
-/// `concat-univ[R]` (Definition 16): is `[a] ◦ [b] = Σ*` over the given
-/// alphabet?
-pub fn concat_universal(a: &Nfa, b: &Nfa, alphabet: &Alphabet) -> bool {
-    a.concat(b).is_universal(alphabet)
-}
-
 /// Back-pointers of the product BFS: state pair → (predecessor pair, symbol).
 type ParentMap = FxHashMap<(usize, usize), ((usize, usize), Symbol)>;
 
@@ -239,15 +233,6 @@ mod tests {
         assert!(disjoint(&re("a+"), &re("b+")).is_ok());
         let w = disjoint(&re("a*b"), &re("ab*")).unwrap_err();
         assert_eq!(w, word_chars("ab"));
-    }
-
-    #[test]
-    fn concat_universality() {
-        let sigma = Alphabet::from_chars("ab");
-        // (a|b)* ◦ (a|b)* = Σ*
-        assert!(concat_universal(&re("(a|b)*"), &re("(a|b)*"), &sigma));
-        // a* ◦ b* ≠ Σ* (misses "ba")
-        assert!(!concat_universal(&re("a*"), &re("b*"), &sigma));
     }
 
     #[test]

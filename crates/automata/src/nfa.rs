@@ -180,11 +180,6 @@ impl Nfa {
         a
     }
 
-    /// The automaton recognising `Σ+` for the given alphabet.
-    pub fn sigma_plus(alphabet: &Alphabet) -> Self {
-        Nfa::sigma_star(alphabet).concat(&Nfa::any_of(alphabet.iter().cloned()))
-    }
-
     /// Adds a fresh state and returns its id.
     pub fn add_state(&mut self) -> StateId {
         self.trans.push(Vec::new());
@@ -243,11 +238,6 @@ impl Nfa {
     pub fn set_final(&mut self, state: StateId) {
         assert!(state < self.num_states);
         self.finals.insert(state);
-    }
-
-    /// Unmarks a state as final.
-    pub fn unset_final(&mut self, state: StateId) {
-        self.finals.remove(&state);
     }
 
     /// Changes the start state.
@@ -451,25 +441,12 @@ impl Nfa {
         }
     }
 
-    /// One *multi-symbol* step: the ε-closure of the union of the successor
-    /// sets over every symbol of `syms`. Equivalent to unioning
-    /// [`Nfa::step`] per symbol, but ε-closes once — the inner loop of
-    /// box-slot stepping and of the bottom-up tree-automaton runs, where a
-    /// child can contribute any symbol of a set.
-    pub fn step_all<'a>(
-        &self,
-        set: &StateSet,
-        syms: impl IntoIterator<Item = &'a Symbol>,
-    ) -> StateSet {
-        let mut next = StateSet::empty(self.num_states);
-        self.step_all_into(set, syms, &mut next);
-        next
-    }
-
-    /// [`Nfa::step_all`] into a caller-owned buffer: clears `out`, writes
-    /// the ε-closed multi-symbol successor set into it. The buffer-reuse
-    /// twin for the bottom-up tree-automaton runs, same contract as
-    /// [`Nfa::step_local_into`].
+    /// One *multi-symbol* step into a caller-owned buffer: clears `out` and
+    /// writes the ε-closure of the union of the successor sets over every
+    /// symbol of `syms` into it. Equivalent to unioning [`Nfa::step`] per
+    /// symbol, but ε-closes once — the inner loop of the bottom-up
+    /// tree-automaton runs, where a child can contribute any symbol of a
+    /// set. Same buffer contract as [`Nfa::step_local_into`].
     pub fn step_all_into<'a>(
         &self,
         set: &StateSet,
@@ -900,18 +877,6 @@ impl Nfa {
         out.trim()
     }
 
-    /// Intersection of many automata.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty iterator (there is no universal language without
-    /// an alphabet).
-    pub fn intersect_all<'a>(automata: impl IntoIterator<Item = &'a Nfa>) -> Nfa {
-        let mut iter = automata.into_iter();
-        let first = iter.next().expect("intersect_all needs at least one automaton");
-        iter.fold(first.clone(), |acc, a| acc.intersect(a))
-    }
-
     /// Complement `Σ* − [self]` with respect to the given alphabet.
     pub fn complement(&self, alphabet: &Alphabet) -> Nfa {
         Dfa::from_nfa(self).complete(alphabet).complement().to_nfa()
@@ -921,11 +886,6 @@ impl Nfa {
     /// (needed to complete `other` before complementing it).
     pub fn difference(&self, other: &Nfa, alphabet: &Alphabet) -> Nfa {
         self.intersect(&other.complement(alphabet))
-    }
-
-    /// Converts to a DFA (subset construction).
-    pub fn to_dfa(&self) -> Dfa {
-        Dfa::from_nfa(self)
     }
 }
 
@@ -1135,8 +1095,5 @@ mod tests {
         assert!(sig.accepts(&[]));
         assert!(sig.accepts(&word_chars("abba")));
         assert!(sig.is_universal(&ab()));
-        let sp = Nfa::sigma_plus(&ab());
-        assert!(!sp.accepts(&[]));
-        assert!(sp.accepts(&word_chars("b")));
     }
 }

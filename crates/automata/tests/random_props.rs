@@ -1,10 +1,10 @@
 //! Seeded property-style tests over random small NFAs (no third-party
-//! dependencies): determinisation/minimisation preserve membership, and the
+//! dependencies): determinisation/minimisation preserve membership, the
 //! boolean/rational operations satisfy their algebraic laws on all words up
-//! to length 5.
+//! to length 5, and the context residuals agree with brute force.
 
 use dxml_automata::equiv::{included, is_equivalent, is_included};
-use dxml_automata::{Alphabet, Dfa, Nfa, Symbol};
+use dxml_automata::{Alphabet, Budget, Dfa, Nfa, Symbol};
 
 /// The xorshift64* generator used across the workspace for reproducibility.
 struct Rng(u64);
@@ -58,12 +58,12 @@ fn random_nfa(rng: &mut Rng) -> Nfa {
     nfa
 }
 
-/// All words over {a, b} of length ≤ 5 (63 words).
-fn all_words_up_to_5() -> Vec<Vec<Symbol>> {
+/// All words over {a, b} of length ≤ `max_len` (63 words for 5).
+fn all_words_up_to(max_len: usize) -> Vec<Vec<Symbol>> {
     let sigma = sigma();
     let mut words: Vec<Vec<Symbol>> = vec![Vec::new()];
     let mut frontier: Vec<Vec<Symbol>> = vec![Vec::new()];
-    for _ in 0..5 {
+    for _ in 0..max_len {
         let mut next = Vec::new();
         for w in &frontier {
             for s in &sigma {
@@ -80,7 +80,7 @@ fn all_words_up_to_5() -> Vec<Vec<Symbol>> {
 
 #[test]
 fn determinize_then_minimize_preserves_membership() {
-    let words = all_words_up_to_5();
+    let words = all_words_up_to(5);
     let mut rng = Rng::new(2009);
     for case in 0..60 {
         let nfa = random_nfa(&mut rng);
@@ -122,7 +122,7 @@ fn inclusion_counterexamples_are_genuine() {
         match included(&a, &b) {
             Ok(()) => {
                 // Verified against brute-force enumeration up to length 5.
-                for w in all_words_up_to_5() {
+                for w in all_words_up_to(5) {
                     assert!(!a.accepts(&w) || b.accepts(&w), "inclusion verdict wrong on short word");
                 }
             }
@@ -139,7 +139,7 @@ fn inclusion_counterexamples_are_genuine() {
 #[test]
 fn complement_laws() {
     let alphabet = Alphabet::from_chars("ab");
-    let words = all_words_up_to_5();
+    let words = all_words_up_to(5);
     let mut rng = Rng::new(1234);
     for case in 0..40 {
         let a = random_nfa(&mut rng);
@@ -157,7 +157,7 @@ fn complement_laws() {
 
 #[test]
 fn eps_free_and_trim_preserve_language() {
-    let words = all_words_up_to_5();
+    let words = all_words_up_to(5);
     let mut rng = Rng::new(99);
     for case in 0..60 {
         let a = random_nfa(&mut rng);
@@ -180,13 +180,75 @@ fn shortest_accepted_is_shortest() {
             None => assert!(a.is_empty(), "case {case}: no witness but non-empty"),
             Some(w) => {
                 assert!(a.accepts(&w), "case {case}: witness rejected");
-                for shorter in all_words_up_to_5().iter().filter(|v| v.len() < w.len()) {
+                for shorter in all_words_up_to(5).iter().filter(|v| v.len() < w.len()) {
                     assert!(
                         w.len() > 5 || !a.accepts(shorter),
                         "case {case}: shorter accepted word exists"
                     );
                 }
             }
+        }
+    }
+}
+
+/// A random finite context: the union of 0–3 random literal words of length
+/// ≤ 2 over {a, b} (zero words is the empty language), returned with its
+/// words for the brute-force side.
+fn random_context(rng: &mut Rng) -> (Nfa, Vec<Vec<Symbol>>) {
+    let sigma = sigma();
+    let words: Vec<Vec<Symbol>> = (0..rng.below(4))
+        .map(|_| (0..rng.below(3)).map(|_| sigma[rng.below(2)]).collect())
+        .collect();
+    let nfa = words.iter().fold(Nfa::empty(), |acc, w| acc.union(&Nfa::literal(w)));
+    (nfa, words)
+}
+
+/// Whether `lang` accepts `u₀·w·u₁·w·⋯·w·uₘ` for every choice of
+/// `uᵢ ∈ contexts[i]` (vacuously true when some context has no word).
+fn every_filling_accepted(lang: &Nfa, contexts: &[Vec<Vec<Symbol>>], w: &[Symbol]) -> bool {
+    let mut fillings: Vec<Vec<Symbol>> = vec![Vec::new()];
+    for (i, context) in contexts.iter().enumerate() {
+        let gap = if i == 0 { &[][..] } else { w };
+        fillings = fillings
+            .iter()
+            .flat_map(|p| context.iter().map(move |u| [p.as_slice(), gap, u].concat()))
+            .collect();
+    }
+    fillings.iter().all(|x| lang.accepts(x))
+}
+
+#[test]
+fn context_residuals_match_brute_force() {
+    let words = all_words_up_to(4);
+    let mut rng = Rng::new(2026);
+    for case in 0..80 {
+        let lang = random_nfa(&mut rng);
+        let d = Dfa::from_nfa(&lang);
+        // Two contexts exercise the universal residual; two to four the
+        // uniform one (`w` substituted into one to three gaps).
+        let num_contexts = 2 + rng.below(3);
+        let (nfas, finite): (Vec<Nfa>, Vec<Vec<Vec<Symbol>>>) =
+            (0..num_contexts).map(|_| random_context(&mut rng)).unzip();
+        // Both residuals live over the union of the involved alphabets; a
+        // word using any other symbol is never in them.
+        let pair = d.alphabet().union(&nfas[0].alphabet()).union(&nfas[1].alphabet());
+        let all = nfas[2..].iter().fold(pair.clone(), |acc, c| acc.union(&c.alphabet()));
+        let unlimited = Budget::unlimited();
+        let uniform = d.uniform_context_residual_with_budget(&nfas, &unlimited).unwrap();
+        let universal =
+            d.universal_context_residual_with_budget(&nfas[0], &nfas[1], &unlimited).unwrap();
+        for w in &words {
+            let over = |sigma: &Alphabet| w.iter().all(|s| sigma.contains(s));
+            assert_eq!(
+                uniform.accepts(w),
+                over(&all) && every_filling_accepted(&lang, &finite, w),
+                "case {case}: uniform residual wrong on {w:?} (contexts {finite:?})"
+            );
+            assert_eq!(
+                universal.accepts(w),
+                over(&pair) && every_filling_accepted(&lang, &finite[..2], w),
+                "case {case}: universal residual wrong on {w:?} (contexts {finite:?})"
+            );
         }
     }
 }

@@ -247,7 +247,7 @@ fn membership_frontier_agrees_with_the_btreeset_reference() {
 
 #[test]
 fn derived_procedures_agree_with_the_reference_language() {
-    // eps_free, trim and to_dfa all reshape the automaton through the
+    // eps_free, trim and Dfa::from_nfa all reshape the automaton through the
     // bitset paths; the language must be untouched.
     let alphabet: Vec<Symbol> = ["a", "b"].map(Symbol::new).to_vec();
     let mut rng = Rng(0xde1_ab17);
@@ -256,14 +256,14 @@ fn derived_procedures_agree_with_the_reference_language() {
         let reference = RefNfa::of(&nfa);
         let ef = nfa.eps_free();
         let trimmed = nfa.trim();
-        let dfa = nfa.to_dfa();
+        let dfa = Dfa::from_nfa(&nfa);
         for len in 0..6 {
             let word: Vec<Symbol> =
                 (0..len).map(|_| alphabet[rng.below(alphabet.len())]).collect();
             let want = reference.accepts(&word);
             assert_eq!(ef.accepts(&word), want, "case {case}: eps_free diverged on {word:?}");
             assert_eq!(trimmed.accepts(&word), want, "case {case}: trim diverged on {word:?}");
-            assert_eq!(dfa.accepts(&word), want, "case {case}: to_dfa diverged on {word:?}");
+            assert_eq!(dfa.accepts(&word), want, "case {case}: Dfa::from_nfa diverged on {word:?}");
         }
         assert_eq!(nfa.is_empty(), reference.shortest_accepted().is_none(), "case {case}");
     }

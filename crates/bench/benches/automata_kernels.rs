@@ -9,7 +9,7 @@
 //! property tests (`automata/tests/stateset_props.rs`,
 //! `tree/tests/frontier_props.rs`), not timed here.
 
-use dxml_automata::{Nfa, RFormalism, Symbol};
+use dxml_automata::{Dfa, Nfa, RFormalism, Symbol};
 use dxml_bench::{box_workload, dtd_family, elem, section, Session};
 
 /// The starred, ε-eliminated union of every content model of the `(n, 11)`
@@ -53,7 +53,7 @@ fn main() {
     for n in [8usize, 16, 24, 32] {
         let lang = family_language(n, long_name);
         session.bench(&format!("subset_construction_interned/n={n}"), 15, || {
-            lang.to_dfa().num_states()
+            Dfa::from_nfa(&lang).num_states()
         });
     }
 

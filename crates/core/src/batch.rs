@@ -25,7 +25,7 @@ use dxml_telemetry as telemetry;
 
 /// Validates every document of a batch against `sdtd` with one streaming
 /// pass each, in parallel. `verdicts[i]` is the verdict for `documents[i]`,
-/// identical to what [`RSdtd::validate_stream`] returns for it alone.
+/// identical to what [`StreamValidator::validate`] returns for it alone.
 ///
 /// A panic while validating one document yields an error verdict for that
 /// document only; the rest of the batch completes.
@@ -145,7 +145,7 @@ mod tests {
         let batch = validate_batch(&s, &docs);
         assert_eq!(batch.len(), docs.len());
         for (doc, verdict) in docs.iter().zip(&batch) {
-            assert_eq!(verdict, &s.validate_stream(doc), "doc {doc:?}");
+            assert_eq!(verdict, &StreamValidator::new(&s).validate(doc), "doc {doc:?}");
         }
         assert!(batch[0].is_ok());
         assert!(batch[1].is_err());

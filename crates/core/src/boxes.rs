@@ -13,7 +13,8 @@
 //!
 //! [`BoxDesignProblem`] packages an [`REdtd`] target with one [`REdtd`]
 //! schema per function and is the crate's only decision engine. A DTD is
-//! the EDTD with one specialisation per label ([`RDtd::to_edtd`]), and
+//! the EDTD with one specialisation per label
+//! ([`RDtd::to_edtd`](dxml_schema::RDtd::to_edtd)), and
 //! [`crate::DesignProblem`] is the DTD-typed view that embeds its schemas
 //! that way and renders the verdicts back as words and DTDs. The three
 //! decision procedures:
@@ -48,7 +49,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use dxml_automata::{AutomataError, BoxLang, Budget, Dfa, Nfa, RFormalism, RSpec, StateSet, Symbol};
-use dxml_schema::{RDtd, REdtd, SchemaError};
+use dxml_schema::{REdtd, SchemaError};
 use dxml_telemetry as telemetry;
 use dxml_tree::uta::Duta;
 use dxml_tree::{uta, NodeId, Nuta, XTree};
@@ -502,7 +503,8 @@ impl BoxVerdict {
 // ----------------------------------------------------------------------
 
 /// A design problem: the target schema `τ` plus one R-EDTD schema per
-/// function symbol. DTD problems embed through [`RDtd::to_edtd`] /
+/// function symbol. DTD problems embed through
+/// [`RDtd::to_edtd`](dxml_schema::RDtd::to_edtd) /
 /// [`From<&DesignProblem>`](BoxDesignProblem::from); [`crate::DesignProblem`]
 /// is the DTD-typed view over this engine.
 ///
@@ -574,12 +576,6 @@ impl BoxDesignProblem {
         self
     }
 
-    /// Declares a DTD schema for a function, embedded as a trivial EDTD
-    /// (builder style).
-    pub fn with_function_dtd(self, function: impl Into<Symbol>, schema: &RDtd) -> BoxDesignProblem {
-        self.with_function(function, schema.to_edtd())
-    }
-
     /// Declares the R-EDTD schema of a function, invalidating the cached
     /// problem artefacts.
     pub fn add_function(&mut self, function: impl Into<Symbol>, schema: REdtd) {
@@ -620,10 +616,10 @@ impl BoxDesignProblem {
     /// followed by each function schema's rules — paired with a stable
     /// human-readable location in the style of the `dxml-analysis`
     /// diagnostics (`target schema: specialisation `x``, `schema of
-    /// function `f`: specialisation `y``). The budget-synthesis entry
-    /// point of the box route: `dxml-analysis::cost` brackets the
-    /// determinisation cost of exactly these models to recommend
-    /// step/state quotas for the Section-7 constructions.
+    /// function `f`: specialisation `y``). A flat view for building
+    /// content-model corpora (the cost-model calibration test and bench use
+    /// it); the cost model itself reads the schemas directly
+    /// (`dxml-analysis::cost::box_design_cost` goes through `edtd_cost`).
     pub fn content_models(&self) -> Vec<(String, RSpec)> {
         let mut out = Vec::new();
         for (name, spec) in self.doc_schema.rules() {
@@ -1018,7 +1014,7 @@ impl BoxDesignProblem {
     /// point of its own must admit its fixed child word, and the gap
     /// language is the intersection of the docking parents' residuals. At a
     /// docking parent the residual is universal for one docking point and
-    /// uniform ([`Nfa::uniform_context_residual`]) for several.
+    /// uniform ([`Dfa::uniform_context_residual`]) for several.
     ///
     /// The schema materialises the gap language with one specialised name
     /// per inhabited `(label, subset state)` pair. The candidate is an
@@ -1262,18 +1258,6 @@ impl BoxDesignProblem {
         }
     }
 
-    /// Perfect schemas for every called function of `doc`, each synthesised
-    /// with the other functions keeping their declared schemas.
-    pub fn perfect_schemas(
-        &self,
-        doc: &DistributedDoc,
-    ) -> Result<BTreeMap<Symbol, REdtd>, DesignError> {
-        doc.called_functions()
-            .into_iter()
-            .map(|f| self.perfect_schema(doc, f).map(|s| (f, s)))
-            .collect()
-    }
-
     /// Materialises a gap language over subset-state symbols as an R-EDTD:
     /// a fresh start whose content model is the gap language with every
     /// state expanded to the inhabited `(label, state)` pairs carrying it,
@@ -1324,6 +1308,7 @@ impl BoxDesignProblem {
 mod tests {
     use super::*;
     use dxml_automata::Regex;
+    use dxml_schema::RDtd;
     use dxml_tree::term::parse_term;
 
     fn dtd(rules: &str) -> RDtd {

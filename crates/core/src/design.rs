@@ -252,9 +252,10 @@ impl DesignProblem {
     /// followed by each function schema's rules — paired with a stable
     /// human-readable location in the style of the `dxml-analysis`
     /// diagnostics (`target schema: element `a``, `schema of function `f`:
-    /// element `b``). This is the budget-synthesis entry point: the static
-    /// cost model in `dxml-analysis::cost` brackets the determinisation
-    /// cost of exactly these models to recommend step/state quotas.
+    /// element `b``). A flat view for building content-model corpora (the
+    /// cost-model calibration test and bench use it); the cost model itself
+    /// reads the schemas directly (`dxml-analysis::cost::design_cost` goes
+    /// through `dtd_cost`).
     pub fn content_models(&self) -> Vec<(String, RSpec)> {
         let mut out = Vec::new();
         for (name, spec) in self.doc_schema.rules() {

@@ -88,11 +88,6 @@ impl DistributedDoc {
             .collect()
     }
 
-    /// Whether the document is fully materialised (no calls left).
-    pub fn is_plain(&self) -> bool {
-        self.function_nodes().is_empty()
-    }
-
     /// Number of docking points.
     pub fn num_calls(&self) -> usize {
         self.function_nodes().len()
@@ -152,10 +147,9 @@ mod tests {
         let doc = DistributedDoc::parse("s(a f1 b(f2) f1)", ["f1", "f2", "funused"]).unwrap();
         assert_eq!(doc.num_calls(), 3);
         assert_eq!(doc.called_functions().len(), 2);
-        assert!(!doc.is_plain());
         assert!(doc.is_function(&Symbol::new("funused")));
         let plain = DistributedDoc::parse("s(a b)", ["f1"]).unwrap();
-        assert!(plain.is_plain());
+        assert_eq!(plain.num_calls(), 0);
     }
 
     #[test]

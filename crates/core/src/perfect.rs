@@ -87,8 +87,6 @@
 //! assert!(solved.typecheck(&doc).unwrap().is_valid());
 //! ```
 
-use std::collections::BTreeMap;
-
 use dxml_automata::{Budget, RFormalism, RSpec, Symbol};
 use dxml_schema::{RDtd, REdtd};
 
@@ -153,17 +151,6 @@ impl DesignProblem {
         Ok(project(&schema))
     }
 
-    /// Perfect schemas for every called function of `doc`, each synthesised
-    /// with the other functions keeping their declared schemas.
-    pub fn perfect_schemas(
-        &self,
-        doc: &DistributedDoc,
-    ) -> Result<BTreeMap<Symbol, RDtd>, DesignError> {
-        doc.called_functions()
-            .into_iter()
-            .map(|f| self.perfect_schema(doc, f).map(|s| (f, s)))
-            .collect()
-    }
 }
 
 /// Projects a perfect R-EDTD onto its labels: every specialised name
@@ -345,10 +332,11 @@ mod tests {
             .with_function("f", dtd("r -> b"))
             .with_function("g", dtd("r -> b"));
         let doc = DistributedDoc::parse("s(a f g)", ["f", "g"]).unwrap();
-        let all = problem.perfect_schemas(&doc).unwrap();
-        assert_eq!(all.len(), 2);
-        for (f, schema) in &all {
-            assert!(solve(&problem, &doc, f.as_str(), schema.clone()), "function {f}");
+        let called = doc.called_functions();
+        assert_eq!(called.len(), 2);
+        for f in &called {
+            let schema = problem.perfect_schema(&doc, *f).unwrap();
+            assert!(solve(&problem, &doc, f.as_str(), schema), "function {f}");
         }
     }
 

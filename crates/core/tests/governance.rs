@@ -14,7 +14,7 @@ use dxml_core::{
     validate_batch, validate_batch_with_budget, BoxDesignProblem, DesignError, DesignProblem,
     DistributedDoc,
 };
-use dxml_schema::{RDtd, RSdtd, SchemaError};
+use dxml_schema::{RDtd, RSdtd, SchemaError, StreamValidator};
 
 /// A design problem whose target content model is the subset-blowup family
 /// `(a|b)* a (a|b)^{n-1}` — determinising it needs `2^n` states, so small
@@ -127,25 +127,26 @@ fn streaming_validation_honours_every_budget_dimension() {
         xml.push_str("</r>");
     }
     xml.push_str("</s>");
-    assert!(sdtd.validate_stream(&xml).is_ok());
+    let validator = StreamValidator::new(&sdtd);
+    assert!(validator.validate(&xml).is_ok());
 
     let deep = Budget::unlimited().with_depth_limit(8);
     assert!(matches!(
-        sdtd.validate_stream_with_budget(&xml, &deep),
+        validator.validate_with_budget(&xml, &deep),
         Err(SchemaError::BudgetExceeded { resource: Resource::Depth, limit: 8, .. })
     ));
     let nodes = Budget::unlimited().with_node_quota(10);
     assert!(matches!(
-        sdtd.validate_stream_with_budget(&xml, &nodes),
+        validator.validate_with_budget(&xml, &nodes),
         Err(SchemaError::BudgetExceeded { resource: Resource::Nodes, limit: 10, .. })
     ));
     assert!(matches!(
-        sdtd.validate_stream_with_budget(&xml, &faults::budget_tripping_after(5)),
+        validator.validate_with_budget(&xml, &faults::budget_tripping_after(5)),
         Err(SchemaError::BudgetExceeded { resource: Resource::Steps, limit: 5, .. })
     ));
     // A budget that fits changes nothing about the verdict.
     let generous = Budget::unlimited().with_depth_limit(depth + 1).with_node_quota(1000);
-    assert!(sdtd.validate_stream_with_budget(&xml, &generous).is_ok());
+    assert!(validator.validate_with_budget(&xml, &generous).is_ok());
 }
 
 #[test]
@@ -178,7 +179,7 @@ fn batch_isolates_injected_worker_panics_and_pools_budgets() {
                 other => panic!("expected a panic verdict for document {i}, got {other:?}"),
             }
         } else {
-            assert_eq!(verdict, &sdtd.validate_stream(&docs[i]), "document {i}");
+            assert_eq!(verdict, &StreamValidator::new(&sdtd).validate(&docs[i]), "document {i}");
         }
     }
     // After disarming, the same batch validates cleanly — no leaked state.

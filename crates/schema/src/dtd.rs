@@ -331,12 +331,6 @@ impl RDtd {
         self.to_edtd().to_nuta()
     }
 
-    /// Alias for [`RDtd::to_nuta`] under the name used by the design layer
-    /// (`uta` is the paper's generic word for unranked tree automata).
-    pub fn to_uta(&self) -> Nuta {
-        self.to_nuta()
-    }
-
     /// Language equivalence via tree automata (works for non-reduced inputs
     /// as well); returns a distinguishing tree on failure.
     pub fn equivalent_witness(&self, other: &RDtd) -> Result<(), (XTree, bool)> {

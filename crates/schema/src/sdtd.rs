@@ -171,30 +171,6 @@ impl RSdtd {
         Ok(())
     }
 
-    /// One-pass *streaming* validation of an XML string: types the document
-    /// while it is parsed, in memory proportional to the nesting depth, never
-    /// materialising the tree. The verdict and the error value agree exactly
-    /// with `parse_xml` followed by [`RSdtd::validate`] on every input.
-    ///
-    /// This convenience constructor rebuilds the per-specialisation DFAs on
-    /// each call; to validate many documents, build one
-    /// [`StreamValidator`](crate::stream::StreamValidator) and reuse it.
-    pub fn validate_stream(&self, input: &str) -> Result<(), SchemaError> {
-        crate::stream::StreamValidator::new(self).validate(input)
-    }
-
-    /// Governed variant of [`RSdtd::validate_stream`]: charges the budget
-    /// per SAX event and per element, honours its depth limit, and surfaces
-    /// [`SchemaError::BudgetExceeded`] when a quota, the deadline or a
-    /// cancellation trips.
-    pub fn validate_stream_with_budget(
-        &self,
-        input: &str,
-        budget: &dxml_automata::Budget,
-    ) -> Result<(), SchemaError> {
-        crate::stream::StreamValidator::new(self).validate_with_budget(input, budget)
-    }
-
     /// Whether the tree belongs to the language.
     pub fn accepts(&self, tree: &XTree) -> bool {
         self.validate(tree).is_ok()

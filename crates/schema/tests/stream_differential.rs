@@ -127,6 +127,6 @@ fn streaming_agrees_with_tree_route_on_random_schemas_and_documents() {
 fn convenience_entry_point_agrees_too() {
     let s = RSdtd::parse(RFormalism::Nre, "s -> a*, b\na -> c?").unwrap();
     for doc in ["<s><a><c/></a><b/></s>", "<s><b/><a/></s>", "<s>", "junk"] {
-        assert_eq!(s.validate_stream(doc), tree_route(&s, doc), "doc {doc:?}");
+        assert_eq!(StreamValidator::new(&s).validate(doc), tree_route(&s, doc), "doc {doc:?}");
     }
 }

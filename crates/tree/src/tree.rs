@@ -270,16 +270,6 @@ impl XTree {
         rec(self, 0, node, new, &mut out, 0);
         out
     }
-
-    /// Relabels every node through `f`, returning a fresh tree. Used to apply
-    /// the specialisation-erasing morphism `µ` to witness trees.
-    pub fn map_labels(&self, mut f: impl FnMut(&Symbol) -> Symbol) -> XTree {
-        let mut out = self.clone();
-        for node in &mut out.nodes {
-            node.label = f(&node.label);
-        }
-        out
-    }
 }
 
 impl PartialEq for XTree {
@@ -416,8 +406,5 @@ mod tests {
         let replaced = t.with_subtree_replaced(a, &XTree::node("x", vec![XTree::leaf("y")]));
         assert_eq!(replaced.nodes_labelled(&"x".into()).len(), 1);
         assert_eq!(replaced.size(), 6);
-        let upper = t.map_labels(|l| Symbol::new(l.as_str().to_uppercase()));
-        assert_eq!(upper.root_label().as_str(), "S");
-        assert_eq!(upper.size(), t.size());
     }
 }

@@ -113,18 +113,6 @@ impl Nuta {
                 .sum::<usize>()
     }
 
-    /// A copy of the automaton with a different set of final states
-    /// (useful to obtain the language of trees "rooted at" a particular
-    /// state, like the paper's `τ(ã)` of Lemma 3.4).
-    pub fn with_finals(&self, finals: impl IntoIterator<Item = Symbol>) -> Nuta {
-        let mut out = self.clone();
-        out.finals = finals.into_iter().collect();
-        for f in &out.finals {
-            out.states.insert(*f);
-        }
-        out
-    }
-
     // ------------------------------------------------------------------
     // Runs
     // ------------------------------------------------------------------
@@ -218,139 +206,19 @@ impl Nuta {
         self.finals.iter().find_map(|f| witnesses.get(f).cloned())
     }
 
-    /// Determinises the automaton over the given label universe.
-    pub fn determinize(&self, labels: &Alphabet) -> Duta {
-        Duta::from_nuta(self, labels)
-    }
-
-    /// Governed variant of [`Nuta::determinize`]: the subset construction
-    /// charges the budget and aborts with [`AutomataError::BudgetExceeded`]
-    /// when it trips.
-    pub fn determinize_with_budget(
-        &self,
-        labels: &Alphabet,
-        budget: &Budget,
-    ) -> Result<Duta, AutomataError> {
-        Duta::from_nuta_with_budget(self, labels, budget)
-    }
-}
-
-impl Default for Nuta {
-    fn default() -> Self {
-        Nuta::new()
-    }
-}
-
-impl fmt::Debug for Nuta {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "Nuta(states={:?}, finals={:?})", self.states, self.finals)?;
-        for ((s, l), nfa) in &self.delta {
-            writeln!(f, "  Δ({s}, {l}) = <{} states>", nfa.num_states())?;
-        }
-        Ok(())
-    }
-}
-
-// ----------------------------------------------------------------------
-// Determinisation
-// ----------------------------------------------------------------------
-
-/// A per-label Moore machine of the determinised automaton: its states are
-/// the reachable *configurations* of the simultaneous subset simulation of
-/// all content automata for that label; reading a child subset-state advances
-/// every component, and the output of a configuration is the subset of
-/// original states whose content automaton is in an accepting configuration.
-#[derive(Clone, Debug)]
-pub struct LabelMachine {
-    start: usize,
-    /// `trans[config]`: sorted `(child subset index, next config)` pairs —
-    /// the dense-adjacency analogue of the automata crate's transition
-    /// storage (at most one entry per letter, found by binary search).
-    trans: Vec<Vec<(usize, usize)>>,
-    /// `output[config] = subset index`.
-    output: Vec<usize>,
-}
-
-impl LabelMachine {
-    /// The initial configuration.
-    pub fn start(&self) -> usize {
-        self.start
-    }
-
-    /// Deterministic transition on a child subset index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the transition was never materialised (the determinisation
-    /// fixpoint makes every machine total over the discovered letters).
-    pub fn step(&self, config: usize, child_subset: usize) -> usize {
-        self.step_opt(config, child_subset)
-            .expect("label machine is total over discovered subset letters")
-    }
-
-    /// [`LabelMachine::step`] returning `None` on a missing transition.
-    fn step_opt(&self, config: usize, child_subset: usize) -> Option<usize> {
-        let v = &self.trans[config];
-        v.binary_search_by_key(&child_subset, |&(l, _)| l).ok().map(|pos| v[pos].1)
-    }
-
-    /// The subset-state produced for a node whose children produced
-    /// `children` (in order).
-    pub fn output_for(&self, children: &[usize]) -> usize {
-        let mut config = self.start;
-        for &c in children {
-            config = self.step(config, c);
-        }
-        self.output[config]
-    }
-
-    /// The subset-state index a configuration outputs (the Moore output).
-    pub fn output(&self, config: usize) -> usize {
-        self.output[config]
-    }
-
-    /// Number of configurations.
-    pub fn num_configs(&self) -> usize {
-        self.output.len()
-    }
-
-    /// Iterates over the deterministic transitions as
-    /// `(config, child_subset, next_config)` triples.
-    pub fn transitions(&self) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
-        self.trans
-            .iter()
-            .enumerate()
-            .flat_map(|(c, v)| v.iter().map(move |&(letter, next)| (c, letter, next)))
-    }
-}
-
-/// A bottom-up deterministic unranked tree automaton obtained by
-/// determinising an [`Nuta`]: its states are the reachable subsets of the
-/// original state set; every tree over the label universe has exactly one
-/// run.
-#[derive(Clone)]
-pub struct Duta {
-    subsets: Vec<BTreeSet<Symbol>>,
-    witnesses: Vec<XTree>,
-    finals_orig: BTreeSet<Symbol>,
-    labels: Alphabet,
-    machines: BTreeMap<Symbol, LabelMachine>,
-}
-
-impl Duta {
-    /// Determinises `nuta` over the label universe `labels` (which should
-    /// contain at least `nuta.labels()`; extra labels yield the empty subset
-    /// for every node carrying them).
+    /// Determinises the automaton over the label universe `labels` (which
+    /// should contain at least [`Nuta::labels`]; extra labels yield the
+    /// empty subset for every node carrying them).
     ///
     /// # Panics
     ///
     /// Never in practice: the unlimited budget cannot trip.
-    pub fn from_nuta(nuta: &Nuta, labels: &Alphabet) -> Duta {
-        Duta::from_nuta_with_budget(nuta, labels, &Budget::unlimited())
+    pub fn determinize(&self, labels: &Alphabet) -> Duta {
+        self.determinize_with_budget(labels, &Budget::unlimited())
             .expect("the unlimited budget never trips")
     }
 
-    /// Governed variant of [`Duta::from_nuta`]: every `(label, config,
+    /// Governed variant of [`Nuta::determinize`]: every `(label, config,
     /// subset letter)` expansion of the fixpoint charges one budget step and
     /// every discovered subset state charges the state quota; the
     /// construction aborts with [`AutomataError::BudgetExceeded`] when the
@@ -360,13 +228,13 @@ impl Duta {
     ///
     /// Only on a broken internal invariant (a ruled `(state, label)` pair
     /// without its content automaton).
-    pub fn from_nuta_with_budget(
-        nuta: &Nuta,
+    pub fn determinize_with_budget(
+        &self,
         labels: &Alphabet,
         budget: &Budget,
     ) -> Result<Duta, AutomataError> {
         budget.check_interrupts()?;
-        let labels = labels.union(nuta.labels());
+        let labels = labels.union(self.labels());
         // Per label: the list of states with a rule and their ε-free content
         // automata.
         struct Building {
@@ -383,15 +251,15 @@ impl Duta {
         }
         let mut building: BTreeMap<Symbol, Building> = BTreeMap::new();
         for label in &labels {
-            let states_with_rule: Vec<Symbol> = nuta
+            let states_with_rule: Vec<Symbol> = self
                 .states()
                 .iter()
-                .filter(|q| nuta.rule(q, label).is_some())
+                .filter(|q| self.rule(q, label).is_some())
                 .cloned()
                 .collect();
             let nfas: Vec<Nfa> = states_with_rule
                 .iter()
-                .map(|q| nuta.rule(q, label).unwrap().eps_free())
+                .map(|q| self.rule(q, label).unwrap().eps_free())
                 .collect();
             building.insert(
                 *label,
@@ -525,12 +393,116 @@ impl Duta {
         Ok(Duta {
             subsets,
             witnesses,
-            finals_orig: nuta.finals().clone(),
+            finals_orig: self.finals().clone(),
             labels,
             machines,
         })
     }
+}
 
+impl Default for Nuta {
+    fn default() -> Self {
+        Nuta::new()
+    }
+}
+
+impl fmt::Debug for Nuta {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(f, "Nuta(states={:?}, finals={:?})", self.states, self.finals)?;
+        for ((s, l), nfa) in &self.delta {
+            writeln!(f, "  Δ({s}, {l}) = <{} states>", nfa.num_states())?;
+        }
+        Ok(())
+    }
+}
+
+// ----------------------------------------------------------------------
+// Determinisation
+// ----------------------------------------------------------------------
+
+/// A per-label Moore machine of the determinised automaton: its states are
+/// the reachable *configurations* of the simultaneous subset simulation of
+/// all content automata for that label; reading a child subset-state advances
+/// every component, and the output of a configuration is the subset of
+/// original states whose content automaton is in an accepting configuration.
+#[derive(Clone, Debug)]
+pub struct LabelMachine {
+    start: usize,
+    /// `trans[config]`: sorted `(child subset index, next config)` pairs —
+    /// the dense-adjacency analogue of the automata crate's transition
+    /// storage (at most one entry per letter, found by binary search).
+    trans: Vec<Vec<(usize, usize)>>,
+    /// `output[config] = subset index`.
+    output: Vec<usize>,
+}
+
+impl LabelMachine {
+    /// The initial configuration.
+    pub fn start(&self) -> usize {
+        self.start
+    }
+
+    /// Deterministic transition on a child subset index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the transition was never materialised (the determinisation
+    /// fixpoint makes every machine total over the discovered letters).
+    pub fn step(&self, config: usize, child_subset: usize) -> usize {
+        self.step_opt(config, child_subset)
+            .expect("label machine is total over discovered subset letters")
+    }
+
+    /// [`LabelMachine::step`] returning `None` on a missing transition.
+    fn step_opt(&self, config: usize, child_subset: usize) -> Option<usize> {
+        let v = &self.trans[config];
+        v.binary_search_by_key(&child_subset, |&(l, _)| l).ok().map(|pos| v[pos].1)
+    }
+
+    /// The subset-state produced for a node whose children produced
+    /// `children` (in order).
+    pub fn output_for(&self, children: &[usize]) -> usize {
+        let mut config = self.start;
+        for &c in children {
+            config = self.step(config, c);
+        }
+        self.output[config]
+    }
+
+    /// The subset-state index a configuration outputs (the Moore output).
+    pub fn output(&self, config: usize) -> usize {
+        self.output[config]
+    }
+
+    /// Number of configurations.
+    pub fn num_configs(&self) -> usize {
+        self.output.len()
+    }
+
+    /// Iterates over the deterministic transitions as
+    /// `(config, child_subset, next_config)` triples.
+    pub fn transitions(&self) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
+        self.trans
+            .iter()
+            .enumerate()
+            .flat_map(|(c, v)| v.iter().map(move |&(letter, next)| (c, letter, next)))
+    }
+}
+
+/// A bottom-up deterministic unranked tree automaton obtained by
+/// determinising an [`Nuta`]: its states are the reachable subsets of the
+/// original state set; every tree over the label universe has exactly one
+/// run.
+#[derive(Clone)]
+pub struct Duta {
+    subsets: Vec<BTreeSet<Symbol>>,
+    witnesses: Vec<XTree>,
+    finals_orig: BTreeSet<Symbol>,
+    labels: Alphabet,
+    machines: BTreeMap<Symbol, LabelMachine>,
+}
+
+impl Duta {
     /// The number of subset states.
     pub fn num_states(&self) -> usize {
         self.subsets.len()
@@ -981,14 +953,6 @@ mod tests {
         m.set_rule("q", "a", Nfa::symbol("p"));
         m.set_final("p");
         assert!(m.is_empty());
-    }
-
-    #[test]
-    fn with_finals_selects_subtree_language() {
-        let a = ab_star_automaton();
-        let leaves_only = a.with_finals([Symbol::new("qa")]);
-        assert!(leaves_only.accepts(&parse_term("a").unwrap()));
-        assert!(!leaves_only.accepts(&parse_term("s(a b)").unwrap()));
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! `RDtd::accepts` (direct per-node validation) must agree with
-//! `RDtd::to_uta().accepts` (the bottom-up tree-automaton run) — and with the
+//! `RDtd::to_nuta().accepts` (the bottom-up tree-automaton run) — and with the
 //! determinised automaton — on pseudo-random generated trees.
 //!
 //! This is the cross-layer oracle the design algorithms rely on: the typing
@@ -33,7 +33,7 @@ fn dtds() -> Vec<RDtd> {
 #[test]
 fn validation_agrees_with_uta_on_generated_trees() {
     for (i, dtd) in dtds().iter().enumerate() {
-        let uta = dtd.to_uta();
+        let uta = dtd.to_nuta();
         let config = TreeGenConfig::new(dtd.alphabet(), 4, 4);
         for (j, tree) in random_trees(0xD7D + i as u64, &config, 300).iter().enumerate() {
             assert_eq!(
@@ -48,7 +48,7 @@ fn validation_agrees_with_uta_on_generated_trees() {
 #[test]
 fn validation_agrees_with_determinised_uta() {
     for (i, dtd) in dtds().iter().enumerate() {
-        let uta = dtd.to_uta();
+        let uta = dtd.to_nuta();
         let duta = uta.determinize(dtd.alphabet());
         let config = TreeGenConfig::new(dtd.alphabet(), 3, 3);
         for tree in random_trees(0xBEEF + i as u64, &config, 150) {
@@ -62,7 +62,7 @@ fn agreement_on_trees_with_foreign_labels() {
     // Trees drawn from a larger alphabet than the DTD's: both views must
     // reject labels the schema does not know.
     let dtd = RDtd::parse(RFormalism::Nre, "s -> a*").unwrap();
-    let uta = dtd.to_uta();
+    let uta = dtd.to_nuta();
     let mut alphabet = dtd.alphabet().clone();
     alphabet.insert(Symbol::new("alien"));
     let config = TreeGenConfig::new(&alphabet, 3, 3);
@@ -79,6 +79,6 @@ fn positive_samples_are_accepted_by_both() {
     for (i, dtd) in dtds().iter().enumerate() {
         let sample = dtd.sample_tree().unwrap_or_else(|| panic!("dtd {i} is non-empty"));
         assert!(dtd.accepts(&sample), "dtd {i}: sample {sample} rejected by validation");
-        assert!(dtd.to_uta().accepts(&sample), "dtd {i}: sample {sample} rejected by uta");
+        assert!(dtd.to_nuta().accepts(&sample), "dtd {i}: sample {sample} rejected by uta");
     }
 }

@@ -104,13 +104,16 @@ bench-compare:
 # trips, expired deadlines, cooperative cancellations and injected worker
 # panics end to end against adversarial (exponential) inputs. The timeout
 # turns a hung governed loop — the exact failure mode budgets exist to
-# prevent — into a hard failure instead of a stuck CI job.
+# prevent — into a hard failure instead of a stuck CI job. The tree
+# inclusion differential rides along: a pair fixpoint that fails to
+# terminate fails here instead of hanging the test job.
 FUZZ_SMOKE_TIMEOUT ?= 300
 
 fuzz-smoke:
 	timeout $(FUZZ_SMOKE_TIMEOUT) $(CARGO) test -q --release -p dxml-automata --test budget_loops
 	timeout $(FUZZ_SMOKE_TIMEOUT) $(CARGO) test -q --release -p dxml-core --test governance
 	timeout $(FUZZ_SMOKE_TIMEOUT) $(CARGO) test -q --release -p dxml-bench --test cost_calibration
+	timeout $(FUZZ_SMOKE_TIMEOUT) $(CARGO) test -q --release -p dxml-tree --test inclusion_differential
 	@echo "fuzz-smoke: governance fault suite passed within $(FUZZ_SMOKE_TIMEOUT)s per binary"
 
 # The end-to-end benchmark package (declared by BENCHMARK.json) is its own

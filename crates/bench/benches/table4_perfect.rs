@@ -62,42 +62,5 @@ fn main() {
         }
     }
 
-    section("table4: extension automaton memoised per (problem, document)");
-    for n in [8usize, 16] {
-        let (problem, doc) = design_workload(n, 2, 11);
-        let cold = session.bench(&format!("extension_cold/n={n}"), 5, || {
-            // A fresh problem per iteration: the per-document memo is empty
-            // every time, so each call rebuilds the extension automaton.
-            let mut fresh = DesignProblem::new(problem.doc_schema().clone());
-            for (g, schema) in problem.fun_schemas() {
-                fresh.add_function(*g, schema.clone());
-            }
-            fresh.extension_nuta(&doc).unwrap().size()
-        });
-        let first = problem.extension_nuta(&doc).unwrap();
-        let warm = session.bench(&format!("extension_warm/n={n}"), 5, || {
-            problem.extension_nuta(&doc).unwrap().size()
-        });
-        // Back-to-back decisions on the same document hand back the very
-        // same automaton.
-        assert!(
-            std::sync::Arc::ptr_eq(&first, &problem.extension_nuta(&doc).unwrap()),
-            "repeated decisions must not rebuild the extension automaton (n={n})"
-        );
-        assert!(problem.typecheck(&doc).unwrap().is_valid());
-        assert!(
-            std::sync::Arc::ptr_eq(&first, &problem.extension_nuta(&doc).unwrap()),
-            "typecheck must go through the per-document memo (n={n})"
-        );
-        if n == 16 && !smoke() {
-            assert!(
-                warm.median <= cold.median,
-                "warm extension lookup ({:?}) slower than a cold rebuild ({:?}) at n={n}",
-                warm.median,
-                cold.median
-            );
-        }
-    }
-
     session.finish();
 }

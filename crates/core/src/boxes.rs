@@ -20,8 +20,9 @@
 //! decision procedures:
 //!
 //! * [`BoxDesignProblem::typecheck`] — the ground-truth tree-automaton
-//!   route: extension automaton vs. determinised target, with a full
-//!   counterexample document on failure;
+//!   route: one product fixpoint of the nondeterministic extension
+//!   automaton against the determinised target ([`uta::run_pairs`]), with
+//!   a full counterexample document on failure;
 //! * [`BoxDesignProblem::verify_local`] — the Section-7 string route: a
 //!   single bottom-up pass over the kernel computing, per node, the set of
 //!   achievable subset states from the words-with-box-gaps language of its
@@ -38,10 +39,11 @@
 //!   style of implicit-hitting-set abduction.
 //!
 //! All target- and schema-derived artefacts (the determinised specialised
-//! target, the per-function gap languages over subset states, the
-//! determinised Moore-machine skeletons) are built lazily once per problem
-//! in a [`BoxTargetCache`] behind an `OnceLock`; extension automata are
-//! memoised per document in a small FIFO.
+//! target; the per-function gap languages over subset states, read off the
+//! same product fixpoint run on each function schema; the determinised
+//! Moore-machine skeletons) are built lazily once per problem in a
+//! [`BoxTargetCache`] behind an `OnceLock`. Nothing document-dependent is
+//! cached.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
@@ -57,11 +59,6 @@ use dxml_tree::{uta, NodeId, Nuta, XTree};
 use crate::design::{CacheStats, Origin, TypingVerdict};
 use crate::doc::DistributedDoc;
 use crate::error::DesignError;
-
-/// How many `(document, extension automaton)` pairs a problem memoises —
-/// enough for the few documents a problem is typically checked against
-/// back-to-back, small enough that stale documents do not accumulate.
-pub(crate) const EXT_CACHE_CAP: usize = 4;
 
 /// The symbol standing for the determinised target's subset state `i` in
 /// the string languages of the reduction (`#` cannot occur in parsed
@@ -169,115 +166,71 @@ struct FunArtifacts {
     /// extension is then invalid no matter the kernel).
     unknown: Option<Symbol>,
     /// A realizable tree the target types by no name at all, if any: the
-    /// label of its root, whose children all stay typable, and a shortest
-    /// child word (over [`state_sym`] symbols) that already leaves the root
-    /// untypable. Every extension the tree lands in is invalid.
+    /// label of an untypable node of it whose children all stay typable,
+    /// and that node's child word (over [`state_sym`] symbols), read off
+    /// the product fixpoint's witness tree. Every extension the tree lands
+    /// in is invalid.
     violation: Option<(Symbol, Vec<Symbol>)>,
 }
 
 impl FunArtifacts {
     fn build(schema: &REdtd, duta: &Duta, budget: &Budget) -> Result<FunArtifacts, AutomataError> {
-        let nuta = schema.to_nuta();
-        let inhabited = nuta.inhabited_witnesses();
-        let restrict =
-            |nfa: Nfa| nfa.filter_symbols(|s| inhabited.contains_key(s)).trim();
-        // Realizable specialised names: reachable from the start content
-        // through content models restricted to inhabited names — after the
-        // restriction every remaining transition lies on a realizable word,
-        // so reachability is occurrence-exact (the analogue of
-        // `RDtd::reduce`).
-        let forest_restricted = restrict(schema.content(schema.start()).to_nfa());
-        let mut realizable: BTreeSet<Symbol> = forest_restricted.alphabet().iter().cloned().collect();
-        let mut contents: BTreeMap<Symbol, Nfa> = BTreeMap::new();
-        // Discovery order, and the names whose content mentions each name.
-        let mut discovered: Vec<Symbol> = realizable.iter().cloned().collect();
-        let mut parents: BTreeMap<Symbol, Vec<Symbol>> = BTreeMap::new();
-        let mut next_ix = 0;
-        while let Some(&spec) = discovered.get(next_ix) {
-            next_ix += 1;
-            let content = restrict(schema.content(&spec).to_nfa());
-            for next in content.alphabet().iter() {
-                parents.entry(*next).or_default().push(spec);
-                if realizable.insert(*next) {
-                    discovered.push(*next);
-                }
-            }
-            contents.insert(spec, content);
-        }
-        let forest_empty = forest_restricted.is_empty();
-        let label_of = |spec: &Symbol| {
-            schema.label_of(spec).cloned().unwrap_or(*spec)
-        };
-        let unknown = realizable
-            .iter()
-            .map(&label_of)
-            .find(|label| !duta.labels().contains(label));
-
-        // Least fixpoint: `d[ã]` = the subset states achievable by trees
-        // derivable from ã. Exact by induction — independent subtrees make
+        // Every pair (specialised name ã, target subset state) some tree
+        // derivable from ã realizes, with a witness tree: `d[ã]` is the set
+        // of `Some` states of ã. Exact — independent subtrees make
         // independent state choices, so the image of a content word is the
-        // full product of the per-name sets. The slot map (ã → its states
-        // as symbols) is the same data seen by `expand_symbols`; it grows
-        // monotonically with `d`, so it is maintained incrementally. A
-        // worklist seeded deepest-first re-evaluates a name only when one
-        // of its children grew, so an acyclic schema settles in about one
-        // evaluation per name.
-        let universe = duta.num_states();
-        let mut d: BTreeMap<Symbol, StateSet> =
-            realizable.iter().map(|s| (*s, StateSet::empty(universe))).collect();
-        let mut slots: BTreeMap<Symbol, BTreeSet<Symbol>> =
-            realizable.iter().map(|s| (*s, BTreeSet::new())).collect();
-        if unknown.is_none() && !forest_empty {
-            let mut queue: VecDeque<Symbol> = discovered.iter().rev().cloned().collect();
-            let mut queued: BTreeSet<Symbol> = realizable.clone();
-            while let Some(spec) = queue.pop_front() {
-                queued.remove(&spec);
-                budget.step()?;
-                let word_lang = contents[&spec].expand_symbols(&slots);
-                let outs =
-                    duta.outputs_over_with_budget(&label_of(&spec), &word_lang, letter_of, budget)?;
-                let entry = d.get_mut(&spec).expect("d covers every realizable name");
-                let slot = slots.get_mut(&spec).expect("slots covers every realizable name");
-                let mut grew = false;
-                for &o in outs.keys() {
-                    if entry.insert(o) {
-                        slot.insert(state_sym(o));
-                        grew = true;
-                    }
-                }
-                if grew {
-                    for parent in parents.get(&spec).into_iter().flatten() {
-                        if queued.insert(*parent) {
-                            queue.push_back(*parent);
-                        }
-                    }
-                }
-            }
+        // full product of the per-name sets. A label the target does not
+        // know yields `None`, which propagates to every ancestor.
+        let pairs = uta::run_pairs_with_budget(&schema.to_nuta(), duta, budget)?;
+        let mut slots: BTreeMap<Symbol, BTreeSet<Symbol>> = BTreeMap::new();
+        for (spec, state, _) in &pairs {
+            let slot = slots.entry(*spec).or_default();
+            slot.extend(state.map(state_sym));
         }
-
-        // Some realizable tree is untypable: a smallest one has typable
-        // children only, so search the names again with the empty subset
-        // removed from every slot. Only invalid designs pay for this pass.
-        let mut violation = None;
-        if let Some(e) = duta.empty_subset().filter(|&e| d.values().any(|s| s.contains(e))) {
-            let untypable = state_sym(e);
-            let typable: BTreeMap<Symbol, BTreeSet<Symbol>> = slots
+        // The forest language over inhabited names: after the restriction
+        // every remaining transition lies on a realizable word, so the
+        // names it reads are exactly the roots of the returned forests.
+        let forest_restricted = schema
+            .content(schema.start())
+            .to_nfa()
+            .filter_symbols(|s| slots.contains_key(s))
+            .trim();
+        let forest_empty = forest_restricted.is_empty();
+        let roots = &forest_restricted.alphabet();
+        let realizable = |state: Option<usize>| {
+            pairs
                 .iter()
-                .map(|(spec, slot)| (*spec, slot.iter().filter(|s| **s != untypable).cloned().collect()))
-                .collect();
-            for spec in &realizable {
-                let word_lang = contents[spec].expand_symbols(&typable);
-                let mut outs =
-                    duta.outputs_over_with_budget(&label_of(spec), &word_lang, letter_of, budget)?;
-                if let Some(witness) = outs.remove(&e) {
-                    violation = Some((label_of(spec), witness));
-                    break;
-                }
-            }
-        }
+                .filter(move |(spec, s, _)| *s == state && roots.contains(spec))
+                .map(|(_, _, witness)| witness)
+        };
+        let unknown = realizable(None).find_map(|witness| {
+            witness
+                .document_order()
+                .into_iter()
+                .map(|n| *witness.label(n))
+                .find(|label| !duta.labels().contains(label))
+        });
+        let violation = duta
+            .empty_subset()
+            .and_then(|e| realizable(Some(e)).find_map(|witness| untypable_node(duta, witness, e)));
         let forest_states = forest_restricted.expand_symbols(&slots).trim();
         Ok(FunArtifacts { forest_states, forest_empty, unknown, violation })
     }
+}
+
+/// The deepest node on the chain of untypable nodes from the root of
+/// `tree`, whose run under `duta` ends in the empty subset `empty`: an
+/// untypable node whose children are all typable, as its label and its
+/// children's subset states (over [`state_sym`] symbols). `None` if the
+/// tree leaves the target's label universe.
+fn untypable_node(duta: &Duta, tree: &XTree, empty: usize) -> Option<(Symbol, Vec<Symbol>)> {
+    let states = duta.run(tree)?;
+    let mut node = tree.root();
+    while let Some(&child) = tree.children(node).iter().find(|&&c| states[c] == empty) {
+        node = child;
+    }
+    let word = tree.children(node).iter().map(|&c| state_sym(states[c])).collect();
+    Some((*tree.label(node), word))
 }
 
 /// Problem artefacts of a [`BoxDesignProblem`] that are expensive to build
@@ -305,7 +258,7 @@ impl BoxTargetCache {
     }
 
     /// Governed cache build: the target determinisation and every
-    /// per-function `D`-fixpoint charge `budget`. A trip aborts the build
+    /// per-function product fixpoint charge `budget`. A trip aborts the build
     /// and caches nothing. The one build site of the crate: a target whose
     /// every specialised name is its own label (a DTD) is counted under
     /// `design.*`, any other under `boxes.*`.
@@ -442,8 +395,9 @@ pub enum BoxViolation {
     Content {
         /// The element whose children break the typing.
         element: Symbol,
-        /// A shortest realizable child word, as a box of specialised-name
-        /// sets.
+        /// A realizable child word, as a box of specialised-name sets — a
+        /// shortest one at a kernel node; inside a function's forests, the
+        /// child word of an untypable node of a witness tree.
         counterexample: BoxLang,
         /// The specialised types the element still admits under that child
         /// word — empty when no typing exists at all; non-empty (at the
@@ -509,34 +463,13 @@ impl BoxVerdict {
 /// is the DTD-typed view over this engine.
 ///
 /// The problem-derived artefacts ([`BoxTargetCache`]) are built lazily on
-/// the first decision and reused by every later one; the extension
-/// automaton is additionally memoised per document (a FIFO of the last few
-/// documents). Mutating the problem invalidates both.
+/// the first decision and reused by every later one; mutating the problem
+/// invalidates them. Nothing document-dependent is cached.
+#[derive(Clone)]
 pub struct BoxDesignProblem {
     doc_schema: REdtd,
     fun_schemas: BTreeMap<Symbol, REdtd>,
     target: OnceLock<BoxTargetCache>,
-    /// FIFO memo of extension automata, keyed by the document.
-    ext_cache: Mutex<Vec<(DistributedDoc, Arc<Nuta>)>>,
-    /// Extension-memo hits/misses for [`BoxDesignProblem::cache_stats`]
-    /// (mirrored into the global `design.ext_memo_*` telemetry counters).
-    ext_hits: AtomicU64,
-    ext_misses: AtomicU64,
-}
-
-impl Clone for BoxDesignProblem {
-    fn clone(&self) -> Self {
-        BoxDesignProblem {
-            doc_schema: self.doc_schema.clone(),
-            fun_schemas: self.fun_schemas.clone(),
-            target: self.target.clone(),
-            ext_cache: Mutex::new(
-                self.ext_cache.lock().map(|entries| entries.clone()).unwrap_or_default(),
-            ),
-            ext_hits: AtomicU64::new(self.ext_hits.load(Ordering::Relaxed)),
-            ext_misses: AtomicU64::new(self.ext_misses.load(Ordering::Relaxed)),
-        }
-    }
 }
 
 impl fmt::Debug for BoxDesignProblem {
@@ -564,9 +497,6 @@ impl BoxDesignProblem {
             doc_schema,
             fun_schemas: BTreeMap::new(),
             target: OnceLock::new(),
-            ext_cache: Mutex::new(Vec::new()),
-            ext_hits: AtomicU64::new(0),
-            ext_misses: AtomicU64::new(0),
         }
     }
 
@@ -597,9 +527,6 @@ impl BoxDesignProblem {
 
     fn invalidate_caches(&mut self) {
         self.target = OnceLock::new();
-        if let Ok(entries) = self.ext_cache.get_mut() {
-            entries.clear();
-        }
     }
 
     /// The declared function schemas.
@@ -661,10 +588,9 @@ impl BoxDesignProblem {
     }
 
     /// Point-in-time statistics of this problem's caches: target-cache
-    /// readiness, residual-DFA memo builds/hits and extension-memo
-    /// hits/misses. Exact for this problem regardless of other work in the
-    /// process; the same events also feed the global [`dxml_telemetry`]
-    /// counters.
+    /// readiness and residual-DFA memo builds/hits. Exact for this problem
+    /// regardless of other work in the process; the same events also feed
+    /// the global [`dxml_telemetry`] counters.
     pub fn cache_stats(&self) -> CacheStats {
         let (residual_dfa_builds, residual_dfa_hits) = self
             .target
@@ -674,8 +600,6 @@ impl BoxDesignProblem {
             target_cache_built: self.target_cache_ready(),
             residual_dfa_builds,
             residual_dfa_hits,
-            ext_memo_hits: self.ext_hits.load(Ordering::Relaxed),
-            ext_memo_misses: self.ext_misses.load(Ordering::Relaxed),
         }
     }
 
@@ -734,35 +658,17 @@ impl BoxDesignProblem {
     /// materialisation when the same function occurs twice — matching the
     /// paper, where every docking point is its own call.
     ///
-    /// The automaton is memoised per document (FIFO of the last few
-    /// documents): back-to-back decisions on the same document hand back
-    /// the very same `Arc` without rebuilding. Mutating the problem clears
-    /// the memo.
-    pub fn extension_nuta(&self, doc: &DistributedDoc) -> Result<Arc<Nuta>, DesignError> {
+    /// The automaton is cheap next to the decisions that read it and is
+    /// built afresh on every call.
+    pub fn extension_nuta(&self, doc: &DistributedDoc) -> Result<Nuta, DesignError> {
         self.require_schemas(doc)?;
-        if let Ok(entries) = self.ext_cache.lock() {
-            if let Some((_, ext)) = entries.iter().find(|(d, _)| d == doc) {
-                self.ext_hits.fetch_add(1, Ordering::Relaxed);
-                telemetry::count(telemetry::Metric::ExtMemoHits, 1);
-                return Ok(Arc::clone(ext));
-            }
-        }
-        self.ext_misses.fetch_add(1, Ordering::Relaxed);
-        telemetry::count(telemetry::Metric::ExtMemoMisses, 1);
-        let ext = Arc::new(self.build_extension_nuta(doc, None));
-        if let Ok(mut entries) = self.ext_cache.lock() {
-            if entries.len() >= EXT_CACHE_CAP {
-                entries.remove(0);
-            }
-            entries.push((doc.clone(), Arc::clone(&ext)));
-        }
-        Ok(ext)
+        Ok(self.build_extension_nuta(doc, None))
     }
 
-    /// Builds the extension automaton of `doc` (no memoisation), with the
-    /// schema of one function optionally `replaced` — the synthesis oracle
-    /// checks a candidate schema this way without cloning the problem.
-    /// Callers have checked that every called function has a schema.
+    /// Builds the extension automaton of `doc`, with the schema of one
+    /// function optionally `replaced` — the synthesis oracle checks a
+    /// candidate schema this way without cloning the problem. Callers have
+    /// checked that every called function has a schema.
     fn build_extension_nuta(&self, doc: &DistributedDoc, replaced: Option<(&Symbol, &REdtd)>) -> Nuta {
         let kernel = doc.kernel();
         let mut a = Nuta::new();
@@ -811,14 +717,15 @@ impl BoxDesignProblem {
     ///
     /// The target automaton is determinised once per problem (see
     /// [`BoxDesignProblem::target_cache`]); repeated calls only pay for the
-    /// extension side.
+    /// extension automaton and its product fixpoint with the target
+    /// ([`uta::run_pairs`]); the extension side is never determinised.
     pub fn typecheck(&self, doc: &DistributedDoc) -> Result<TypingVerdict, DesignError> {
         self.typecheck_with_budget(doc, &Budget::unlimited())
     }
 
-    /// Governed variant of [`BoxDesignProblem::typecheck`]: the cache build,
-    /// the extension determinisation and the product walk all charge
-    /// `budget`, and a trip surfaces as [`DesignError::BudgetExceeded`]
+    /// Governed variant of [`BoxDesignProblem::typecheck`]: the cache build
+    /// and the product fixpoint both charge `budget`, and a trip surfaces as
+    /// [`DesignError::BudgetExceeded`]
     /// without poisoning the problem's caches.
     pub fn typecheck_with_budget(
         &self,

@@ -11,9 +11,10 @@
 //! [`BoxDesignProblem`]: it embeds its schemas trivially, delegates every
 //! decision and renders the results back in DTD terms.
 //!
-//! * [`DesignProblem::typecheck`] — the tree-automaton route: extension
-//!   automaton vs. determinised target, with a full counterexample document
-//!   validated against the DTD;
+//! * [`DesignProblem::typecheck`] — the tree-automaton route: one product
+//!   fixpoint of the (nondeterministic) extension automaton against the
+//!   determinised target, with a full counterexample document validated
+//!   against the DTD;
 //! * [`DesignProblem::verify_local`] — the string route: a bottom-up pass
 //!   over the kernel by Moore-machine images. In a DTD embedding every
 //!   typable subtree is typed by its own label alone, so the witness boxes
@@ -21,7 +22,6 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
 
 use dxml_automata::{Budget, RSpec, Symbol};
 use dxml_schema::{RDtd, SchemaError};
@@ -32,11 +32,11 @@ use crate::doc::DistributedDoc;
 use crate::error::DesignError;
 
 /// Point-in-time cache statistics of one design problem: how much of the
-/// lazily built machinery exists and how well the memos are doing. The same
-/// events feed the process-global [`dxml_telemetry`] counters
-/// (`cache.residual_dfa_*`, `design.ext_memo_*`); these per-problem numbers
-/// are kept separately so assertions about *this* problem stay exact no
-/// matter what other problems in the process are doing.
+/// lazily built machinery exists and how well the residual-DFA memo is
+/// doing. The same events feed the process-global [`dxml_telemetry`]
+/// counters (`cache.residual_dfa_*`); these per-problem numbers are kept
+/// separately so assertions about *this* problem stay exact no matter what
+/// other problems in the process are doing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct CacheStats {
@@ -48,10 +48,6 @@ pub struct CacheStats {
     pub residual_dfa_builds: u64,
     /// Residual-DFA memo hits: determinisations served from the memo.
     pub residual_dfa_hits: u64,
-    /// Extension-automaton FIFO memo hits.
-    pub ext_memo_hits: u64,
-    /// Extension-automaton FIFO memo misses (automaton built).
-    pub ext_memo_misses: u64,
 }
 
 /// A typing-verification instance with a DTD target: the target document
@@ -62,10 +58,9 @@ pub struct CacheStats {
 /// ([`BoxTargetCache`]) is built lazily on the first decision and reused
 /// by every later [`DesignProblem::typecheck`],
 /// [`DesignProblem::verify_local`] and
-/// [`DesignProblem::perfect_schema`](crate::perfect) call, and its
-/// extension automata are memoised per document. Mutating the problem
-/// through [`DesignProblem::set_doc_schema`] or
-/// [`DesignProblem::add_function`] invalidates both.
+/// [`DesignProblem::perfect_schema`](crate::perfect) call. Mutating the
+/// problem through [`DesignProblem::set_doc_schema`] or
+/// [`DesignProblem::add_function`] invalidates it.
 #[derive(Clone)]
 pub struct DesignProblem {
     doc_schema: RDtd,
@@ -155,7 +150,8 @@ pub enum LocalViolation {
     Content {
         /// The element whose content model is violated.
         element: Symbol,
-        /// A shortest realizable child word outside the target content model.
+        /// A realizable child word outside the target content model (a
+        /// shortest one at a kernel node; see [`BoxViolation::Content`]).
         counterexample: Vec<Symbol>,
         /// A rendering of the expected content model.
         expected: String,
@@ -218,7 +214,7 @@ impl DesignProblem {
     }
 
     /// Declares the schema of a function, invalidating the cached problem
-    /// artefacts (the memoised extension automata depend on the function
+    /// artefacts (the per-function gap languages depend on the function
     /// schemas).
     pub fn add_function(&mut self, function: impl Into<Symbol>, schema: RDtd) {
         let function = function.into();
@@ -298,9 +294,8 @@ impl DesignProblem {
     /// A [`Nuta`] recognising exactly the extensions of `doc`: the kernel
     /// with every docking point `f` replaced by a forest of `τf`-valid trees
     /// whose root-label word matches the content model of `τf`'s start
-    /// symbol. Memoised per document; see
-    /// [`BoxDesignProblem::extension_nuta`].
-    pub fn extension_nuta(&self, doc: &DistributedDoc) -> Result<Arc<Nuta>, DesignError> {
+    /// symbol; see [`BoxDesignProblem::extension_nuta`].
+    pub fn extension_nuta(&self, doc: &DistributedDoc) -> Result<Nuta, DesignError> {
         self.engine.extension_nuta(doc)
     }
 
@@ -312,14 +307,16 @@ impl DesignProblem {
     ///
     /// The target automaton is determinised once per problem (see
     /// [`DesignProblem::target_cache`]); repeated calls only pay for the
-    /// extension side.
+    /// extension automaton and its product fixpoint with the target
+    /// ([`dxml_tree::uta::run_pairs`]); the extension side is never
+    /// determinised.
     pub fn typecheck(&self, doc: &DistributedDoc) -> Result<TypingVerdict, DesignError> {
         self.typecheck_with_budget(doc, &Budget::unlimited())
     }
 
     /// Governed variant of [`DesignProblem::typecheck`]: the target
-    /// determinisation (on a cold cache), the extension-side determinisation
-    /// and the product walk all charge `budget`; a trip surfaces as
+    /// determinisation (on a cold cache) and the product fixpoint both
+    /// charge `budget`; a trip surfaces as
     /// [`DesignError::BudgetExceeded`] and leaves every cache rebuildable.
     pub fn typecheck_with_budget(
         &self,
@@ -535,37 +532,6 @@ mod tests {
         changed.add_function("g", dtd("r -> b"));
         assert!(!changed.target_cache_ready());
         assert!(changed.target_cache().forest_states(&Symbol::new("g")).is_some());
-    }
-
-    #[test]
-    fn extension_nuta_is_memoised_per_document() {
-        let problem = DesignProblem::new(dtd("s -> a, b*\nb -> c?"))
-            .with_function("f", dtd("r -> b, b\nb -> c?"));
-        let doc = DistributedDoc::parse("s(a f)", ["f"]).unwrap();
-        let first = problem.extension_nuta(&doc).unwrap();
-        let second = problem.extension_nuta(&doc).unwrap();
-        assert!(Arc::ptr_eq(&first, &second), "same document must reuse the extension automaton");
-        // typecheck goes through the same memo.
-        assert!(problem.typecheck(&doc).unwrap().is_valid());
-        assert!(Arc::ptr_eq(&first, &problem.extension_nuta(&doc).unwrap()));
-        // A different document gets its own automaton …
-        let other = DistributedDoc::parse("s(a b f)", ["f"]).unwrap();
-        let third = problem.extension_nuta(&other).unwrap();
-        assert!(!Arc::ptr_eq(&first, &third));
-        // … and both stay cached side by side.
-        assert!(Arc::ptr_eq(&third, &problem.extension_nuta(&other).unwrap()));
-        assert!(Arc::ptr_eq(&first, &problem.extension_nuta(&doc).unwrap()));
-        // Mutating the schemas drops the memo.
-        let mut changed = problem.clone();
-        changed.add_function("f", dtd("r -> b"));
-        assert!(!Arc::ptr_eq(&first, &changed.extension_nuta(&doc).unwrap()));
-        // The FIFO is bounded: flooding it evicts the oldest entry.
-        for i in 0..crate::boxes::EXT_CACHE_CAP {
-            let flood = DistributedDoc::parse(&format!("s(a {} f)", "b ".repeat(i + 2)), ["f"])
-                .unwrap();
-            problem.extension_nuta(&flood).unwrap();
-        }
-        assert!(!Arc::ptr_eq(&first, &problem.extension_nuta(&doc).unwrap()));
     }
 
     #[test]

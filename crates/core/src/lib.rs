@@ -33,9 +33,9 @@
 //! [`DesignError::BudgetExceeded`] without poisoning the problem's caches.
 //!
 //! The problem-derived artefacts (determinised tree automaton, per-function
-//! gap languages, determinised Moore machines, per-document extension
-//! automata) are computed once per problem and shared by all decision
-//! procedures — see [`boxes::BoxTargetCache`].
+//! gap languages, determinised Moore machines) are computed once per
+//! problem and shared by all decision procedures — see
+//! [`boxes::BoxTargetCache`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -195,6 +195,19 @@ fn box_typecheck_agrees_with_brute_force_enumeration() {
              against {:?}",
             problem.doc_schema()
         );
+        // Certificate: the counterexample is an extension of the kernel,
+        // and the target's plain validator rejects it.
+        if let TypingVerdict::Invalid { counterexample, .. } = &global {
+            assert!(
+                problem.extension_nuta(&doc).expect("schemas supplied").accepts(counterexample),
+                "case {case}: counterexample `{counterexample}` is not an extension of {doc:?}"
+            );
+            assert!(
+                problem.doc_schema().validate(counterexample).is_err(),
+                "case {case}: counterexample `{counterexample}` validates against {:?}",
+                problem.doc_schema()
+            );
+        }
         if brute {
             valids += 1;
         } else {

@@ -17,7 +17,7 @@ fn enabled_engine_pass_lights_up_the_registry() {
 
     // Design layer: typecheck + verify_local over the paper's Figure 3
     // design (exercises the interner, subset construction, the target
-    // cache, the residual-DFA memo and the extension memo).
+    // cache and the residual-DFA memo).
     let target = RDtd::parse(
         dxml_automata::RFormalism::Nre,
         "eurostat -> averages, nationalIndex*\n\
@@ -43,7 +43,7 @@ fn enabled_engine_pass_lights_up_the_registry() {
     .unwrap();
     assert!(problem.typecheck(&doc).unwrap().is_valid());
     assert!(problem.verify_local(&doc).unwrap().is_valid());
-    // Repeat once so the memo caches record hits, not just misses.
+    // Repeat once: the warm call reads the cached target.
     assert!(problem.typecheck(&doc).unwrap().is_valid());
     // Perfect-schema synthesis drives the residual-DFA memo.
     problem.perfect_schema(&doc, "fDE").expect("synthesis succeeds");

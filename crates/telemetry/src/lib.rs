@@ -43,8 +43,8 @@
 //! | `boxes.target_cache_builds` | cold `BoxTargetCache` builds of every other EDTD target |
 //! | `cache.residual_dfa_builds` | residual-DFA memo misses (machines determinised) |
 //! | `cache.residual_dfa_hits` | residual-DFA memo hits |
-//! | `design.ext_memo_hits` | extension-automaton FIFO memo hits (every target kind) |
-//! | `design.ext_memo_misses` | extension-automaton FIFO memo misses (rebuilds) |
+//! | `design.ext_memo_hits` | retired: the extension-automaton memo is gone; registered for the benchmark's readers, never moves |
+//! | `design.ext_memo_misses` | retired like `design.ext_memo_hits`; never moves |
 //! | `stream.docs` | documents validated by `StreamValidator` |
 //! | `stream.events` | SAX events consumed across all streaming runs |
 //! | `stream.violations` | streaming validations that ended in a schema error |

@@ -52,9 +52,12 @@ pub enum Metric {
     ResidualDfaBuilds,
     /// Residual-DFA memo hits.
     ResidualDfaHits,
-    /// Extension-automaton FIFO memo hits.
+    /// Retired: extension-automaton memo hits. The memo is gone; the
+    /// counter stays registered for the benchmark that reads it and never
+    /// moves.
     ExtMemoHits,
-    /// Extension-automaton FIFO memo misses (automaton rebuilt).
+    /// Retired: extension-automaton memo misses (see
+    /// [`Metric::ExtMemoHits`]); never moves.
     ExtMemoMisses,
     /// Documents validated by `StreamValidator`.
     StreamDocs,

@@ -17,7 +17,10 @@
 //!   subset states;
 //! * inclusion and equivalence of tree languages with counter-example trees
 //!   ([`included`], [`equivalent`]) — the oracles behind `equiv[S]` for
-//!   SDTDs and EDTDs (Theorem 4.7).
+//!   SDTDs and EDTDs (Theorem 4.7). Only the right-hand side is
+//!   determinised: one product fixpoint ([`run_pairs`]) pairs the states of
+//!   the nondeterministic left side with the deterministic run of the
+//!   right side.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
@@ -731,74 +734,108 @@ impl fmt::Debug for Duta {
 // Inclusion / equivalence
 // ----------------------------------------------------------------------
 
-/// All pairs `(subset state of a, subset state of b)` jointly reachable by
-/// some tree over `a`'s label universe, each with a witness tree.
+/// Every pair `(q, s)` jointly reachable by some tree `t` — `q` a state `a`
+/// can assign to `t`, `s` the state of `db`'s unique run on `t` — each with
+/// such a tree as witness, in discovery order.
 ///
-/// `b` may have been determinised over a *smaller* label universe than `a`
-/// (the point of caching a determinised target across inclusion checks): a
-/// label unknown to `b` sends the `b`-component to a virtual dead state,
-/// rendered as `None`, which propagates upward — exactly the semantics of
-/// [`Duta::run`] returning `None` on out-of-universe labels. Labels in
-/// `b`'s universe but outside `a`'s are not explored; trees using them are
-/// rejected by `a` and therefore irrelevant both as counterexamples and as
-/// subtrees of counterexamples.
-fn reachable_pairs(
-    a: &Duta,
-    b: &Duta,
+/// This is the product fixpoint behind tree-language inclusion of a
+/// nondeterministic automaton in a deterministic one: `a` is never
+/// determinised. Each rule `(q, label)` of `a` is evaluated by a BFS over
+/// (content frontier, label-machine configuration) pairs that reads the
+/// known pairs of its content's states as letters; a rule is re-evaluated
+/// only when a state its content reads gains a pair.
+///
+/// `db` may have been determinised over a *smaller* label universe than
+/// `a`'s (the point of caching a determinised target across inclusion
+/// checks): a label unknown to `db` sends the `db` component to a virtual
+/// dead state, rendered as `None`, which propagates upward — exactly the
+/// semantics of [`Duta::run`] returning `None` on out-of-universe labels.
+///
+/// # Panics
+///
+/// Never in practice: the unlimited budget cannot trip.
+pub fn run_pairs(a: &Nuta, db: &Duta) -> Vec<(Symbol, Option<usize>, XTree)> {
+    run_pairs_with_budget(a, db, &Budget::unlimited()).expect("the unlimited budget never trips")
+}
+
+/// Governed variant of [`run_pairs`]: every BFS pop charges one budget step,
+/// and the fixpoint aborts with [`AutomataError::BudgetExceeded`] when the
+/// budget trips.
+pub fn run_pairs_with_budget(
+    a: &Nuta,
+    db: &Duta,
     budget: &Budget,
-) -> Result<Vec<(usize, Option<usize>, XTree)>, AutomataError> {
-    let labels = a.labels().clone();
-    let mut pairs: Vec<(usize, Option<usize>, XTree)> = Vec::new();
-    let mut pair_index: BTreeSet<(usize, Option<usize>)> = BTreeSet::new();
-    loop {
-        let snapshot_len = pairs.len();
-        for label in &labels {
-            let ma = match a.machine(label) {
-                Some(ma) => ma,
-                None => continue,
-            };
-            let mb = b.machine(label);
-            // BFS over configurations of the synchronous product, using the
-            // currently known pairs as letters. A `None` configuration on
-            // the `b` side is the dead state.
-            let start = (ma.start(), mb.map(LabelMachine::start));
-            let mut seen: BTreeMap<(usize, Option<usize>), Vec<usize>> = BTreeMap::new();
-            seen.insert(start, Vec::new());
-            let mut queue = VecDeque::from([start]);
-            while let Some((ca, cb)) = queue.pop_front() {
-                budget.step()?;
-                let path = seen[&(ca, cb)].clone();
-                let out = (
-                    ma.output[ca],
-                    match (cb, mb) {
-                        (Some(cb), Some(mb)) => Some(mb.output[cb]),
-                        _ => None,
-                    },
-                );
-                if pair_index.insert(out) {
-                    let children: Vec<XTree> =
-                        path.iter().map(|&p| pairs[p].2.clone()).collect();
-                    pairs.push((out.0, out.1, XTree::node(*label, children)));
+) -> Result<Vec<(Symbol, Option<usize>, XTree)>, AutomataError> {
+    budget.check_interrupts()?;
+    let rules: Vec<(&Symbol, &Symbol, &Nfa)> = a.rules().collect();
+    let mut readers: BTreeMap<Symbol, Vec<usize>> = BTreeMap::new();
+    for (r, (_, _, content)) in rules.iter().enumerate() {
+        for sym in content.alphabet().iter() {
+            readers.entry(*sym).or_default().push(r);
+        }
+    }
+    let mut pairs: Vec<(Symbol, Option<usize>, XTree)> = Vec::new();
+    let mut known: FxHashSet<(Symbol, Option<usize>)> = FxHashSet::default();
+    // The pairs of each state, as indices into `pairs`.
+    let mut of_state: BTreeMap<Symbol, Vec<usize>> = BTreeMap::new();
+    // Seeded in reverse state order: where states are numbered in document
+    // order (as in extension automata), children then come before their
+    // parents, so most rules settle in one evaluation.
+    let mut queue: VecDeque<usize> = (0..rules.len()).rev().collect();
+    let mut queued = vec![true; rules.len()];
+    while let Some(r) = queue.pop_front() {
+        queued[r] = false;
+        let (&q, &label, content) = rules[r];
+        let machine = db.machine(&label);
+        // The letters: per state the content reads, its local symbol id and
+        // its pairs known so far.
+        let letters: Vec<(u32, Vec<usize>)> = content
+            .alphabet()
+            .iter()
+            .filter_map(|sym| Some((content.sym_id(sym)?, of_state.get(sym)?.clone())))
+            .collect();
+        let finals = content.finals_set();
+        type Node = (StateSet, Option<usize>);
+        let start: Node = (content.start_closure(), machine.map(LabelMachine::start));
+        let mut seen: FxHashSet<Node> = FxHashSet::from_iter([start.clone()]);
+        let mut bfs: VecDeque<(Node, Vec<usize>)> = VecDeque::from([(start, Vec::new())]);
+        while let Some(((set, config), path)) = bfs.pop_front() {
+            budget.step()?;
+            if set.intersects(&finals) {
+                let out = config.zip(machine).map(|(c, m)| m.output(c));
+                if known.insert((q, out)) {
+                    let children = path.iter().map(|&p| pairs[p].2.clone()).collect();
+                    of_state.entry(q).or_default().push(pairs.len());
+                    pairs.push((q, out, XTree::node(label, children)));
+                    for &reader in readers.get(&q).into_iter().flatten() {
+                        if !queued[reader] {
+                            queued[reader] = true;
+                            queue.push_back(reader);
+                        }
+                    }
                 }
-                for (letter, (pa, pb, _)) in pairs.iter().enumerate().take(snapshot_len) {
-                    let next_b = match (cb, pb, mb) {
-                        (Some(cb), Some(pb), Some(mb)) => Some(mb.step(cb, *pb)),
+            }
+            for (sid, letter_pairs) in &letters {
+                let next_set = content.step_local(&set, *sid);
+                if next_set.is_empty() {
+                    continue;
+                }
+                for &p in letter_pairs {
+                    let next_config = match (config, pairs[p].1, machine) {
+                        (Some(c), Some(s), Some(m)) => Some(m.step(c, s)),
                         _ => None,
                     };
-                    let next = (ma.step(ca, *pa), next_b);
-                    if let std::collections::btree_map::Entry::Vacant(slot) = seen.entry(next) {
+                    let next = (next_set.clone(), next_config);
+                    if seen.insert(next.clone()) {
                         let mut next_path = path.clone();
-                        next_path.push(letter);
-                        slot.insert(next_path);
-                        queue.push_back(next);
+                        next_path.push(p);
+                        bfs.push_back((next, next_path));
                     }
                 }
             }
         }
-        if pairs.len() == snapshot_len {
-            return Ok(pairs);
-        }
     }
+    Ok(pairs)
 }
 
 /// Checks `[a] ⊆ [b]` as tree languages; on failure returns a tree accepted
@@ -808,11 +845,13 @@ pub fn included(a: &Nuta, b: &Nuta) -> Result<(), XTree> {
 }
 
 /// Checks `[a] ⊆ [db]` against an already-determinised right-hand side; on
-/// failure returns a tree accepted by `a` but not by `db`.
+/// failure returns a tree accepted by `a` but not by `db`, the smallest
+/// witness among the reachable pairs that separate the two.
 ///
 /// This is the entry point for callers that check many left-hand sides
 /// against the same target (typing verification, perfect-schema synthesis):
-/// the expensive determinisation of the target happens once, outside.
+/// the expensive determinisation of the target happens once, outside, and
+/// the left-hand side is never determinised ([`run_pairs`]).
 ///
 /// # Panics
 ///
@@ -830,39 +869,20 @@ pub fn included_in_duta_with_budget(
     db: &Duta,
     budget: &Budget,
 ) -> Result<Result<(), XTree>, AutomataError> {
-    budget.check_interrupts()?;
-    let da = a.determinize_with_budget(a.labels(), budget)?;
-    for (ia, ib, witness) in reachable_pairs(&da, db, budget)? {
-        if da.is_final(ia) && !ib.is_some_and(|i| db.is_final(i)) {
-            return Ok(Err(witness));
-        }
-    }
-    Ok(Ok(()))
+    let separating = run_pairs_with_budget(a, db, budget)?
+        .into_iter()
+        .filter(|(q, s, _)| a.finals().contains(q) && !s.is_some_and(|i| db.is_final(i)))
+        .map(|(_, _, witness)| witness)
+        .min_by_key(XTree::size);
+    Ok(separating.map_or(Ok(()), Err))
 }
 
-/// Checks `[a] = [b]` as tree languages; on failure returns a distinguishing
-/// tree together with the side (`true` = accepted by `a` only).
-///
-/// # Panics
-///
-/// Never in practice: the unlimited budget cannot trip.
+/// Checks `[a] = [b]` as tree languages, as two inclusions; on failure
+/// returns a distinguishing tree together with the side that accepts it
+/// (`true` = accepted by `a` only).
 pub fn equivalent(a: &Nuta, b: &Nuta) -> Result<(), (XTree, bool)> {
-    let labels = a.labels().union(b.labels());
-    let da = a.determinize(&labels);
-    let db = b.determinize(&labels);
-    let pairs = reachable_pairs(&da, &db, &Budget::unlimited())
-        .expect("the unlimited budget never trips");
-    for (ia, ib, witness) in pairs {
-        // Both sides are determinised over the same universe, so the dead
-        // state never arises and `ib` is always `Some`.
-        let b_final = ib.is_some_and(|i| db.is_final(i));
-        match (da.is_final(ia), b_final) {
-            (true, false) => return Err((witness, true)),
-            (false, true) => return Err((witness, false)),
-            _ => {}
-        }
-    }
-    Ok(())
+    included(a, b).map_err(|w| (w, true))?;
+    included(b, a).map_err(|w| (w, false))
 }
 
 /// Convenience boolean wrappers.

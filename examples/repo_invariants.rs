@@ -9,7 +9,10 @@
 //!   merely declared: a declared-but-dead metric silently reports `0` and
 //!   poisons dashboards. (The declaration site,
 //!   `crates/telemetry/src/metrics.rs`, and the generic snapshot renderer
-//!   are excluded from the search; the span layer counts as wiring.)
+//!   are excluded from the search; the span layer counts as wiring.) A
+//!   *retired* counter ([`RETIRED`]) is held to the opposite: it stays
+//!   registered for readers outside the workspace, and no code may
+//!   increment it.
 //! * `RI003`/`RI004` — every bench target declared in
 //!   `crates/bench/Cargo.toml` has a committed gated baseline
 //!   (`baselines/BENCH_<name>.json`) and a row in `crates/bench/README.md`:
@@ -33,6 +36,11 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use dxml::telemetry::{Hist, Metric};
+
+/// Counters the engine no longer records, kept registered only because the
+/// end-to-end benchmark package reads them: the extension-automaton memo
+/// they counted is gone. RI001 requires that nothing increments them.
+const RETIRED: [Metric; 2] = [Metric::ExtMemoHits, Metric::ExtMemoMisses];
 
 /// One violated invariant.
 struct Finding {
@@ -138,7 +146,21 @@ fn main() -> ExitCode {
         .collect();
     for metric in Metric::ALL {
         let needle = format!("Metric::{metric:?}");
-        if !wiring.iter().any(|(_, text)| text.contains(&needle)) {
+        if RETIRED.contains(&metric) {
+            let this_file = "examples/repo_invariants.rs";
+            if let Some((p, _)) =
+                wiring.iter().find(|(p, text)| rel(p) != this_file && text.contains(&needle))
+            {
+                findings.push(Finding {
+                    code: "RI001",
+                    location: rel(p),
+                    message: format!(
+                        "retired counter `{}` is referenced outside its declaration",
+                        metric.name()
+                    ),
+                });
+            }
+        } else if !wiring.iter().any(|(_, text)| text.contains(&needle)) {
             findings.push(Finding {
                 code: "RI001",
                 location: format!("telemetry counter `{}`", metric.name()),

@@ -124,6 +124,8 @@ fuzz-smoke:
 perfbench-test:
 	$(CARGO) test --release --offline --manifest-path perfbench/Cargo.toml
 
+# The narrative examples. The two lint examples run through lint-schemas
+# and lint-repo instead.
 examples:
 	$(CARGO) run -q --release --example quickstart
 	$(CARGO) run -q --release --example distributed_validation
@@ -132,8 +134,6 @@ examples:
 	$(CARGO) run -q --release --example perfect_schema
 	$(CARGO) run -q --release --example box_design
 	$(CARGO) run -q --release --example streaming_validation
-	$(CARGO) run -q --release --example schema_lint
-	$(CARGO) run -q --release --example repo_invariants
 
 # Lint the example/bench schema corpus: exits non-zero on any
 # error-severity diagnostic from the dxml-analysis passes. --costs appends

@@ -42,10 +42,6 @@ fn collapsed_name(s: &Symbol) -> Symbol {
     Symbol::new(format!("x{}", i % 3))
 }
 
-fn letter_of(sym: &Symbol) -> Option<usize> {
-    sym.as_str().strip_prefix("#s").and_then(|t| t.parse().ok())
-}
-
 fn main() {
     let mut session = Session::new("automata_kernels");
 
@@ -83,7 +79,7 @@ fn main() {
         let word_lang = cache.forest_states(&Symbol::new("f")).expect("workload declares f");
         let label = Symbol::new("s");
         session.bench(&format!("outputs_over_bitset/n={n}"), 15, || {
-            duta.outputs_over(&label, word_lang, letter_of).len()
+            duta.outputs_over(&label, word_lang).len()
         });
     }
 

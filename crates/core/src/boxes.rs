@@ -45,12 +45,12 @@
 //! [`BoxTargetCache`] behind an `OnceLock`. Nothing document-dependent is
 //! cached.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
-use dxml_automata::{AutomataError, BoxLang, Budget, Dfa, Nfa, RFormalism, RSpec, StateSet, Symbol};
+use dxml_automata::{AutomataError, BoxLang, Budget, Dfa, Nfa, RSpec, StateSet, Symbol};
 use dxml_schema::{REdtd, SchemaError};
 use dxml_telemetry as telemetry;
 use dxml_tree::uta::Duta;
@@ -59,41 +59,6 @@ use dxml_tree::{uta, NodeId, Nuta, XTree};
 use crate::design::{CacheStats, Origin, TypingVerdict};
 use crate::doc::DistributedDoc;
 use crate::error::DesignError;
-
-/// The symbol standing for the determinised target's subset state `i` in
-/// the string languages of the reduction (`#` cannot occur in parsed
-/// element names, so these never collide with real labels).
-fn state_sym(i: usize) -> Symbol {
-    Symbol::new(format!("#s{i}"))
-}
-
-/// The inverse of [`state_sym`].
-fn letter_of(sym: &Symbol) -> Option<usize> {
-    sym.as_str().strip_prefix("#s").and_then(|t| t.parse().ok())
-}
-
-/// An NFA accepting exactly the single-symbol words of a subset-state set
-/// (one box slot of the reduction).
-fn state_set_nfa(states: &StateSet) -> Nfa {
-    Nfa::any_of(states.iter().map(state_sym))
-}
-
-/// The deterministic *skeleton* of a per-label Moore machine over
-/// subset-state symbols: its transitions, no final states. The machine is
-/// deterministic by construction, so this is already a [`Dfa`] — the
-/// residual constructions consume it directly, with the per-call admissible
-/// outputs marked final on a clone (see [`BoxTargetCache::machine_dfa`]).
-fn machine_skeleton(duta: &Duta, label: &Symbol) -> Dfa {
-    let machine = match duta.machine(label) {
-        Some(m) => m,
-        None => return Dfa::new(1, 0),
-    };
-    let mut dfa = Dfa::new(machine.num_configs(), machine.start());
-    for (config, letter, next) in machine.transitions() {
-        dfa.set_transition(config, state_sym(letter), next);
-    }
-    dfa
-}
 
 // ----------------------------------------------------------------------
 // Cached artefacts
@@ -156,8 +121,8 @@ impl Clone for ResidualDfaCache {
 #[derive(Clone, Debug)]
 struct FunArtifacts {
     /// The gap language: the exact image of the function's forest language
-    /// under the tree → subset-state evaluation, as an NFA over
-    /// [`state_sym`] symbols.
+    /// under the tree → subset-state evaluation, as an NFA over the
+    /// target's letters ([`Duta::letter`]).
     forest_states: Nfa,
     /// Whether the function can return no document at all (empty schema
     /// language — the design is vacuous).
@@ -167,10 +132,10 @@ struct FunArtifacts {
     unknown: Option<Symbol>,
     /// A realizable tree the target types by no name at all, if any: the
     /// label of an untypable node of it whose children all stay typable,
-    /// and that node's child word (over [`state_sym`] symbols), read off
-    /// the product fixpoint's witness tree. Every extension the tree lands
-    /// in is invalid.
-    violation: Option<(Symbol, Vec<Symbol>)>,
+    /// and that node's child word (as subset states), read off the product
+    /// fixpoint's witness tree. Every extension the tree lands in is
+    /// invalid.
+    violation: Option<(Symbol, Vec<usize>)>,
 }
 
 impl FunArtifacts {
@@ -185,7 +150,7 @@ impl FunArtifacts {
         let mut slots: BTreeMap<Symbol, BTreeSet<Symbol>> = BTreeMap::new();
         for (spec, state, _) in &pairs {
             let slot = slots.entry(*spec).or_default();
-            slot.extend(state.map(state_sym));
+            slot.extend(state.map(|i| duta.letter(i)));
         }
         // The forest language over inhabited names: after the restriction
         // every remaining transition lies on a realizable word, so the
@@ -221,15 +186,15 @@ impl FunArtifacts {
 /// The deepest node on the chain of untypable nodes from the root of
 /// `tree`, whose run under `duta` ends in the empty subset `empty`: an
 /// untypable node whose children are all typable, as its label and its
-/// children's subset states (over [`state_sym`] symbols). `None` if the
-/// tree leaves the target's label universe.
-fn untypable_node(duta: &Duta, tree: &XTree, empty: usize) -> Option<(Symbol, Vec<Symbol>)> {
+/// children's subset states. `None` if the tree leaves the target's label
+/// universe.
+fn untypable_node(duta: &Duta, tree: &XTree, empty: usize) -> Option<(Symbol, Vec<usize>)> {
     let states = duta.run(tree)?;
     let mut node = tree.root();
     while let Some(&child) = tree.children(node).iter().find(|&&c| states[c] == empty) {
         node = child;
     }
-    let word = tree.children(node).iter().map(|&c| state_sym(states[c])).collect();
+    let word = tree.children(node).iter().map(|&c| states[c]).collect();
     Some((*tree.label(node), word))
 }
 
@@ -291,21 +256,20 @@ impl BoxTargetCache {
         })
     }
 
-    /// The determinised skeleton of `label`'s Moore machine (transitions
-    /// over subset-state symbols, no finals), memoised per problem. Callers
-    /// clone it and mark their admissible outputs final — the clone is
-    /// cheap next to the subset construction it replaces.
+    /// The skeleton of `label`'s Moore machine as a DFA over letters (one
+    /// state per configuration, no finals), memoised per problem. Callers
+    /// clone it and mark their admissible outputs final.
     fn machine_dfa(&self, label: &Symbol) -> Arc<Dfa> {
-        self.machine_dfas.get_or_build(label, || machine_skeleton(&self.duta, label))
+        self.machine_dfas.get_or_build(label, || self.duta.content_dfa(label, |_| false))
     }
 
     /// The language of child words whose Moore output under `label` lies in
-    /// `outputs`, as a DFA over subset-state symbols: the memoised skeleton
-    /// with the admissible configurations marked final.
+    /// `outputs`, as a DFA over letters: the memoised skeleton with the
+    /// admissible configurations marked final.
     fn admissible_children_dfa(&self, label: &Symbol, outputs: &StateSet) -> Dfa {
         let mut dfa = (*self.machine_dfa(label)).clone();
         if let Some(machine) = self.duta.machine(label) {
-            for config in 0..machine.num_configs() {
+            for config in 0..dfa.num_states() {
                 if outputs.contains(machine.output(config)) {
                     dfa.set_final(config);
                 }
@@ -314,15 +278,15 @@ impl BoxTargetCache {
         dfa
     }
 
-    /// The child-word language of kernel `children` over subset-state
-    /// symbols: a docking point contributes its function's gap language,
-    /// any other child its `achievable` subset states.
+    /// The child-word language of kernel `children` over letters: a docking
+    /// point contributes its function's gap language, any other child the
+    /// single letters of its `achievable` subset states (one box slot).
     fn child_word(&self, doc: &DistributedDoc, children: &[NodeId], achievable: &[StateSet]) -> Nfa {
         children.iter().fold(Nfa::epsilon(), |word, &child| {
             let label = doc.kernel().label(child);
             word.concat(&match self.funs.get(label) {
                 Some(fa) if doc.is_function(label) => fa.forest_states.clone(),
-                _ => state_set_nfa(&achievable[child]),
+                _ => Nfa::any_of(achievable[child].iter().map(|i| self.duta.letter(i))),
             })
         })
     }
@@ -352,6 +316,12 @@ impl BoxTargetCache {
         self.local_states().is_some()
     }
 
+    /// Renders a witness word of subset states as a box of
+    /// specialised-name sets.
+    fn box_of(&self, witness: &[usize]) -> BoxLang {
+        BoxLang::new(witness.iter().map(|&i| self.duta.subset(i).clone()).collect())
+    }
+
     /// Residual-memo misses and hits so far (backs
     /// [`BoxDesignProblem::cache_stats`]).
     fn residual_stats(&self) -> (u64, u64) {
@@ -366,9 +336,9 @@ impl BoxTargetCache {
     }
 
     /// The gap language of a declared function: the exact image of its
-    /// forest language under tree → subset-state evaluation, over
-    /// `#s<i>` state symbols. Exposed so tests and benches can pin that
-    /// repeated decisions reuse it.
+    /// forest language under tree → subset-state evaluation, as an NFA over
+    /// the letters of [`BoxTargetCache::duta`] ([`Duta::letter`]). Exposed
+    /// so tests and benches can pin that repeated decisions reuse it.
     pub fn forest_states(&self, function: &Symbol) -> Option<&Nfa> {
         self.funs.get(function).map(|fa| &fa.forest_states)
     }
@@ -779,19 +749,6 @@ impl BoxDesignProblem {
     // Typing verification — box/string route
     // ------------------------------------------------------------------
 
-    /// Renders a witness word over subset-state symbols as a box of
-    /// specialised-name sets.
-    fn box_of(&self, cache: &BoxTargetCache, witness: &[Symbol]) -> BoxLang {
-        let mut b = BoxLang::epsilon();
-        for sym in witness {
-            match letter_of(sym) {
-                Some(i) => b.push_slot(cache.duta.subset(i).iter().cloned()),
-                None => b.push_slot(Vec::<Symbol>::new()),
-            }
-        }
-        b
-    }
-
     /// The Section-7 string route: typing verification without tree
     /// automata on the extension side. One bottom-up pass over the kernel
     /// computes, per node, the **exact** set of subset states its subtree
@@ -843,7 +800,7 @@ impl BoxDesignProblem {
             if let Some((label, witness)) = &cache.funs[f].violation {
                 return Ok(BoxVerdict::Invalid(BoxViolation::Content {
                     element: *label,
-                    counterexample: self.box_of(cache, witness),
+                    counterexample: cache.box_of(witness),
                     admitted: Vec::new(),
                     origin,
                 }));
@@ -867,7 +824,7 @@ impl BoxDesignProblem {
             let word = cache.child_word(doc, kernel.children(node), &achievable);
             let outs = cache
                 .duta
-                .outputs_over_with_budget(label, &word, letter_of, budget)
+                .outputs_over_with_budget(label, &word, budget)
                 .map_err(DesignError::from)?;
             // A realizable child word with no typing at all is already a
             // violation — the surrounding kernel always completes it to a
@@ -877,7 +834,7 @@ impl BoxDesignProblem {
                 if let Some(witness) = outs.get(&ei) {
                     return Ok(BoxVerdict::Invalid(BoxViolation::Content {
                         element: *label,
-                        counterexample: self.box_of(cache, witness),
+                        counterexample: cache.box_of(witness),
                         admitted: Vec::new(),
                         origin: origin(),
                     }));
@@ -888,7 +845,7 @@ impl BoxDesignProblem {
                     if !cache.accepting.contains(state) {
                         return Ok(BoxVerdict::Invalid(BoxViolation::Content {
                             element: *label,
-                            counterexample: self.box_of(cache, witness),
+                            counterexample: cache.box_of(witness),
                             admitted: cache.duta.subset(state).iter().cloned().collect(),
                             origin: origin(),
                         }));
@@ -924,7 +881,8 @@ impl BoxDesignProblem {
     /// uniform ([`Dfa::uniform_context_residual`]) for several.
     ///
     /// The schema materialises the gap language with one specialised name
-    /// per inhabited `(label, subset state)` pair. The candidate is an
+    /// per inhabited `(label, subset state)` pair reachable from its start
+    /// ([`REdtd::from_duta`]). The candidate is an
     /// upper bound on every schema the design typechecks with, so it is the
     /// maximum iff the typecheck oracle — run against the cached target
     /// automaton — confirms it.
@@ -1054,7 +1012,7 @@ impl BoxDesignProblem {
                 let word = cache.child_word(doc, kernel.children(node), &achievable);
                 let outs = cache
                     .duta
-                    .outputs_over_with_budget(label, &word, letter_of, budget)
+                    .outputs_over_with_budget(label, &word, budget)
                     .map_err(DesignError::from)?;
                 achievable[node] = StateSet::from_iter(universe, outs.keys().copied());
             } else if let Some(local) = &local {
@@ -1114,7 +1072,7 @@ impl BoxDesignProblem {
                 // pinned, the child word is fixed and must be admissible.
                 let outs = cache
                     .duta
-                    .outputs_over_with_budget(label, &segment(children), letter_of, budget)
+                    .outputs_over_with_budget(label, &segment(children), budget)
                     .map_err(DesignError::from)?;
                 if outs.keys().any(|&o| !safe.contains(o)) {
                     forced_empty = true;
@@ -1133,7 +1091,7 @@ impl BoxDesignProblem {
                     .map_err(DesignError::from)?;
                 safe = StateSet::from_iter(
                     universe,
-                    (0..universe).filter(|&j| residual.accepts(&[state_sym(j)])),
+                    (0..universe).filter(|&j| residual.accepts(&[cache.duta.letter(j)])),
                 );
             }
         }
@@ -1142,7 +1100,13 @@ impl BoxDesignProblem {
             _ => Nfa::empty(),
         };
 
-        let schema = self.build_perfect(&gap, cache);
+        // One specialised name per inhabited (label, state) pair reachable
+        // from a fresh start whose content is the gap language.
+        let mut start = String::from("result");
+        while cache.duta.labels().contains(&Symbol::new(&start)) {
+            start.push('_');
+        }
+        let schema = REdtd::from_duta(&cache.duta, start.as_str(), start.as_str(), &gap);
         let candidate = self.build_extension_nuta(doc, Some((&f, &schema)));
         match Self::included(&candidate, cache, budget, |tree| self.doc_schema.validate(tree))? {
             TypingVerdict::Valid => Ok(schema),
@@ -1164,57 +1128,12 @@ impl BoxDesignProblem {
             }
         }
     }
-
-    /// Materialises a gap language over subset-state symbols as an R-EDTD:
-    /// a fresh start whose content model is the gap language with every
-    /// state expanded to the inhabited `(label, state)` pairs carrying it,
-    /// plus one specialised rule per reachable pair holding the target's
-    /// exact content language for that pair.
-    fn build_perfect(&self, gap: &Nfa, cache: &BoxTargetCache) -> REdtd {
-        let duta = &cache.duta;
-        let pairs = duta.inhabited_label_states();
-        let mut slots: BTreeMap<Symbol, BTreeSet<Symbol>> = BTreeMap::new();
-        let mut pair_index: BTreeMap<Symbol, (Symbol, usize)> = BTreeMap::new();
-        for (label, states) in &pairs {
-            for &i in states {
-                let name = label.specialize(i);
-                slots.entry(state_sym(i)).or_default().insert(name);
-                pair_index.insert(name, (*label, i));
-            }
-        }
-        let mut start = String::from("result");
-        while duta.labels().contains(&Symbol::new(&start)) {
-            start.push('_');
-        }
-        let mut schema = REdtd::new(RFormalism::Nfa, start.as_str(), start.as_str());
-        // `trim` keeps the start state, loops included, even when the
-        // language is empty; an empty gap must not pull in any name.
-        let forest = if gap.is_empty() { Nfa::empty() } else { gap.trim().expand_symbols(&slots) };
-        schema.set_rule(start.as_str(), RSpec::Nfa(forest.clone()));
-        let mut queue: VecDeque<Symbol> = forest.alphabet().iter().cloned().collect();
-        let mut seen: BTreeSet<Symbol> = queue.iter().cloned().collect();
-        while let Some(name) = queue.pop_front() {
-            let (label, i) = pair_index[&name];
-            let content = duta
-                .content_nfa(i, &label, state_sym)
-                .expand_symbols(&slots)
-                .trim();
-            for next in content.alphabet().iter() {
-                if seen.insert(*next) {
-                    queue.push_back(*next);
-                }
-            }
-            schema.add_specialization(name, label);
-            schema.set_rule(name, RSpec::Nfa(content));
-        }
-        schema
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dxml_automata::Regex;
+    use dxml_automata::{RFormalism, Regex};
     use dxml_schema::RDtd;
     use dxml_tree::term::parse_term;
 
@@ -1392,6 +1311,34 @@ mod tests {
         let boxed_bad = BoxDesignProblem::from(&bad);
         assert!(!agree(&boxed_bad, &doc));
         assert!(!bad.typecheck(&doc).unwrap().is_valid());
+    }
+
+    #[test]
+    fn labels_spelled_like_letters_stay_labels() {
+        // `#` is a legal name character, so labels may be spelled like the
+        // determinised target's letters (`#s<i>`); letters and labels never
+        // share one automaton, so the spelling changes nothing.
+        // A compact-syntax line starting with `#` is a comment, so the
+        // rules of `#`-named elements are added by hand.
+        let mut target = dtd("s -> #s0, #s1*, a?");
+        target.set_rule("#s1", RSpec::Nre(Regex::parse("#q0?").unwrap()));
+        let mut fun = dtd("r -> #s1*");
+        fun.set_rule("#s1", RSpec::Nre(Regex::parse("#q0").unwrap()));
+        let problem = crate::DesignProblem::new(target.clone()).with_function("f", fun);
+        let boxed = BoxDesignProblem::from(&problem);
+        for (kernel, valid) in [("s(#s0 f)", true), ("s(#s1 f)", false)] {
+            let doc = DistributedDoc::parse(kernel, ["f"]).unwrap();
+            assert_eq!(agree(&boxed, &doc), valid, "{kernel}");
+            assert_eq!(problem.typecheck(&doc).unwrap().is_valid(), valid, "{kernel}");
+            assert_eq!(problem.verify_local(&doc).unwrap().is_valid(), valid, "{kernel}");
+            let perfect = boxed.perfect_schema(&doc, "f").unwrap();
+            let solved = boxed.clone().with_function("f", perfect);
+            assert!(solved.typecheck(&doc).unwrap().is_valid(), "{kernel}");
+        }
+        let edtd = target.to_edtd();
+        let normal = edtd.normalize();
+        assert!(edtd.equivalent(&normal), "{normal}");
+        assert!(normal.is_normal(), "{normal}");
     }
 
     #[test]

@@ -10,10 +10,11 @@
 //! languages, operationally an [`Nuta`] whose states are the specialised
 //! names.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
 use dxml_automata::{Alphabet, Nfa, RFormalism, RSpec, Symbol};
+use dxml_tree::uta::Duta;
 use dxml_tree::{uta, Nuta, XTree};
 
 use crate::error::SchemaError;
@@ -251,65 +252,86 @@ impl REdtd {
 
     /// The normal form of the EDTD (Lemma 4.10): an equivalent EDTD whose
     /// specialised names are the inhabited `(label, subset state)` pairs of
-    /// the *determinised* specialised target, so that every tree has exactly
-    /// one typing (up to the start alias). The construction is the
-    /// tree-automaton analogue of the subset construction and can be
-    /// exponential, exactly as the lemma announces.
+    /// the *determinised* specialised target reachable from its start, so
+    /// that every tree has exactly one typing (up to the start alias). The
+    /// construction is the tree-automaton analogue of the subset
+    /// construction and can be exponential, exactly as the lemma announces.
     ///
     /// The name of the pair `(a, i)` is `a~i` ([`Symbol::specialize`]); when
     /// several root types are accepting, a fresh start `a~start` aliases
     /// their union (it occurs in no content model).
     pub fn normalize(&self) -> REdtd {
         let duta = self.to_nuta().determinize(&self.labels());
-        let pairs = duta.inhabited_label_states();
-        // Placeholder alphabet for the machine letters, expanded afterwards
-        // to every inhabited pair carrying that subset state. `#` cannot
-        // occur in parsed element names, so placeholders never collide.
-        let placeholder = |i: usize| Symbol::new(format!("#q{i}"));
-        let mut slots: BTreeMap<Symbol, BTreeSet<Symbol>> = BTreeMap::new();
-        for (label, states) in &pairs {
-            for &i in states {
-                slots
-                    .entry(placeholder(i))
-                    .or_default()
-                    .insert(label.specialize(i));
-            }
-        }
-        let root_label = self
-            .label_of(&self.start)
-            .cloned()
-            .unwrap_or(self.start);
-        let accepting: Vec<usize> = pairs
-            .get(&root_label)
-            .map(|states| states.iter().copied().filter(|&i| duta.is_final(i)).collect())
-            .unwrap_or_default();
-        let content_of = |label: &Symbol, i: usize| -> Nfa {
-            duta.content_nfa(i, label, placeholder)
-                .expand_symbols(&slots)
-                .trim()
-        };
+        let root = self.label_of(&self.start).copied().unwrap_or(self.start);
+        let accepting: Vec<usize> = duta
+            .inhabited_label_states()
+            .remove(&root)
+            .unwrap_or_default()
+            .into_iter()
+            .filter(|&i| duta.is_final(i))
+            .collect();
         // Start: the unique accepting pair if there is one; otherwise a
         // fresh alias for the union of the accepting pairs (possibly none —
         // the empty language keeps an unsatisfiable start).
-        let mut out = match accepting.as_slice() {
-            [i] => REdtd::new(RFormalism::Nfa, root_label.specialize(*i), root_label),
-            many => {
-                let alias = Symbol::new(format!("{root_label}~start"));
-                let mut e = REdtd::new(RFormalism::Nfa, alias, root_label);
-                let union = many
-                    .iter()
-                    .map(|&i| content_of(&root_label, i))
-                    .fold(Nfa::empty(), |acc, nfa| acc.union(&nfa));
-                e.set_rule(alias, RSpec::Nfa(union.trim()));
-                e
+        let start = match accepting.as_slice() {
+            [i] => root.specialize(*i),
+            _ => Symbol::new(format!("{root}~start")),
+        };
+        let content = duta.content_dfa(&root, |i| duta.is_final(i)).to_nfa();
+        REdtd::from_duta(&duta, start, root, &content)
+    }
+
+    /// The R-EDTD over the inhabited `(label, subset state)` pairs of a
+    /// determinised automaton, starting from `start` (labelled
+    /// `start_label`) with the content `start_content` over `duta`'s
+    /// letters ([`Duta::letter`]). Every letter is expanded to the pairs
+    /// carrying its subset state, and every pair `(a, i)` reachable from
+    /// the start gets the name `a~i` ([`Symbol::specialize`]) and, as its
+    /// rule, the expanded content language [`Duta::content_nfa`]`(i, a)`.
+    ///
+    /// The one builder behind the normal form ([`REdtd::normalize`]) and
+    /// the perfect schemas of EDTD design problems.
+    ///
+    /// # Panics
+    ///
+    /// If `start_content` reads a symbol that is not a letter of `duta`.
+    pub fn from_duta(
+        duta: &Duta,
+        start: impl Into<Symbol>,
+        start_label: impl Into<Symbol>,
+        start_content: &Nfa,
+    ) -> REdtd {
+        let mut slots: BTreeMap<Symbol, BTreeSet<Symbol>> = BTreeMap::new();
+        let mut pairs: BTreeMap<Symbol, (Symbol, usize)> = BTreeMap::new();
+        for (label, states) in duta.inhabited_label_states() {
+            for i in states {
+                let name = label.specialize(i);
+                slots.entry(duta.letter(i)).or_default().insert(name);
+                pairs.insert(name, (label, i));
+            }
+        }
+        // `trim` keeps the start state, loops included, even when the
+        // language is empty; an empty content must not pull in any name.
+        let expand = |content: &Nfa| {
+            if content.is_empty() {
+                Nfa::empty()
+            } else {
+                content.trim().expand_symbols(&slots)
             }
         };
-        for (label, states) in &pairs {
-            for &i in states {
-                let name = label.specialize(i);
-                out.add_specialization(name, *label);
-                out.set_rule(name, RSpec::Nfa(content_of(label, i)));
+        let start = start.into();
+        let mut out = REdtd::new(RFormalism::Nfa, start, start_label);
+        let mut seen = BTreeSet::from([start]);
+        let mut queue = VecDeque::from([(start, expand(start_content))]);
+        while let Some((name, content)) = queue.pop_front() {
+            for next in content.alphabet().iter() {
+                if seen.insert(*next) {
+                    let (label, i) = pairs[next];
+                    out.add_specialization(*next, label);
+                    queue.push_back((*next, expand(&duta.content_nfa(i, &label))));
+                }
             }
+            out.set_rule(name, RSpec::Nfa(content));
         }
         out
     }
@@ -470,6 +492,41 @@ mod tests {
         assert!(!e.is_normal());
     }
 
+    /// The specialised names reachable from the start through content
+    /// models.
+    fn reachable_names(e: &REdtd) -> BTreeSet<Symbol> {
+        let mut seen = BTreeSet::from([*e.start()]);
+        let mut stack = vec![*e.start()];
+        while let Some(name) = stack.pop() {
+            for next in e.content(&name).alphabet().iter() {
+                if seen.insert(*next) {
+                    stack.push(*next);
+                }
+            }
+        }
+        seen
+    }
+
+    #[test]
+    fn normalization_emits_only_reachable_pairs() {
+        // Eight inhabited pairs, but the untypable leaves `#s0`, `#s1`, `a`
+        // and `s` (the empty subset) occur in no tree of the language: the
+        // normal form keeps `s`'s accepting pair and the three leaf pairs.
+        let mut target = REdtd::new(RFormalism::Nre, "s", "s");
+        target.set_rule("s", RSpec::Nre(Regex::parse("#s0 #s1* a?").unwrap()));
+        let n = target.normalize();
+        assert!(target.equivalent(&n), "{n}");
+        assert!(n.is_normal(), "{n}");
+        assert_eq!(n.specialized_names().len(), 4, "{n}");
+        let mut nested = target.clone();
+        nested.set_rule("#s1", RSpec::Nre(Regex::parse("#q0?").unwrap()));
+        for e in [target, nested, one_c_edtd()] {
+            let n = e.normalize();
+            assert!(e.equivalent(&n), "{n}");
+            assert_eq!(reachable_names(&n), n.specialized_names().iter().copied().collect(), "{n}");
+        }
+    }
+
     #[test]
     fn normalization_of_empty_and_dtd_like_languages() {
         // Empty language: the normal form is empty too.
@@ -477,6 +534,7 @@ mod tests {
         empty.set_rule("s", RSpec::Nre(Regex::sym("s")));
         let n = empty.normalize();
         assert!(n.language_is_empty());
+        assert_eq!(n.specialized_names().len(), 1, "only the unsatisfiable start: {n}");
         // A trivial (DTD-like) EDTD stays equivalent and normal.
         let mut plain = REdtd::new(RFormalism::Nre, "s", "s");
         plain.set_rule("s", RSpec::Nre(Regex::parse("a*").unwrap()));

@@ -25,7 +25,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
-use dxml_automata::{Alphabet, AutomataError, Budget, FxHashMap, FxHashSet, Nfa, StateSet, Symbol};
+use dxml_automata::{Alphabet, AutomataError, Budget, Dfa, FxHashMap, FxHashSet, Nfa, StateSet, Symbol};
 
 use crate::tree::XTree;
 
@@ -394,6 +394,7 @@ impl Nuta {
             .collect();
 
         Ok(Duta {
+            letters: (0..subsets.len()).map(|i| Symbol::new(format!("#s{i}"))).collect(),
             subsets,
             witnesses,
             finals_orig: self.finals().clone(),
@@ -451,20 +452,17 @@ impl LabelMachine {
     ///
     /// Panics if the transition was never materialised (the determinisation
     /// fixpoint makes every machine total over the discovered letters).
-    pub fn step(&self, config: usize, child_subset: usize) -> usize {
-        self.step_opt(config, child_subset)
-            .expect("label machine is total over discovered subset letters")
-    }
-
-    /// [`LabelMachine::step`] returning `None` on a missing transition.
-    fn step_opt(&self, config: usize, child_subset: usize) -> Option<usize> {
+    fn step(&self, config: usize, child_subset: usize) -> usize {
         let v = &self.trans[config];
-        v.binary_search_by_key(&child_subset, |&(l, _)| l).ok().map(|pos| v[pos].1)
+        let pos = v
+            .binary_search_by_key(&child_subset, |&(l, _)| l)
+            .expect("label machine is total over discovered subset letters");
+        v[pos].1
     }
 
     /// The subset-state produced for a node whose children produced
     /// `children` (in order).
-    pub fn output_for(&self, children: &[usize]) -> usize {
+    fn output_for(&self, children: &[usize]) -> usize {
         let mut config = self.start;
         for &c in children {
             config = self.step(config, c);
@@ -478,7 +476,7 @@ impl LabelMachine {
     }
 
     /// Number of configurations.
-    pub fn num_configs(&self) -> usize {
+    fn num_configs(&self) -> usize {
         self.output.len()
     }
 
@@ -496,9 +494,20 @@ impl LabelMachine {
 /// determinising an [`Nuta`]: its states are the reachable subsets of the
 /// original state set; every tree over the label universe has exactly one
 /// run.
+///
+/// String automata over subset states — the content languages of
+/// [`Duta::content_dfa`] and [`Duta::content_nfa`], the word languages
+/// imaged by [`Duta::outputs_over`] — read subset state `i` as the symbol
+/// [`Duta::letter`]`(i)`. A letter means something only to the automaton
+/// that made it, and letters and element labels never share one automaton:
+/// every conversion back to labels expands each letter in a single pass,
+/// so a label spelled like a letter (`#` is a legal name character) is
+/// never read as one.
 #[derive(Clone)]
 pub struct Duta {
     subsets: Vec<BTreeSet<Symbol>>,
+    /// `letters[i]`: the symbol standing for subset state `i`.
+    letters: Vec<Symbol>,
     witnesses: Vec<XTree>,
     finals_orig: BTreeSet<Symbol>,
     labels: Alphabet,
@@ -519,6 +528,20 @@ impl Duta {
     /// All subset states, in discovery order.
     pub fn subsets(&self) -> &[BTreeSet<Symbol>] {
         &self.subsets
+    }
+
+    /// The letter standing for subset state `i` in string automata over
+    /// subset states.
+    pub fn letter(&self, i: usize) -> Symbol {
+        self.letters[i]
+    }
+
+    /// The subset state whose letter is `sym`; `None` for every symbol that
+    /// is not a letter of this automaton (element labels, malformed or
+    /// out-of-range `#s` spellings).
+    fn letter_index(&self, sym: &Symbol) -> Option<usize> {
+        let i: usize = sym.as_str().strip_prefix("#s")?.parse().ok()?;
+        (self.letters.get(i) == Some(sym)).then_some(i)
     }
 
     /// A tree whose run ends in subset state `i`.
@@ -563,26 +586,35 @@ impl Duta {
         }
     }
 
-    /// The content language of subset state `i` under `label`, as an NFA over
-    /// subset-state symbols produced by `namer`. A word `S1…Sk` is accepted
-    /// iff a node labelled `label` whose children have subset states
-    /// `S1…Sk` gets subset state `i`. Used by the R-EDTD normalisation
-    /// (Lemma 4.10).
-    pub fn content_nfa(&self, i: usize, label: &Symbol, namer: impl Fn(usize) -> Symbol) -> Nfa {
-        let machine = match self.machines.get(label) {
-            Some(m) => m,
-            None => return Nfa::empty(),
+    /// `label`'s Moore machine as a DFA over letters ([`Duta::letter`]):
+    /// DFA state `c` is configuration `c`, final iff its output satisfies
+    /// `accept`. It accepts a child word `S1…Sk` iff a node labelled
+    /// `label` whose children have subset states `S1…Sk` gets a state
+    /// satisfying `accept`. An unknown label yields a one-state DFA
+    /// accepting nothing.
+    pub fn content_dfa(&self, label: &Symbol, accept: impl Fn(usize) -> bool) -> Dfa {
+        let Some(machine) = self.machines.get(label) else {
+            return Dfa::new(1, 0);
         };
-        let mut nfa = Nfa::new(machine.num_configs(), machine.start);
+        let mut dfa = Dfa::new(machine.num_configs(), machine.start);
         for (config, letter, next) in machine.transitions() {
-            nfa.add_transition(config, namer(letter), next);
+            dfa.set_transition(config, self.letters[letter], next);
         }
         for (config, &out) in machine.output.iter().enumerate() {
-            if out == i {
-                nfa.set_final(config);
+            if accept(out) {
+                dfa.set_final(config);
             }
         }
-        nfa
+        dfa
+    }
+
+    /// The content language of subset state `i` under `label`, as an NFA
+    /// over letters ([`Duta::letter`]): a word `S1…Sk` is accepted iff a
+    /// node labelled `label` whose children have subset states `S1…Sk`
+    /// gets subset state `i`. The rules of the R-EDTD normal form
+    /// (Lemma 4.10) are these languages with every letter expanded.
+    pub fn content_nfa(&self, i: usize, label: &Symbol) -> Nfa {
+        self.content_dfa(label, |out| out == i).to_nfa()
     }
 
     /// The accepting subset states (those containing an original final
@@ -597,48 +629,29 @@ impl Duta {
         self.subsets.iter().position(BTreeSet::is_empty)
     }
 
-    /// Every subset state achievable by some tree whose root carries
-    /// `label`: the Moore outputs of all reachable configurations of the
-    /// label's machine. Every subset state of the automaton is inhabited by
-    /// construction (see [`Duta::witness`]), so all letters are available as
-    /// children.
-    pub fn label_outputs(&self, label: &Symbol) -> BTreeSet<usize> {
-        let machine = match self.machines.get(label) {
-            Some(m) => m,
-            None => return BTreeSet::new(),
-        };
-        let mut seen = StateSet::singleton(machine.num_configs(), machine.start);
-        let mut queue = VecDeque::from([machine.start]);
-        while let Some(config) = queue.pop_front() {
-            for &(_letter, next) in &machine.trans[config] {
-                if seen.insert(next) {
-                    queue.push_back(next);
-                }
-            }
-        }
-        seen.iter().map(|c| machine.output[c]).collect()
-    }
-
     /// The inhabited `(label, subset state)` pairs: for every label of the
-    /// universe, the subset states achievable by trees rooted at it. These
-    /// are exactly the specialised names of the normalised R-EDTD of
-    /// Lemma 4.10 (one per pair), and the sets the kernel boxes of
-    /// Section 7 are made of.
+    /// universe, the subset states achievable by trees rooted at it — the
+    /// Moore outputs of its machine. Every configuration is reachable (the
+    /// determinisation creates one only as the successor of another) and
+    /// every subset state is inhabited ([`Duta::witness`]), so each output
+    /// is achieved. These are exactly the specialised names of the
+    /// normalised R-EDTD of Lemma 4.10 (one per pair), and the sets the
+    /// kernel boxes of Section 7 are made of.
     pub fn inhabited_label_states(&self) -> BTreeMap<Symbol, BTreeSet<usize>> {
-        self.labels
+        self.machines
             .iter()
-            .map(|l| (*l, self.label_outputs(l)))
+            .map(|(label, machine)| (*label, machine.output.iter().copied().collect()))
             .collect()
     }
 
-    /// The image of a word language under a label's Moore machine: for each
-    /// subset state `i` achievable as `machine.output_for(w)` for some word
-    /// `w ∈ [word_lang]` (reading the symbols of `word_lang` through
-    /// `letter_of`), a *shortest* such witness word.
+    /// The image of a word language over letters ([`Duta::letter`]) under
+    /// `label`'s Moore machine: for each subset state `i` that
+    /// `label`'s node reaches on some child word `w ∈ [word_lang]`, a
+    /// *shortest* such `w`, as subset states.
     ///
-    /// Symbols for which `letter_of` returns `None` (symbols that denote no
-    /// subset state) contribute no transition, so words using them are
-    /// unrealizable. An unknown label yields the empty map.
+    /// Symbols that are not letters of this automaton contribute no
+    /// transition, so words using them are unrealizable. An unknown label
+    /// yields the empty map.
     ///
     /// This is the specialised-label validation primitive of the Section-7
     /// reduction: the children of a kernel node form a word-with-box-gaps
@@ -648,13 +661,8 @@ impl Duta {
     /// # Panics
     ///
     /// Never in practice: the unlimited budget cannot trip.
-    pub fn outputs_over(
-        &self,
-        label: &Symbol,
-        word_lang: &Nfa,
-        letter_of: impl Fn(&Symbol) -> Option<usize>,
-    ) -> BTreeMap<usize, Vec<Symbol>> {
-        self.outputs_over_with_budget(label, word_lang, letter_of, &Budget::unlimited())
+    pub fn outputs_over(&self, label: &Symbol, word_lang: &Nfa) -> BTreeMap<usize, Vec<usize>> {
+        self.outputs_over_with_budget(label, word_lang, &Budget::unlimited())
             .expect("the unlimited budget never trips")
     }
 
@@ -665,59 +673,80 @@ impl Duta {
         &self,
         label: &Symbol,
         word_lang: &Nfa,
-        letter_of: impl Fn(&Symbol) -> Option<usize>,
         budget: &Budget,
-    ) -> Result<BTreeMap<usize, Vec<Symbol>>, AutomataError> {
-        let machine = match self.machines.get(label) {
-            Some(m) => m,
-            None => return Ok(BTreeMap::new()),
+    ) -> Result<BTreeMap<usize, Vec<usize>>, AutomataError> {
+        let Some(machine) = self.machines.get(label) else {
+            return Ok(BTreeMap::new());
         };
-        // Resolve each alphabet symbol's subset-state letter *and* its
-        // local id in the word automaton once, outside the BFS — symbols
-        // denoting no subset state never move the product, and the frontier
-        // steps below never re-hash a symbol.
-        let moves: Vec<(Symbol, usize, u32)> = word_lang
+        let moves: Vec<Move> = word_lang
             .alphabet()
             .iter()
-            .filter_map(|&sym| {
-                let letter = letter_of(&sym)?;
-                let sid = word_lang.sym_id(&sym)?;
-                Some((sym, letter, sid))
+            .filter_map(|sym| {
+                let i = self.letter_index(sym)?;
+                Some((word_lang.sym_id(sym)?, vec![(Some(i), i)]))
             })
             .collect();
-        let finals = word_lang.finals_set();
-        let start = (machine.start, word_lang.start_closure());
-        // One BFS state: (machine configuration, NFA frontier bitset). The
-        // frontiers here are content-model sized (inline bitsets), so the
-        // step allocates nothing and a reuse buffer would only add clones.
-        type Pair = (usize, StateSet);
-        let mut outputs: BTreeMap<usize, Vec<Symbol>> = BTreeMap::new();
-        let mut seen: FxHashSet<Pair> = FxHashSet::from_iter([start.clone()]);
-        let mut queue: VecDeque<(Pair, Vec<Symbol>)> = VecDeque::from([(start, Vec::new())]);
-        while let Some(((config, set), word)) = queue.pop_front() {
-            budget.step()?;
-            if set.intersects(&finals) {
-                outputs.entry(machine.output[config]).or_insert_with(|| word.clone());
+        let image = moore_image(Some(machine), word_lang, &moves, budget)?;
+        Ok(image.into_iter().filter_map(|(out, word)| Some((out?, word))).collect())
+    }
+}
+
+/// What one content symbol reads in [`moore_image`]: its local id in the
+/// content automaton and its `(letter, tag)` choices.
+type Move = (u32, Vec<(Option<usize>, usize)>);
+
+/// An output of [`moore_image`] with the tags of the first path to it.
+type Reached = (Option<usize>, Vec<usize>);
+
+/// The Moore image of a content language under a label machine: a BFS over
+/// (content frontier, machine configuration) pairs in which the symbol of
+/// each move reads each of its letters, `None` being the dead state of
+/// trees outside the machine's universe. A dead letter or a missing
+/// `machine` sends the configuration to `None` for good. Returns every
+/// output (`None` for the dead configuration) reached with a final
+/// frontier, in discovery order, with the tags of the first — shortest —
+/// path to it. Charges one budget step per popped pair.
+fn moore_image(
+    machine: Option<&LabelMachine>,
+    content: &Nfa,
+    moves: &[Move],
+    budget: &Budget,
+) -> Result<Vec<Reached>, AutomataError> {
+    let finals = content.finals_set();
+    type Node = (StateSet, Option<usize>);
+    let start: Node = (content.start_closure(), machine.map(LabelMachine::start));
+    let mut image: Vec<Reached> = Vec::new();
+    let mut found: FxHashSet<Option<usize>> = FxHashSet::default();
+    let mut seen: FxHashSet<Node> = FxHashSet::from_iter([start.clone()]);
+    let mut queue: VecDeque<(Node, Vec<usize>)> = VecDeque::from([(start, Vec::new())]);
+    while let Some(((set, config), path)) = queue.pop_front() {
+        budget.step()?;
+        if set.intersects(&finals) {
+            let out = config.zip(machine).map(|(c, m)| m.output(c));
+            if found.insert(out) {
+                image.push((out, path.clone()));
             }
-            for &(sym, letter, sid) in &moves {
-                let next_config = match machine.step_opt(config, letter) {
-                    Some(c) => c,
-                    None => continue,
+        }
+        for (sid, letters) in moves {
+            let next_set = content.step_local(&set, *sid);
+            if next_set.is_empty() {
+                continue;
+            }
+            for &(letter, tag) in letters {
+                let next_config = match (config, letter, machine) {
+                    (Some(c), Some(s), Some(m)) => Some(m.step(c, s)),
+                    _ => None,
                 };
-                let next_set = word_lang.step_local(&set, sid);
-                if next_set.is_empty() {
-                    continue;
-                }
-                let state = (next_config, next_set);
-                if seen.insert(state.clone()) {
-                    let mut w = word.clone();
-                    w.push(sym);
-                    queue.push_back((state, w));
+                let next = (next_set.clone(), next_config);
+                if seen.insert(next.clone()) {
+                    let mut next_path = path.clone();
+                    next_path.push(tag);
+                    queue.push_back((next, next_path));
                 }
             }
         }
-        Ok(outputs)
     }
+    Ok(image)
 }
 
 impl fmt::Debug for Duta {
@@ -740,10 +769,11 @@ impl fmt::Debug for Duta {
 ///
 /// This is the product fixpoint behind tree-language inclusion of a
 /// nondeterministic automaton in a deterministic one: `a` is never
-/// determinised. Each rule `(q, label)` of `a` is evaluated by a BFS over
-/// (content frontier, label-machine configuration) pairs that reads the
-/// known pairs of its content's states as letters; a rule is re-evaluated
-/// only when a state its content reads gains a pair.
+/// determinised. Each rule `(q, label)` of `a` is evaluated by the BFS
+/// over (content frontier, label-machine configuration) pairs behind
+/// [`Duta::outputs_over`], reading the known pairs of its content's states
+/// as letters; a rule is re-evaluated only when a state its content reads
+/// gains a pair.
 ///
 /// `db` may have been determinised over a *smaller* label universe than
 /// `a`'s (the point of caching a determinised target across inclusion
@@ -786,50 +816,26 @@ pub fn run_pairs_with_budget(
     while let Some(r) = queue.pop_front() {
         queued[r] = false;
         let (&q, &label, content) = rules[r];
-        let machine = db.machine(&label);
-        // The letters: per state the content reads, its local symbol id and
-        // its pairs known so far.
-        let letters: Vec<(u32, Vec<usize>)> = content
+        // Each state the content reads moves through its pairs known so
+        // far, read as their subset letters and tagged with their index.
+        let moves: Vec<Move> = content
             .alphabet()
             .iter()
-            .filter_map(|sym| Some((content.sym_id(sym)?, of_state.get(sym)?.clone())))
+            .filter_map(|sym| {
+                let known_pairs = of_state.get(sym)?;
+                let letters = known_pairs.iter().map(|&p| (pairs[p].1, p)).collect();
+                Some((content.sym_id(sym)?, letters))
+            })
             .collect();
-        let finals = content.finals_set();
-        type Node = (StateSet, Option<usize>);
-        let start: Node = (content.start_closure(), machine.map(LabelMachine::start));
-        let mut seen: FxHashSet<Node> = FxHashSet::from_iter([start.clone()]);
-        let mut bfs: VecDeque<(Node, Vec<usize>)> = VecDeque::from([(start, Vec::new())]);
-        while let Some(((set, config), path)) = bfs.pop_front() {
-            budget.step()?;
-            if set.intersects(&finals) {
-                let out = config.zip(machine).map(|(c, m)| m.output(c));
-                if known.insert((q, out)) {
-                    let children = path.iter().map(|&p| pairs[p].2.clone()).collect();
-                    of_state.entry(q).or_default().push(pairs.len());
-                    pairs.push((q, out, XTree::node(label, children)));
-                    for &reader in readers.get(&q).into_iter().flatten() {
-                        if !queued[reader] {
-                            queued[reader] = true;
-                            queue.push_back(reader);
-                        }
-                    }
-                }
-            }
-            for (sid, letter_pairs) in &letters {
-                let next_set = content.step_local(&set, *sid);
-                if next_set.is_empty() {
-                    continue;
-                }
-                for &p in letter_pairs {
-                    let next_config = match (config, pairs[p].1, machine) {
-                        (Some(c), Some(s), Some(m)) => Some(m.step(c, s)),
-                        _ => None,
-                    };
-                    let next = (next_set.clone(), next_config);
-                    if seen.insert(next.clone()) {
-                        let mut next_path = path.clone();
-                        next_path.push(p);
-                        bfs.push_back((next, next_path));
+        for (out, path) in moore_image(db.machine(&label), content, &moves, budget)? {
+            if known.insert((q, out)) {
+                let children = path.iter().map(|&p| pairs[p].2.clone()).collect();
+                of_state.entry(q).or_default().push(pairs.len());
+                pairs.push((q, out, XTree::node(label, children)));
+                for &reader in readers.get(&q).into_iter().flatten() {
+                    if !queued[reader] {
+                        queued[reader] = true;
+                        queue.push_back(reader);
                     }
                 }
             }
@@ -1103,22 +1109,25 @@ mod tests {
     fn label_outputs_and_inhabited_pairs() {
         let a = ab_star_automaton();
         let d = a.determinize(a.labels());
+        let pairs = d.inhabited_label_states();
         // An `a` leaf types to {qa}; an `a` with children to the empty
         // subset — exactly two achievable states for the label.
         let qa = Symbol::new("qa");
-        let a_outs = d.label_outputs(&Symbol::new("a"));
+        let a_outs = &pairs[&Symbol::new("a")];
         assert_eq!(a_outs.len(), 2);
         assert!(a_outs.iter().any(|&i| d.subset(i).contains(&qa)));
         assert!(a_outs.iter().any(|&i| d.subset(i).is_empty()));
         // `s` can be typed qs (with a valid (ab)* child word) or not at all.
-        let s_outs = d.label_outputs(&Symbol::new("s"));
+        let s_outs = &pairs[&Symbol::new("s")];
         assert!(s_outs.iter().any(|&i| d.subset(i).contains(&Symbol::new("qs"))));
         assert!(s_outs.iter().any(|&i| d.subset(i).is_empty()));
         assert!(d.empty_subset().is_some());
-        let pairs = d.inhabited_label_states();
         assert_eq!(pairs[&Symbol::new("b")].len(), 2);
         assert!(pairs[&Symbol::new("a")].iter().all(|i| !d.is_final(*i)));
-        assert!(d.label_outputs(&Symbol::new("zz")).is_empty());
+        assert!(!pairs.contains_key(&Symbol::new("zz")));
+        // Every subset state is the output of some label.
+        let outputs: BTreeSet<usize> = pairs.values().flatten().copied().collect();
+        assert_eq!(outputs, (0..d.num_states()).collect());
         // Accepting states are exactly the qs-containing subsets.
         for i in d.accepting_states() {
             assert!(d.subset(i).contains(&Symbol::new("qs")));
@@ -1129,28 +1138,56 @@ mod tests {
     fn outputs_over_images_a_word_language() {
         let a = ab_star_automaton();
         let d = a.determinize(a.labels());
-        let state_sym = |i: usize| Symbol::new(format!("#s{i}"));
-        let letter_of = |s: &Symbol| s.as_str().strip_prefix("#s").and_then(|t| t.parse().ok());
-        let sa = *d.label_outputs(&Symbol::new("a")).iter().next().unwrap();
-        let sb = *d.label_outputs(&Symbol::new("b")).iter().next().unwrap();
+        let pairs = d.inhabited_label_states();
+        let sa = *pairs[&Symbol::new("a")].iter().next().unwrap();
+        let sb = *pairs[&Symbol::new("b")].iter().next().unwrap();
         // Children words (Sa Sb)*: the only output is the accepting state.
-        let good = Nfa::literal(&[state_sym(sa), state_sym(sb)]).star();
-        let outs = d.outputs_over(&Symbol::new("s"), &good, letter_of);
+        let good = Nfa::literal(&[d.letter(sa), d.letter(sb)]).star();
+        let outs = d.outputs_over(&Symbol::new("s"), &good);
         assert!(outs.keys().all(|&i| d.is_final(i)));
         // Shortest witness is the empty word (a leaf s is valid).
         assert_eq!(outs.values().next().unwrap().len(), 0);
         // Children words (Sa Sb)* Sa: only the empty subset is achievable.
-        let bad = good.concat(&Nfa::symbol(state_sym(sa)));
-        let outs2 = d.outputs_over(&Symbol::new("s"), &bad, letter_of);
+        let bad = good.concat(&Nfa::symbol(d.letter(sa)));
+        let outs2 = d.outputs_over(&Symbol::new("s"), &bad);
         assert_eq!(outs2.len(), 1);
         let (&o, w) = outs2.iter().next().unwrap();
         assert!(d.subset(o).is_empty());
-        assert_eq!(w.len(), 1, "shortest witness is the single word Sa");
-        // Symbols that denote no subset state make words unrealizable.
-        let foreign = Nfa::symbol("not-a-state");
-        assert!(d.outputs_over(&Symbol::new("s"), &foreign, letter_of).is_empty());
+        assert_eq!(w, &vec![sa], "shortest witness is the single word Sa");
         // Unknown labels have no machine.
-        assert!(d.outputs_over(&Symbol::new("zz"), &good, letter_of).is_empty());
+        assert!(d.outputs_over(&Symbol::new("zz"), &good).is_empty());
+    }
+
+    #[test]
+    fn outputs_over_ignores_symbols_that_are_not_letters() {
+        let a = ab_star_automaton();
+        let d = a.determinize(a.labels());
+        let n = d.num_states();
+        let s = Symbol::new("s");
+        let not_letters = [
+            format!("#s{n}"),
+            format!("#s{}", n + 7),
+            format!("#s0{}", n - 1),
+            "#s".to_owned(),
+            "#sx".to_owned(),
+            "#s-1".to_owned(),
+            "s".to_owned(),
+            "a".to_owned(),
+            "qa".to_owned(),
+        ];
+        for sym in &not_letters {
+            // Alone: no realizable non-empty word, so no output at all.
+            let alone = Nfa::symbol(sym.as_str());
+            assert!(d.outputs_over(&s, &alone).is_empty(), "`{sym}` read as a letter");
+            // Beside the real letters: only the letter words are imaged.
+            let mixed = Nfa::symbol(sym.as_str()).union(&Nfa::epsilon());
+            let outs = d.outputs_over(&s, &mixed);
+            assert_eq!(outs.len(), 1, "`{sym}` moved the machine");
+            assert!(outs.values().all(Vec::is_empty));
+        }
+        // A letter of the automaton itself is read.
+        let last = Nfa::symbol(d.letter(n - 1));
+        assert!(!d.outputs_over(&s, &last).is_empty());
     }
 
     #[test]
@@ -1164,8 +1201,7 @@ mod tests {
             .enumerate()
             .find(|(_, s)| s.contains(&Symbol::new("qs")))
             .expect("qs subset must be reachable");
-        let namer = |i: usize| Symbol::new(format!("S{i}"));
-        let content = d.content_nfa(qs_idx, &Symbol::new("s"), namer);
+        let content = d.content_nfa(qs_idx, &Symbol::new("s"));
         assert!(!content.is_empty());
         // The content language accepts the empty word (a leaf s gets qs).
         assert!(content.accepts(&[]));

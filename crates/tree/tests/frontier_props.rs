@@ -76,14 +76,6 @@ fn random_nuta(rng: &mut Rng) -> Nuta {
     a
 }
 
-fn state_sym(i: usize) -> Symbol {
-    Symbol::new(format!("#s{i}"))
-}
-
-fn letter_of(sym: &Symbol) -> Option<usize> {
-    sym.as_str().strip_prefix("#s").and_then(|t| t.parse().ok())
-}
-
 /// The seed's `BTreeSet` view of a word automaton (for the reference
 /// product BFS).
 struct RefNfa {
@@ -134,12 +126,13 @@ impl RefNfa {
 /// The seed reimplementation of [`Duta::outputs_over`]: the same product
 /// BFS (FIFO queue, text-order moves, first witness wins) over
 /// `(machine config, BTreeSet frontier)` pairs, with the machine consumed
-/// through its public transition view.
+/// through its public transition view and the letters through
+/// [`Duta::letter`].
 fn reference_outputs_over(
     duta: &Duta,
     label: &Symbol,
     word_lang: &Nfa,
-) -> BTreeMap<usize, Vec<Symbol>> {
+) -> BTreeMap<usize, Vec<usize>> {
     let machine = match duta.machine(label) {
         Some(m) => m,
         None => return BTreeMap::new(),
@@ -147,17 +140,19 @@ fn reference_outputs_over(
     let delta: BTreeMap<(usize, usize), usize> =
         machine.transitions().map(|(c, l, n)| ((c, l), n)).collect();
     let word = RefNfa::of(word_lang);
+    let letters: BTreeMap<Symbol, usize> =
+        (0..duta.num_states()).map(|i| (duta.letter(i), i)).collect();
     let moves: Vec<(Symbol, usize)> = word_lang
         .alphabet()
         .iter()
-        .filter_map(|&sym| letter_of(&sym).map(|letter| (sym, letter)))
+        .filter_map(|&sym| letters.get(&sym).map(|&letter| (sym, letter)))
         .collect();
     // One BFS state of the seed product: (machine config, BTreeSet frontier).
     type Pair = (usize, BTreeSet<usize>);
     let start = (machine.start(), word.epsilon_closure(&BTreeSet::from([word.start])));
-    let mut outputs: BTreeMap<usize, Vec<Symbol>> = BTreeMap::new();
+    let mut outputs: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
     let mut seen: BTreeSet<Pair> = BTreeSet::from([start.clone()]);
-    let mut queue: VecDeque<(Pair, Vec<Symbol>)> = VecDeque::from([(start, Vec::new())]);
+    let mut queue: VecDeque<(Pair, Vec<usize>)> = VecDeque::from([(start, Vec::new())]);
     while let Some(((config, set), witness)) = queue.pop_front() {
         if set.iter().any(|q| word.finals.contains(q)) {
             outputs.entry(machine.output(config)).or_insert_with(|| witness.clone());
@@ -174,7 +169,7 @@ fn reference_outputs_over(
             let state = (next_config, next_set);
             if seen.insert(state.clone()) {
                 let mut w = witness.clone();
-                w.push(sym);
+                w.push(letter);
                 queue.push_back((state, w));
             }
         }
@@ -191,10 +186,10 @@ fn outputs_over_images_match_the_btreeset_reference() {
         let labels = nuta.labels().clone();
         let duta = nuta.determinize(&labels);
         let n = duta.num_states();
-        let state_syms: Vec<Symbol> = (0..n).map(state_sym).collect();
+        let letters: Vec<Symbol> = (0..n).map(|i| duta.letter(i)).collect();
         for label in &labels {
-            let word_lang = random_content(&mut rng, &state_syms);
-            let real = duta.outputs_over(label, &word_lang, letter_of);
+            let word_lang = random_content(&mut rng, &letters);
+            let real = duta.outputs_over(label, &word_lang);
             let want = reference_outputs_over(&duta, label, &word_lang);
             assert_eq!(real, want, "case {case}: outputs_over diverged under `{label}`");
             nonempty_images += usize::from(!real.is_empty());

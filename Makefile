@@ -147,6 +147,7 @@ lint-schemas:
 lint-repo:
 	$(CARGO) run -q --release --example repo_invariants
 
-# The tier-1 gate plus lints, docs and bench compilation.
-verify: build test clippy doc bench
+# The tier-1 gate plus lints, docs, bench compilation and the repo-invariant
+# lint (so a retired counter that gets recorded again fails locally too).
+verify: build test clippy doc bench lint-repo
 	@echo "verify: OK"

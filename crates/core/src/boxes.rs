@@ -40,81 +40,27 @@
 //!
 //! All target- and schema-derived artefacts (the determinised specialised
 //! target; the per-function gap languages over subset states, read off the
-//! same product fixpoint run on each function schema; the determinised
-//! Moore-machine skeletons) are built lazily once per problem in a
-//! [`BoxTargetCache`] behind an `OnceLock`. Nothing document-dependent is
-//! cached.
+//! same product fixpoint run on each function schema) are built lazily once
+//! per problem in a [`BoxTargetCache`] behind an `OnceLock`. Nothing
+//! document-dependent is cached.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::OnceLock;
 
-use dxml_automata::{AutomataError, BoxLang, Budget, Dfa, Nfa, RSpec, StateSet, Symbol};
+use dxml_automata::{AutomataError, BoxLang, Budget, Nfa, RSpec, StateSet, Symbol};
 use dxml_schema::{REdtd, SchemaError};
 use dxml_telemetry as telemetry;
 use dxml_tree::uta::Duta;
 use dxml_tree::{uta, NodeId, Nuta, XTree};
 
-use crate::design::{CacheStats, Origin, TypingVerdict};
+use crate::design::{Origin, TypingVerdict};
 use crate::doc::DistributedDoc;
 use crate::error::DesignError;
 
 // ----------------------------------------------------------------------
 // Cached artefacts
 // ----------------------------------------------------------------------
-
-/// A lazily filled memo of determinised residual inputs: the key identifies
-/// the *machine* (a per-label Moore machine) and the value is its
-/// determinisation, shared by every residual taken against it. Kept behind
-/// a `Mutex` so the enclosing cache stays usable through `&self`.
-#[derive(Debug, Default)]
-struct ResidualDfaCache {
-    memo: Mutex<BTreeMap<Symbol, Arc<Dfa>>>,
-    /// Memo misses (machines actually determinised) and hits, kept as plain
-    /// per-problem atomics so test assertions stay deterministic even when
-    /// the process-global telemetry registry is shared with other work; the
-    /// same events are mirrored into `cache.residual_dfa_builds`/`_hits`.
-    builds: AtomicU64,
-    hits: AtomicU64,
-}
-
-impl ResidualDfaCache {
-    /// The determinisation of the machine identified by `key`, built by
-    /// `make` on first use and shared afterwards. A `make` that *panicked*
-    /// on an earlier call poisons the mutex; the memo is only ever mutated
-    /// after a successful build, so the poison is benign and recovered from.
-    fn get_or_build(&self, key: &Symbol, make: impl FnOnce() -> Dfa) -> Arc<Dfa> {
-        let mut memo = self.memo.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(d) = memo.get(key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            telemetry::count(telemetry::Metric::ResidualDfaHits, 1);
-            return Arc::clone(d);
-        }
-        let d = Arc::new(make());
-        memo.insert(*key, Arc::clone(&d));
-        self.builds.fetch_add(1, Ordering::Relaxed);
-        telemetry::count(telemetry::Metric::ResidualDfaBuilds, 1);
-        d
-    }
-
-    /// Memo misses and hits so far, in that order.
-    fn stats(&self) -> (u64, u64) {
-        (self.builds.load(Ordering::Relaxed), self.hits.load(Ordering::Relaxed))
-    }
-}
-
-impl Clone for ResidualDfaCache {
-    fn clone(&self) -> Self {
-        ResidualDfaCache {
-            memo: Mutex::new(
-                self.memo.lock().map(|memo| memo.clone()).unwrap_or_default(),
-            ),
-            builds: AtomicU64::new(self.builds.load(Ordering::Relaxed)),
-            hits: AtomicU64::new(self.hits.load(Ordering::Relaxed)),
-        }
-    }
-}
 
 /// Per-function artefacts of the box reduction: which trees the function can
 /// realize, expressed in the determinised target's subset states.
@@ -200,8 +146,8 @@ fn untypable_node(duta: &Duta, tree: &XTree, empty: usize) -> Option<(Symbol, Ve
 
 /// Problem artefacts of a [`BoxDesignProblem`] that are expensive to build
 /// and independent of the document being checked: the determinised
-/// specialised target and the per-function gap languages. Computed lazily
-/// on the first decision and shared by every subsequent
+/// specialised target and the per-function gap languages. Plain data,
+/// computed lazily on the first decision and shared by every subsequent
 /// [`BoxDesignProblem::typecheck`], [`BoxDesignProblem::verify_local`] and
 /// [`BoxDesignProblem::perfect_schema`] call; mutating the problem
 /// invalidates it.
@@ -211,17 +157,9 @@ pub struct BoxTargetCache {
     accepting: StateSet,
     empty_subset: Option<usize>,
     funs: BTreeMap<Symbol, FunArtifacts>,
-    /// Determinised per-label Moore-machine skeletons, keyed by label —
-    /// the residual inputs of the spine walk, built at most once per label.
-    machine_dfas: ResidualDfaCache,
 }
 
 impl BoxTargetCache {
-    fn build(target: &REdtd, fun_schemas: &BTreeMap<Symbol, REdtd>) -> BoxTargetCache {
-        BoxTargetCache::build_with(target, fun_schemas, &Budget::unlimited())
-            .expect("the unlimited budget never trips")
-    }
-
     /// Governed cache build: the target determinisation and every
     /// per-function product fixpoint charge `budget`. A trip aborts the build
     /// and caches nothing. The one build site of the crate: a target whose
@@ -247,35 +185,7 @@ impl BoxTargetCache {
             .iter()
             .map(|(f, schema)| FunArtifacts::build(schema, &duta, budget).map(|a| (*f, a)))
             .collect::<Result<_, _>>()?;
-        Ok(BoxTargetCache {
-            duta,
-            accepting,
-            empty_subset,
-            funs,
-            machine_dfas: ResidualDfaCache::default(),
-        })
-    }
-
-    /// The skeleton of `label`'s Moore machine as a DFA over letters (one
-    /// state per configuration, no finals), memoised per problem. Callers
-    /// clone it and mark their admissible outputs final.
-    fn machine_dfa(&self, label: &Symbol) -> Arc<Dfa> {
-        self.machine_dfas.get_or_build(label, || self.duta.content_dfa(label, |_| false))
-    }
-
-    /// The language of child words whose Moore output under `label` lies in
-    /// `outputs`, as a DFA over letters: the memoised skeleton with the
-    /// admissible configurations marked final.
-    fn admissible_children_dfa(&self, label: &Symbol, outputs: &StateSet) -> Dfa {
-        let mut dfa = (*self.machine_dfa(label)).clone();
-        if let Some(machine) = self.duta.machine(label) {
-            for config in 0..dfa.num_states() {
-                if outputs.contains(machine.output(config)) {
-                    dfa.set_final(config);
-                }
-            }
-        }
-        dfa
+        Ok(BoxTargetCache { duta, accepting, empty_subset, funs })
     }
 
     /// The child-word language of kernel `children` over letters: a docking
@@ -320,12 +230,6 @@ impl BoxTargetCache {
     /// specialised-name sets.
     fn box_of(&self, witness: &[usize]) -> BoxLang {
         BoxLang::new(witness.iter().map(|&i| self.duta.subset(i).clone()).collect())
-    }
-
-    /// Residual-memo misses and hits so far (backs
-    /// [`BoxDesignProblem::cache_stats`]).
-    fn residual_stats(&self) -> (u64, u64) {
-        self.machine_dfas.stats()
     }
 
     /// The target's specialised tree automaton, determinised (bottom-up)
@@ -533,8 +437,13 @@ impl BoxDesignProblem {
     /// The lazily built problem artefacts (determinised specialised target,
     /// per-function gap languages). The first call pays for the
     /// determinisation; later calls are free.
+    ///
+    /// # Panics
+    ///
+    /// Never: the build runs under [`Budget::unlimited`], which never trips.
     pub fn target_cache(&self) -> &BoxTargetCache {
-        self.target.get_or_init(|| BoxTargetCache::build(&self.doc_schema, &self.fun_schemas))
+        self.target_cache_with_budget(&Budget::unlimited())
+            .expect("the unlimited budget never trips")
     }
 
     /// Governed variant of [`BoxDesignProblem::target_cache`]: the cold
@@ -555,22 +464,6 @@ impl BoxDesignProblem {
     /// that repeated decisions do not re-determinise).
     pub fn target_cache_ready(&self) -> bool {
         self.target.get().is_some()
-    }
-
-    /// Point-in-time statistics of this problem's caches: target-cache
-    /// readiness and residual-DFA memo builds/hits. Exact for this problem
-    /// regardless of other work in the process; the same events also feed
-    /// the global [`dxml_telemetry`] counters.
-    pub fn cache_stats(&self) -> CacheStats {
-        let (residual_dfa_builds, residual_dfa_hits) = self
-            .target
-            .get()
-            .map_or((0, 0), BoxTargetCache::residual_stats);
-        CacheStats {
-            target_cache_built: self.target_cache_ready(),
-            residual_dfa_builds,
-            residual_dfa_hits,
-        }
     }
 
     fn require_schemas(&self, doc: &DistributedDoc) -> Result<(), DesignError> {
@@ -878,7 +771,7 @@ impl BoxDesignProblem {
     /// point of its own must admit its fixed child word, and the gap
     /// language is the intersection of the docking parents' residuals. At a
     /// docking parent the residual is universal for one docking point and
-    /// uniform ([`Dfa::uniform_context_residual`]) for several.
+    /// uniform ([`dxml_automata::Dfa::uniform_context_residual`]) for several.
     ///
     /// The schema materialises the gap language with one specialised name
     /// per inhabited `(label, subset state)` pair reachable from its start
@@ -1041,9 +934,7 @@ impl BoxDesignProblem {
                 forced_empty = true;
                 break;
             }
-            // The skeleton DFA comes from the problem memo; only the finals
-            // (the admissible outputs at this level) differ per call.
-            let admissible_children = cache.admissible_children_dfa(label, &safe);
+            let admissible_children = cache.duta.content_dfa(label, |out| safe.contains(out));
             let children = kernel.children(x);
             if let Some(positions) = docking.get(&x) {
                 let mut contexts: Vec<Nfa> = Vec::with_capacity(positions.len() + 1);

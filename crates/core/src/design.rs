@@ -31,25 +31,6 @@ use crate::boxes::{BoxDesignProblem, BoxTargetCache, BoxVerdict, BoxViolation};
 use crate::doc::DistributedDoc;
 use crate::error::DesignError;
 
-/// Point-in-time cache statistics of one design problem: how much of the
-/// lazily built machinery exists and how well the residual-DFA memo is
-/// doing. The same events feed the process-global [`dxml_telemetry`]
-/// counters (`cache.residual_dfa_*`); these per-problem numbers are kept
-/// separately so assertions about *this* problem stay exact no matter what
-/// other problems in the process are doing.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct CacheStats {
-    /// Whether the target cache (determinised target automaton,
-    /// per-function gap languages) has been built.
-    pub target_cache_built: bool,
-    /// Residual-DFA memo misses: Moore-machine skeletons actually
-    /// determinised.
-    pub residual_dfa_builds: u64,
-    /// Residual-DFA memo hits: determinisations served from the memo.
-    pub residual_dfa_hits: u64,
-}
-
 /// A typing-verification instance with a DTD target: the target document
 /// schema `τ` plus one DTD schema per function symbol.
 ///
@@ -199,7 +180,6 @@ impl LocalVerdict {
     }
 }
 
-
 impl DesignProblem {
     /// Creates a design problem with no function schemas.
     pub fn new(doc_schema: RDtd) -> DesignProblem {
@@ -283,12 +263,6 @@ impl DesignProblem {
     /// benches to pin that repeated decisions do not re-determinise).
     pub fn target_cache_ready(&self) -> bool {
         self.engine.target_cache_ready()
-    }
-
-    /// Point-in-time statistics of this problem's caches (see
-    /// [`BoxDesignProblem::cache_stats`]).
-    pub fn cache_stats(&self) -> CacheStats {
-        self.engine.cache_stats()
     }
 
     /// A [`Nuta`] recognising exactly the extensions of `doc`: the kernel

@@ -49,8 +49,6 @@ pub mod perfect;
 
 pub use batch::{validate_batch, validate_batch_with_budget};
 pub use boxes::{BoxDesignProblem, BoxTargetCache, BoxVerdict, BoxViolation};
-pub use design::{
-    CacheStats, DesignProblem, LocalVerdict, LocalViolation, Origin, TypingVerdict,
-};
+pub use design::{DesignProblem, LocalVerdict, LocalViolation, Origin, TypingVerdict};
 pub use doc::DistributedDoc;
 pub use error::DesignError;

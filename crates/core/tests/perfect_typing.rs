@@ -152,29 +152,19 @@ fn perfect_schema_of_two_functions_each_maximal() {
 }
 
 #[test]
-fn residual_determinisations_are_memoised_per_problem() {
-    // Synthesis determinises each docking parent's content model at most
-    // once per problem: repeated perfect_schema calls reuse the memo.
+fn repeated_synthesis_reuses_the_target_cache() {
+    // Synthesis reads the problem's determinised target: a repeated
+    // perfect_schema call reuses it and agrees with the first.
     let problem = DesignProblem::new(dtd("s -> a, b*\nb -> c?"));
     let doc = DistributedDoc::parse("s(a f)", ["f"]).unwrap();
     let first = problem.perfect_schema(&doc, "f").unwrap();
-    let after_first = problem.cache_stats();
-    assert!(after_first.target_cache_built);
-    assert!(
-        after_first.residual_dfa_builds >= 1,
-        "synthesis must go through the residual-DFA memo"
-    );
+    assert!(problem.target_cache_ready());
+    let duta = problem.target_cache().duta() as *const _;
     let second = problem.perfect_schema(&doc, "f").unwrap();
-    let after_second = problem.cache_stats();
-    assert_eq!(
-        after_second.residual_dfa_builds, after_first.residual_dfa_builds,
-        "a repeated synthesis must not determinise any further residual input"
-    );
     assert!(
-        after_second.residual_dfa_hits > after_first.residual_dfa_hits,
-        "the repeated synthesis must be served from the memo"
+        std::ptr::eq(duta, problem.target_cache().duta()),
+        "a repeated synthesis must not re-determinise the target"
     );
-    // The memo is an optimisation only: both syntheses agree.
     let fa = first.content(first.start()).to_nfa();
     let fb = second.content(second.start()).to_nfa();
     assert!(dxml_automata::equiv::is_equivalent(&fa, &fb));

@@ -45,7 +45,7 @@ fn enabled_engine_pass_lights_up_the_registry() {
     assert!(problem.verify_local(&doc).unwrap().is_valid());
     // Repeat once: the warm call reads the cached target.
     assert!(problem.typecheck(&doc).unwrap().is_valid());
-    // Perfect-schema synthesis drives the residual-DFA memo.
+    // Perfect-schema synthesis walks the spine by context residuals.
     problem.perfect_schema(&doc, "fDE").expect("synthesis succeeds");
 
     // Streaming layer: one well-formed document through the one-pass
@@ -71,7 +71,6 @@ fn enabled_engine_pass_lights_up_the_registry() {
         telemetry::Metric::SymbolsInterned,
         telemetry::Metric::SubsetConstructions,
         telemetry::Metric::TargetCacheBuilds,
-        telemetry::Metric::ResidualDfaBuilds,
         telemetry::Metric::StreamDocs,
         telemetry::Metric::BatchRuns,
         telemetry::Metric::SpanEntered,

@@ -58,7 +58,7 @@ impl RSdtd {
         let mut edtd: Option<REdtd> = None;
         for (lineno, raw) in input.lines().enumerate() {
             let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
+            if line.is_empty() || crate::syntax::is_comment(line) {
                 continue;
             }
             let (lhs, rhs) = line.split_once("->").ok_or_else(|| SchemaError::Parse {
@@ -264,6 +264,13 @@ mod tests {
             let t = parse_term(src).unwrap();
             assert_eq!(s.accepts(&t), nuta.accepts(&t), "tree {src}");
         }
+    }
+
+    #[test]
+    fn compact_syntax_reads_hash_names_as_rules() {
+        let s = RSdtd::parse(RFormalism::Nre, "# c\n#\ns -> #x*\n#x -> a?").unwrap();
+        assert!(s.accepts(&parse_term("s(#x(a))").unwrap()));
+        assert!(!s.accepts(&parse_term("s(#x(a a))").unwrap()));
     }
 
     #[test]

@@ -17,14 +17,15 @@ use crate::error::SchemaError;
 
 /// Parses the compact rule syntax (`eurostat -> averages, nationalIndex*`).
 ///
-/// Lines that are empty or start with `#` are skipped. The left-hand side of
-/// the first rule is the start symbol; element names that appear only on
-/// right-hand sides become leaf-only elements.
+/// Empty lines and comments — a bare `#`, or `#` followed by whitespace —
+/// are skipped; element names may contain `#`, so `#x -> a?` is a rule. The
+/// left-hand side of the first rule is the start symbol; element names that
+/// appear only on right-hand sides become leaf-only elements.
 pub fn parse_dtd(formalism: RFormalism, input: &str) -> Result<RDtd, SchemaError> {
     let mut dtd: Option<RDtd> = None;
     for (lineno, raw) in input.lines().enumerate() {
         let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
+        if line.is_empty() || is_comment(line) {
             continue;
         }
         let (lhs, rhs) = split_rule(line, lineno + 1)?;
@@ -42,6 +43,13 @@ pub fn parse_dtd(formalism: RFormalism, input: &str) -> Result<RDtd, SchemaError
         dtd.set_rule(name, content);
     }
     dtd.ok_or_else(|| SchemaError::Parse { line: 1, message: "no rules found".into() })
+}
+
+/// Whether a trimmed line of the compact syntax is a comment (see
+/// [`parse_dtd`]).
+pub(crate) fn is_comment(line: &str) -> bool {
+    line.strip_prefix('#')
+        .is_some_and(|rest| rest.is_empty() || rest.starts_with(char::is_whitespace))
 }
 
 /// Splits a compact rule into `(lhs, rhs)` at `->` (or the arrow `→`).
@@ -189,6 +197,14 @@ mod tests {
     fn compact_syntax_skips_blank_lines_and_comments() {
         let dtd = parse_dtd(RFormalism::Nre, "\n# the start rule\ns -> a*\n\n").unwrap();
         assert!(dtd.accepts(&parse_term("s(a a)").unwrap()));
+    }
+
+    #[test]
+    fn compact_syntax_reads_hash_names_as_rules() {
+        let dtd = parse_dtd(RFormalism::Nre, "# c\n#\ns -> #x*\n#x -> a?").unwrap();
+        assert!(dtd.has_rule(&Symbol::new("s")));
+        assert!(dtd.has_rule(&Symbol::new("#x")));
+        assert!(dtd.accepts(&parse_term("s(#x(a))").unwrap()));
     }
 
     #[test]

@@ -41,8 +41,8 @@
 //! | `equiv.bfs_transitions` | product edges traversed across all searches |
 //! | `design.target_cache_builds` | cold `BoxTargetCache` builds of DTD targets (each specialised name its own label) |
 //! | `boxes.target_cache_builds` | cold `BoxTargetCache` builds of every other EDTD target |
-//! | `cache.residual_dfa_builds` | residual-DFA memo misses (machines determinised) |
-//! | `cache.residual_dfa_hits` | residual-DFA memo hits |
+//! | `cache.residual_dfa_builds` | retired: the residual-DFA memo is gone; registered for the benchmark's readers, never moves |
+//! | `cache.residual_dfa_hits` | retired like `cache.residual_dfa_builds`; never moves |
 //! | `design.ext_memo_hits` | retired: the extension-automaton memo is gone; registered for the benchmark's readers, never moves |
 //! | `design.ext_memo_misses` | retired like `design.ext_memo_hits`; never moves |
 //! | `stream.docs` | documents validated by `StreamValidator` |

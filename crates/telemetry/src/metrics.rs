@@ -48,9 +48,11 @@ pub enum Metric {
     TargetCacheBuilds,
     /// Cold `BoxTargetCache` builds of every other EDTD target.
     BoxTargetCacheBuilds,
-    /// Residual-DFA memo misses: machines actually determinised.
+    /// Retired: residual-DFA memo misses. The memo is gone; the counter
+    /// stays registered for the benchmark that reads it and never moves.
     ResidualDfaBuilds,
-    /// Residual-DFA memo hits.
+    /// Retired: residual-DFA memo hits (see [`Metric::ResidualDfaBuilds`]);
+    /// never moves.
     ResidualDfaHits,
     /// Retired: extension-automaton memo hits. The memo is gone; the
     /// counter stays registered for the benchmark that reads it and never

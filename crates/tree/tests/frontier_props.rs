@@ -3,6 +3,8 @@
 //! bottom-up runs and the `Duta::outputs_over` Moore-machine image (subset
 //! states **and** shortest witness words) — must be byte-identical to a
 //! `BTreeSet<usize>` reference reimplementation of the seed algorithms.
+//! The per-label content DFA ([`Duta::content_dfa`]) is checked against the
+//! bottom-up run it encodes.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -214,4 +216,32 @@ fn random_determinisations_agree_with_the_nondeterministic_run() {
             );
         }
     }
+}
+
+#[test]
+fn content_dfas_accept_exactly_the_run_state_of_the_root() {
+    let mut rng = Rng(0x00c0_47e7 ^ 0x5eed_0018);
+    let mut checked = 0usize;
+    for case in 0..40 {
+        let nuta = random_nuta(&mut rng);
+        let labels = nuta.labels().clone();
+        let duta = nuta.determinize(&labels);
+        let config = TreeGenConfig::new(&labels, 3, 3);
+        for tree in random_trees(case as u64 + 91, &config, 30) {
+            let Some(states) = duta.run(&tree) else { continue };
+            let root = tree.root();
+            let word: Vec<Symbol> =
+                tree.children(root).iter().map(|&c| duta.letter(states[c])).collect();
+            for j in 0..duta.num_states() {
+                let dfa = duta.content_dfa(tree.label(root), |out| out == j);
+                assert_eq!(
+                    dfa.accepts(&word),
+                    j == states[root],
+                    "case {case}: content DFA for state {j} diverged on {tree}"
+                );
+            }
+            checked += 1;
+        }
+    }
+    assert!(checked > 600, "the family must exercise many trees ({checked})");
 }

@@ -137,9 +137,11 @@ examples:
 
 # Lint the example/bench schema corpus: exits non-zero on any
 # error-severity diagnostic from the dxml-analysis passes. --costs appends
-# the static cost-analysis summary for the corpus designs.
+# the static cost-analysis summary for the corpus designs; the second run
+# drives the JSON report, whose costs array is spliced into the findings.
 lint-schemas:
 	$(CARGO) run -q --release --example schema_lint -- --costs
+	$(CARGO) run -q --release --example schema_lint -- --json --costs
 
 # Lint the repo's structural conventions (telemetry metrics wired, bench
 # targets baseline-gated and documented, *_with_budget twins, forbid

@@ -1,27 +1,30 @@
-//! Static cost analysis: predict determinisation blowup and synthesise
-//! budgets **before** running anything.
+//! Static cost analysis: bracket what a design's governed engine run
+//! spends, and synthesise a [`Budget`] for it, **before** running anything.
 //!
-//! PR 9's `*_with_budget` entry points let a caller bound every
-//! worst-case-exponential loop, but picking the quota values required
-//! running the schema and tripping. This module closes that loop
-//! statically: from the structural [`NfaMetrics`] of each content model it
-//! brackets — without determinising anything — the exact telemetry
-//! counters the engine would report (`dfa.subset_states`,
-//! `dfa.subset_transitions`, `equiv.bfs_states`, `equiv.bfs_transitions`),
-//! detects suffix-counting shapes like `(a|b)* a (a|b)^{n-1}` that force a
-//! `2^n` DFA lower bound, and composes the per-model brackets into a
-//! design-level [`DesignCost`] from which [`recommend_budget`] synthesises
-//! concrete step/state quotas with a headroom factor.
+//! Two layers, both read off schema structure alone:
+//!
+//! * per content model, [`content_model_cost`] brackets the subset
+//!   construction of the model's NFA (`dfa.subset_states`,
+//!   `dfa.subset_transitions`) from its [`NfaMetrics`], and
+//!   [`suffix_counting`] detects shapes like `(a|b)* a (a|b)^{n-1}` that
+//!   force a `2^n` DFA lower bound (`DX014`);
+//! * per design, [`design_cost`] / [`box_design_cost`] compose the
+//!   per-rule brackets into a [`DesignCost`] whose `states` and `steps`
+//!   bracket the budget spend of the cold, document-independent
+//!   target-cache build: the determinisation of the target's tree
+//!   automaton (`Nuta::determinize`) plus one product fixpoint per
+//!   function schema (`uta::run_pairs`). [`recommend_budget`] turns that
+//!   into step/state quotas.
+//!
+//! The model never builds or consults the target cache.
 //!
 //! # The bracket invariant
 //!
-//! Every [`Bounds`] value in this module is a *sound* bracket of a
-//! telemetry counter: `lower ≤ actual ≤ upper` for the counter it names.
-//! The calibration suite (`crates/bench/tests/cost_calibration.rs`)
-//! asserts this differentially against the live PR 8 counters on the full
-//! bench corpus, and the `cost_analysis` bench target gates it in CI. The
-//! load-bearing facts, matching `Dfa::from_nfa_with_budget` and
-//! `equiv::included_with_budget` exactly:
+//! Every [`Bounds`] value in this module is a *sound* bracket
+//! `lower ≤ actual ≤ upper` of the counter it names. The calibration suite
+//! (`crates/bench/tests/cost_calibration.rs`) checks it on the bench
+//! corpus, and the `cost_analysis` bench target re-checks the pivotal
+//! shapes. The load-bearing facts:
 //!
 //! * the subset construction materialises only **non-empty** subsets of
 //!   the `m` NFA states, so it builds at most `2^m − 1` subset states —
@@ -35,22 +38,35 @@
 //!   `2^{k+1}` prefixes in `{a,b}^{k+1}` lead to pairwise distinct,
 //!   non-empty subsets (two prefixes differing at window offset `i` are
 //!   separated by the extension `b^{k-i}`);
-//! * the inclusion BFS over the completed product pops each reachable
-//!   pair at most once, so a run over DFAs with `s_a`/`s_b` states pops at
-//!   most `(s_a + 1) × (s_b + 1)` pairs (completion adds one sink per
-//!   side) and scans the union alphabet once per fully expanded pop; when
-//!   the inclusion *holds* it exhausts every reachable pair, so the pairs
-//!   along either side's shortest word force `max(minlen_a, minlen_b) + 1`
-//!   pops and `pops × |Σ_a ∪ Σ_b|` edge scans exactly.
+//! * every state of the determinised target is a set of specialisations
+//!   of **one** label, or the empty set (the normal form of Lemma 4.10),
+//!   so there are at most `1 + Σ_label (2^{k_label} − 1)` of them, where
+//!   `k_label` counts the label's specialisations — `|labels| + 1` for a
+//!   DTD target. Each label whose specialisations admit the empty child
+//!   word types a leaf by a non-empty set of its own, so the number of
+//!   such labels (at least 1) is a floor;
+//! * the determinisation expands every configuration of every label's
+//!   Moore machine on every state exactly once, so its steps are
+//!   `Σ_label configs × states`. A configuration holds one state set per
+//!   specialisation of the label — a subset of its content automaton's
+//!   `m` states, or the dead empty set — so a label has at most the
+//!   product of `2^m` over its specialisations; when every state is a
+//!   single name (a DTD target), a deterministic content model stays on
+//!   singletons and the product is over `subset_states.upper + 1`;
+//! * a function's product fixpoint evaluates each rule of its schema once,
+//!   plus once per new pair of a name the rule's content reads (a name has
+//!   at most `states + 1` pairs), and an evaluation pops each (content
+//!   subset state, label configuration or dead) node at most once — and
+//!   at least its start node.
 //!
-//! # What is calibrated and what is coarse
+//! # What the brackets leave out
 //!
-//! The subset-construction and product-BFS brackets above are tight and
-//! differentially calibrated. The residual-walk and box-fixpoint terms of
-//! [`DesignCost`] are *coarse structural* bounds (sound but loose); they
-//! exist so the synthesised step quota covers every governed loop of a
-//! `verify_local`/`typecheck`/`perfect_schema` run, and they ride inside
-//! the headroom factor rather than the calibrated core.
+//! The rest of a design op charges the same budget but depends on the
+//! *document*: the kernel passes of `verify_local`, the product over the
+//! extension automaton in `typecheck` and in the confirming typecheck of
+//! `perfect_schema`, and the residual walks of synthesis. No bracket
+//! models that work; the positive-headroom quotas cover it with the
+//! headroom factor plus [`BASE_SLACK`].
 //!
 //! # Budget synthesis
 //!
@@ -59,13 +75,14 @@
 //! the quotas are `upper × h + BASE_SLACK` (admission control — every
 //! well-behaved schema fits, a predicted-exponential one is surfaced by
 //! `DX014`/`DX015` instead of an OOM); with headroom `0` the quotas are
-//! `lower − 1`, *guaranteed* to trip on any covering run — the shape the
-//! fuzz smoke-test uses to prove the predictions have teeth.
+//! `lower − 1`, *guaranteed* to trip on any run that builds the target
+//! cache — the shape the fuzz smoke-test uses to prove the predictions
+//! have teeth.
 
 use std::fmt;
 
 use dxml_automata::symbol::Word;
-use dxml_automata::{Alphabet, Budget, Nfa, NfaMetrics, RSpec, Regex, Symbol};
+use dxml_automata::{Alphabet, Budget, FxHashMap, NfaMetrics, RSpec, Regex, Symbol};
 use dxml_core::{BoxDesignProblem, DesignProblem};
 use dxml_schema::{RDtd, REdtd};
 
@@ -81,9 +98,10 @@ pub const ATTENTION_THRESHOLD: u64 = 1 << 16;
 /// predicted upper bound (plus [`BASE_SLACK`]).
 pub const DEFAULT_HEADROOM: f64 = 2.0;
 
-/// Flat additive slack of every positive-headroom quota, covering the
-/// per-node costs (fresh realizable-language determinisations, BFS pops)
-/// that scale with the *document* rather than the schema.
+/// Flat additive slack of every positive-headroom quota, covering (with the
+/// headroom factor) the work that scales with the *document* rather than
+/// the schema: kernel passes, the extension product of `typecheck` and
+/// the residual walks of synthesis.
 pub const BASE_SLACK: u64 = 1 << 12;
 
 /// A sound bracket `lower ≤ actual ≤ upper` of one cost counter.
@@ -147,7 +165,7 @@ impl fmt::Display for Bounds {
 
 /// `2^m − 1` with saturation: the number of non-empty subsets of `m` NFA
 /// states, i.e. the hard ceiling of the subset construction.
-pub fn pow2_minus1(m: usize) -> u64 {
+fn pow2_minus1(m: usize) -> u64 {
     if m >= 64 {
         u64::MAX
     } else {
@@ -307,9 +325,6 @@ pub struct ContentModelCost {
     /// The structural metrics of the model's NFA (Thompson for `nRE`,
     /// as-is for `nFA`/`dFA`).
     pub metrics: NfaMetrics,
-    /// Star nesting depth of the expression (`Plus` counts as an orbit);
-    /// `None` for automaton-backed models.
-    pub star_height: Option<usize>,
     /// Bracket of `dfa.subset_states` for determinising this model.
     pub subset_states: Bounds,
     /// Bracket of `dfa.subset_transitions`; exactly
@@ -319,25 +334,15 @@ pub struct ContentModelCost {
     pub suffix_counting: Option<SuffixCounting>,
 }
 
-/// Star nesting depth; `Plus` is an orbit, `Opt` is not.
-fn star_height(re: &Regex) -> usize {
-    match re {
-        Regex::Empty | Regex::Epsilon | Regex::Sym(_) => 0,
-        Regex::Concat(vs) | Regex::Alt(vs) => vs.iter().map(star_height).max().unwrap_or(0),
-        Regex::Star(b) | Regex::Plus(b) => 1 + star_height(b),
-        Regex::Opt(b) => star_height(b),
-    }
-}
-
 /// Brackets the subset-construction cost of a content model from its
 /// structure alone. See the module docs for the exact counter semantics
 /// each bound tracks.
 pub fn content_model_cost(spec: &RSpec) -> ContentModelCost {
     let nfa = spec.to_nfa();
     let metrics = nfa.metrics();
-    let (height, suffix) = match spec {
-        RSpec::Nre(re) | RSpec::Dre(re) => (Some(star_height(re)), suffix_counting(re)),
-        RSpec::Nfa(_) | RSpec::Dfa(_) => (None, None),
+    let suffix = match spec {
+        RSpec::Nre(re) | RSpec::Dre(re) => suffix_counting(re),
+        RSpec::Nfa(_) | RSpec::Dfa(_) => None,
     };
     let mut lower = match metrics.min_word_len {
         Some(len) => (len as u64).saturating_add(1),
@@ -353,77 +358,7 @@ pub fn content_model_cost(spec: &RSpec) -> ContentModelCost {
     }
     let subset_states = Bounds::new(lower, upper.max(lower));
     let subset_steps = subset_states.times(metrics.alphabet.len() as u64);
-    ContentModelCost { metrics, star_height: height, subset_states, subset_steps, suffix_counting: suffix }
-}
-
-// ---------------------------------------------------------------------
-// Inclusion (product-BFS) cost
-// ---------------------------------------------------------------------
-
-/// The predicted cost of one `included(a, b)` language-inclusion check:
-/// determinise both sides, complete them over the union alphabet, BFS the
-/// product.
-#[derive(Clone, Debug)]
-pub struct InclusionCost {
-    /// Bracket of the `dfa.subset_states` the check adds (both sides).
-    pub subset_states: Bounds,
-    /// Bracket of the `dfa.subset_transitions` the check adds.
-    pub subset_steps: Bounds,
-    /// Bracket of `equiv.bfs_states` (pairs popped) with no assumption on
-    /// the verdict — a counterexample on the start pair can stop the BFS
-    /// after a single pop.
-    pub bfs_states: Bounds,
-    /// Bracket of `equiv.bfs_transitions` with no assumption on the
-    /// verdict.
-    pub bfs_steps: Bounds,
-    /// Bracket of `equiv.bfs_states` when the inclusion *holds*: the BFS
-    /// exhausts every reachable pair, so the pairs along either side's
-    /// shortest accepted word are all popped.
-    pub bfs_states_if_included: Bounds,
-    /// Bracket of `equiv.bfs_transitions` when the inclusion holds —
-    /// exactly `pairs popped × |Σ_a ∪ Σ_b|` on both ends.
-    pub bfs_steps_if_included: Bounds,
-}
-
-/// Brackets an `included(a, b)` run from the two NFAs' structure.
-pub fn inclusion_cost(a: &Nfa, b: &Nfa) -> InclusionCost {
-    let ma = a.metrics();
-    let mb = b.metrics();
-    let sa = content_nfa_states(&ma);
-    let sb = content_nfa_states(&mb);
-    let width = ma.alphabet.union(&mb.alphabet).len() as u64;
-    // Completion adds at most one sink state per side.
-    let pairs_upper = sa.upper.saturating_add(1).saturating_mul(sb.upper.saturating_add(1));
-    let pairs_lower_included = ma
-        .min_word_len
-        .into_iter()
-        .chain(mb.min_word_len)
-        .max()
-        .map_or(1, |len| (len as u64).saturating_add(1));
-    let subset_states = sa.plus(sb);
-    let subset_steps = sa
-        .times(ma.alphabet.len() as u64)
-        .plus(sb.times(mb.alphabet.len() as u64));
-    let included_states = Bounds::new(pairs_lower_included.min(pairs_upper), pairs_upper);
-    InclusionCost {
-        subset_states,
-        subset_steps,
-        bfs_states: Bounds::new(1, pairs_upper),
-        bfs_steps: Bounds::new(0, pairs_upper.saturating_mul(width)),
-        bfs_states_if_included: included_states,
-        bfs_steps_if_included: included_states.times(width),
-    }
-}
-
-/// Subset-state bracket from bare metrics (shared by the two sides of
-/// [`inclusion_cost`]; same maths as [`content_model_cost`]).
-fn content_nfa_states(m: &NfaMetrics) -> Bounds {
-    let lower = match m.min_word_len {
-        Some(len) => (len as u64).saturating_add(1),
-        None => 1,
-    };
-    let upper = pow2_minus1(m.states).max(lower);
-    Bounds::new(lower, upper)
+    ContentModelCost { metrics, subset_states, subset_steps, suffix_counting: suffix }
 }
 
 // ---------------------------------------------------------------------
@@ -437,21 +372,37 @@ pub struct SchemaCost {
     /// `specialisation `x``), in rule order.
     pub rules: Vec<(String, ContentModelCost)>,
     /// Bracket of the total `dfa.subset_states` of determinising every
-    /// content model once (the memoised cold path).
+    /// content model once.
     pub subset_states: Bounds,
     /// Bracket of the matching total `dfa.subset_transitions`.
     pub subset_steps: Bounds,
+    /// Every name of the schema's tree automaton, mapped to its label and
+    /// the index of its rule in `rules` (`None` for a name without a rule,
+    /// whose content is `{ε}`).
+    names: FxHashMap<Symbol, (Symbol, Option<usize>)>,
 }
 
 impl SchemaCost {
-    fn from_rules(rules: Vec<(String, ContentModelCost)>) -> SchemaCost {
+    fn new<'a>(
+        kind: &str,
+        rules: impl Iterator<Item = (&'a Symbol, &'a RSpec)>,
+        names: impl Iterator<Item = (Symbol, Symbol)>,
+    ) -> SchemaCost {
+        let mut index = FxHashMap::default();
         let mut subset_states = Bounds::exact(0);
         let mut subset_steps = Bounds::exact(0);
-        for (_, cost) in &rules {
-            subset_states = subset_states.plus(cost.subset_states);
-            subset_steps = subset_steps.plus(cost.subset_steps);
-        }
-        SchemaCost { rules, subset_states, subset_steps }
+        let rules: Vec<(String, ContentModelCost)> = rules
+            .enumerate()
+            .map(|(i, (name, spec))| {
+                let cost = content_model_cost(spec);
+                subset_states = subset_states.plus(cost.subset_states);
+                subset_steps = subset_steps.plus(cost.subset_steps);
+                index.insert(*name, i);
+                (format!("{kind} `{name}`"), cost)
+            })
+            .collect();
+        let names = names.map(|(name, label)| (name, (label, index.get(&name).copied()))).collect();
+        SchemaCost { rules, subset_states, subset_steps, names }
     }
 
     /// The rules whose detected suffix-counting lower bound crosses
@@ -464,23 +415,25 @@ impl SchemaCost {
                 .map(|sc| (loc.as_str(), sc))
         })
     }
+
+    /// The cost of a name's rule; `None` for a name without one.
+    fn rule(&self, rule: Option<usize>) -> Option<&ContentModelCost> {
+        rule.map(|i| &self.rules[i].1)
+    }
 }
 
 /// Brackets the content-model determinisation cost of an `R-DTD`.
 pub fn dtd_cost(dtd: &RDtd) -> SchemaCost {
-    SchemaCost::from_rules(
-        dtd.rules()
-            .map(|(name, spec)| (format!("element `{name}`"), content_model_cost(spec)))
-            .collect(),
-    )
+    SchemaCost::new("element", dtd.rules(), dtd.alphabet().iter().map(|a| (*a, *a)))
 }
 
 /// Brackets the content-model determinisation cost of an `R-EDTD`.
 pub fn edtd_cost(e: &REdtd) -> SchemaCost {
-    SchemaCost::from_rules(
-        e.rules()
-            .map(|(name, spec)| (format!("specialisation `{name}`"), content_model_cost(spec)))
-            .collect(),
+    let names = e.specialized_names();
+    SchemaCost::new(
+        "specialisation",
+        e.rules(),
+        names.iter().filter_map(|name| Some((*name, *e.label_of(name)?))),
     )
 }
 
@@ -495,85 +448,80 @@ pub struct Dominant {
     pub total_upper: u64,
 }
 
-/// The composed cost model of a whole design problem: what a cold
-/// `verify_local`/`typecheck` run would charge against a [`Budget`].
+/// The composed cost model of a whole design problem: what the cold,
+/// document-independent target-cache build charges against a [`Budget`].
+/// Document-dependent work is not bracketed (see the module docs).
 #[derive(Clone, Debug)]
 pub struct DesignCost {
     /// The target schema's per-rule costs.
     pub target: SchemaCost,
     /// Each function schema's costs, keyed `schema of function `f``.
     pub functions: Vec<(String, SchemaCost)>,
-    /// Bracket of the determinised tree-target (`Duta`) state count —
-    /// subsets of the one-state-per-specialised-name `Nuta`.
-    pub duta_states: Bounds,
-    /// Bracket of the total states a covering cold run grows. The lower
-    /// end counts only the *guaranteed* work — the subset states of the
-    /// determinised target, at least one per element of a DTD target that
-    /// admits the empty child word — so a state quota of `states.lower − 1`
-    /// provably trips.
+    /// Bracket of the states the build grows: the states of the
+    /// determinised target. A state quota of `states.lower − 1` provably
+    /// trips.
     pub states: Bounds,
-    /// Bracket of the total governed steps (label-machine scans, fixpoint
-    /// evaluations, product walks, residual walks) a covering cold run
-    /// charges. The lower end is the per-rule subset-construction floor:
-    /// determinising the target runs every content model as a subset
-    /// simulation inside its label's Moore machine.
+    /// Bracket of the steps the build charges: the determinisation's
+    /// (configuration, state) expansions plus the pops of every function's
+    /// product fixpoint.
     pub steps: Bounds,
-    /// Coarse bracket of the universal-residual walk steps of a
-    /// `perfect_schema` run: each walk scans at most the determinised
-    /// states times the union alphabet.
-    pub residual_steps: Bounds,
-    /// Coarse bracket of the Section-7 per-function `D`-fixpoint
-    /// evaluations (exactly 0 for a design without functions; each
-    /// evaluation grows a monotone set over the specialised names, which
-    /// for a DTD target are its element names).
-    pub fixpoint_iters: Bounds,
     /// The dominating location, when one content model accounts for at
-    /// least half of the design's predicted upper state bound.
+    /// least half of the design's summed per-rule upper state bounds.
     pub dominant: Option<Dominant>,
 }
 
 impl DesignCost {
-    fn compose(
-        target: SchemaCost,
-        functions: Vec<(String, SchemaCost)>,
-        nuta_states: usize,
-        states_floor: u64,
-        fixpoint_iters: Bounds,
-    ) -> DesignCost {
-        let duta_states = Bounds::new(1, pow2_minus1(nuta_states).max(1));
-        // Guaranteed floor: every cold run determinises the target, which
-        // grows its subset states and runs each rule's content automaton
-        // as a subset simulation inside the label's Moore machine, so the
-        // per-rule step lowers are forced. Extension-side and residual
-        // work also counts against the same budget but is not part of the
-        // floor (its exercise depends on the document).
-        let states_lower = states_floor.max(1);
-        let mut states_upper = duta_states
-            .upper
-            .saturating_add(target.subset_states.upper);
-        let steps_lower = target.subset_steps.lower;
-        let mut steps_upper = target
-            .subset_steps
-            .upper
-            // Coarse duta-determinisation step term: every label-machine
-            // configuration (a content model's subset state, or a label's
-            // leaf or dead one) scans every subset letter once.
-            .saturating_add(
-                target
-                    .subset_states
-                    .upper
-                    .saturating_add(nuta_states as u64 + 1)
-                    .saturating_mul(duta_states.upper),
-            )
-            .saturating_add(fixpoint_iters.upper);
-        for (_, schema) in &functions {
-            states_upper = states_upper.saturating_add(schema.subset_states.upper);
-            steps_upper = steps_upper.saturating_add(schema.subset_steps.upper);
+    fn compose(target: SchemaCost, functions: Vec<(String, SchemaCost)>) -> DesignCost {
+        // Per target label: its specialisation count, and whether one of
+        // them admits the empty child word (a leaf with the label is typed).
+        let mut labels: FxHashMap<Symbol, (usize, bool)> = FxHashMap::default();
+        for (label, rule) in target.names.values() {
+            let slot = labels.entry(*label).or_default();
+            slot.0 += 1;
+            slot.1 |= target.rule(*rule).map_or(true, |c| c.metrics.min_word_len == Some(0));
         }
-        let residual_steps = Bounds::new(0, states_upper.saturating_mul(nuta_states as u64 + 1));
-        steps_upper = steps_upper.saturating_add(residual_steps.upper);
-        let states = Bounds::new(states_lower, states_upper.max(states_lower));
-        let steps = Bounds::new(steps_lower, steps_upper.max(steps_lower));
+        let single_names = labels.values().all(|&(k, _)| k == 1);
+        // Per target label: the configuration ceiling of its Moore machine,
+        // one factor per specialisation. A name without a rule has the
+        // one-state ε automaton: its start set or the dead one.
+        let mut configs: FxHashMap<Symbol, u64> = FxHashMap::default();
+        for (label, rule) in target.names.values() {
+            let width = target.rule(*rule).map_or(2, |c| {
+                if single_names {
+                    c.subset_states.upper.saturating_add(1)
+                } else {
+                    pow2(c.metrics.states)
+                }
+            });
+            let slot = configs.entry(*label).or_insert(1);
+            *slot = slot.saturating_mul(width);
+        }
+        let states_upper =
+            labels.values().fold(1u64, |sum, &(k, _)| sum.saturating_add(pow2_minus1(k)));
+        let states_lower = labels.values().filter(|&&(_, leaf)| leaf).count().max(1) as u64;
+        let mut steps_upper = configs
+            .values()
+            .fold(0u64, |sum, c| sum.saturating_add(c.saturating_mul(states_upper)));
+        let mut steps_lower = (labels.len() as u64).saturating_mul(states_lower);
+        // The pairs a function name can reach: its label's output, a set of
+        // that label's target specialisations, or the dead state.
+        let pairs =
+            |label: &Symbol| labels.get(label).map_or(1, |&(k, _)| pow2(k).saturating_add(1));
+        for (_, schema) in &functions {
+            steps_lower = steps_lower.saturating_add(schema.names.len() as u64);
+            for (label, rule) in schema.names.values() {
+                // A rule-less name's `{ε}` content is evaluated once and
+                // pops its start node only.
+                let pops = schema.rule(*rule).map_or(1, |c| {
+                    let evaluations = c.metrics.alphabet.iter().fold(1u64, |sum, name| {
+                        sum.saturating_add(pairs(&schema.names[name].0))
+                    });
+                    let machine = configs.get(label).map_or(1, |n| n.saturating_add(1));
+                    evaluations.saturating_mul(c.subset_states.upper).saturating_mul(machine)
+                });
+                steps_upper = steps_upper.saturating_add(pops);
+            }
+        }
         let dominant = {
             let all = target
                 .rules
@@ -599,58 +547,34 @@ impl DesignCost {
         DesignCost {
             target,
             functions,
-            duta_states,
-            states,
-            steps,
-            residual_steps,
-            fixpoint_iters,
+            states: Bounds::new(states_lower, states_upper),
+            steps: Bounds::new(steps_lower, steps_upper),
             dominant,
         }
     }
-}
-
-/// Coarse bracket of the per-function `D`-fixpoint evaluations over a
-/// target with `names` specialised names.
-fn fixpoint_bracket(functions: usize, names: usize) -> Bounds {
-    let n_funs = functions as u64;
-    Bounds::new(
-        n_funs.min(1),
-        n_funs.saturating_mul(names as u64 + 1).max(n_funs.min(1)),
-    )
 }
 
 /// Composes the design-level cost model of a DTD-target design problem:
 /// the box engine's model on the trivial embedding (one specialised name
 /// per element), with the locations named by element.
 pub fn design_cost(problem: &DesignProblem) -> DesignCost {
-    let target = dtd_cost(problem.doc_schema());
-    let functions: Vec<(String, SchemaCost)> = problem
+    let functions = problem
         .fun_schemas()
         .iter()
         .map(|(f, schema)| (format!("schema of function `{f}`"), dtd_cost(schema)))
         .collect();
-    let names = problem.doc_schema().alphabet().len();
-    let fixpoint = fixpoint_bracket(functions.len(), names);
-    // Every element admitting the empty child word roots a one-node tree
-    // typed by that element alone: a subset state of its own.
-    let dtd = problem.doc_schema();
-    let leaves = dtd.alphabet().iter().filter(|name| !dtd.has_rule(name)).count()
-        + target.rules.iter().filter(|(_, c)| c.metrics.min_word_len == Some(0)).count();
-    DesignCost::compose(target, functions, names, leaves as u64, fixpoint)
+    DesignCost::compose(dtd_cost(problem.doc_schema()), functions)
 }
 
 /// Composes the design-level cost model of a box (R-EDTD-target) design
-/// problem, including the Section-7 fixpoint term.
+/// problem.
 pub fn box_design_cost(problem: &BoxDesignProblem) -> DesignCost {
-    let target = edtd_cost(problem.doc_schema());
-    let functions: Vec<(String, SchemaCost)> = problem
+    let functions = problem
         .fun_schemas()
         .iter()
         .map(|(f, schema)| (format!("schema of function `{f}`"), edtd_cost(schema)))
         .collect();
-    let names = problem.doc_schema().specialized_names().len();
-    let fixpoint = fixpoint_bracket(functions.len(), names);
-    DesignCost::compose(target, functions, names, 1, fixpoint)
+    DesignCost::compose(edtd_cost(problem.doc_schema()), functions)
 }
 
 // ---------------------------------------------------------------------
@@ -816,27 +740,6 @@ mod tests {
         let n = dfa.num_states() as u64;
         let cost = content_model_cost(&RSpec::Dfa(dfa));
         assert!(cost.subset_states.upper <= n, "{} > {n}", cost.subset_states.upper);
-        assert!(cost.star_height.is_none());
-    }
-
-    #[test]
-    fn star_height_counts_orbits() {
-        assert_eq!(star_height(&re("a, b?")), 0);
-        assert_eq!(star_height(&re("(b* a)+")), 2);
-        assert_eq!(star_height(&re("(a | b)* a")), 1);
-    }
-
-    #[test]
-    fn inclusion_cost_brackets_are_coherent() {
-        let a = re("(a | b)* a").to_nfa();
-        let cost = inclusion_cost(&a, &a);
-        assert!(cost.bfs_states.lower <= cost.bfs_states_if_included.lower);
-        assert!(cost.bfs_states_if_included.lower >= 2, "minlen 1 forces 2 pops");
-        assert!(cost.bfs_states_if_included.upper <= cost.bfs_states.upper.saturating_add(1));
-        assert_eq!(
-            cost.bfs_steps_if_included.upper,
-            cost.bfs_states_if_included.upper.saturating_mul(2),
-        );
     }
 
     #[test]
@@ -847,7 +750,28 @@ mod tests {
         assert!(cost.states.lower >= 2, "two non-empty rules force ≥ 2 states each");
         assert!(cost.states.lower <= cost.states.upper);
         assert!(cost.steps.lower <= cost.steps.upper);
-        assert_eq!(cost.fixpoint_iters, Bounds::exact(0));
+    }
+
+    #[test]
+    fn target_states_are_bracketed_by_label() {
+        // A DTD target: one state per label plus the empty set; `a` and
+        // `b` (no rule) admit the empty child word, `s` does not.
+        let dtd = RDtd::parse(RFormalism::Nre, "s -> a, b?\na -> b*").unwrap();
+        let cost = design_cost(&DesignProblem::new(dtd.clone()));
+        assert_eq!(cost.states, Bounds::new(2, 4));
+        // The same target, determinised, stays inside the bracket.
+        let duta = dtd.to_nuta().determinize(dtd.alphabet());
+        assert!(cost.states.contains(duta.num_states() as u64), "{}", duta.num_states());
+
+        // An EDTD target with two specialisations of `a`: their label
+        // contributes 2^2 − 1 non-empty sets.
+        let mut e = REdtd::new(RFormalism::Nre, "s", "s");
+        e.add_specialization("x", "a");
+        e.add_specialization("y", "a");
+        e.set_rule("s", RSpec::Nre(re("x y*")));
+        e.set_rule("x", RSpec::Nre(re("b")));
+        let cost = box_design_cost(&BoxDesignProblem::new(e));
+        assert_eq!(cost.states.upper, 1 + 1 + 3 + 1, "s, a (x, y), b");
     }
 
     #[test]

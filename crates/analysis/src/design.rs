@@ -129,9 +129,9 @@ fn cost_advisories(cost: &DesignCost) -> Vec<Diagnostic> {
             Severity::Info,
             "design",
             format!(
-                "predicted determinisation cost: {} subset states, {} governed steps \
-                 (determinised tree target: {} states)",
-                cost.states, cost.steps, cost.duta_states
+                "predicted cold target-cache build: {} determinised target states, {} \
+                 governed steps",
+                cost.states, cost.steps
             ),
         )
         .with_suggestion(format!(

@@ -34,7 +34,7 @@
 //! | `DX012` | warning  | a function docks under several distinct parents of a non-local target (labels with several typings): box synthesis will refuse with `SynthesisUnsupported` |
 //! | `DX013` | warning  | a function schema has an empty language (every call site is unsatisfiable) |
 //! | `DX014` | warning  | predicted-exponential content model: a suffix-counting shape forces `2^n` subset states (witness family attached) |
-//! | `DX015` | info     | budget advisory: the recommended step/state quotas for running this design governed ([`cost::recommend_budget`]) |
+//! | `DX015` | info     | budget advisory: the predicted states and steps of the cold target-cache build, and the recommended step/state quotas for running this design governed ([`cost::recommend_budget`]) |
 //! | `DX016` | info     | the predicted cost is dominated by one named content model / docking point |
 //!
 //! `error`-severity diagnostics mean the schema or design cannot work as
@@ -54,10 +54,10 @@ pub mod rules;
 
 pub use cost::{
     box_design_cost, budget_from_cost, content_model_cost, design_cost, dtd_cost, edtd_cost,
-    inclusion_cost, recommend_box_budget, recommend_box_budget_with_headroom, recommend_budget,
+    recommend_box_budget, recommend_box_budget_with_headroom, recommend_budget,
     recommend_budget_with_headroom, recommended_quotas, suffix_counting, Bounds, ContentModelCost,
-    DesignCost, Dominant, InclusionCost, SchemaCost, SuffixCounting, ATTENTION_THRESHOLD,
-    DEFAULT_HEADROOM, EXPONENTIAL_THRESHOLD,
+    DesignCost, Dominant, SchemaCost, SuffixCounting, ATTENTION_THRESHOLD, DEFAULT_HEADROOM,
+    EXPONENTIAL_THRESHOLD,
 };
 pub use definability::{dtd_candidate, dtd_definable, sdtd_candidate, sdtd_definable};
 pub use design::{analyze_box_design, analyze_design};

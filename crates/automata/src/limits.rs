@@ -1,10 +1,11 @@
 //! Resource governance: budgets, deadlines and cooperative cancellation
 //! for the engine's worst-case-exponential loops.
 //!
-//! Every decision procedure in the workspace — subset construction, the
-//! inclusion/equivalence product BFS, the residual walks, tree-automaton
-//! determinisation, the perfect-typing fixpoint — is worst-case exponential
-//! and, unbounded, runs to completion no matter what. A [`Budget`] makes
+//! The engine's loops — tree-automaton determinisation of the target, the
+//! pair fixpoint of tree inclusion, the Moore-image BFS of the kernel
+//! passes, the residual walks of synthesis — and the string-automaton
+//! subset construction are worst-case exponential and, unbounded, run to
+//! completion no matter what. A [`Budget`] makes
 //! abusive input degrade into a *typed error*
 //! ([`AutomataError::BudgetExceeded`]) instead of an unbounded compute
 //! sink: the governed `*_with_budget` entry points thread a budget through

@@ -3,13 +3,13 @@
 //!
 //! The cost model predicts, per content model, a `[lower … upper]` bracket
 //! on the `dfa.subset_states` / `dfa.subset_transitions` a determinisation
-//! will record, and per inclusion check a bracket on `equiv.bfs_states` /
-//! `equiv.bfs_transitions`. These tests run the real engine over the full
-//! bench corpus with telemetry on and assert `lower ≤ actual ≤ upper` for
-//! every schema — the calibration contract of the model. Two budget tests
-//! close the loop: `recommend_budget` must admit every corpus workload,
-//! while the zero-headroom budget must trip on the adversarial
-//! suffix-counting family it is derived from.
+//! will record, and per design a bracket on the states and steps the cold
+//! target-cache build charges to its budget. These tests run the real
+//! engine over the bench corpus and assert `lower ≤ actual ≤ upper` for
+//! every content model and every design — the calibration contract of the
+//! model. Two budget tests close the loop: `recommend_budget` must admit
+//! every corpus workload, while the zero-headroom budget must trip on the
+//! adversarial suffix-counting family it is derived from.
 //!
 //! The telemetry registry is process-global, so every test takes the same
 //! mutex and resets the counters itself.
@@ -17,12 +17,12 @@
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use dxml_analysis::{
-    analyze_schema, content_model_cost, inclusion_cost, recommend_box_budget,
-    recommend_budget, recommend_budget_with_headroom, AnySchema,
+    analyze_schema, box_design_cost, content_model_cost, design_cost, recommend_box_budget,
+    recommend_budget, recommend_budget_with_headroom, AnySchema, DesignCost,
 };
-use dxml_automata::{equiv, Dfa, RFormalism, RSpec};
+use dxml_automata::{Budget, Dfa, RFormalism, RSpec};
 use dxml_bench::{adversarial_dtd, box_workload, design_workload, dtd_family, eurostat_figure3};
-use dxml_core::{DesignError, DesignProblem, DistributedDoc};
+use dxml_core::{BoxDesignProblem, DesignError, DesignProblem, DistributedDoc};
 use dxml_telemetry::{self as telemetry, Metric, Snapshot};
 
 /// Serialises the tests touching the process-global telemetry registry.
@@ -80,51 +80,55 @@ fn subset_construction_stays_within_the_predicted_bracket() {
     telemetry::set_enabled(false);
 }
 
-#[test]
-fn product_bfs_stays_within_the_predicted_bracket() {
-    let _guard = telemetry_lock();
-    telemetry::set_enabled(true);
-    for (loc, spec) in corpus_specs() {
-        let nfa = spec.to_nfa();
-        let cost = inclusion_cost(&nfa, &nfa);
-        telemetry::reset();
-        assert!(equiv::included(&nfa, &nfa).is_ok(), "{loc}: self-inclusion must hold");
-        let snap = Snapshot::take();
-        let popped = snap.counter(Metric::EquivBfsStates);
-        let edges = snap.counter(Metric::EquivBfsTransitions);
-        let states_delta = snap.counter(Metric::SubsetStates);
-        // Self-inclusion determinises the same NFA twice, so the general
-        // (two-sided) subset bracket applies to the recorded total.
-        assert!(
-            cost.subset_states.contains(states_delta),
-            "{loc}: dfa.subset_states = {states_delta} outside predicted {}",
-            cost.subset_states
-        );
-        // The verdict-free brackets always apply …
-        assert!(
-            cost.bfs_states.contains(popped),
-            "{loc}: equiv.bfs_states = {popped} outside predicted {}",
-            cost.bfs_states
-        );
-        assert!(
-            cost.bfs_steps.contains(edges),
-            "{loc}: equiv.bfs_transitions = {edges} outside predicted {}",
-            cost.bfs_steps
-        );
-        // … and since the inclusion holds, so do the tighter conditional
-        // ones.
-        assert!(
-            cost.bfs_states_if_included.contains(popped),
-            "{loc}: equiv.bfs_states = {popped} outside included-bracket {}",
-            cost.bfs_states_if_included
-        );
-        assert!(
-            cost.bfs_steps_if_included.contains(edges),
-            "{loc}: equiv.bfs_transitions = {edges} outside included-bracket {}",
-            cost.bfs_steps_if_included
-        );
+/// The designs whose cold target-cache build is calibrated: every DTD and
+/// box workload shape of the bench corpus, including the adversarial family.
+fn corpus_designs() -> Vec<(String, DesignCost, BoxDesignProblem)> {
+    let mut out = Vec::new();
+    let mut push_dtd = |tag: String, problem: DesignProblem| {
+        out.push((tag, design_cost(&problem), BoxDesignProblem::from(&problem)));
+    };
+    push_dtd("eurostat".into(), DesignProblem::new(eurostat_figure3()));
+    for n in [8, 10] {
+        push_dtd(format!("adversarial_dtd({n})"), DesignProblem::new(adversarial_dtd(n)));
     }
-    telemetry::set_enabled(false);
+    for n in [8, 12, 16, 28, 32] {
+        push_dtd(format!("design_workload({n},3,7)"), design_workload(n, 3, 7).0);
+    }
+    for n in [4, 6, 8, 16] {
+        let (problem, _) = box_workload(n);
+        out.push((format!("box_workload({n})"), box_design_cost(&problem), problem));
+    }
+    out
+}
+
+#[test]
+fn target_cache_build_stays_within_the_predicted_bracket() {
+    for (tag, cost, problem) in corpus_designs() {
+        let budget = Budget::unlimited()
+            .with_step_quota(u64::MAX / 2)
+            .with_state_quota(u64::MAX / 2);
+        problem.target_cache_with_budget(&budget).expect("the quotas are out of reach");
+        let (states, steps) = (budget.states_spent(), budget.steps_spent());
+        println!(
+            "{tag}: states {states} in {} (slack {:.1}x), steps {steps} in {} (slack {:.1}x)",
+            cost.states,
+            cost.states.upper as f64 / states as f64,
+            cost.steps,
+            cost.steps.upper as f64 / steps as f64,
+        );
+        assert!(cost.states.contains(states), "{tag}: {states} states outside {}", cost.states);
+        assert!(cost.steps.contains(steps), "{tag}: {steps} steps outside {}", cost.steps);
+        let dtd_target = problem
+            .doc_schema()
+            .specialized_names()
+            .iter()
+            .all(|name| problem.doc_schema().label_of(name) == Some(name));
+        if dtd_target {
+            let labels = problem.doc_schema().labels().len() as u64;
+            // One state per label, plus the empty set.
+            assert_eq!(cost.states.upper, labels + 1, "{tag}");
+        }
+    }
 }
 
 #[test]
@@ -138,6 +142,9 @@ fn recommended_budget_admits_every_corpus_workload() {
     problem
         .verify_local_with_budget(&doc, &budget)
         .expect("the recommended budget admits the design-workload verification");
+    problem
+        .perfect_schema_with_budget(&doc, "f0", &budget)
+        .expect("the recommended budget admits the design-workload synthesis");
 
     let (problem, doc) = box_workload(6);
     let budget = recommend_box_budget(&problem);
@@ -147,6 +154,9 @@ fn recommended_budget_admits_every_corpus_workload() {
     problem
         .verify_local_with_budget(&doc, &budget)
         .expect("the recommended box budget admits the box-workload verification");
+    problem
+        .perfect_schema_with_budget(&doc, "f", &budget)
+        .expect("the recommended box budget admits the box-workload synthesis");
 
     let problem = DesignProblem::new(eurostat_figure3());
     let doc = DistributedDoc::parse(
@@ -173,9 +183,9 @@ fn zero_headroom_budget_trips_on_the_adversarial_family() {
         .expect("the adversarial family is flagged predicted-exponential");
     assert!(dx014.message.contains("1024"), "the 2^10 bound is named: {}", dx014.message);
 
-    // … and a budget scaled to just below that proved floor must trip on a
-    // covering document (one `s` node forces the content-model subset
-    // construction), while the default-headroom budget admits the same run.
+    // … and a budget scaled to just below the proved floor must trip on a
+    // covering document (verifying it determinises the target first), while
+    // the default-headroom budget admits the same run.
     let children: Vec<&str> = std::iter::once("a").chain(std::iter::repeat("b").take(9)).collect();
     let doc = DistributedDoc::parse(
         &format!("s({})", children.join(" ")),

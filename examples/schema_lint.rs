@@ -22,7 +22,8 @@
 //! `BENCH_*`/`TELEMETRY_*` files; the showcase prose is skipped and the
 //! exit-code contract is unchanged. `--costs` appends the static
 //! cost-analysis summary (`dxml_analysis::cost`) for the corpus designs —
-//! predicted state/step brackets, the dominating location and the
+//! the state/step brackets of the cold target-cache build (determinised
+//! target states, governed steps), the dominating location and the
 //! recommended budget quotas — as text or, combined with `--json`, as a
 //! `"costs"` array in the same document.
 
@@ -141,8 +142,10 @@ fn render_costs_text(costs: &[(String, DesignCost)]) {
     for (entry, cost) in costs {
         let (state_quota, step_quota) = recommended_quotas(cost, DEFAULT_HEADROOM);
         println!("{entry}:");
-        println!("  subset states: {}   governed steps: {}", cost.states, cost.steps);
-        println!("  determinised tree target: {} states", cost.duta_states);
+        println!(
+            "  cold target-cache build: {} determinised target states, {} governed steps",
+            cost.states, cost.steps
+        );
         println!("  recommended budget: state quota {state_quota}, step quota {step_quota}");
         for (loc, sc) in cost.target.exponential() {
             println!("  predicted-exponential: {loc} — at least {} states", sc.dfa_lower_bound);

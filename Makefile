@@ -9,7 +9,7 @@ CARGO ?= cargo
 BENCH_TARGETS := $(shell sed -n 's/^name = "\([a-z0-9_]*\)"$$/\1/p' \
                  crates/bench/Cargo.toml | grep -v '^dxml')
 
-.PHONY: all build test clippy doc fmt-check bench bench-smoke bench-baselines bench-compare fuzz-smoke perfbench-test examples lint-schemas lint-repo verify
+.PHONY: all build test clippy doc fmt-check bench bench-smoke bench-baselines bench-compare fuzz-smoke soak perfbench-test examples lint-schemas lint-repo verify
 
 all: verify
 
@@ -115,6 +115,22 @@ fuzz-smoke:
 	timeout $(FUZZ_SMOKE_TIMEOUT) $(CARGO) test -q --release -p dxml-bench --test cost_calibration
 	timeout $(FUZZ_SMOKE_TIMEOUT) $(CARGO) test -q --release -p dxml-tree --test inclusion_differential
 	@echo "fuzz-smoke: governance fault suite passed within $(FUZZ_SMOKE_TIMEOUT)s per binary"
+
+# Seeded soak of the one decision procedure against its oracle: the ignored
+# sibling of the tier-1 corpus differential sweeps SOAK_SEEDS seeds of random
+# EDTD designs and design-workload variants, checking typecheck,
+# verify_local and perfect-schema confirmation against the tree route
+# (extension automaton included in the cached target), counterexamples
+# against the plain validator, and budget trips against recovery. A failure
+# prints its seed; replay one with DXML_SOAK_SEED=<seed>. The timeout turns
+# a hung pass into a hard failure.
+SOAK_TIMEOUT ?= 600
+SOAK_SEEDS ?= 2000
+
+soak:
+	DXML_SOAK_SEEDS=$(SOAK_SEEDS) timeout $(SOAK_TIMEOUT) $(CARGO) test -q --release -p dxml-bench \
+		--test oracle_differential -- --ignored --nocapture
+	@echo "soak: $(SOAK_SEEDS) seeds passed within $(SOAK_TIMEOUT)s"
 
 # The end-to-end benchmark package (declared by BENCHMARK.json) is its own
 # workspace and calls the engine's public API by path; neither `make test`

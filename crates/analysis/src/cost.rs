@@ -62,11 +62,12 @@
 //! # What the brackets leave out
 //!
 //! The rest of a design op charges the same budget but depends on the
-//! *document*: the kernel passes of `verify_local`, the product over the
-//! extension automaton in `typecheck` and in the confirming typecheck of
-//! `perfect_schema`, and the residual walks of synthesis. No bracket
-//! models that work; the positive-headroom quotas cover it with the
-//! headroom factor plus [`BASE_SLACK`].
+//! *document*: the kernel passes of `verify_local`, `typecheck` and the
+//! confirmation of `perfect_schema`, the counterexample construction of a
+//! refuted `typecheck` (one product fixpoint per function docking under the
+//! violating node), and the residual walks of synthesis. No bracket models
+//! that work; the positive-headroom quotas cover it with the headroom
+//! factor plus [`BASE_SLACK`].
 //!
 //! # Budget synthesis
 //!
@@ -100,8 +101,8 @@ pub const DEFAULT_HEADROOM: f64 = 2.0;
 
 /// Flat additive slack of every positive-headroom quota, covering (with the
 /// headroom factor) the work that scales with the *document* rather than
-/// the schema: kernel passes, the extension product of `typecheck` and
-/// the residual walks of synthesis.
+/// the schema: kernel passes, counterexample construction and the residual
+/// walks of synthesis.
 pub const BASE_SLACK: u64 = 1 << 12;
 
 /// A sound bracket `lower ≤ actual ≤ upper` of one cost counter.

@@ -1,16 +1,29 @@
 //! Table 3 (verification column): typing verification of distributed
-//! documents — the tree-automaton inclusion route vs the string-inclusion
-//! local route — over the seeded design workload of growing size, on
-//! well-typed designs and on ill-typed variants both routes must refute.
+//! documents — `typecheck` (the kernel pass plus a counterexample document)
+//! and `verify_local` (the same pass, reporting a box) — over the seeded
+//! design workload of growing size, on well-typed designs and on ill-typed
+//! variants both must refute. Before timing, every case's verdict is
+//! checked, untimed, against the tree-route oracle: inclusion of
+//! `extension_nuta` in the cached target.
 
 use dxml_automata::{Regex, RSpec};
 use dxml_bench::{Session, design_workload, elem, section};
+use dxml_core::{DesignProblem, DistributedDoc};
+use dxml_tree::uta;
+
+/// The tree-route oracle: whether every extension of `doc` validates, by
+/// tree-language inclusion of the extension automaton in the cached target.
+fn tree_oracle(problem: &DesignProblem, doc: &DistributedDoc) -> bool {
+    let extension = problem.extension_nuta(doc).expect("schemas supplied");
+    uta::included_in_duta(&extension, problem.target_cache().duta()).is_ok()
+}
 
 fn main() {
     let mut session = Session::new("table3_verification");
     section("table3: typing verification, growing schema size n");
     for n in [4usize, 8, 16, 32] {
         let (problem, doc) = design_workload(n, 2, 11);
+        assert!(tree_oracle(&problem, &doc));
         session.bench(&format!("typecheck/n={n}"), 10, || {
             assert!(problem.typecheck(&doc).unwrap().is_valid());
         });
@@ -22,6 +35,7 @@ fn main() {
     section("table3: typing verification, growing number of calls");
     for fns in [1usize, 2, 4, 8] {
         let (problem, doc) = design_workload(8, fns, 13);
+        assert!(tree_oracle(&problem, &doc));
         session.bench(&format!("typecheck/fns={fns}"), 10, || {
             assert!(problem.typecheck(&doc).unwrap().is_valid());
         });
@@ -40,6 +54,7 @@ fn main() {
         broken.set_rule("r", RSpec::Nre(Regex::sym(elem(0)).plus()));
         broken.set_rule(elem(0), RSpec::Nre(Regex::Epsilon));
         problem.add_function(f, broken);
+        assert!(!tree_oracle(&problem, &doc));
         session.bench(&format!("typecheck_refute/n={n}"), 10, || {
             assert!(!problem.typecheck(&doc).unwrap().is_valid());
         });

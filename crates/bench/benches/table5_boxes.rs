@@ -3,14 +3,24 @@
 //! R-EDTD targets, on the seeded box workload.
 //!
 //! Besides timing, this target *asserts* the subsystem's contracts: the
-//! string route agrees with the tree route on every size, repeated
-//! decisions reuse the cached determinised specialised target and the
-//! per-function gap languages (pointer identity), and the warm path is
-//! never slower than the cold path that has to re-determinise.
+//! kernel pass (`typecheck` and `verify_local`) agrees with the tree-route
+//! oracle — inclusion of `extension_nuta` in the cached target, untimed —
+//! on every size, repeated decisions reuse the cached determinised
+//! specialised target and the per-function gap languages (pointer
+//! identity), and the warm path is never slower than the cold path that
+//! has to re-determinise.
 
 use dxml_automata::Symbol;
 use dxml_bench::{box_workload, section, smoke, Session};
-use dxml_core::BoxDesignProblem;
+use dxml_core::{BoxDesignProblem, DistributedDoc};
+use dxml_tree::uta;
+
+/// The tree-route oracle: whether every extension of `doc` validates, by
+/// tree-language inclusion of the extension automaton in the cached target.
+fn tree_oracle(problem: &BoxDesignProblem, doc: &DistributedDoc) -> bool {
+    let extension = problem.extension_nuta(doc).expect("schemas supplied");
+    uta::included_in_duta(&extension, problem.target_cache().duta()).is_ok()
+}
 
 fn main() {
     let mut session = Session::new("table5_boxes");
@@ -18,8 +28,9 @@ fn main() {
     section("table5: box typing verification, growing target size n");
     for n in [4usize, 8, 16] {
         let (problem, doc) = box_workload(n);
-        // Contract: the two decision procedures agree (the workload is
-        // valid by construction).
+        // Contract: the kernel pass agrees with the tree oracle (the
+        // workload is valid by construction).
+        assert!(tree_oracle(&problem, &doc));
         assert!(problem.typecheck(&doc).expect("typecheck runs").is_valid());
         assert!(problem.verify_local(&doc).expect("verify_local runs").is_valid());
         session.bench(&format!("box_typecheck/n={n}"), 5, || {
@@ -33,6 +44,7 @@ fn main() {
         let (short_problem, short_doc) = box_workload(n);
         let broken = BoxDesignProblem::new(short_problem.doc_schema().clone())
             .with_function("f", box_workload(n.saturating_sub(1).max(2)).0.fun_schemas()[&Symbol::new("f")].clone());
+        assert!(!tree_oracle(&broken, &short_doc));
         assert!(!broken.typecheck(&short_doc).expect("typecheck runs").is_valid());
         assert!(!broken.verify_local(&short_doc).expect("verify_local runs").is_valid());
         session.bench(&format!("box_refute/n={n}"), 5, || {
@@ -45,6 +57,7 @@ fn main() {
         let (problem, doc) = box_workload(n);
         let schema = problem.perfect_schema(&doc, "f").expect("synthesis succeeds");
         let solved = problem.clone().with_function("f", schema);
+        assert!(tree_oracle(&solved, &doc));
         assert!(solved.typecheck(&doc).expect("typecheck runs").is_valid());
         session.bench(&format!("box_perfect_schema/n={n}"), 5, || {
             problem.perfect_schema(&doc, "f").expect("synthesis succeeds").size()

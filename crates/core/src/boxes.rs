@@ -19,30 +19,37 @@
 //! that way and renders the verdicts back as words and DTDs. The three
 //! decision procedures:
 //!
-//! * [`BoxDesignProblem::typecheck`] — the ground-truth tree-automaton
-//!   route: one product fixpoint of the nondeterministic extension
-//!   automaton against the determinised target ([`uta::run_pairs`]), with
-//!   a full counterexample document on failure;
 //! * [`BoxDesignProblem::verify_local`] — the Section-7 string route: a
 //!   single bottom-up pass over the kernel computing, per node, the set of
 //!   achievable subset states from the words-with-box-gaps language of its
 //!   children (Moore-machine image, [`Duta::outputs_over`]); sound **and**
 //!   complete because the determinised run is unique, with the offending
 //!   realizable child word reported as a box;
+//! * [`BoxDesignProblem::typecheck`] — the same kernel pass, with a full
+//!   counterexample document on failure, built top-down from the pass's
+//!   witness words: each violating child word is split across the node's
+//!   children, and a docking point's share is turned back into a forest of
+//!   its function's schema;
 //! * [`BoxDesignProblem::perfect_schema`] — perfect typing: the admissible
 //!   gap language is propagated top-down from the root to the docking
 //!   parents by context residuals over the per-label Moore machines, and
 //!   the resulting maximal schema is itself an [`REdtd`] (one specialised
 //!   name per inhabited `(label, subset state)` pair) — which a DTD could
-//!   not express in general. The candidate is confirmed by the typecheck
-//!   oracle against the cached target automaton, in the refute-or-confirm
-//!   style of implicit-hitting-set abduction.
+//!   not express in general. The candidate is confirmed by the same kernel
+//!   pass with its gap language at the function's docking points, in the
+//!   refute-or-confirm style of implicit-hitting-set abduction.
+//!
+//! The kernel pass is the one decision procedure. The tree-automaton route
+//! — [`BoxDesignProblem::extension_nuta`] checked for inclusion in the
+//! cached target by [`uta::included_in_duta`] — stays a public API and the
+//! test oracle: the runtime never cross-checks a verdict against it, the
+//! differential tests and `make soak` do.
 //!
 //! All target- and schema-derived artefacts (the determinised specialised
 //! target; the per-function gap languages over subset states, read off the
-//! same product fixpoint run on each function schema) are built lazily once
-//! per problem in a [`BoxTargetCache`] behind an `OnceLock`. Nothing
-//! document-dependent is cached.
+//! product fixpoint [`uta::run_pairs`] run on each function schema) are
+//! built lazily once per problem in a [`BoxTargetCache`] behind an
+//! `OnceLock`. Nothing document-dependent is cached.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -52,7 +59,7 @@ use dxml_automata::{AutomataError, BoxLang, Budget, Nfa, RSpec, StateSet, Symbol
 use dxml_schema::{REdtd, SchemaError};
 use dxml_telemetry as telemetry;
 use dxml_tree::uta::Duta;
-use dxml_tree::{uta, NodeId, Nuta, XTree};
+use dxml_tree::{uta, NodeId, Nuta, XForest, XTree};
 
 use crate::design::{Origin, TypingVerdict};
 use crate::doc::DistributedDoc;
@@ -73,19 +80,24 @@ struct FunArtifacts {
     /// Whether the function can return no document at all (empty schema
     /// language — the design is vacuous).
     forest_empty: bool,
-    /// A realizable element label unknown to the target, if any (every
-    /// extension is then invalid no matter the kernel).
-    unknown: Option<Symbol>,
-    /// A realizable tree the target types by no name at all, if any: the
-    /// label of an untypable node of it whose children all stay typable,
-    /// and that node's child word (as subset states), read off the product
-    /// fixpoint's witness tree. Every extension the tree lands in is
-    /// invalid.
-    violation: Option<(Symbol, Vec<usize>)>,
+    /// A forest the function can return: a shortest root word, each name
+    /// replaced by its first witness tree. Counterexamples plug it into
+    /// every docking point they do not constrain.
+    default_forest: XForest,
+    /// A violation the function's forests realize on their own, whatever
+    /// the kernel — an element unknown to the target, else a tree the
+    /// target types by no name at all — with a forest of the function
+    /// containing the offending witness tree.
+    fault: Option<(BoxViolation, XForest)>,
 }
 
 impl FunArtifacts {
-    fn build(schema: &REdtd, duta: &Duta, budget: &Budget) -> Result<FunArtifacts, AutomataError> {
+    fn build(
+        function: Symbol,
+        schema: &REdtd,
+        duta: &Duta,
+        budget: &Budget,
+    ) -> Result<FunArtifacts, AutomataError> {
         // Every pair (specialised name ã, target subset state) some tree
         // derivable from ã realizes, with a witness tree: `d[ã]` is the set
         // of `Some` states of ã. Exact — independent subtrees make
@@ -94,9 +106,11 @@ impl FunArtifacts {
         // know yields `None`, which propagates to every ancestor.
         let pairs = uta::run_pairs_with_budget(&schema.to_nuta(), duta, budget)?;
         let mut slots: BTreeMap<Symbol, BTreeSet<Symbol>> = BTreeMap::new();
-        for (spec, state, _) in &pairs {
+        let mut first: BTreeMap<Symbol, &XTree> = BTreeMap::new();
+        for (spec, state, witness) in &pairs {
             let slot = slots.entry(*spec).or_default();
             slot.extend(state.map(|i| duta.letter(i)));
+            first.entry(*spec).or_insert(witness);
         }
         // The forest language over inhabited names: after the restriction
         // every remaining transition lies on a realizable word, so the
@@ -109,23 +123,47 @@ impl FunArtifacts {
         let forest_empty = forest_restricted.is_empty();
         let roots = &forest_restricted.alphabet();
         let realizable = |state: Option<usize>| {
-            pairs
-                .iter()
-                .filter(move |(spec, s, _)| *s == state && roots.contains(spec))
-                .map(|(_, _, witness)| witness)
+            pairs.iter().filter(move |(spec, s, _)| *s == state && roots.contains(spec))
         };
-        let unknown = realizable(None).find_map(|witness| {
-            witness
+        let origin = Origin::Function { function };
+        let unknown = realizable(None).find_map(|(spec, _, witness)| {
+            let element = witness
                 .document_order()
                 .into_iter()
                 .map(|n| *witness.label(n))
-                .find(|label| !duta.labels().contains(label))
+                .find(|label| !duta.labels().contains(label))?;
+            Some((BoxViolation::UnknownElement { element, origin: origin.clone() }, spec, witness))
         });
-        let violation = duta
-            .empty_subset()
-            .and_then(|e| realizable(Some(e)).find_map(|witness| untypable_node(duta, witness, e)));
+        let fault = unknown.or_else(|| {
+            let e = duta.empty_subset()?;
+            realizable(Some(e)).find_map(|(spec, _, witness)| {
+                let (element, word) = untypable_node(duta, witness, e)?;
+                let violation = BoxViolation::Content {
+                    element,
+                    counterexample: box_of(duta, &word),
+                    admitted: Vec::new(),
+                    origin: origin.clone(),
+                };
+                Some((violation, spec, witness))
+            })
+        });
+        // A shortest root word with each name's first witness plugged in;
+        // a fault's forest has the bad witness at the first occurrence of
+        // its name.
+        let plug = |word: &[Symbol]| -> XForest { word.iter().map(|name| first[name].clone()).collect() };
+        let default_forest = forest_restricted.shortest_accepted().map_or_else(Vec::new, |word| plug(&word));
+        let fault = fault.map(|(violation, spec, witness)| {
+            let around = Nfa::sigma_star(roots);
+            let containing = around.concat(&Nfa::symbol(*spec)).concat(&around);
+            let word = forest_restricted.intersect(&containing).shortest_accepted().unwrap_or_default();
+            let mut forest = plug(&word);
+            if let Some(at) = word.iter().position(|name| name == spec) {
+                forest[at] = witness.clone();
+            }
+            (violation, forest)
+        });
         let forest_states = forest_restricted.expand_symbols(&slots).trim();
-        Ok(FunArtifacts { forest_states, forest_empty, unknown, violation })
+        Ok(FunArtifacts { forest_states, forest_empty, default_forest, fault })
     }
 }
 
@@ -142,6 +180,66 @@ fn untypable_node(duta: &Duta, tree: &XTree, empty: usize) -> Option<(Symbol, Ve
     }
     let word = tree.children(node).iter().map(|&c| states[c]).collect();
     Some((*tree.label(node), word))
+}
+
+/// Renders a witness word of subset states as a box of specialised-name
+/// sets.
+fn box_of(duta: &Duta, witness: &[usize]) -> BoxLang {
+    BoxLang::new(witness.iter().map(|&i| duta.subset(i).clone()).collect())
+}
+
+/// A forest of `schema` whose trees evaluate, in order, to the subset
+/// states of `word`: a word of the forest language whose `j`-th name has a
+/// pair with `word[j]` among `pairs` ([`uta::run_pairs`] of the schema),
+/// each name replaced by that pair's witness tree. `None` if `word` is not
+/// in the function's gap language.
+fn forest_for(schema: &REdtd, pairs: &[RunPair], word: &[usize]) -> Option<XForest> {
+    let mut chain = Nfa::new(word.len() + 1, 0);
+    for (j, &state) in word.iter().enumerate() {
+        for (name, _, _) in pairs.iter().filter(|(_, s, _)| *s == Some(state)) {
+            chain.add_transition(j, *name, j + 1);
+        }
+    }
+    chain.set_final(word.len());
+    let names = schema.content(schema.start()).to_nfa().intersect(&chain).shortest_accepted()?;
+    names
+        .iter()
+        .zip(word)
+        .map(|(name, &state)| {
+            let (_, _, witness) = pairs.iter().find(|(n, s, _)| n == name && *s == Some(state))?;
+            Some(witness.clone())
+        })
+        .collect()
+}
+
+/// One pair of [`uta::run_pairs`]: a specialised name, the subset state (or
+/// `None`, out of the target's label universe) of a tree derivable from it,
+/// and that tree.
+type RunPair = (Symbol, Option<usize>, XTree);
+
+/// A synthesis candidate's gap language standing in for one function's.
+type Candidate<'a> = Option<(&'a Symbol, &'a Nfa)>;
+
+/// Where the kernel pass refutes a design.
+enum Refutation<'a> {
+    /// A called function realizes, on its own, a violation of the target,
+    /// with a forest of it containing the offending tree.
+    Function { function: Symbol, violation: &'a BoxViolation, forest: &'a XForest },
+    /// A kernel node labelled outside the target's label universe.
+    UnknownElement(NodeId),
+    /// A kernel node reaching subset state `state` — the empty subset, or
+    /// at the root a non-accepting one — on the witness child word
+    /// `outputs[node][&state]`.
+    Content { node: NodeId, state: usize },
+}
+
+/// One run of the kernel pass ([`BoxTargetCache::kernel_pass`]).
+struct KernelPass<'a> {
+    /// Per evaluated kernel node: every subset state it can reach, with a
+    /// shortest witness child word ([`Duta::outputs_over`]).
+    outputs: Vec<BTreeMap<usize, Vec<usize>>>,
+    /// The first refutation found; `None` for a valid design.
+    refutation: Option<Refutation<'a>>,
 }
 
 /// Problem artefacts of a [`BoxDesignProblem`] that are expensive to build
@@ -183,22 +281,173 @@ impl BoxTargetCache {
         let empty_subset = duta.empty_subset();
         let funs = fun_schemas
             .iter()
-            .map(|(f, schema)| FunArtifacts::build(schema, &duta, budget).map(|a| (*f, a)))
+            .map(|(f, schema)| FunArtifacts::build(*f, schema, &duta, budget).map(|a| (*f, a)))
             .collect::<Result<_, _>>()?;
         Ok(BoxTargetCache { duta, accepting, empty_subset, funs })
     }
 
+    /// The gap language at a docking point of `function`: the `candidate`'s
+    /// when it stands in for `function`, else the cached one.
+    fn gap<'a>(&'a self, function: &Symbol, candidate: Candidate<'a>) -> Option<&'a Nfa> {
+        match candidate {
+            Some((g, gap)) if g == function => Some(gap),
+            _ => self.funs.get(function).map(|fa| &fa.forest_states),
+        }
+    }
+
     /// The child-word language of kernel `children` over letters: a docking
-    /// point contributes its function's gap language, any other child the
-    /// single letters of its `achievable` subset states (one box slot).
-    fn child_word(&self, doc: &DistributedDoc, children: &[NodeId], achievable: &[StateSet]) -> Nfa {
+    /// point contributes its gap language, any other child the single
+    /// letters of its `achievable` subset states (one box slot).
+    fn child_word(
+        &self,
+        doc: &DistributedDoc,
+        children: &[NodeId],
+        achievable: &[StateSet],
+        candidate: Candidate<'_>,
+    ) -> Nfa {
         children.iter().fold(Nfa::epsilon(), |word, &child| {
             let label = doc.kernel().label(child);
-            word.concat(&match self.funs.get(label) {
-                Some(fa) if doc.is_function(label) => fa.forest_states.clone(),
+            word.concat(&match self.gap(label, candidate) {
+                Some(gap) if doc.is_function(label) => gap.clone(),
                 _ => Nfa::any_of(achievable[child].iter().map(|i| self.duta.letter(i))),
             })
         })
+    }
+
+    /// The Section-7 kernel pass, the one decision procedure of the
+    /// engine. A called function with an empty language makes the design
+    /// vacuously valid; a function whose forests violate the target on
+    /// their own refutes it; otherwise one bottom-up pass computes, per
+    /// kernel node, the exact set of subset states its subtree can reach —
+    /// with a shortest witness child word each — and stops at the first
+    /// node that is unknown to the target, reaches the empty subset, or (at
+    /// the root) reaches a non-accepting state. `candidate` stands in for
+    /// one function's gap language, which then needs no declared schema.
+    fn kernel_pass(
+        &self,
+        doc: &DistributedDoc,
+        candidate: Candidate<'_>,
+        budget: &Budget,
+    ) -> Result<KernelPass<'_>, AutomataError> {
+        let kernel = doc.kernel();
+        let called = doc.called_functions();
+        let mut pass = KernelPass { outputs: vec![BTreeMap::new(); kernel.size()], refutation: None };
+        let stands_in = |f: &Symbol| matches!(candidate, Some((g, _)) if g == f);
+        let vacuous = called.iter().any(|f| match candidate {
+            Some((g, gap)) if g == f => gap.is_empty(),
+            _ => self.funs[f].forest_empty,
+        });
+        if vacuous {
+            return Ok(pass);
+        }
+        for f in called.iter().filter(|f| !stands_in(f)) {
+            if let Some((violation, forest)) = &self.funs[f].fault {
+                pass.refutation = Some(Refutation::Function { function: *f, violation, forest });
+                return Ok(pass);
+            }
+        }
+        let universe = self.duta.num_states();
+        let mut achievable: Vec<StateSet> = vec![StateSet::empty(universe); kernel.size()];
+        for node in kernel.bottom_up_order() {
+            let label = kernel.label(node);
+            if doc.is_function(label) {
+                continue;
+            }
+            if !self.duta.labels().contains(label) {
+                pass.refutation = Some(Refutation::UnknownElement(node));
+                return Ok(pass);
+            }
+            let word = self.child_word(doc, kernel.children(node), &achievable, candidate);
+            let outs = self.duta.outputs_over_with_budget(label, &word, budget)?;
+            // A realizable child word with no typing at all is already a
+            // violation — the surrounding kernel always completes it to a
+            // full extension (all gap languages are non-empty), and the
+            // empty subset propagates to a non-accepting root.
+            let bad = self.empty_subset.filter(|e| outs.contains_key(e)).or_else(|| {
+                let root = node == kernel.root();
+                outs.keys().copied().find(|&s| root && !self.accepting.contains(s))
+            });
+            achievable[node] = StateSet::from_iter(universe, outs.keys().copied());
+            pass.outputs[node] = outs;
+            if let Some(state) = bad {
+                pass.refutation = Some(Refutation::Content { node, state });
+                return Ok(pass);
+            }
+        }
+        Ok(pass)
+    }
+
+    /// The violation a kernel pass reports, if it refuted the design.
+    fn violation(&self, doc: &DistributedDoc, pass: &KernelPass<'_>) -> Option<BoxViolation> {
+        let kernel = doc.kernel();
+        let origin = |node| Origin::Kernel { path: kernel.anc_str(node) };
+        Some(match *pass.refutation.as_ref()? {
+            Refutation::Function { violation, .. } => violation.clone(),
+            Refutation::UnknownElement(node) => {
+                BoxViolation::UnknownElement { element: *kernel.label(node), origin: origin(node) }
+            }
+            Refutation::Content { node, state } => BoxViolation::Content {
+                element: *kernel.label(node),
+                counterexample: box_of(&self.duta, &pass.outputs[node][&state]),
+                admitted: self.duta.subset(state).iter().cloned().collect(),
+                origin: origin(node),
+            },
+        })
+    }
+
+    /// Splits a witness child word of kernel `children` into one piece per
+    /// child — one letter of a kernel child's achievable states (its keys
+    /// in `outputs`), a word of the gap language for a docking point. `None`
+    /// if the word has no such split.
+    fn split<'w>(
+        &self,
+        doc: &DistributedDoc,
+        children: &[NodeId],
+        word: &'w [usize],
+        outputs: &[BTreeMap<usize, Vec<usize>>],
+    ) -> Option<Vec<&'w [usize]>> {
+        let kernel = doc.kernel();
+        // `start[i][q]`: where the piece of child `i - 1` starts when the
+        // first `i` children read exactly `word[..q]`.
+        let mut start = vec![vec![None; word.len() + 1]; children.len() + 1];
+        start[0][0] = Some(0);
+        for (i, &child) in children.iter().enumerate() {
+            let label = kernel.label(child);
+            let gap = self.gap(label, None).filter(|_| doc.is_function(label));
+            for p in 0..=word.len() {
+                if start[i][p].is_none() {
+                    continue;
+                }
+                let Some(gap) = gap else {
+                    if word.get(p).is_some_and(|letter| outputs[child].contains_key(letter)) {
+                        start[i + 1][p + 1].get_or_insert(p);
+                    }
+                    continue;
+                };
+                let finals = gap.finals_set();
+                let mut set = gap.start_closure();
+                let mut q = p;
+                loop {
+                    if set.intersects(&finals) {
+                        start[i + 1][q].get_or_insert(p);
+                    }
+                    let Some(&letter) = word.get(q) else { break };
+                    set = gap.step(&set, &self.duta.letter(letter));
+                    if set.is_empty() {
+                        break;
+                    }
+                    q += 1;
+                }
+            }
+        }
+        let mut pieces = vec![&word[..0]; children.len()];
+        let mut q = word.len();
+        for i in (0..children.len()).rev() {
+            let p = start[i + 1][q]?;
+            pieces[i] = &word[p..q];
+            q = p;
+        }
+        Some(pieces)
     }
 
     /// For a *local* target — every label has at most one non-empty
@@ -224,12 +473,6 @@ impl BoxTargetCache {
     /// points under several distinct parents exactly on local targets.
     pub fn is_local(&self) -> bool {
         self.local_states().is_some()
-    }
-
-    /// Renders a witness word of subset states as a box of
-    /// specialised-name sets.
-    fn box_of(&self, witness: &[usize]) -> BoxLang {
-        BoxLang::new(witness.iter().map(|&i| self.duta.subset(i).clone()).collect())
     }
 
     /// The target's specialised tree automaton, determinised (bottom-up)
@@ -506,7 +749,7 @@ impl BoxDesignProblem {
     }
 
     // ------------------------------------------------------------------
-    // Typing verification — tree route
+    // Typing verification
     // ------------------------------------------------------------------
 
     /// A [`Nuta`] recognising exactly the extensions of `doc`: the kernel
@@ -521,27 +764,18 @@ impl BoxDesignProblem {
     /// materialisation when the same function occurs twice — matching the
     /// paper, where every docking point is its own call.
     ///
-    /// The automaton is cheap next to the decisions that read it and is
-    /// built afresh on every call.
+    /// No decision reads it: it is the tree-route oracle of the tests —
+    /// `typecheck` agrees with [`uta::included_in_duta`] of this automaton
+    /// against [`BoxTargetCache::duta`], and every counterexample it
+    /// returns is accepted here.
     pub fn extension_nuta(&self, doc: &DistributedDoc) -> Result<Nuta, DesignError> {
         self.require_schemas(doc)?;
-        Ok(self.build_extension_nuta(doc, None))
-    }
-
-    /// Builds the extension automaton of `doc`, with the schema of one
-    /// function optionally `replaced` — the synthesis oracle checks a
-    /// candidate schema this way without cloning the problem. Callers have
-    /// checked that every called function has a schema.
-    fn build_extension_nuta(&self, doc: &DistributedDoc, replaced: Option<(&Symbol, &REdtd)>) -> Nuta {
         let kernel = doc.kernel();
         let mut a = Nuta::new();
 
         let mut forest_nfas: BTreeMap<Symbol, Nfa> = BTreeMap::new();
         for f in doc.called_functions() {
-            let schema = match replaced {
-                Some((g, schema)) if *g == f => schema,
-                _ => &self.fun_schemas[&f],
-            };
+            let schema = &self.fun_schemas[&f];
             let prefix = |name: &Symbol| Symbol::new(format!("{f}${name}"));
             for spec in schema.specialized_names().iter() {
                 let content = schema.content(spec).to_nfa().map_symbols(prefix);
@@ -569,27 +803,37 @@ impl BoxDesignProblem {
             a.set_rule(state_of(node), *kernel.label(node), content);
         }
         a.set_final(state_of(kernel.root()));
-        a
+        Ok(a)
     }
 
     /// Decides whether every extension of `doc` validates against the EDTD
-    /// target, via tree-language inclusion of the extension automaton in
-    /// the determinised specialised target. On failure the verdict carries
-    /// a full counterexample document and the typing failure it triggers
-    /// ([`REdtd::validate`]).
+    /// target. Runs the kernel pass of [`BoxDesignProblem::verify_local`];
+    /// on failure the verdict carries a full counterexample document, built
+    /// top-down from the pass's witnesses, and the typing failure the
+    /// target's own validator ([`REdtd::validate`]) reports on it.
+    ///
+    /// The counterexample follows the refutation: for a function whose
+    /// forests violate the target on their own, a forest of it containing
+    /// the offending tree at its first docking point; for a kernel
+    /// violation, the violating node's witness child word split across
+    /// its children — one letter per kernel child, a word of the gap
+    /// language per docking point, turned back into a forest of the
+    /// function — recursively down to the leaves. Every other docking point
+    /// gets a default forest of its function.
     ///
     /// The target automaton is determinised once per problem (see
-    /// [`BoxDesignProblem::target_cache`]); repeated calls only pay for the
-    /// extension automaton and its product fixpoint with the target
-    /// ([`uta::run_pairs`]); the extension side is never determinised.
+    /// [`BoxDesignProblem::target_cache`]); a valid design only pays for
+    /// the kernel pass, a refuted one also for one product fixpoint
+    /// ([`uta::run_pairs`]) per function docking under the violating node.
     pub fn typecheck(&self, doc: &DistributedDoc) -> Result<TypingVerdict, DesignError> {
         self.typecheck_with_budget(doc, &Budget::unlimited())
     }
 
-    /// Governed variant of [`BoxDesignProblem::typecheck`]: the cache build
-    /// and the product fixpoint both charge `budget`, and a trip surfaces as
-    /// [`DesignError::BudgetExceeded`]
-    /// without poisoning the problem's caches.
+    /// Governed variant of [`BoxDesignProblem::typecheck`]: the cache
+    /// build, the kernel pass and the counterexample construction all
+    /// charge `budget`, and a trip surfaces as
+    /// [`DesignError::BudgetExceeded`] without poisoning the problem's
+    /// caches.
     pub fn typecheck_with_budget(
         &self,
         doc: &DistributedDoc,
@@ -608,39 +852,94 @@ impl BoxDesignProblem {
         validate: impl Fn(&XTree) -> Result<(), SchemaError>,
     ) -> Result<TypingVerdict, DesignError> {
         let _span = telemetry::span(telemetry::SpanKind::Typecheck);
-        budget.check_interrupts().map_err(DesignError::from)?;
-        let ext = self.extension_nuta(doc)?;
+        budget.check_interrupts()?;
+        self.require_schemas(doc)?;
         let cache = self.target_cache_with_budget(budget)?;
-        Self::included(&ext, cache, budget, validate)
-    }
-
-    /// Tree-language inclusion of an extension automaton in the cached
-    /// target, with the counterexample re-validated by `validate`.
-    fn included(
-        ext: &Nuta,
-        cache: &BoxTargetCache,
-        budget: &Budget,
-        validate: impl Fn(&XTree) -> Result<(), SchemaError>,
-    ) -> Result<TypingVerdict, DesignError> {
-        match uta::included_in_duta_with_budget(ext, &cache.duta, budget)
-            .map_err(DesignError::from)?
-        {
-            Ok(()) => Ok(TypingVerdict::Valid),
-            Err(counterexample) => match validate(&counterexample) {
-                Err(violation) => Ok(TypingVerdict::Invalid { counterexample, violation }),
-                Ok(()) => Err(DesignError::InvariantViolation {
-                    detail: format!(
-                        "tree-inclusion counterexample `{counterexample}` unexpectedly \
-                         validates against the target"
-                    ),
-                }),
-            },
+        let pass = cache.kernel_pass(doc, None, budget)?;
+        if pass.refutation.is_none() {
+            return Ok(TypingVerdict::Valid);
+        }
+        let counterexample = self.counterexample(cache, doc, &pass, budget)?;
+        match validate(&counterexample) {
+            Err(violation) => Ok(TypingVerdict::Invalid { counterexample, violation }),
+            Ok(()) => Err(DesignError::InvariantViolation {
+                detail: format!(
+                    "counterexample `{counterexample}` of a refuted design unexpectedly \
+                     validates against the target"
+                ),
+            }),
         }
     }
 
-    // ------------------------------------------------------------------
-    // Typing verification — box/string route
-    // ------------------------------------------------------------------
+    /// The counterexample document of a refuted kernel pass: the kernel
+    /// with every docking point replaced by a forest of its function — the
+    /// refutation's own forests where it pins them, a default forest
+    /// everywhere else (see [`BoxDesignProblem::typecheck`]).
+    fn counterexample(
+        &self,
+        cache: &BoxTargetCache,
+        doc: &DistributedDoc,
+        pass: &KernelPass<'_>,
+        budget: &Budget,
+    ) -> Result<XTree, DesignError> {
+        let kernel = doc.kernel();
+        let broken = |detail: &str| DesignError::InvariantViolation { detail: detail.into() };
+        let mut planted: BTreeMap<NodeId, XForest> = BTreeMap::new();
+        match pass.refutation {
+            Some(Refutation::Function { function, forest, .. }) => {
+                let dock = doc.function_nodes().into_iter().find(|&n| *kernel.label(n) == function);
+                planted.extend(dock.map(|n| (n, forest.clone())));
+            }
+            Some(Refutation::Content { node, state }) => {
+                // Top-down from the violating node: each node's witness
+                // word for its required state, split across its children.
+                let mut pairs: BTreeMap<Symbol, Vec<RunPair>> = BTreeMap::new();
+                let mut todo = vec![(node, state)];
+                while let Some((x, s)) = todo.pop() {
+                    budget.step()?;
+                    let children = kernel.children(x);
+                    let pieces = cache
+                        .split(doc, children, &pass.outputs[x][&s], &pass.outputs)
+                        .ok_or_else(|| broken("a witness word does not split across its node's children"))?;
+                    for (&child, piece) in children.iter().zip(pieces) {
+                        let label = kernel.label(child);
+                        if !doc.is_function(label) {
+                            todo.push((child, piece[0]));
+                            continue;
+                        }
+                        let schema = &self.fun_schemas[label];
+                        if !pairs.contains_key(label) {
+                            let found = uta::run_pairs_with_budget(&schema.to_nuta(), &cache.duta, budget)?;
+                            pairs.insert(*label, found);
+                        }
+                        let forest = forest_for(schema, &pairs[label], piece)
+                            .ok_or_else(|| broken("a gap word has no forest of its function's schema"))?;
+                        planted.insert(child, forest);
+                    }
+                }
+            }
+            Some(Refutation::UnknownElement(_)) | None => {}
+        }
+        let mut tree = XTree::leaf(*kernel.label(kernel.root()));
+        let mut image = vec![tree.root(); kernel.size()];
+        for node in kernel.document_order() {
+            if doc.is_function(kernel.label(node)) {
+                continue;
+            }
+            for &child in kernel.children(node) {
+                let label = kernel.label(child);
+                if doc.is_function(label) {
+                    let forest = planted.get(&child).unwrap_or(&cache.funs[label].default_forest);
+                    for tree_of_forest in forest {
+                        tree.graft(image[node], tree_of_forest);
+                    }
+                } else {
+                    image[child] = tree.add_child(image[node], *label);
+                }
+            }
+        }
+        Ok(tree)
+    }
 
     /// The Section-7 string route: typing verification without tree
     /// automata on the extension side. One bottom-up pass over the kernel
@@ -648,16 +947,21 @@ impl BoxDesignProblem {
     /// can evaluate to — fixed children contribute box slots, docking
     /// points their gap languages — via the Moore-machine image
     /// [`Duta::outputs_over`]. Sound and complete for every R-EDTD target
-    /// because the determinised run is unique; agrees with
-    /// [`BoxDesignProblem::typecheck`] on every input (asserted by the
-    /// tests).
+    /// because the determinised run is unique. [`BoxDesignProblem::typecheck`]
+    /// runs the same pass; the tests pin both against the tree-route oracle
+    /// ([`BoxDesignProblem::extension_nuta`] in the cached target) and
+    /// brute-force enumeration.
     ///
     /// Checks run in this order: a called function with an empty schema
     /// language makes the verdict vacuously valid; a function realizing an
     /// element unknown to the target, or a tree the target cannot type,
-    /// is reported with [`Origin::Function`]; then the kernel pass reports
-    /// the first violating node bottom-up, so of several kernel violations
-    /// the deepest is the one reported.
+    /// is reported with [`Origin::Function`]; then the kernel pass visits
+    /// the nodes in reverse document order (every node after all of its
+    /// descendants) and reports the first violation it meets — the last
+    /// violating node in document order, which has no violating
+    /// descendant. That node need not be the deepest: a violation in a
+    /// later sibling subtree is reported before a deeper one in an earlier
+    /// subtree.
     pub fn verify_local(&self, doc: &DistributedDoc) -> Result<BoxVerdict, DesignError> {
         self.verify_local_with_budget(doc, &Budget::unlimited())
     }
@@ -671,83 +975,11 @@ impl BoxDesignProblem {
         budget: &Budget,
     ) -> Result<BoxVerdict, DesignError> {
         let _span = telemetry::span(telemetry::SpanKind::VerifyLocal);
-        budget.check_interrupts().map_err(DesignError::from)?;
+        budget.check_interrupts()?;
         self.require_schemas(doc)?;
         let cache = self.target_cache_with_budget(budget)?;
-        let kernel = doc.kernel();
-        let called = doc.called_functions();
-
-        for f in &called {
-            if cache.funs[f].forest_empty {
-                return Ok(BoxVerdict::Valid);
-            }
-        }
-        for f in &called {
-            let origin = Origin::Function { function: *f };
-            if let Some(label) = &cache.funs[f].unknown {
-                return Ok(BoxVerdict::Invalid(BoxViolation::UnknownElement {
-                    element: *label,
-                    origin,
-                }));
-            }
-            if let Some((label, witness)) = &cache.funs[f].violation {
-                return Ok(BoxVerdict::Invalid(BoxViolation::Content {
-                    element: *label,
-                    counterexample: cache.box_of(witness),
-                    admitted: Vec::new(),
-                    origin,
-                }));
-            }
-        }
-
-        let universe = cache.duta.num_states();
-        let mut achievable: Vec<StateSet> = vec![StateSet::empty(universe); kernel.size()];
-        for node in kernel.bottom_up_order() {
-            let label = kernel.label(node);
-            if doc.is_function(label) {
-                continue;
-            }
-            let origin = || Origin::Kernel { path: kernel.anc_str(node) };
-            if !cache.duta.labels().contains(label) {
-                return Ok(BoxVerdict::Invalid(BoxViolation::UnknownElement {
-                    element: *label,
-                    origin: origin(),
-                }));
-            }
-            let word = cache.child_word(doc, kernel.children(node), &achievable);
-            let outs = cache
-                .duta
-                .outputs_over_with_budget(label, &word, budget)
-                .map_err(DesignError::from)?;
-            // A realizable child word with no typing at all is already a
-            // violation — the surrounding kernel always completes it to a
-            // full extension (all gap languages are non-empty), and the
-            // empty subset propagates to a non-accepting root.
-            if let Some(ei) = cache.empty_subset {
-                if let Some(witness) = outs.get(&ei) {
-                    return Ok(BoxVerdict::Invalid(BoxViolation::Content {
-                        element: *label,
-                        counterexample: cache.box_of(witness),
-                        admitted: Vec::new(),
-                        origin: origin(),
-                    }));
-                }
-            }
-            if node == kernel.root() {
-                for (&state, witness) in &outs {
-                    if !cache.accepting.contains(state) {
-                        return Ok(BoxVerdict::Invalid(BoxViolation::Content {
-                            element: *label,
-                            counterexample: cache.box_of(witness),
-                            admitted: cache.duta.subset(state).iter().cloned().collect(),
-                            origin: origin(),
-                        }));
-                    }
-                }
-            }
-            achievable[node] = StateSet::from_iter(universe, outs.keys().copied());
-        }
-        Ok(BoxVerdict::Valid)
+        let pass = cache.kernel_pass(doc, None, budget)?;
+        Ok(cache.violation(doc, &pass).map_or(BoxVerdict::Valid, BoxVerdict::Invalid))
     }
 
     // ------------------------------------------------------------------
@@ -777,8 +1009,10 @@ impl BoxDesignProblem {
     /// per inhabited `(label, subset state)` pair reachable from its start
     /// ([`REdtd::from_duta`]). The candidate is an
     /// upper bound on every schema the design typechecks with, so it is the
-    /// maximum iff the typecheck oracle — run against the cached target
-    /// automaton — confirms it.
+    /// maximum iff the design typechecks with it. The kernel pass of
+    /// [`BoxDesignProblem::typecheck`] confirms that, with the candidate's
+    /// gap language — which is `gap` itself, since every tree of its name
+    /// `label~i` evaluates to `i` — at the docking points of `function`.
     ///
     /// # Errors
     ///
@@ -792,9 +1026,9 @@ impl BoxDesignProblem {
     /// * [`DesignError::SynthesisUnsupported`] — the docking points of
     ///   `function` sit under several distinct parents of a target that is
     ///   not local.
-    /// * [`DesignError::InvariantViolation`] — the oracle refuted a
-    ///   candidate the construction proves maximal; a bug in this library,
-    ///   never a property of the input.
+    /// * [`DesignError::InvariantViolation`] — the confirming kernel pass
+    ///   refuted a candidate the construction proves maximal; a bug in this
+    ///   library, never a property of the input.
     pub fn perfect_schema(
         &self,
         doc: &DistributedDoc,
@@ -805,7 +1039,7 @@ impl BoxDesignProblem {
 
     /// Governed variant of [`BoxDesignProblem::perfect_schema`]: the cache
     /// build, the achievable-set pass, the spine residuals and the
-    /// confirming typecheck oracle all charge `budget`, and a trip surfaces
+    /// confirming kernel pass all charge `budget`, and a trip surfaces
     /// as [`DesignError::BudgetExceeded`] with the problem's caches left
     /// unpoisoned (a retry with a larger budget agrees with the ungoverned
     /// result).
@@ -869,7 +1103,7 @@ impl BoxDesignProblem {
             if art.forest_empty {
                 return Err(DesignError::NoMaximalSchema { function: f });
             }
-            if art.unknown.is_some() || art.violation.is_some() {
+            if art.fault.is_some() {
                 // A sibling realizes trees the target rejects: every
                 // non-vacuous design fails, independent of `f`.
                 forced_empty = true;
@@ -902,7 +1136,7 @@ impl BoxDesignProblem {
             if !cache.duta.labels().contains(label) {
                 forced_empty = true;
             } else if !spine_set.contains(&node) {
-                let word = cache.child_word(doc, kernel.children(node), &achievable);
+                let word = cache.child_word(doc, kernel.children(node), &achievable, None);
                 let outs = cache
                     .duta
                     .outputs_over_with_budget(label, &word, budget)
@@ -916,7 +1150,7 @@ impl BoxDesignProblem {
                 achievable[node] = StateSet::from_iter(universe, typing);
             }
         }
-        let segment = |range: &[NodeId]| cache.child_word(doc, range, &achievable);
+        let segment = |range: &[NodeId]| cache.child_word(doc, range, &achievable, None);
 
         // Top-down: the admissible outputs per spine level, then the
         // residual at every docking parent.
@@ -998,25 +1232,22 @@ impl BoxDesignProblem {
             start.push('_');
         }
         let schema = REdtd::from_duta(&cache.duta, start.as_str(), start.as_str(), &gap);
-        let candidate = self.build_extension_nuta(doc, Some((&f, &schema)));
-        match Self::included(&candidate, cache, budget, |tree| self.doc_schema.validate(tree))? {
-            TypingVerdict::Valid => Ok(schema),
-            TypingVerdict::Invalid { counterexample, .. } => {
-                if docking.values().any(|positions| positions.len() > 1) {
-                    // The uniform candidate is an upper bound on every
-                    // valid gap language (substituting any of its words at
-                    // every docking point stays valid), so a refutation
-                    // proves incomparable maximal languages exist.
-                    Err(DesignError::NoMaximalSchema { function: f })
-                } else {
-                    Err(DesignError::InvariantViolation {
-                        detail: format!(
-                            "typecheck refuted the maximal candidate for `{f}` \
-                             with `{counterexample}`"
-                        ),
-                    })
-                }
+        // Every tree of the schema's name `label~i` evaluates to `i`, so its
+        // gap language is `gap` itself: the kernel pass confirms the
+        // candidate with `gap` at the docking points of `f`.
+        let pass = cache.kernel_pass(doc, Some((&f, &gap)), budget)?;
+        match cache.violation(doc, &pass) {
+            None => Ok(schema),
+            // The uniform candidate is an upper bound on every valid gap
+            // language (substituting any of its words at every docking
+            // point stays valid), so a refutation proves incomparable
+            // maximal languages exist.
+            Some(_) if docking.values().any(|positions| positions.len() > 1) => {
+                Err(DesignError::NoMaximalSchema { function: f })
             }
+            Some(violation) => Err(DesignError::InvariantViolation {
+                detail: format!("the kernel pass refuted the maximal candidate for `{f}`: {violation}"),
+            }),
         }
     }
 }
@@ -1055,15 +1286,41 @@ mod tests {
         e
     }
 
+    /// Both decisions against the tree-route oracle: inclusion of the
+    /// extension automaton in the cached target.
     fn agree(problem: &BoxDesignProblem, doc: &DistributedDoc) -> bool {
         let global = problem.typecheck(doc).unwrap();
         let local = problem.verify_local(doc).unwrap();
+        let extension = problem.extension_nuta(doc).unwrap();
+        let oracle = uta::included_in_duta(&extension, problem.target_cache().duta());
         assert_eq!(
             global.is_valid(),
-            local.is_valid(),
-            "typecheck ({global:?}) and verify_local ({local:?}) disagree on {doc:?}"
+            oracle.is_ok(),
+            "typecheck ({global:?}) and the tree oracle ({oracle:?}) disagree on {doc:?}"
         );
-        global.is_valid()
+        assert_eq!(
+            local.is_valid(),
+            oracle.is_ok(),
+            "verify_local ({local:?}) and the tree oracle ({oracle:?}) disagree on {doc:?}"
+        );
+        oracle.is_ok()
+    }
+
+    #[test]
+    fn verify_local_reports_the_last_violating_node_in_document_order() {
+        // Two kernel violations: `b(b)` at /r/a/b (`b` is leaf-only) and
+        // `c(c)` at /r/c. The pass visits the nodes in reverse document
+        // order, so the later `c` is reported although `b` is deeper.
+        let problem = BoxDesignProblem::new(dtd("r -> a, c\na -> b").to_edtd());
+        let doc = DistributedDoc::parse("r(a(b(b)) c(c))", [] as [&str; 0]).unwrap();
+        assert!(!agree(&problem, &doc));
+        match problem.verify_local(&doc).unwrap() {
+            BoxVerdict::Invalid(BoxViolation::Content { element, origin, .. }) => {
+                assert_eq!(element.as_str(), "c");
+                assert_eq!(origin, Origin::Kernel { path: vec![Symbol::new("r"), Symbol::new("c")] });
+            }
+            other => panic!("expected a content violation at /r/c, got {other:?}"),
+        }
     }
 
     #[test]

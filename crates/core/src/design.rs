@@ -11,14 +11,18 @@
 //! [`BoxDesignProblem`]: it embeds its schemas trivially, delegates every
 //! decision and renders the results back in DTD terms.
 //!
-//! * [`DesignProblem::typecheck`] — the tree-automaton route: one product
-//!   fixpoint of the (nondeterministic) extension automaton against the
-//!   determinised target, with a full counterexample document validated
+//! * [`DesignProblem::typecheck`] — the engine's kernel pass, with a full
+//!   counterexample document built from its witnesses and validated
 //!   against the DTD;
-//! * [`DesignProblem::verify_local`] — the string route: a bottom-up pass
-//!   over the kernel by Moore-machine images. In a DTD embedding every
-//!   typable subtree is typed by its own label alone, so the witness boxes
-//!   are plain label words, reported against the DTD content model.
+//! * [`DesignProblem::verify_local`] — the same bottom-up pass over the
+//!   kernel by Moore-machine images, reporting the offending child word. In
+//!   a DTD embedding every typable subtree is typed by its own label alone,
+//!   so the witness boxes are plain label words, reported against the DTD
+//!   content model.
+//!
+//! The tree-automaton route ([`DesignProblem::extension_nuta`] included in
+//! the cached target) is the oracle of the tests and `make soak`; no
+//! decision runs it.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -268,29 +272,28 @@ impl DesignProblem {
     /// A [`Nuta`] recognising exactly the extensions of `doc`: the kernel
     /// with every docking point `f` replaced by a forest of `τf`-valid trees
     /// whose root-label word matches the content model of `τf`'s start
-    /// symbol; see [`BoxDesignProblem::extension_nuta`].
+    /// symbol; see [`BoxDesignProblem::extension_nuta`]. The tree-route
+    /// oracle of the tests; no decision reads it.
     pub fn extension_nuta(&self, doc: &DistributedDoc) -> Result<Nuta, DesignError> {
         self.engine.extension_nuta(doc)
     }
 
     /// Decides whether every extension of `doc` validates against
-    /// [`DesignProblem::doc_schema`], via tree-language inclusion of the
-    /// extension automaton in the target automaton. On failure the verdict
-    /// carries a full counterexample document and the DTD validation error
-    /// it triggers.
+    /// [`DesignProblem::doc_schema`], by the engine's kernel pass
+    /// ([`BoxDesignProblem::typecheck`]). On failure the verdict carries a
+    /// full counterexample document, built from the pass's witnesses, and
+    /// the DTD validation error it triggers.
     ///
     /// The target automaton is determinised once per problem (see
-    /// [`DesignProblem::target_cache`]); repeated calls only pay for the
-    /// extension automaton and its product fixpoint with the target
-    /// ([`dxml_tree::uta::run_pairs`]); the extension side is never
-    /// determinised.
+    /// [`DesignProblem::target_cache`]); a valid design only pays for the
+    /// kernel pass, a refuted one also for the counterexample.
     pub fn typecheck(&self, doc: &DistributedDoc) -> Result<TypingVerdict, DesignError> {
         self.typecheck_with_budget(doc, &Budget::unlimited())
     }
 
     /// Governed variant of [`DesignProblem::typecheck`]: the target
-    /// determinisation (on a cold cache) and the product fixpoint both
-    /// charge `budget`; a trip surfaces as
+    /// determinisation (on a cold cache), the kernel pass and the
+    /// counterexample construction all charge `budget`; a trip surfaces as
     /// [`DesignError::BudgetExceeded`] and leaves every cache rebuildable.
     pub fn typecheck_with_budget(
         &self,
@@ -300,9 +303,10 @@ impl DesignProblem {
         self.engine.typecheck_by(doc, budget, |tree| self.doc_schema.validate(tree))
     }
 
-    /// Local typing verification: the string route of the engine, with
-    /// the verdict rendered in DTD terms. Sound and complete; agrees with
-    /// [`DesignProblem::typecheck`] on every input (asserted by the tests).
+    /// Local typing verification: the engine's kernel pass, with the
+    /// verdict rendered in DTD terms. Sound and complete; the same pass as
+    /// [`DesignProblem::typecheck`], pinned by the tests against the
+    /// tree-route oracle.
     ///
     /// A called function with an empty schema language makes the verdict
     /// vacuously valid. Otherwise a kernel root other than the target start
@@ -310,8 +314,9 @@ impl DesignProblem {
     /// engine's order, an element undeclared in the target as
     /// [`LocalViolation::UnknownElement`] and a realizable child word
     /// outside a target content model as [`LocalViolation::Content`] —
-    /// inside function forests first, then in the kernel bottom-up, so of
-    /// several kernel violations the deepest is the one reported.
+    /// inside function forests first, then in the kernel in reverse
+    /// document order, so of several kernel violations the last one in
+    /// document order — which has no violating descendant — is reported.
     pub fn verify_local(&self, doc: &DistributedDoc) -> Result<LocalVerdict, DesignError> {
         self.verify_local_with_budget(doc, &Budget::unlimited())
     }
@@ -374,15 +379,24 @@ mod tests {
         RDtd::parse(RFormalism::Nre, rules).unwrap()
     }
 
+    /// Both decisions against the tree-route oracle: inclusion of the
+    /// extension automaton in the cached target.
     fn agree(problem: &DesignProblem, doc: &DistributedDoc) -> bool {
         let global = problem.typecheck(doc).unwrap();
         let local = problem.verify_local(doc).unwrap();
+        let extension = problem.extension_nuta(doc).unwrap();
+        let oracle = dxml_tree::uta::included_in_duta(&extension, problem.target_cache().duta());
         assert_eq!(
             global.is_valid(),
-            local.is_valid(),
-            "typecheck ({global:?}) and verify_local ({local:?}) disagree on {doc:?}"
+            oracle.is_ok(),
+            "typecheck ({global:?}) and the tree oracle ({oracle:?}) disagree on {doc:?}"
         );
-        global.is_valid()
+        assert_eq!(
+            local.is_valid(),
+            oracle.is_ok(),
+            "verify_local ({local:?}) and the tree oracle ({oracle:?}) disagree on {doc:?}"
+        );
+        oracle.is_ok()
     }
 
     #[test]

@@ -8,11 +8,11 @@
 //! * [`DistributedDoc`] — a kernel document whose leaves may be typed
 //!   function calls (docking points), with snapshot materialisation;
 //! * [`BoxDesignProblem`] — the design engine (Section 7): a target
-//!   R-EDTD plus an R-EDTD per function, with typing verification by
-//!   tree-automaton inclusion, local verification reduced to string
-//!   problems over the determinised specialised alphabet whose constant
-//!   parts are kernel boxes `B(fn)`, and perfect typing by context
-//!   residuals confirmed against the cached target;
+//!   R-EDTD plus an R-EDTD per function; typing and local verification
+//!   both run one kernel pass of string problems over the determinised
+//!   specialised alphabet whose constant parts are kernel boxes `B(fn)`,
+//!   and perfect typing computes context residuals confirmed by the same
+//!   pass;
 //! * [`DesignProblem`] — the DTD-typed view over the same engine: a DTD
 //!   target plus a DTD per function, embedded as trivial EDTDs, with
 //!   [`DesignProblem::typecheck`] (counterexample documents),

@@ -119,9 +119,9 @@ impl DesignProblem {
     ///   design is vacuous and every schema typechecks), or the docking
     ///   points of `function` interact through a content model with several
     ///   incomparable maximal languages.
-    /// * [`DesignError::InvariantViolation`] — the typecheck oracle refuted
-    ///   a candidate for a reason the construction cannot explain; a bug in
-    ///   this library, never a property of the input.
+    /// * [`DesignError::InvariantViolation`] — the confirming kernel pass
+    ///   refuted a candidate for a reason the construction cannot explain; a
+    ///   bug in this library, never a property of the input.
     pub fn perfect_schema(
         &self,
         doc: &DistributedDoc,
@@ -132,7 +132,7 @@ impl DesignProblem {
 
     /// Governed variant of [`DesignProblem::perfect_schema`]: the residual
     /// constructions, the cached determinisations and the confirming
-    /// typecheck oracle all charge `budget`, and a trip surfaces as
+    /// kernel pass all charge `budget`, and a trip surfaces as
     /// [`DesignError::BudgetExceeded`]. A trip leaves the problem's caches
     /// unpoisoned: retrying the same synthesis with a larger budget (or the
     /// unlimited default) succeeds and agrees with the ungoverned result.

@@ -5,7 +5,9 @@
 //! function schemas, every instantiation of the docking point can be
 //! enumerated and materialised; the design typechecks iff every
 //! materialisation validates against the target. Both `typecheck` and
-//! `verify_local` must agree with that ground truth, for EDTD targets and
+//! `verify_local` must agree with that ground truth — and so must the tree
+//! route, the inclusion of `extension_nuta` in the cached target, which
+//! the engine no longer runs and which stays the oracle — for EDTD targets and
 //! for DTD targets seen through `DesignProblem` and through their trivial
 //! EDTD embedding on the box engine; the DTD-view verdicts are also
 //! certified: every counterexample document is rejected by the plain DTD
@@ -22,7 +24,14 @@ use dxml_core::{
 };
 use dxml_schema::{RDtd, REdtd};
 use dxml_tree::generate::SplitRng;
-use dxml_tree::{XForest, XTree};
+use dxml_tree::{uta, Nuta, XForest, XTree};
+use dxml_tree::uta::Duta;
+
+/// The tree-route verdict: whether the extension automaton is included in
+/// the determinised target.
+fn tree_oracle(extension: &Nuta, target: &Duta) -> bool {
+    uta::included_in_duta(extension, target).is_ok()
+}
 
 /// All trees derivable from a specialised name of a *star-free, acyclic*
 /// schema. The generators below only produce bounded content models, so the
@@ -181,6 +190,12 @@ fn box_typecheck_agrees_with_brute_force_enumeration() {
         let problem = BoxDesignProblem::new(target).with_function("f", schema);
         let global = problem.typecheck(&doc).expect("typecheck runs");
         let local = problem.verify_local(&doc).expect("verify_local runs");
+        let extension = problem.extension_nuta(&doc).expect("schemas supplied");
+        assert_eq!(
+            tree_oracle(&extension, problem.target_cache().duta()),
+            brute,
+            "case {case}: the tree oracle disagrees with enumeration on {doc:?}"
+        );
         assert_eq!(
             global.is_valid(),
             brute,
@@ -258,9 +273,21 @@ fn dtd_targets_embedded_as_edtds_agree_with_design_problem() {
         let problem = DesignProblem::new(target.clone()).with_function("f", schema.clone());
         let global = problem.typecheck(&doc).expect("typecheck runs");
         let local = problem.verify_local(&doc).expect("verify_local runs");
+        let extension = problem.extension_nuta(&doc).expect("schemas supplied");
+        assert_eq!(
+            tree_oracle(&extension, problem.target_cache().duta()),
+            brute,
+            "case {case}: the tree oracle on {doc:?} against {target:?}"
+        );
         assert_eq!(global.is_valid(), brute, "case {case}: typecheck on {doc:?} against {target:?}");
         assert_eq!(local.is_valid(), brute, "case {case}: verify_local on {doc:?} against {target:?}");
         let embedded = BoxDesignProblem::new(target.to_edtd()).with_function("f", schema.to_edtd());
+        let extension = embedded.extension_nuta(&doc).expect("schemas supplied");
+        assert_eq!(
+            tree_oracle(&extension, embedded.target_cache().duta()),
+            brute,
+            "case {case}: the tree oracle on the embedding of {target:?} disagrees on {doc:?}"
+        );
         assert_eq!(
             embedded.typecheck(&doc).expect("box typecheck runs").is_valid(),
             brute,

@@ -101,10 +101,13 @@ fn box_problem_trips_and_recovers() {
         problem.verify_local_with_budget(&doc, &faults::cancelled()),
         Err(DesignError::BudgetExceeded { resource: Resource::Cancelled, .. })
     ));
-    // The same object recovers, and the two ungoverned routes agree.
+    // The same object recovers, and its verdict matches the tree-route
+    // oracle on the now-cached target.
     let global = problem.typecheck(&doc).unwrap();
-    let local = problem.verify_local(&doc).unwrap();
-    assert_eq!(global.is_valid(), local.is_valid());
+    let extension = problem.extension_nuta(&doc).unwrap();
+    let oracle = dxml_tree::uta::included_in_duta(&extension, problem.target_cache().duta());
+    assert_eq!(global.is_valid(), oracle.is_ok());
+    assert_eq!(global.is_valid(), problem.verify_local(&doc).unwrap().is_valid());
     // Box perfect typing honours the budget too.
     assert!(matches!(
         problem.perfect_schema_with_budget(&doc, "f", &faults::expired_deadline()),

@@ -43,7 +43,9 @@ use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
 
 use crate::dfa::Dfa;
-use crate::hash::{FxHashMap, FxHashSet};
+use crate::error::AutomataError;
+use crate::hash::FxHashMap;
+use crate::limits::Budget;
 use crate::stateset::StateSet;
 use crate::symbol::{Alphabet, Symbol, Word};
 
@@ -560,37 +562,113 @@ impl Nfa {
         self.complement(alphabet).is_empty()
     }
 
-    /// A shortest accepted word, if any (breadth-first search over state
-    /// sets of the determinised automaton, so the result is genuinely
-    /// shortest — and lexicographically least among the shortest, since the
-    /// alphabet is scanned in text order).
+    /// A shortest accepted word, if any — the least accepted word in
+    /// length-then-text order (the alphabet is compared in symbol text
+    /// order, as everywhere else witnesses are chosen).
+    ///
+    /// # Panics
+    ///
+    /// Never in practice: the unlimited budget cannot trip.
     pub fn shortest_accepted(&self) -> Option<Word> {
-        let syms = self.sorted_syms();
-        let finals = self.finals_set();
-        let start = self.start_closure();
-        let mut queue: VecDeque<(StateSet, Word)> = VecDeque::new();
-        let mut seen: FxHashSet<StateSet> = FxHashSet::default();
-        queue.push_back((start.clone(), Vec::new()));
-        seen.insert(start);
-        // One scratch frontier reused across every (set, symbol) expansion;
-        // only fresh subsets are cloned out of it into the queue.
-        let mut next = StateSet::empty(self.num_states);
-        while let Some((set, word)) = queue.pop_front() {
-            if set.intersects(&finals) {
-                return Some(word);
+        self.shortest_accepted_with_budget(&Budget::unlimited())
+            .expect("the unlimited budget never trips")
+    }
+
+    /// Governed variant of [`Nfa::shortest_accepted`]. Linear in the size
+    /// of the automaton — it searches single states, never sets of them: a
+    /// backward breadth-first search labels every state with its distance
+    /// to acceptance (ε-moves are free), then a forward walk keeps, per
+    /// position, only the states on a shortest path and takes the least
+    /// symbol that stays on one. Every state visited by either search
+    /// charges one budget step.
+    ///
+    /// # Panics
+    ///
+    /// Only on a broken internal invariant (a state at a positive distance
+    /// with no step one closer to acceptance).
+    pub fn shortest_accepted_with_budget(&self, budget: &Budget) -> Result<Option<Word>, AutomataError> {
+        let n = self.num_states;
+        // Predecessors, ε-edges flagged: they cost nothing.
+        let mut preds: Vec<Vec<(StateId, bool)>> = vec![Vec::new(); n];
+        for p in 0..n {
+            for &(_, q) in &self.trans[p] {
+                preds[q].push((p, false));
             }
-            for &(sym, sid) in &syms {
-                self.step_local_into(&set, sid, &mut next);
-                if next.is_empty() || seen.contains(&next) {
-                    continue;
-                }
-                seen.insert(next.clone());
-                let mut w = word.clone();
-                w.push(sym);
-                queue.push_back((next.clone(), w));
+            for &q in &self.eps[p] {
+                preds[q].push((p, true));
             }
         }
-        None
+        let mut dist = vec![usize::MAX; n];
+        let mut queue: VecDeque<StateId> = self.finals.iter().copied().collect();
+        for &f in &self.finals {
+            dist[f] = 0;
+        }
+        while let Some(q) = queue.pop_front() {
+            budget.step()?;
+            for &(p, eps) in &preds[q] {
+                let d = dist[q] + usize::from(!eps);
+                if d < dist[p] {
+                    dist[p] = d;
+                    if eps {
+                        queue.push_front(p);
+                    } else {
+                        queue.push_back(p);
+                    }
+                }
+            }
+        }
+        let mut d = dist[self.start];
+        if d == usize::MAX {
+            return Ok(None);
+        }
+        let mut rank = vec![0; self.syms.len()];
+        for (r, (_, sid)) in self.sorted_syms().into_iter().enumerate() {
+            rank[sid as usize] = r;
+        }
+        // Every state lies at one distance, so it joins at most one level.
+        let mut seen = vec![false; n];
+        let close = |level: &mut Vec<StateId>, seen: &mut [bool], d: usize| {
+            let mut i = 0;
+            while let Some(&q) = level.get(i) {
+                for &t in &self.eps[q] {
+                    if dist[t] == d && !seen[t] {
+                        seen[t] = true;
+                        level.push(t);
+                    }
+                }
+                i += 1;
+            }
+        };
+        seen[self.start] = true;
+        let mut level = vec![self.start];
+        close(&mut level, &mut seen, d);
+        let mut word = Vec::with_capacity(d);
+        while d > 0 {
+            for _ in &level {
+                budget.step()?;
+            }
+            let best = level
+                .iter()
+                .flat_map(|&q| &self.trans[q])
+                .filter(|&&(_, t)| dist[t] == d - 1)
+                .map(|&(sid, _)| sid)
+                .min_by_key(|&sid| rank[sid as usize])
+                .expect("a state at a positive distance steps one closer to acceptance");
+            let mut next = Vec::new();
+            for &q in &level {
+                for &(_, t) in self.succ_slice(q, best) {
+                    if dist[t] == d - 1 && !seen[t] {
+                        seen[t] = true;
+                        next.push(t);
+                    }
+                }
+            }
+            d -= 1;
+            close(&mut next, &mut seen, d);
+            word.push(self.syms[best as usize]);
+            level = next;
+        }
+        Ok(Some(word))
     }
 
     /// Enumerates accepted words of length at most `max_len`, up to `limit`
@@ -1047,6 +1125,8 @@ mod tests {
         let a = Nfa::symbol("a").plus().concat(&Nfa::symbol("b"));
         assert_eq!(a.shortest_accepted(), Some(word_chars("ab")));
         assert_eq!(Nfa::empty().shortest_accepted(), None);
+        let tripping = crate::limits::faults::budget_tripping_after(0);
+        assert!(a.shortest_accepted_with_budget(&tripping).is_err());
         let words = a.enumerate_accepted(4, 10);
         assert!(words.contains(&word_chars("ab")));
         assert!(words.contains(&word_chars("aaab")));

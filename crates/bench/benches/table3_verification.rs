@@ -7,23 +7,14 @@
 //! `extension_nuta` in the cached target.
 
 use dxml_automata::{Regex, RSpec};
-use dxml_bench::{Session, design_workload, elem, section};
-use dxml_core::{DesignProblem, DistributedDoc};
-use dxml_tree::uta;
-
-/// The tree-route oracle: whether every extension of `doc` validates, by
-/// tree-language inclusion of the extension automaton in the cached target.
-fn tree_oracle(problem: &DesignProblem, doc: &DistributedDoc) -> bool {
-    let extension = problem.extension_nuta(doc).expect("schemas supplied");
-    uta::included_in_duta(&extension, problem.target_cache().duta()).is_ok()
-}
+use dxml_bench::{Session, TreeOracle, design_workload, elem, section};
 
 fn main() {
     let mut session = Session::new("table3_verification");
     section("table3: typing verification, growing schema size n");
     for n in [4usize, 8, 16, 32] {
         let (problem, doc) = design_workload(n, 2, 11);
-        assert!(tree_oracle(&problem, &doc));
+        assert!(problem.tree_oracle(&doc).is_ok());
         session.bench(&format!("typecheck/n={n}"), 10, || {
             assert!(problem.typecheck(&doc).unwrap().is_valid());
         });
@@ -35,7 +26,7 @@ fn main() {
     section("table3: typing verification, growing number of calls");
     for fns in [1usize, 2, 4, 8] {
         let (problem, doc) = design_workload(8, fns, 13);
-        assert!(tree_oracle(&problem, &doc));
+        assert!(problem.tree_oracle(&doc).is_ok());
         session.bench(&format!("typecheck/fns={fns}"), 10, || {
             assert!(problem.typecheck(&doc).unwrap().is_valid());
         });
@@ -54,7 +45,7 @@ fn main() {
         broken.set_rule("r", RSpec::Nre(Regex::sym(elem(0)).plus()));
         broken.set_rule(elem(0), RSpec::Nre(Regex::Epsilon));
         problem.add_function(f, broken);
-        assert!(!tree_oracle(&problem, &doc));
+        assert!(problem.tree_oracle(&doc).is_err());
         session.bench(&format!("typecheck_refute/n={n}"), 10, || {
             assert!(!problem.typecheck(&doc).unwrap().is_valid());
         });

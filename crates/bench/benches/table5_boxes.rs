@@ -11,16 +11,8 @@
 //! has to re-determinise.
 
 use dxml_automata::Symbol;
-use dxml_bench::{box_workload, section, smoke, Session};
-use dxml_core::{BoxDesignProblem, DistributedDoc};
-use dxml_tree::uta;
-
-/// The tree-route oracle: whether every extension of `doc` validates, by
-/// tree-language inclusion of the extension automaton in the cached target.
-fn tree_oracle(problem: &BoxDesignProblem, doc: &DistributedDoc) -> bool {
-    let extension = problem.extension_nuta(doc).expect("schemas supplied");
-    uta::included_in_duta(&extension, problem.target_cache().duta()).is_ok()
-}
+use dxml_bench::{box_workload, section, smoke, Session, TreeOracle};
+use dxml_core::BoxDesignProblem;
 
 fn main() {
     let mut session = Session::new("table5_boxes");
@@ -30,7 +22,7 @@ fn main() {
         let (problem, doc) = box_workload(n);
         // Contract: the kernel pass agrees with the tree oracle (the
         // workload is valid by construction).
-        assert!(tree_oracle(&problem, &doc));
+        assert!(problem.tree_oracle(&doc).is_ok());
         assert!(problem.typecheck(&doc).expect("typecheck runs").is_valid());
         assert!(problem.verify_local(&doc).expect("verify_local runs").is_valid());
         session.bench(&format!("box_typecheck/n={n}"), 5, || {
@@ -44,7 +36,7 @@ fn main() {
         let (short_problem, short_doc) = box_workload(n);
         let broken = BoxDesignProblem::new(short_problem.doc_schema().clone())
             .with_function("f", box_workload(n.saturating_sub(1).max(2)).0.fun_schemas()[&Symbol::new("f")].clone());
-        assert!(!tree_oracle(&broken, &short_doc));
+        assert!(broken.tree_oracle(&short_doc).is_err());
         assert!(!broken.typecheck(&short_doc).expect("typecheck runs").is_valid());
         assert!(!broken.verify_local(&short_doc).expect("verify_local runs").is_valid());
         session.bench(&format!("box_refute/n={n}"), 5, || {
@@ -57,7 +49,7 @@ fn main() {
         let (problem, doc) = box_workload(n);
         let schema = problem.perfect_schema(&doc, "f").expect("synthesis succeeds");
         let solved = problem.clone().with_function("f", schema);
-        assert!(tree_oracle(&solved, &doc));
+        assert!(solved.tree_oracle(&doc).is_ok());
         assert!(solved.typecheck(&doc).expect("typecheck runs").is_valid());
         session.bench(&format!("box_perfect_schema/n={n}"), 5, || {
             problem.perfect_schema(&doc, "f").expect("synthesis succeeds").size()

@@ -31,7 +31,8 @@ use dxml_automata::{RFormalism, Regex, RSpec, Symbol};
 use dxml_core::{BoxDesignProblem, DesignProblem, DistributedDoc};
 use dxml_schema::{RDtd, REdtd};
 use dxml_tree::generate::SplitRng;
-use dxml_tree::XTree;
+use dxml_tree::uta::{self, Duta};
+use dxml_tree::{Nuta, XTree};
 
 // ----------------------------------------------------------------------
 // Workloads
@@ -187,6 +188,47 @@ pub fn box_workload(n: usize) -> (BoxDesignProblem, DistributedDoc) {
     let doc = DistributedDoc::new(kernel, ["f"]).expect("kernel invariants hold");
     (problem, doc)
 }
+
+/// The tree-route oracle of typing verification, for both views of the
+/// design engine: tree-language inclusion of the extension automaton
+/// (`extension_nuta`) in the cached determinised target
+/// ([`uta::included_in_duta`]). The engine decides by its kernel pass; the
+/// bench contracts and the oracle differential check it against this.
+pub trait TreeOracle {
+    /// The automaton of every extension of `doc`.
+    ///
+    /// # Panics
+    ///
+    /// If a function `doc` calls has no declared schema.
+    fn extension(&self, doc: &DistributedDoc) -> Nuta;
+
+    /// The cached determinised target.
+    fn target(&self) -> &Duta;
+
+    /// `Ok` iff every extension of `doc` validates against the target;
+    /// otherwise an extension that does not.
+    fn tree_oracle(&self, doc: &DistributedDoc) -> Result<(), XTree> {
+        uta::included_in_duta(&self.extension(doc), self.target())
+    }
+}
+
+/// Both views expose the tree route under the same method names.
+macro_rules! tree_oracle {
+    ($problem:ty) => {
+        impl TreeOracle for $problem {
+            fn extension(&self, doc: &DistributedDoc) -> Nuta {
+                self.extension_nuta(doc).expect("every called function has a schema")
+            }
+
+            fn target(&self) -> &Duta {
+                self.target_cache().duta()
+            }
+        }
+    };
+}
+
+tree_oracle!(DesignProblem);
+tree_oracle!(BoxDesignProblem);
 
 /// The paper's Figure 3 Eurostat type, as a dRE-DTD — the realistic
 /// fixed-shape corpus member shared by the `schema_lint` example and the

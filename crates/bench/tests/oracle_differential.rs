@@ -20,25 +20,23 @@
 //! `kernel_pass_matches_the_tree_oracle_on_the_corpus` runs a fixed corpus
 //! in tier 1. `soak_kernel_pass_against_the_tree_oracle` is its ignored
 //! sibling: it sweeps many seeds and prints the seed of every failure.
-//! `make soak` runs it (`DXML_SOAK_SEEDS=<count>` sets the sweep,
-//! `DXML_SOAK_SEED=<seed>` replays one seed).
+//! `make soak` runs it; `DXML_SOAK_SEED=<seed>` replays one seed.
 
 use std::fmt::Write as _;
 
 use dxml_automata::limits::faults;
 use dxml_automata::{RFormalism, RSpec, Regex, Symbol};
-use dxml_bench::{adversarial_dtd, box_workload, design_workload, elem};
+use dxml_bench::{adversarial_dtd, box_workload, design_workload, elem, TreeOracle};
 use dxml_core::{
     BoxDesignProblem, BoxVerdict, BoxViolation, DesignError, DesignProblem, DistributedDoc, Origin,
     TypingVerdict,
 };
 use dxml_schema::{RDtd, REdtd};
 use dxml_tree::generate::SplitRng;
-use dxml_tree::uta::Duta;
-use dxml_tree::{uta, Nuta, XTree};
+use dxml_tree::XTree;
 
 /// The two engine views the corpus drives.
-trait Engine: Sized {
+trait Engine: TreeOracle + Sized {
     fn verdict(&self, doc: &DistributedDoc) -> Result<TypingVerdict, DesignError>;
     /// `typecheck` under a budget that trips after `steps` steps.
     fn verdict_within(
@@ -47,18 +45,10 @@ trait Engine: Sized {
         steps: u64,
     ) -> Result<TypingVerdict, DesignError>;
     fn local_valid(&self, doc: &DistributedDoc) -> bool;
-    fn extension(&self, doc: &DistributedDoc) -> Nuta;
-    fn target(&self) -> &Duta;
     /// Whether the target's plain validator rejects `tree`.
     fn rejects(&self, tree: &XTree) -> bool;
     /// The problem with `f`'s schema replaced by its perfect schema.
     fn solved(&self, doc: &DistributedDoc, f: Symbol) -> Result<Self, DesignError>;
-
-    /// The tree-route oracle: the extension automaton included in the
-    /// cached target, or a separating tree.
-    fn oracle(&self, doc: &DistributedDoc) -> Result<(), XTree> {
-        uta::included_in_duta(&self.extension(doc), self.target())
-    }
 }
 
 /// Both views have the same method names, so one body serves both.
@@ -77,12 +67,6 @@ macro_rules! engine {
             }
             fn local_valid(&self, doc: &DistributedDoc) -> bool {
                 self.verify_local(doc).expect("schemas supplied").is_valid()
-            }
-            fn extension(&self, doc: &DistributedDoc) -> Nuta {
-                self.extension_nuta(doc).expect("schemas supplied")
-            }
-            fn target(&self) -> &Duta {
-                self.target_cache().duta()
             }
             fn rejects(&self, tree: &XTree) -> bool {
                 self.doc_schema().validate(tree).is_err()
@@ -154,7 +138,7 @@ fn check_engine(
     doc: &DistributedDoc,
     tally: &mut Tally,
 ) -> Result<(), String> {
-    let oracle = engine.oracle(doc);
+    let oracle = engine.tree_oracle(doc);
     let verdict = engine
         .verdict(doc)
         .map_err(|e| format!("typecheck failed: {e}"))?;
@@ -198,7 +182,7 @@ fn check_engine(
     for f in doc.called_functions() {
         match engine.solved(doc, f) {
             Ok(solved) => {
-                if let Err(witness) = solved.oracle(doc) {
+                if let Err(witness) = solved.tree_oracle(doc) {
                     return Err(format!(
                         "the perfect schema of `{f}` fails the tree oracle: `{witness}`"
                     ));
@@ -512,13 +496,16 @@ fn kernel_pass_matches_the_tree_oracle_on_the_corpus() {
     );
 }
 
+/// How many seeds the soak sweeps.
+const SOAK_SEEDS: u64 = 2000;
+
 #[test]
 #[ignore = "soak: many seeds, run by `make soak`"]
 fn soak_kernel_pass_against_the_tree_oracle() {
-    let env = |key: &str| std::env::var(key).ok().and_then(|v| v.parse::<u64>().ok());
-    let seeds: Vec<u64> = match env("DXML_SOAK_SEED") {
+    let replay = std::env::var("DXML_SOAK_SEED").ok().and_then(|v| v.parse::<u64>().ok());
+    let seeds: Vec<u64> = match replay {
         Some(seed) => vec![seed],
-        None => (0..env("DXML_SOAK_SEEDS").unwrap_or(2000)).collect(),
+        None => (0..SOAK_SEEDS).collect(),
     };
     let mut report = String::new();
     let mut tally = Tally::default();

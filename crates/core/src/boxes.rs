@@ -151,17 +151,22 @@ impl FunArtifacts {
         // a fault's forest has the bad witness at the first occurrence of
         // its name.
         let plug = |word: &[Symbol]| -> XForest { word.iter().map(|name| first[name].clone()).collect() };
-        let default_forest = forest_restricted.shortest_accepted().map_or_else(Vec::new, |word| plug(&word));
-        let fault = fault.map(|(violation, spec, witness)| {
-            let around = Nfa::sigma_star(roots);
-            let containing = around.concat(&Nfa::symbol(*spec)).concat(&around);
-            let word = forest_restricted.intersect(&containing).shortest_accepted().unwrap_or_default();
-            let mut forest = plug(&word);
-            if let Some(at) = word.iter().position(|name| name == spec) {
-                forest[at] = witness.clone();
+        let default_forest =
+            forest_restricted.shortest_accepted_with_budget(budget)?.map_or_else(Vec::new, |word| plug(&word));
+        let fault = match fault {
+            Some((violation, spec, witness)) => {
+                let around = Nfa::sigma_star(roots);
+                let containing = around.concat(&Nfa::symbol(*spec)).concat(&around);
+                let word =
+                    forest_restricted.intersect(&containing).shortest_accepted_with_budget(budget)?.unwrap_or_default();
+                let mut forest = plug(&word);
+                if let Some(at) = word.iter().position(|name| name == spec) {
+                    forest[at] = witness.clone();
+                }
+                Some((violation, forest))
             }
-            (violation, forest)
-        });
+            None => None,
+        };
         let forest_states = forest_restricted.expand_symbols(&slots).trim();
         Ok(FunArtifacts { forest_states, forest_empty, default_forest, fault })
     }
@@ -192,8 +197,14 @@ fn box_of(duta: &Duta, witness: &[usize]) -> BoxLang {
 /// states of `word`: a word of the forest language whose `j`-th name has a
 /// pair with `word[j]` among `pairs` ([`uta::run_pairs`] of the schema),
 /// each name replaced by that pair's witness tree. `None` if `word` is not
-/// in the function's gap language.
-fn forest_for(schema: &REdtd, pairs: &[RunPair], word: &[usize]) -> Option<XForest> {
+/// in the function's gap language. The search for the name word charges
+/// `budget`.
+fn forest_for(
+    schema: &REdtd,
+    pairs: &[RunPair],
+    word: &[usize],
+    budget: &Budget,
+) -> Result<Option<XForest>, AutomataError> {
     let mut chain = Nfa::new(word.len() + 1, 0);
     for (j, &state) in word.iter().enumerate() {
         for (name, _, _) in pairs.iter().filter(|(_, s, _)| *s == Some(state)) {
@@ -201,15 +212,16 @@ fn forest_for(schema: &REdtd, pairs: &[RunPair], word: &[usize]) -> Option<XFore
         }
     }
     chain.set_final(word.len());
-    let names = schema.content(schema.start()).to_nfa().intersect(&chain).shortest_accepted()?;
-    names
+    let forests = schema.content(schema.start()).to_nfa().intersect(&chain);
+    let Some(names) = forests.shortest_accepted_with_budget(budget)? else { return Ok(None) };
+    Ok(names
         .iter()
         .zip(word)
         .map(|(name, &state)| {
             let (_, _, witness) = pairs.iter().find(|(n, s, _)| n == name && *s == Some(state))?;
             Some(witness.clone())
         })
-        .collect()
+        .collect())
 }
 
 /// One pair of [`uta::run_pairs`]: a specialised name, the subset state (or
@@ -258,8 +270,9 @@ pub struct BoxTargetCache {
 }
 
 impl BoxTargetCache {
-    /// Governed cache build: the target determinisation and every
-    /// per-function product fixpoint charge `budget`. A trip aborts the build
+    /// Governed cache build: the target determinisation, every
+    /// per-function product fixpoint and the searches for each function's
+    /// default and fault forests charge `budget`. A trip aborts the build
     /// and caches nothing. The one build site of the crate: a target whose
     /// every specialised name is its own label (a DTD) is counted under
     /// `design.*`, any other under `boxes.*`.
@@ -398,14 +411,16 @@ impl BoxTargetCache {
     /// Splits a witness child word of kernel `children` into one piece per
     /// child — one letter of a kernel child's achievable states (its keys
     /// in `outputs`), a word of the gap language for a docking point. `None`
-    /// if the word has no such split.
+    /// if the word has no such split. Every split point tried and every
+    /// letter read through a gap language charges `budget`.
     fn split<'w>(
         &self,
         doc: &DistributedDoc,
         children: &[NodeId],
         word: &'w [usize],
         outputs: &[BTreeMap<usize, Vec<usize>>],
-    ) -> Option<Vec<&'w [usize]>> {
+        budget: &Budget,
+    ) -> Result<Option<Vec<&'w [usize]>>, AutomataError> {
         let kernel = doc.kernel();
         // `start[i][q]`: where the piece of child `i - 1` starts when the
         // first `i` children read exactly `word[..q]`.
@@ -418,6 +433,7 @@ impl BoxTargetCache {
                 if start[i][p].is_none() {
                     continue;
                 }
+                budget.step()?;
                 let Some(gap) = gap else {
                     if word.get(p).is_some_and(|letter| outputs[child].contains_key(letter)) {
                         start[i + 1][p + 1].get_or_insert(p);
@@ -432,6 +448,7 @@ impl BoxTargetCache {
                         start[i + 1][q].get_or_insert(p);
                     }
                     let Some(&letter) = word.get(q) else { break };
+                    budget.step()?;
                     set = gap.step(&set, &self.duta.letter(letter));
                     if set.is_empty() {
                         break;
@@ -443,11 +460,11 @@ impl BoxTargetCache {
         let mut pieces = vec![&word[..0]; children.len()];
         let mut q = word.len();
         for i in (0..children.len()).rev() {
-            let p = start[i + 1][q]?;
+            let Some(p) = start[i + 1][q] else { return Ok(None) };
             pieces[i] = &word[p..q];
             q = p;
         }
-        Some(pieces)
+        Ok(Some(pieces))
     }
 
     /// For a *local* target — every label has at most one non-empty
@@ -899,7 +916,7 @@ impl BoxDesignProblem {
                     budget.step()?;
                     let children = kernel.children(x);
                     let pieces = cache
-                        .split(doc, children, &pass.outputs[x][&s], &pass.outputs)
+                        .split(doc, children, &pass.outputs[x][&s], &pass.outputs, budget)?
                         .ok_or_else(|| broken("a witness word does not split across its node's children"))?;
                     for (&child, piece) in children.iter().zip(pieces) {
                         let label = kernel.label(child);
@@ -912,7 +929,7 @@ impl BoxDesignProblem {
                             let found = uta::run_pairs_with_budget(&schema.to_nuta(), &cache.duta, budget)?;
                             pairs.insert(*label, found);
                         }
-                        let forest = forest_for(schema, &pairs[label], piece)
+                        let forest = forest_for(schema, &pairs[label], piece, budget)?
                             .ok_or_else(|| broken("a gap word has no forest of its function's schema"))?;
                         planted.insert(child, forest);
                     }

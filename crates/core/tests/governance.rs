@@ -119,6 +119,39 @@ fn box_problem_trips_and_recovers() {
 }
 
 #[test]
+fn counterexample_construction_trips_and_the_same_problem_recovers() {
+    // `x` admits only `b` children, but every forest of `f` ends in an
+    // `a`: a kernel content violation at `x`, whose counterexample is built
+    // through the docking point of `f`.
+    let target = RDtd::parse(RFormalism::Nre, "s -> x, a?\nx -> b*").unwrap();
+    let fun = RDtd::parse(RFormalism::Nre, "r -> b*, a").unwrap();
+    let problem = DesignProblem::new(target).with_function("f", fun.clone());
+    let doc = DistributedDoc::parse("s(x(f))", ["f"]).unwrap();
+    assert!(!problem.verify_local(&doc).unwrap().is_valid(), "warms the cache");
+    let pass = Budget::unlimited().with_step_quota(u64::MAX);
+    problem.verify_local_with_budget(&doc, &pass).unwrap();
+    let full = Budget::unlimited().with_step_quota(u64::MAX);
+    assert!(!problem.typecheck_with_budget(&doc, &full).unwrap().is_valid());
+    // The construction charges more than the product fixpoint of `f` it
+    // runs and the one step of the violating node `x`: splitting the
+    // witness word and searching the forests of `f` for it are charged
+    // too.
+    let fixpoint = Budget::unlimited().with_step_quota(u64::MAX);
+    dxml_tree::uta::run_pairs_with_budget(&fun.to_edtd().to_nuta(), problem.target_cache().duta(), &fixpoint)
+        .unwrap();
+    let construction = full.steps_spent() - pass.steps_spent();
+    assert!(construction > fixpoint.steps_spent() + 1, "{construction} construction steps");
+    // A quota the kernel pass fits in trips inside the construction.
+    let quota = pass.steps_spent();
+    assert!(problem.verify_local_with_budget(&doc, &faults::budget_tripping_after(quota)).is_ok());
+    match problem.typecheck_with_budget(&doc, &faults::budget_tripping_after(quota)) {
+        Err(DesignError::BudgetExceeded { resource: Resource::Steps, .. }) => {}
+        other => panic!("expected a steps trip, got {other:?}"),
+    }
+    assert!(!problem.typecheck(&doc).unwrap().is_valid());
+}
+
+#[test]
 fn streaming_validation_honours_every_budget_dimension() {
     let sdtd = RSdtd::parse(RFormalism::Nre, "s -> r*\nr -> r*").unwrap();
     let depth = 64usize;

@@ -858,29 +858,13 @@ pub fn included(a: &Nuta, b: &Nuta) -> Result<(), XTree> {
 /// against the same target (typing verification, perfect-schema synthesis):
 /// the expensive determinisation of the target happens once, outside, and
 /// the left-hand side is never determinised ([`run_pairs`]).
-///
-/// # Panics
-///
-/// Never in practice: the unlimited budget cannot trip.
 pub fn included_in_duta(a: &Nuta, db: &Duta) -> Result<(), XTree> {
-    included_in_duta_with_budget(a, db, &Budget::unlimited())
-        .expect("the unlimited budget never trips")
-}
-
-/// Governed variant of [`included_in_duta`]. The outer `Result` reports
-/// resource governance ([`AutomataError::BudgetExceeded`]); the inner one is
-/// the inclusion verdict with its counterexample tree.
-pub fn included_in_duta_with_budget(
-    a: &Nuta,
-    db: &Duta,
-    budget: &Budget,
-) -> Result<Result<(), XTree>, AutomataError> {
-    let separating = run_pairs_with_budget(a, db, budget)?
+    let separating = run_pairs(a, db)
         .into_iter()
         .filter(|(q, s, _)| a.finals().contains(q) && !s.is_some_and(|i| db.is_final(i)))
         .map(|(_, _, witness)| witness)
         .min_by_key(XTree::size);
-    Ok(separating.map_or(Ok(()), Err))
+    separating.map_or(Ok(()), Err)
 }
 
 /// Checks `[a] = [b]` as tree languages, as two inclusions; on failure

@@ -136,16 +136,24 @@ soak:
 perfbench-test:
 	$(CARGO) test --release --offline --manifest-path perfbench/Cargo.toml
 
-# The narrative examples. The two lint examples run through lint-schemas
-# and lint-repo instead.
+# The narrative examples, each diffed against its golden stdout in
+# examples/expected/<name>.txt: any change to a verdict, witness or size
+# the examples print fails here. An intended change regenerates the golden
+# (`cargo run -q --release --example <name> > examples/expected/<name>.txt`)
+# so the diff shows in review. The two lint examples run through
+# lint-schemas and lint-repo instead.
+EXAMPLES := quickstart distributed_validation perfect_typing_words \
+            eurostat_ncpi perfect_schema box_design streaming_validation
+
 examples:
-	$(CARGO) run -q --release --example quickstart
-	$(CARGO) run -q --release --example distributed_validation
-	$(CARGO) run -q --release --example perfect_typing_words
-	$(CARGO) run -q --release --example eurostat_ncpi
-	$(CARGO) run -q --release --example perfect_schema
-	$(CARGO) run -q --release --example box_design
-	$(CARGO) run -q --release --example streaming_validation
+	$(CARGO) build -q --release --examples
+	@for e in $(EXAMPLES); do \
+		$(CARGO) run -q --release --example $$e > target/example_$$e.txt || { \
+			echo "examples: $$e exited non-zero" >&2; exit 1; }; \
+		diff -u examples/expected/$$e.txt target/example_$$e.txt || { \
+			echo "examples: $$e output differs from examples/expected/$$e.txt" >&2; exit 1; }; \
+	done
+	@echo "examples: all $(words $(EXAMPLES)) outputs match their goldens"
 
 # Lint the example/bench schema corpus: exits non-zero on any
 # error-severity diagnostic from the dxml-analysis passes. --costs appends

@@ -116,11 +116,6 @@ pub struct Bounds {
 }
 
 impl Bounds {
-    /// A bracket that pins the counter exactly.
-    pub fn exact(v: u64) -> Bounds {
-        Bounds { lower: v, upper: v }
-    }
-
     /// A bracket from both ends.
     ///
     /// # Panics
@@ -135,15 +130,6 @@ impl Bounds {
     /// Whether `actual` falls inside the bracket.
     pub fn contains(&self, actual: u64) -> bool {
         self.lower <= actual && actual <= self.upper
-    }
-
-    /// Component-wise saturating sum (brackets of independent counters
-    /// add).
-    pub fn plus(self, other: Bounds) -> Bounds {
-        Bounds {
-            lower: self.lower.saturating_add(other.lower),
-            upper: self.upper.saturating_add(other.upper),
-        }
     }
 
     /// Component-wise saturating scaling by a constant factor.
@@ -323,8 +309,9 @@ pub fn suffix_counting(re: &Regex) -> Option<SuffixCounting> {
 /// The predicted determinisation cost of one content model.
 #[derive(Clone, Debug)]
 pub struct ContentModelCost {
-    /// The structural metrics of the model's NFA (Thompson for `nRE`,
-    /// as-is for `nFA`/`dFA`).
+    /// The structural metrics of the model's NFA (the Glushkov automaton
+    /// for `nRE`/`dRE`, as-is for `nFA`/`dFA`) — the automaton
+    /// [`Dfa::from_nfa`](dxml_automata::Dfa::from_nfa) determinises.
     pub metrics: NfaMetrics,
     /// Bracket of `dfa.subset_states` for determinising this model.
     pub subset_states: Bounds,
@@ -347,7 +334,7 @@ pub fn content_model_cost(spec: &RSpec) -> ContentModelCost {
     };
     let mut lower = match metrics.min_word_len {
         Some(len) => (len as u64).saturating_add(1),
-        None => 1, // the start closure alone
+        None => 1, // the start set alone
     };
     if let Some(sc) = &suffix {
         lower = lower.max(sc.dfa_lower_bound);
@@ -372,11 +359,6 @@ pub struct SchemaCost {
     /// Per-rule costs with human-readable locations (`element `a`` /
     /// `specialisation `x``), in rule order.
     pub rules: Vec<(String, ContentModelCost)>,
-    /// Bracket of the total `dfa.subset_states` of determinising every
-    /// content model once.
-    pub subset_states: Bounds,
-    /// Bracket of the matching total `dfa.subset_transitions`.
-    pub subset_steps: Bounds,
     /// Every name of the schema's tree automaton, mapped to its label and
     /// the index of its rule in `rules` (`None` for a name without a rule,
     /// whose content is `{ε}`).
@@ -390,20 +372,15 @@ impl SchemaCost {
         names: impl Iterator<Item = (Symbol, Symbol)>,
     ) -> SchemaCost {
         let mut index = FxHashMap::default();
-        let mut subset_states = Bounds::exact(0);
-        let mut subset_steps = Bounds::exact(0);
         let rules: Vec<(String, ContentModelCost)> = rules
             .enumerate()
             .map(|(i, (name, spec))| {
-                let cost = content_model_cost(spec);
-                subset_states = subset_states.plus(cost.subset_states);
-                subset_steps = subset_steps.plus(cost.subset_steps);
                 index.insert(*name, i);
-                (format!("{kind} `{name}`"), cost)
+                (format!("{kind} `{name}`"), content_model_cost(spec))
             })
             .collect();
         let names = names.map(|(name, label)| (name, (label, index.get(&name).copied()))).collect();
-        SchemaCost { rules, subset_states, subset_steps, names }
+        SchemaCost { rules, names }
     }
 
     /// The rules whose detected suffix-counting lower bound crosses
@@ -657,10 +634,9 @@ mod tests {
     fn bounds_arithmetic_saturates() {
         let b = Bounds::new(2, 5);
         assert!(b.contains(2) && b.contains(5) && !b.contains(6));
-        assert_eq!(b.plus(Bounds::exact(1)), Bounds::new(3, 6));
-        assert_eq!(Bounds::new(1, u64::MAX).plus(b).upper, u64::MAX);
         assert_eq!(b.times(3), Bounds::new(6, 15));
-        assert_eq!(format!("{}", Bounds::exact(4)), "4");
+        assert_eq!(Bounds::new(1, u64::MAX).times(2).upper, u64::MAX);
+        assert_eq!(format!("{}", Bounds::new(4, 4)), "4");
         assert_eq!(format!("{}", Bounds::new(2, 8)), "[2 … 8]");
     }
 

@@ -133,17 +133,14 @@ impl Nfa {
     /// words using them become unrealizable.
     pub fn expand_symbols(&self, slots: &BTreeMap<Symbol, BTreeSet<Symbol>>) -> Nfa {
         let mut out = Nfa::new(self.num_states(), self.start());
-        for (q, lbl, t) in self.transitions() {
-            match lbl {
-                None => out.add_epsilon(q, t),
-                Some(sym) => match slots.get(sym) {
-                    Some(slot) => {
-                        for b in slot {
-                            out.add_transition(q, *b, t);
-                        }
+        for (q, sym, t) in self.transitions() {
+            match slots.get(sym) {
+                Some(slot) => {
+                    for b in slot {
+                        out.add_transition(q, *b, t);
                     }
-                    None => out.add_transition(q, *sym, t),
-                },
+                }
+                None => out.add_transition(q, *sym, t),
             }
         }
         for &f in self.finals() {

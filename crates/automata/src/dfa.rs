@@ -237,7 +237,7 @@ impl Dfa {
         };
         let sids: Vec<u32> = syms.iter().map(|s| nfa.sym_id(s).expect("alphabet symbol")).collect();
         let finals = nfa.finals_set();
-        let start_set = nfa.start_closure();
+        let start_set = nfa.start_set();
         let mut index: FxHashMap<StateSet, StateId> = FxHashMap::default();
         let mut dfa = Dfa::new(1, 0);
         index.insert(start_set.clone(), 0);
@@ -518,16 +518,21 @@ impl fmt::Debug for Dfa {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::regex::Regex;
     use crate::symbol::word_chars;
 
     fn ab() -> Alphabet {
         Alphabet::from_chars("ab")
     }
 
+    fn re(src: &str) -> Nfa {
+        Regex::parse_chars(src).unwrap().to_nfa()
+    }
+
     #[test]
     fn subset_construction_preserves_language() {
         // (a|b)*abb — the classic example
-        let sigma = Nfa::any_of(["a", "b"]).star();
+        let sigma = re("(a|b)*");
         let tail = Nfa::literal(&word_chars("abb"));
         let nfa = sigma.concat(&tail);
         let dfa = Dfa::from_nfa(&nfa);
@@ -539,7 +544,7 @@ mod tests {
     #[test]
     fn minimize_produces_canonical_size() {
         // (a|b)*abb has a 4-state minimal DFA (without sink).
-        let nfa = Nfa::any_of(["a", "b"]).star().concat(&Nfa::literal(&word_chars("abb")));
+        let nfa = re("(a|b)*").concat(&Nfa::literal(&word_chars("abb")));
         let min = Dfa::from_nfa(&nfa).minimize();
         assert_eq!(min.num_states(), 4);
         for w in ["abb", "aabb", "ababb", "", "ab", "ba"] {
@@ -557,7 +562,7 @@ mod tests {
 
     #[test]
     fn complement_via_completion() {
-        let astar = Nfa::symbol("a").star();
+        let astar = re("a*");
         let dfa = Dfa::from_nfa(&astar).complete(&ab());
         let comp = dfa.complement();
         assert!(!comp.accepts(&[]));
@@ -568,8 +573,8 @@ mod tests {
 
     #[test]
     fn product_intersection_and_union() {
-        let astar_b = Dfa::from_nfa(&Nfa::symbol("a").star().concat(&Nfa::symbol("b")));
-        let a_bstar = Dfa::from_nfa(&Nfa::symbol("a").concat(&Nfa::symbol("b").star()));
+        let astar_b = Dfa::from_nfa(&re("a*b"));
+        let a_bstar = Dfa::from_nfa(&re("ab*"));
         let inter = astar_b.product(&a_bstar, |x, y| x && y);
         assert!(inter.accepts(&word_chars("ab")));
         assert!(!inter.accepts(&word_chars("aab")));

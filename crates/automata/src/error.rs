@@ -2,13 +2,15 @@
 
 use std::fmt;
 
-/// Errors produced while parsing regular expressions or manipulating
-/// automata.
+/// Errors produced while parsing (regular expressions, XML, tree terms) or
+/// manipulating automata.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AutomataError {
-    /// A regular expression could not be parsed.
-    RegexParse {
-        /// Human readable description of the problem.
+    /// Textual input could not be parsed. The message names the syntax
+    /// (`regex:`, `XML:`, `term:`) and the problem.
+    Parse {
+        /// Human readable description of the problem, prefixed with the
+        /// syntax being parsed.
         message: String,
         /// Byte offset in the input at which the problem was detected.
         position: usize,
@@ -46,8 +48,8 @@ pub enum AutomataError {
 impl fmt::Display for AutomataError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            AutomataError::RegexParse { message, position } => {
-                write!(f, "regex parse error at byte {position}: {message}")
+            AutomataError::Parse { message, position } => {
+                write!(f, "parse error at byte {position}: {message}")
             }
             AutomataError::NotDeterministic(re) => {
                 write!(f, "regular expression `{re}` is not deterministic (one-unambiguous)")

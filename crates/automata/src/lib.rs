@@ -4,14 +4,14 @@
 //! *Distributed XML Design* (Abiteboul, Gottlob, Manna):
 //!
 //! * [`Symbol`] / [`Alphabet`] — interned element names and function symbols;
-//! * [`Nfa`] — nondeterministic finite automata with ε-transitions, together
-//!   with the boolean/rational operations the paper uses (`·`, `∪`, `∩`, `−`,
-//!   complement) and decision procedures (emptiness, universality, membership,
-//!   inclusion, equivalence);
+//! * [`Nfa`] — nondeterministic finite automata, ε-free by construction,
+//!   together with the boolean/rational operations the paper uses (`·`, `∪`,
+//!   `∩`, `−`, complement) and decision procedures (emptiness, universality,
+//!   membership, inclusion, equivalence);
 //! * [`Dfa`] — deterministic automata, subset construction, minimisation;
 //! * [`Regex`] — (possibly nondeterministic) regular expressions `nRE`, with a
 //!   parser for the textual syntax used throughout the paper and the Glushkov
-//!   (position) construction;
+//!   (position) construction, which compiles every expression to an [`Nfa`];
 //! * [`dre`] — deterministic (one-unambiguous) regular expressions: the
 //!   Brüggemann-Klein/Wood determinism test on expressions and the
 //!   orbit-property decision procedure on minimal DFAs (`one-unamb[R]`,

@@ -347,11 +347,6 @@ impl Budget {
     pub fn states_spent(&self) -> u64 {
         self.inner.as_ref().map_or(0, |i| i.states.load(Ordering::Relaxed))
     }
-
-    /// Nodes counted so far across every clone of this budget.
-    pub fn nodes_spent(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |i| i.nodes.load(Ordering::Relaxed))
-    }
 }
 
 /// Raises the cooperative cancellation flag of a [`Budget`] from any

@@ -1,8 +1,12 @@
-//! Nondeterministic finite automata (nFAs) with ε-transitions.
+//! Nondeterministic finite automata (nFAs), ε-free by construction.
 //!
 //! This follows Section 2.1.2 of the paper: an nFA is a quintuple
-//! `⟨K, Σ, Δ, qs, F⟩` with `Δ ⊆ K × (Σ ∪ {ε}) × K`. States are dense
-//! integers `0..num_states`. The module provides the combinators the paper
+//! `⟨K, Σ, Δ, qs, F⟩` with `Δ ⊆ K × Σ × K`. States are dense integers
+//! `0..num_states`. Every automaton is ε-free: regular expressions compile
+//! to their Glushkov (position) automaton ([`crate::Regex::to_nfa`]), and
+//! concatenation and union join automata by copying the start state's
+//! out-edges, so a run's frontier is always a plain state set and the start
+//! frontier is `{qs}`. The module provides the combinators the paper
 //! relies on (`A1 · A2`, `A1 ∪ A2`, `A1 ∩ A2`, `A1 − A2`, complement) and the
 //! basic decision procedures (membership, emptiness, universality). The
 //! state-set reachability helpers (`delta_star_from`, `reachable_from`,
@@ -15,11 +19,10 @@
 //! Transitions are stored against a **per-automaton symbol index**: every
 //! [`Symbol`] on a transition gets a dense local `u32` the first time it is
 //! added, and each state keeps a sorted adjacency vector of
-//! `(local symbol, successor)` pairs (ε-transitions live in a separate
-//! per-state list). The invariants the hot paths rely on:
+//! `(local symbol, successor)` pairs. The invariants the hot paths rely on:
 //!
-//! * `trans.len() == eps.len() == num_states` at all times — states are
-//!   never implicit (see [`Nfa::new`] on the zero-state case);
+//! * `trans.len() == num_states` at all times — states are never implicit
+//!   (see [`Nfa::new`] on the zero-state case);
 //! * every adjacency vector is sorted by `(local symbol, successor)` and
 //!   deduplicated, so one symbol's successors form a contiguous slice found
 //!   by binary search;
@@ -33,7 +36,7 @@
 //!
 //! # State sets
 //!
-//! Every state-set-shaped value (ε-closures, frontiers, reachability sets)
+//! Every state-set-shaped value (frontiers, reachability sets)
 //! is a [`StateSet`] — a fixed-width dense bitset over the automaton's
 //! state universe (see [`crate::stateset`]), iterated in ascending state
 //! order exactly like the `BTreeSet<usize>` representation it replaced, so
@@ -63,15 +66,12 @@ pub struct NfaMetrics {
     /// Number of states `m`. The subset construction builds at most
     /// `2^m − 1` subset states (only non-empty subsets are materialised).
     pub states: usize,
-    /// Number of transitions, ε-transitions included.
+    /// Number of transitions.
     pub transitions: usize,
     /// The symbols actually appearing on transitions — exactly the
     /// alphabet the subset construction scans once per popped subset, so
     /// `subset transitions = subset states × alphabet.len()`.
     pub alphabet: Alphabet,
-    /// Whether any ε-transition exists (Thompson-built NFAs have them;
-    /// Glushkov-built ones never do).
-    pub has_epsilon: bool,
     /// Length of a shortest accepted word, or `None` for the empty
     /// language. The subsets visited along a shortest word's run are
     /// pairwise distinct, so the subset DFA has at least
@@ -79,7 +79,7 @@ pub struct NfaMetrics {
     pub min_word_len: Option<usize>,
 }
 
-/// A nondeterministic finite automaton with ε-transitions.
+/// A nondeterministic finite automaton (without ε-transitions).
 #[derive(Clone)]
 pub struct Nfa {
     num_states: usize,
@@ -91,11 +91,6 @@ pub struct Nfa {
     sym_index: FxHashMap<Symbol, u32>,
     /// `trans[q]`: sorted, deduplicated `(local symbol, successor)` pairs.
     trans: Vec<Vec<(u32, StateId)>>,
-    /// `eps[q]`: sorted, deduplicated ε-successors.
-    eps: Vec<Vec<StateId>>,
-    /// Whether any ε-transition exists (lets the ε-closure on the frontier
-    /// hot path return immediately for ε-free automata).
-    has_eps: bool,
 }
 
 impl Nfa {
@@ -122,8 +117,6 @@ impl Nfa {
             syms: Vec::new(),
             sym_index: FxHashMap::default(),
             trans: vec![Vec::new(); num_states],
-            eps: vec![Vec::new(); num_states],
-            has_eps: false,
         }
     }
 
@@ -185,7 +178,6 @@ impl Nfa {
     /// Adds a fresh state and returns its id.
     pub fn add_state(&mut self) -> StateId {
         self.trans.push(Vec::new());
-        self.eps.push(Vec::new());
         self.num_states += 1;
         self.num_states - 1
     }
@@ -218,20 +210,6 @@ impl Nfa {
         }
     }
 
-    /// Adds an ε-transition `from --ε--> to`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from` or `to` is not a state of the automaton.
-    pub fn add_epsilon(&mut self, from: StateId, to: StateId) {
-        assert!(from < self.num_states && to < self.num_states);
-        let v = &mut self.eps[from];
-        if let Err(pos) = v.binary_search(&to) {
-            v.insert(pos, to);
-            self.has_eps = true;
-        }
-    }
-
     /// Marks a state as final.
     ///
     /// # Panics
@@ -240,16 +218,6 @@ impl Nfa {
     pub fn set_final(&mut self, state: StateId) {
         assert!(state < self.num_states);
         self.finals.insert(state);
-    }
-
-    /// Changes the start state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state` is not a state of the automaton.
-    pub fn set_start(&mut self, state: StateId) {
-        assert!(state < self.num_states);
-        self.start = state;
     }
 
     // ------------------------------------------------------------------
@@ -261,10 +229,9 @@ impl Nfa {
         self.num_states
     }
 
-    /// Total number of transitions (counting each `(q, a, q')` triple once,
-    /// ε-transitions included).
+    /// Total number of transitions (counting each `(q, a, q')` triple once).
     pub fn num_transitions(&self) -> usize {
-        self.trans.iter().map(Vec::len).sum::<usize>() + self.eps.iter().map(Vec::len).sum::<usize>()
+        self.trans.iter().map(Vec::len).sum()
     }
 
     /// The start state.
@@ -289,14 +256,10 @@ impl Nfa {
         StateSet::from_iter(self.num_states, self.finals.iter().copied())
     }
 
-    /// Iterates over all transitions as `(from, label, to)` where a label of
-    /// `None` denotes ε.
-    pub fn transitions(&self) -> impl Iterator<Item = (StateId, Option<&Symbol>, StateId)> + '_ {
+    /// Iterates over all transitions as `(from, label, to)`.
+    pub fn transitions(&self) -> impl Iterator<Item = (StateId, &Symbol, StateId)> + '_ {
         (0..self.num_states).flat_map(move |q| {
-            self.eps[q]
-                .iter()
-                .map(move |&t| (q, None, t))
-                .chain(self.trans[q].iter().map(move |&(s, t)| (q, Some(&self.syms[s as usize]), t)))
+            self.trans[q].iter().map(move |&(s, t)| (q, &self.syms[s as usize], t))
         })
     }
 
@@ -316,11 +279,6 @@ impl Nfa {
         self.syms.iter().copied().collect()
     }
 
-    /// Whether the automaton has any ε-transition.
-    pub fn has_epsilon(&self) -> bool {
-        self.has_eps
-    }
-
     /// Extracts the structural [`NfaMetrics`] of the automaton — everything
     /// the static cost model (`dxml-analysis::cost`) needs to bracket a
     /// future [`Dfa::from_nfa`](crate::dfa::Dfa::from_nfa) run, computed in
@@ -331,7 +289,6 @@ impl Nfa {
             states: self.num_states,
             transitions: self.num_transitions(),
             alphabet: self.alphabet(),
-            has_epsilon: self.has_eps,
             min_word_len: self.shortest_accepted().map(|w| w.len()),
         }
     }
@@ -369,10 +326,10 @@ impl Nfa {
         &v[lo..hi]
     }
 
-    /// One symbol step on a (ε-closed) state set via the local index,
-    /// returning the ε-closure of the successor set. The bitset-frontier
-    /// primitive behind [`Nfa::step`]; public for callers that resolve
-    /// symbol ids once via [`Nfa::sym_id`] and step many times.
+    /// One symbol step on a state set via the local index, returning the
+    /// successor set. The bitset-frontier primitive behind [`Nfa::step`];
+    /// public for callers that resolve symbol ids once via [`Nfa::sym_id`]
+    /// and step many times.
     ///
     /// The set must have been created over this automaton's state universe.
     pub fn step_local(&self, set: &StateSet, sid: u32) -> StateSet {
@@ -382,7 +339,7 @@ impl Nfa {
     }
 
     /// [`Nfa::step_local`] into a caller-owned buffer: clears `out`, writes
-    /// the ε-closed successor set into it. `StateSet::clear` keeps the heap
+    /// the successor set into it. `StateSet::clear` keeps the heap
     /// words of >-inline-width universes, so frontier loops that step the
     /// same automaton many times can reuse one buffer instead of allocating
     /// a set per step. `out` must have been created over this automaton's
@@ -394,48 +351,18 @@ impl Nfa {
                 out.insert(t);
             }
         }
-        self.epsilon_close_mut(out);
-    }
-
-    /// ε-closes `set` in place (the by-value twin of
-    /// [`Nfa::epsilon_closure`], saving the clone on the hot paths).
-    fn epsilon_closure_inplace(&self, mut closure: StateSet) -> StateSet {
-        self.epsilon_close_mut(&mut closure);
-        closure
-    }
-
-    /// ε-closes the set behind the reference, in place.
-    fn epsilon_close_mut(&self, closure: &mut StateSet) {
-        if !self.has_eps {
-            return;
-        }
-        let mut stack: Vec<StateId> = closure.iter().collect();
-        while let Some(q) = stack.pop() {
-            for &t in &self.eps[q] {
-                if closure.insert(t) {
-                    stack.push(t);
-                }
-            }
-        }
     }
 
     // ------------------------------------------------------------------
     // Runs
     // ------------------------------------------------------------------
 
-    /// The ε-closure of a set of states.
-    pub fn epsilon_closure(&self, set: &StateSet) -> StateSet {
-        self.epsilon_closure_inplace(set.clone())
+    /// The singleton `{start}`: the initial frontier of every run.
+    pub fn start_set(&self) -> StateSet {
+        StateSet::singleton(self.num_states, self.start)
     }
 
-    /// The ε-closure of the start state: the initial frontier of every run
-    /// (`StateSet::singleton` + [`Nfa::epsilon_closure`] in one call).
-    pub fn start_closure(&self) -> StateSet {
-        self.epsilon_closure_inplace(StateSet::singleton(self.num_states, self.start))
-    }
-
-    /// One symbol step on a (ε-closed) state set, returning the ε-closure of
-    /// the successor set.
+    /// One symbol step on a state set, returning the successor set.
     pub fn step(&self, set: &StateSet, sym: &Symbol) -> StateSet {
         match self.sym_id(sym) {
             Some(sid) => self.step_local(set, sid),
@@ -444,11 +371,10 @@ impl Nfa {
     }
 
     /// One *multi-symbol* step into a caller-owned buffer: clears `out` and
-    /// writes the ε-closure of the union of the successor sets over every
-    /// symbol of `syms` into it. Equivalent to unioning [`Nfa::step`] per
-    /// symbol, but ε-closes once — the inner loop of the bottom-up
-    /// tree-automaton runs, where a child can contribute any symbol of a
-    /// set. Same buffer contract as [`Nfa::step_local_into`].
+    /// writes the union of the successor sets over every symbol of `syms`
+    /// into it — the inner loop of the bottom-up tree-automaton runs, where
+    /// a child can contribute any symbol of a set. Same buffer contract as
+    /// [`Nfa::step_local_into`].
     pub fn step_all_into<'a>(
         &self,
         set: &StateSet,
@@ -465,13 +391,12 @@ impl Nfa {
                 }
             }
         }
-        self.epsilon_close_mut(out);
     }
 
     /// The set of states reachable from `set` by reading `word`
     /// (the extended transition relation `Δ*`).
     pub fn delta_star(&self, set: &StateSet, word: &[Symbol]) -> StateSet {
-        let mut current = self.epsilon_closure(set);
+        let mut current = set.clone();
         let mut next = StateSet::empty(self.num_states);
         for sym in word {
             if current.is_empty() {
@@ -505,18 +430,13 @@ impl Nfa {
     // Reachability & structure
     // ------------------------------------------------------------------
 
-    /// The set of states reachable (by any transitions, including ε) from the
-    /// states in `from`.
+    /// The set of states reachable (by any transitions) from the states in
+    /// `from`.
     pub fn reachable_from(&self, from: &StateSet) -> StateSet {
         let mut seen = from.clone();
         let mut stack: Vec<StateId> = from.iter().collect();
         while let Some(q) = stack.pop() {
             for &(_, t) in &self.trans[q] {
-                if seen.insert(t) {
-                    stack.push(t);
-                }
-            }
-            for &t in &self.eps[q] {
                 if seen.insert(t) {
                     stack.push(t);
                 }
@@ -534,11 +454,6 @@ impl Nfa {
                 rev[t].push(q);
             }
         }
-        for (q, v) in self.eps.iter().enumerate() {
-            for &t in v {
-                rev[t].push(q);
-            }
-        }
         let mut seen = to.clone();
         let mut stack: Vec<StateId> = to.iter().collect();
         while let Some(q) = stack.pop() {
@@ -553,7 +468,7 @@ impl Nfa {
 
     /// Whether the language of the automaton is empty.
     pub fn is_empty(&self) -> bool {
-        let reach = self.reachable_from(&StateSet::singleton(self.num_states, self.start));
+        let reach = self.reachable_from(&self.start_set());
         self.finals.is_empty() || reach.is_disjoint(&self.finals_set())
     }
 
@@ -577,10 +492,9 @@ impl Nfa {
     /// Governed variant of [`Nfa::shortest_accepted`]. Linear in the size
     /// of the automaton — it searches single states, never sets of them: a
     /// backward breadth-first search labels every state with its distance
-    /// to acceptance (ε-moves are free), then a forward walk keeps, per
-    /// position, only the states on a shortest path and takes the least
-    /// symbol that stays on one. Every state visited by either search
-    /// charges one budget step.
+    /// to acceptance, then a forward walk keeps, per position, only the
+    /// states on a shortest path and takes the least symbol that stays on
+    /// one. Every state visited by either search charges one budget step.
     ///
     /// # Panics
     ///
@@ -588,14 +502,10 @@ impl Nfa {
     /// with no step one closer to acceptance).
     pub fn shortest_accepted_with_budget(&self, budget: &Budget) -> Result<Option<Word>, AutomataError> {
         let n = self.num_states;
-        // Predecessors, ε-edges flagged: they cost nothing.
-        let mut preds: Vec<Vec<(StateId, bool)>> = vec![Vec::new(); n];
+        let mut preds: Vec<Vec<StateId>> = vec![Vec::new(); n];
         for p in 0..n {
             for &(_, q) in &self.trans[p] {
-                preds[q].push((p, false));
-            }
-            for &q in &self.eps[p] {
-                preds[q].push((p, true));
+                preds[q].push(p);
             }
         }
         let mut dist = vec![usize::MAX; n];
@@ -605,15 +515,10 @@ impl Nfa {
         }
         while let Some(q) = queue.pop_front() {
             budget.step()?;
-            for &(p, eps) in &preds[q] {
-                let d = dist[q] + usize::from(!eps);
-                if d < dist[p] {
-                    dist[p] = d;
-                    if eps {
-                        queue.push_front(p);
-                    } else {
-                        queue.push_back(p);
-                    }
+            for &p in &preds[q] {
+                if dist[p] == usize::MAX {
+                    dist[p] = dist[q] + 1;
+                    queue.push_back(p);
                 }
             }
         }
@@ -627,21 +532,8 @@ impl Nfa {
         }
         // Every state lies at one distance, so it joins at most one level.
         let mut seen = vec![false; n];
-        let close = |level: &mut Vec<StateId>, seen: &mut [bool], d: usize| {
-            let mut i = 0;
-            while let Some(&q) = level.get(i) {
-                for &t in &self.eps[q] {
-                    if dist[t] == d && !seen[t] {
-                        seen[t] = true;
-                        level.push(t);
-                    }
-                }
-                i += 1;
-            }
-        };
         seen[self.start] = true;
         let mut level = vec![self.start];
-        close(&mut level, &mut seen, d);
         let mut word = Vec::with_capacity(d);
         while d > 0 {
             for _ in &level {
@@ -664,7 +556,6 @@ impl Nfa {
                 }
             }
             d -= 1;
-            close(&mut next, &mut seen, d);
             word.push(self.syms[best as usize]);
             level = next;
         }
@@ -677,8 +568,7 @@ impl Nfa {
         let syms = self.sorted_syms();
         let finals = self.finals_set();
         let mut out = Vec::new();
-        let start = self.start_closure();
-        let mut frontier: Vec<(StateSet, Word)> = vec![(start, Vec::new())];
+        let mut frontier: Vec<(StateSet, Word)> = vec![(self.start_set(), Vec::new())];
         for _len in 0..=max_len {
             let mut next_frontier = Vec::new();
             for (set, word) in &frontier {
@@ -717,7 +607,7 @@ impl Nfa {
     /// Only on a broken internal invariant (a kept state missing from the
     /// dense remap).
     pub fn trim(&self) -> Nfa {
-        let reach = self.reachable_from(&StateSet::singleton(self.num_states, self.start));
+        let reach = self.reachable_from(&self.start_set());
         let coreach = self.coreachable_to(&self.finals_set());
         let mut keep: Vec<StateId> =
             reach.iter().filter(|&q| coreach.contains(q)).collect();
@@ -733,11 +623,6 @@ impl Nfa {
         let mut out = Nfa::new(keep.len(), index[self.start].expect("start is kept"));
         for &q in &keep {
             let qi = index[q].expect("kept state is indexed");
-            for &t in &self.eps[q] {
-                if let Some(ti) = index[t] {
-                    out.add_epsilon(qi, ti);
-                }
-            }
             for &(sid, t) in &self.trans[q] {
                 if let Some(ti) = index[t] {
                     out.add_transition(qi, self.syms[sid as usize], ti);
@@ -748,27 +633,6 @@ impl Nfa {
             }
         }
         out
-    }
-
-    /// Returns an equivalent NFA without ε-transitions.
-    pub fn eps_free(&self) -> Nfa {
-        if !self.has_epsilon() {
-            return self.clone();
-        }
-        let mut out = Nfa::new(self.num_states, self.start);
-        for q in 0..self.num_states {
-            let closure =
-                self.epsilon_closure_inplace(StateSet::singleton(self.num_states, q));
-            if closure.iter().any(|c| self.finals.contains(&c)) {
-                out.set_final(q);
-            }
-            for c in &closure {
-                for &(sid, t) in &self.trans[c] {
-                    out.add_transition(q, self.syms[sid as usize], t);
-                }
-            }
-        }
-        out.trim()
     }
 
     /// Renames the symbols of the automaton through `f` (used to apply the
@@ -785,9 +649,6 @@ impl Nfa {
         // One rename per registered symbol, not one per transition.
         let renamed: Vec<Symbol> = self.syms.iter().map(f).collect();
         for q in 0..self.num_states {
-            for &t in &self.eps[q] {
-                out.add_epsilon(q, t);
-            }
             for &(sid, t) in &self.trans[q] {
                 out.add_transition(q, renamed[sid as usize], t);
             }
@@ -798,8 +659,7 @@ impl Nfa {
         out
     }
 
-    /// Keeps only transitions whose symbol satisfies the predicate
-    /// (ε-transitions are always kept).
+    /// Keeps only transitions whose symbol satisfies the predicate.
     ///
     /// Like [`Nfa::map_symbols`], the predicate is evaluated **once per
     /// distinct symbol**, and the verdict applies to every transition
@@ -808,9 +668,6 @@ impl Nfa {
         let mut out = Nfa::new(self.num_states, self.start);
         let kept: Vec<bool> = self.syms.iter().map(keep).collect();
         for q in 0..self.num_states {
-            for &t in &self.eps[q] {
-                out.add_epsilon(q, t);
-            }
             for &(sid, t) in &self.trans[q] {
                 if kept[sid as usize] {
                     out.add_transition(q, self.syms[sid as usize], t);
@@ -840,24 +697,32 @@ impl Nfa {
             adj.sort_unstable();
             adj
         }));
-        self.eps
-            .extend(other.eps.iter().map(|v| v.iter().map(|&t| t + offset).collect::<Vec<_>>()));
-        self.has_eps |= other.has_eps;
         offset
     }
 
-    /// Union `[self] ∪ [other]`.
+    /// Gives `to` a copy of every out-edge of `from`: `to` then continues
+    /// every run `from` starts, the ε-free stand-in for an ε-link `to → from`.
+    fn copy_out_edges(&mut self, from: StateId, to: StateId) {
+        let edges = self.trans[from].clone();
+        let v = &mut self.trans[to];
+        v.extend(edges);
+        v.sort_unstable();
+        v.dedup();
+    }
+
+    /// Union `[self] ∪ [other]`: a fresh start state continues both
+    /// operands' starts, and accepts ε if either operand does.
     pub fn union(&self, other: &Nfa) -> Nfa {
         let mut out = Nfa::new(1, 0);
-        let o1 = out.absorb(self);
-        let o2 = out.absorb(other);
-        out.add_epsilon(0, self.start + o1);
-        out.add_epsilon(0, other.start + o2);
-        for &f in &self.finals {
-            out.set_final(f + o1);
-        }
-        for &f in &other.finals {
-            out.set_final(f + o2);
+        for operand in [self, other] {
+            let o = out.absorb(operand);
+            out.copy_out_edges(operand.start + o, 0);
+            for &f in &operand.finals {
+                out.set_final(f + o);
+            }
+            if operand.is_final(operand.start) {
+                out.set_final(0);
+            }
         }
         out
     }
@@ -871,73 +736,45 @@ impl Nfa {
         }
     }
 
-    /// Concatenation `[self] ◦ [other]`.
+    /// Concatenation `[self] ◦ [other]`: every final state of `self`
+    /// continues `other`'s start, and stays final iff `other` accepts ε.
     pub fn concat(&self, other: &Nfa) -> Nfa {
         let mut out = self.clone();
-        let o2 = out.absorb(other);
+        let o = out.absorb(other);
         for &f in &self.finals {
-            out.add_epsilon(f, other.start + o2);
+            out.copy_out_edges(other.start + o, f);
         }
-        out.finals = other.finals.iter().map(|f| f + o2).collect();
+        if !other.is_final(other.start) {
+            out.finals.clear();
+        }
+        out.finals.extend(other.finals.iter().map(|f| f + o));
         out
     }
 
-    /// Kleene star `[self]*`.
-    pub fn star(&self) -> Nfa {
-        let mut out = Nfa::new(1, 0);
-        let o = out.absorb(self);
-        out.add_epsilon(0, self.start + o);
-        out.set_final(0);
-        for &f in &self.finals {
-            out.add_epsilon(f + o, 0);
-            out.set_final(f + o);
-        }
-        out
-    }
-
-    /// Kleene plus `[self]+`.
-    pub fn plus(&self) -> Nfa {
-        self.concat(&self.star())
-    }
-
-    /// Option `[self]?` = `[self] ∪ {ε}`.
-    pub fn optional(&self) -> Nfa {
-        let mut out = self.clone();
-        if !out.finals.contains(&out.start) {
-            let new_start = out.add_state();
-            out.add_epsilon(new_start, out.start);
-            out.set_start(new_start);
-            out.set_final(new_start);
-        }
-        out
-    }
-
-    /// Intersection `[self] ∩ [other]` (product construction on the ε-free
-    /// versions).
+    /// Intersection `[self] ∩ [other]` (product construction over the
+    /// reachable pairs, trimmed).
     pub fn intersect(&self, other: &Nfa) -> Nfa {
-        let a = self.eps_free();
-        let b = other.eps_free();
-        // b's local index for each of a's local symbols, resolved once.
-        let b_ids: Vec<Option<u32>> = a.syms.iter().map(|s| b.sym_id(s)).collect();
+        // other's local index for each of self's local symbols, resolved once.
+        let b_ids: Vec<Option<u32>> = self.syms.iter().map(|s| other.sym_id(s)).collect();
         // Product over pairs, built lazily from the reachable part.
         let mut index: FxHashMap<(StateId, StateId), StateId> = FxHashMap::default();
         let mut out = Nfa::new(1, 0);
-        index.insert((a.start, b.start), 0);
-        let mut stack = vec![(a.start, b.start)];
+        index.insert((self.start, other.start), 0);
+        let mut stack = vec![(self.start, other.start)];
         while let Some((p, q)) = stack.pop() {
             let pid = index[&(p, q)];
-            if a.is_final(p) && b.is_final(q) {
+            if self.is_final(p) && other.is_final(q) {
                 out.set_final(pid);
             }
-            let adj = &a.trans[p];
+            let adj = &self.trans[p];
             let mut i = 0;
             while i < adj.len() {
                 let sid = adj[i].0;
                 let run_end = i + adj[i..].partition_point(|&(s, _)| s == sid);
                 if let Some(bsid) = b_ids[sid as usize] {
-                    let b_tos = b.succ_slice(q, bsid);
+                    let b_tos = other.succ_slice(q, bsid);
                     if !b_tos.is_empty() {
-                        let sym = a.syms[sid as usize];
+                        let sym = self.syms[sid as usize];
                         for &(_, ta) in &adj[i..run_end] {
                             for &(_, tb) in b_tos {
                                 let tid = *index.entry((ta, tb)).or_insert_with(|| {
@@ -979,7 +816,7 @@ impl PartialEq for Nfa {
             return false;
         }
         (0..self.num_states).all(|q| {
-            if self.eps[q] != other.eps[q] || self.trans[q].len() != other.trans[q].len() {
+            if self.trans[q].len() != other.trans[q].len() {
                 return false;
             }
             let canon = |nfa: &Nfa, v: &[(u32, StateId)]| -> Vec<(Symbol, StateId)> {
@@ -998,11 +835,8 @@ impl Eq for Nfa {}
 impl fmt::Debug for Nfa {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Nfa(states={}, start={}, finals={:?})", self.num_states, self.start, self.finals)?;
-        for (q, lbl, t) in self.transitions() {
-            match lbl {
-                Some(s) => writeln!(f, "  {q} --{s}--> {t}")?,
-                None => writeln!(f, "  {q} --ε--> {t}")?,
-            }
+        for (q, s, t) in self.transitions() {
+            writeln!(f, "  {q} --{s}--> {t}")?;
         }
         Ok(())
     }
@@ -1010,10 +844,15 @@ impl fmt::Debug for Nfa {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::regex::Regex;
     use crate::symbol::{word_chars, Alphabet};
 
     fn ab() -> Alphabet {
         Alphabet::from_chars("ab")
+    }
+
+    fn re(src: &str) -> Nfa {
+        Regex::parse_chars(src).unwrap().to_nfa()
     }
 
     #[test]
@@ -1033,15 +872,15 @@ mod tests {
         assert_eq!(m.states, 4);
         assert_eq!(m.transitions, 3);
         assert_eq!(m.alphabet, ab());
-        assert!(!m.has_epsilon);
         assert_eq!(m.min_word_len, Some(3));
 
         let empty = Nfa::empty().metrics();
         assert_eq!(empty.min_word_len, None);
         assert!(empty.alphabet.is_empty());
 
-        let star = Nfa::symbol("a").star().metrics();
-        assert!(star.has_epsilon);
+        // The Glushkov automaton of `a*`: the start state and one position.
+        let star = re("a*").metrics();
+        assert_eq!((star.states, star.transitions), (2, 2));
         assert_eq!(star.min_word_len, Some(0));
     }
 
@@ -1064,17 +903,29 @@ mod tests {
         assert!(a_or_b.accepts(&word_chars("a")));
         assert!(a_or_b.accepts(&word_chars("b")));
         assert!(!a_or_b.accepts(&word_chars("ab")));
-        let astar = a.star();
+        let astar = re("a*");
         assert!(astar.accepts(&[]));
         assert!(astar.accepts(&word_chars("aaaa")));
         assert!(!astar.accepts(&word_chars("ab")));
-        let aplus = a.plus();
+        let aplus = re("a+");
         assert!(!aplus.accepts(&[]));
         assert!(aplus.accepts(&word_chars("aa")));
-        let aopt = a.optional();
+        let aopt = re("a?");
         assert!(aopt.accepts(&[]));
         assert!(aopt.accepts(&word_chars("a")));
         assert!(!aopt.accepts(&word_chars("aa")));
+        // Operands accepting ε: concatenation keeps the left finals, union
+        // makes its fresh start final, and looping starts keep looping.
+        let astar_bopt = astar.concat(&re("b?"));
+        for (w, want) in [("", true), ("aa", true), ("aab", true), ("b", true), ("ba", false), ("bb", false)] {
+            assert_eq!(astar_bopt.accepts(&word_chars(w)), want, "a*·b? on `{w}`");
+        }
+        let astar_or_b = astar.union(&b);
+        for (w, want) in [("", true), ("aaa", true), ("b", true), ("ab", false), ("bb", false)] {
+            assert_eq!(astar_or_b.accepts(&word_chars(w)), want, "a*∪b on `{w}`");
+        }
+        assert_eq!(Nfa::epsilon().concat(&Nfa::epsilon()).finals().len(), 2);
+        assert!(Nfa::empty().concat(&astar).is_empty());
     }
 
     #[test]
@@ -1082,10 +933,8 @@ mod tests {
         // (ab)* ∩ a(ba)*b = (ab)+ restricted... both describe strings of
         // alternating ab starting with a and ending with b, so the
         // intersection equals the non-empty even-length ones.
-        let abstar = Nfa::literal(&word_chars("ab")).star();
-        let a_ba_b = Nfa::symbol("a")
-            .concat(&Nfa::literal(&word_chars("ba")).star())
-            .concat(&Nfa::symbol("b"));
+        let abstar = re("(ab)*");
+        let a_ba_b = re("a(ba)*b");
         let inter = abstar.intersect(&a_ba_b);
         assert!(inter.accepts(&word_chars("ab")));
         assert!(inter.accepts(&word_chars("abab")));
@@ -1099,7 +948,7 @@ mod tests {
 
     #[test]
     fn complement_and_universality() {
-        let astar = Nfa::symbol("a").star();
+        let astar = re("a*");
         let comp = astar.complement(&ab());
         assert!(!comp.accepts(&[]));
         assert!(!comp.accepts(&word_chars("aa")));
@@ -1111,19 +960,11 @@ mod tests {
     }
 
     #[test]
-    fn eps_free_preserves_language() {
-        let a = Nfa::symbol("a").star().concat(&Nfa::symbol("b").optional());
-        let ef = a.eps_free();
-        assert!(!ef.has_epsilon());
-        for w in ["", "a", "aa", "b", "ab", "aab", "ba", "bb"] {
-            assert_eq!(a.accepts(&word_chars(w)), ef.accepts(&word_chars(w)), "word {w}");
-        }
-    }
-
-    #[test]
     fn shortest_and_enumeration() {
-        let a = Nfa::symbol("a").plus().concat(&Nfa::symbol("b"));
+        let a = re("a+b");
         assert_eq!(a.shortest_accepted(), Some(word_chars("ab")));
+        // Shortlex-least: among the shortest words, the least in text order.
+        assert_eq!(re("b(a|b)|a(b|a)").shortest_accepted(), Some(word_chars("aa")));
         assert_eq!(Nfa::empty().shortest_accepted(), None);
         let tripping = crate::limits::faults::budget_tripping_after(0);
         assert!(a.shortest_accepted_with_budget(&tripping).is_err());
@@ -1158,7 +999,7 @@ mod tests {
 
     #[test]
     fn delta_star_reachability() {
-        let a = Nfa::literal(&word_chars("ab")).star();
+        let a = re("(ab)*");
         let from_start = a.delta_star_from(a.start(), &word_chars("ab"));
         assert!(from_start.iter().any(|q| a.is_final(q)));
         let dead = a.delta_star_from(a.start(), &word_chars("ba"));

@@ -256,7 +256,7 @@ fn states_reachable_via_from(
     // local ids of the shared alphabet once.
     let ids = shared_ids(d, prefixes);
     let p_finals = prefixes.finals_set();
-    let p0 = prefixes.start_closure();
+    let p0 = prefixes.start_set();
     let start = (p0, q);
     let mut seen: FxHashSet<(StateSet, StateId)> = FxHashSet::from_iter([start.clone()]);
     let mut queue = VecDeque::from([start]);
@@ -317,7 +317,7 @@ fn suffix_rejects_somewhere(
         .filter_map(|s| Some((d.sym_id(s), suffixes.sym_id(s)?)))
         .collect();
     let s_finals = suffixes.finals_set();
-    let s0 = suffixes.start_closure();
+    let s0 = suffixes.start_set();
     let start = (s0, Some(q));
     let mut seen: FxHashSet<(StateSet, Option<StateId>)> = FxHashSet::from_iter([start.clone()]);
     let mut queue = VecDeque::from([start]);

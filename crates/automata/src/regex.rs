@@ -17,8 +17,12 @@
 //!   `(ab)+`, `ab + ba`). A `+` with whitespace before it is alternation,
 //!   otherwise it is the postfix iterator; `|` is always alternation.
 //!
-//! The module provides the Thompson translation to [`Nfa`]s and the Glushkov
-//! (position) automaton used by the one-unambiguity test of [`crate::dre`].
+//! Every expression compiles to one automaton, its Glushkov (position)
+//! automaton ([`Regex::to_nfa`]): ε-free, with one state per symbol
+//! occurrence plus the start state. The same construction decides
+//! one-unambiguity ([`Glushkov::is_deterministic`], used by [`crate::dre`]),
+//! since a `dRE` is by definition an expression whose Glushkov automaton is
+//! deterministic (Brüggemann-Klein & Wood).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -164,30 +168,50 @@ impl Regex {
         }
     }
 
-    /// Translates to an NFA by the Thompson-style construction (linear size,
-    /// uses ε-transitions).
+    /// Compiles to the Glushkov automaton, trimmed: ε-free, with at most
+    /// one state per symbol occurrence plus the start state `0`; state `p`
+    /// is position `p` of [`Regex::glushkov`], entered by reading its
+    /// symbol.
     pub fn to_nfa(&self) -> Nfa {
-        match self {
-            Regex::Empty => Nfa::empty(),
-            Regex::Epsilon => Nfa::epsilon(),
-            Regex::Sym(s) => Nfa::symbol(*s),
-            Regex::Concat(parts) => parts
-                .iter()
-                .map(Regex::to_nfa)
-                .reduce(|a, b| a.concat(&b))
-                .unwrap_or_else(Nfa::epsilon),
-            Regex::Alt(parts) => {
-                let nfas: Vec<Nfa> = parts.iter().map(Regex::to_nfa).collect();
-                Nfa::union_all(nfas.iter())
+        let g = self.glushkov();
+        let n = g.position_symbols.len();
+        let mut nfa = Nfa::new(n, 0);
+        for &p in &g.first {
+            nfa.add_transition(0, g.position_symbols[p], p);
+        }
+        for p in 1..n {
+            for &q in &g.follow[p] {
+                nfa.add_transition(p, g.position_symbols[q], q);
             }
-            Regex::Star(r) => r.to_nfa().star(),
-            Regex::Plus(r) => r.to_nfa().plus(),
-            Regex::Opt(r) => r.to_nfa().optional(),
+        }
+        for &p in &g.last {
+            nfa.set_final(p);
+        }
+        if g.nullable {
+            nfa.set_final(0);
+        }
+        // Without ∅ every position lies on some accepted word, so only an
+        // expression mentioning ∅ can leave states to trim.
+        if self.mentions_empty() {
+            nfa.trim()
+        } else {
+            nfa
         }
     }
 
-    /// The Glushkov (position) automaton of the expression: an ε-free NFA
-    /// with one state per symbol occurrence plus an initial state.
+    /// Whether `∅` occurs anywhere in the expression.
+    fn mentions_empty(&self) -> bool {
+        match self {
+            Regex::Empty => true,
+            Regex::Epsilon | Regex::Sym(_) => false,
+            Regex::Concat(parts) | Regex::Alt(parts) => parts.iter().any(Regex::mentions_empty),
+            Regex::Star(r) | Regex::Plus(r) | Regex::Opt(r) => r.mentions_empty(),
+        }
+    }
+
+    /// The Glushkov (position) automaton of the expression as its position
+    /// sets (`first`, `last`, `follow`); [`Regex::to_nfa`] builds the
+    /// automaton from them.
     pub fn glushkov(&self) -> Glushkov {
         Glushkov::build(self)
     }
@@ -297,7 +321,7 @@ impl Glushkov {
                 Regex::Sym(s) => {
                     ctx.symbols.push(*s);
                     ctx.follow.push(BTreeSet::new());
-                    let p = ctx.symbols.len() - 1; // positions counted from 1 via dummy below
+                    let p = ctx.symbols.len() - 1;
                     Info {
                         nullable: false,
                         first: BTreeSet::from([p]),
@@ -355,27 +379,18 @@ impl Glushkov {
                 }
             }
         }
-        let mut ctx = Ctx { symbols: vec![Symbol::new("#start")], follow: vec![BTreeSet::new()] };
         // Positions are indices into ctx.symbols starting at 1; the dummy at
-        // index 0 keeps the numbering aligned with the initial state.
-        // `go` pushes onto both vectors so positions and follow stay in sync.
-        let info = {
-            // Temporarily shift: go() uses symbols.len()-1, so with the dummy
-            // the first position is 1.
-            go(re, &mut ctx)
-        };
+        // index 0 keeps the numbering aligned with the initial state. `go`
+        // pushes onto both vectors so positions and follow stay in sync.
+        let mut ctx = Ctx { symbols: vec![Symbol::new("#start")], follow: vec![BTreeSet::new()] };
+        let info = go(re, &mut ctx);
         Glushkov {
             position_symbols: ctx.symbols,
-            nullable: info.nullable || re.nullable(),
+            nullable: info.nullable,
             first: info.first,
             last: info.last,
             follow: ctx.follow,
         }
-    }
-
-    /// Number of positions (symbol occurrences).
-    pub fn num_positions(&self) -> usize {
-        self.position_symbols.len() - 1
     }
 
     /// Whether the Glushkov automaton is deterministic, i.e. whether the
@@ -398,27 +413,6 @@ impl Glushkov {
             return false;
         }
         (1..self.position_symbols.len()).all(|p| distinct_symbols(&self.follow[p]))
-    }
-
-    /// The Glushkov automaton as an ε-free [`Nfa`].
-    pub fn to_nfa(&self) -> Nfa {
-        let n = self.position_symbols.len();
-        let mut nfa = Nfa::new(n, 0);
-        for &p in &self.first {
-            nfa.add_transition(0, self.position_symbols[p], p);
-        }
-        for p in 1..n {
-            for &q in &self.follow[p] {
-                nfa.add_transition(p, self.position_symbols[q], q);
-            }
-        }
-        for &p in &self.last {
-            nfa.set_final(p);
-        }
-        if self.nullable {
-            nfa.set_final(0);
-        }
-        nfa
     }
 }
 
@@ -487,8 +481,8 @@ impl Parser {
         }
         let re = self.parse_alt()?;
         if self.pos != self.tokens.len() {
-            return Err(AutomataError::RegexParse {
-                message: "unexpected trailing input".into(),
+            return Err(AutomataError::Parse {
+                message: "regex: unexpected trailing input".into(),
                 position: self.here(),
             });
         }
@@ -513,8 +507,8 @@ impl Parser {
 
     fn parse_concat(&mut self) -> Result<Regex, AutomataError> {
         if !self.at_operand_start() {
-            return Err(AutomataError::RegexParse {
-                message: "expected a symbol, '(' , ε or ∅".into(),
+            return Err(AutomataError::Parse {
+                message: "regex: expected a symbol, '(' , ε or ∅".into(),
                 position: self.here(),
             });
         }
@@ -524,8 +518,8 @@ impl Parser {
                 let sep_pos = self.here();
                 self.bump();
                 if !self.at_operand_start() {
-                    return Err(AutomataError::RegexParse {
-                        message: "empty operand after explicit concatenation separator".into(),
+                    return Err(AutomataError::Parse {
+                        message: "regex: empty operand after explicit concatenation separator".into(),
                         position: if self.pos == self.tokens.len() { sep_pos } else { self.here() },
                     });
                 }
@@ -571,14 +565,14 @@ impl Parser {
                 let inner = self.parse_alt()?;
                 match self.bump() {
                     Some((Token::RParen, _)) => Ok(inner),
-                    _ => Err(AutomataError::RegexParse {
-                        message: "expected ')'".into(),
+                    _ => Err(AutomataError::Parse {
+                        message: "regex: expected ')'".into(),
                         position: self.here(),
                     }),
                 }
             }
-            other => Err(AutomataError::RegexParse {
-                message: format!("unexpected token {:?}", other.map(|(t, _)| t)),
+            other => Err(AutomataError::Parse {
+                message: format!("regex: unexpected token {:?}", other.map(|(t, _)| t)),
                 position,
             }),
         }
@@ -665,8 +659,8 @@ fn tokenize(input: &str, mode: Mode) -> Result<Vec<(Token, usize)>, AutomataErro
                 }
             },
             _ => {
-                return Err(AutomataError::RegexParse {
-                    message: format!("unexpected character `{c}`"),
+                return Err(AutomataError::Parse {
+                    message: format!("regex: unexpected character `{c}`"),
                     position: pos,
                 });
             }
@@ -679,6 +673,7 @@ fn tokenize(input: &str, mode: Mode) -> Result<Vec<(Token, usize)>, AutomataErro
 mod tests {
     use super::*;
     use crate::symbol::{word, word_chars};
+    use std::collections::BTreeSet;
 
     #[test]
     fn parse_chars_basic() {
@@ -747,12 +742,12 @@ mod tests {
         // `a,,b` used to silently parse as `a b`; the empty operand between
         // the separators must be an error carrying the offending position.
         match Regex::parse("a,,b") {
-            Err(AutomataError::RegexParse { position, .. }) => assert_eq!(position, 2),
+            Err(AutomataError::Parse { position, .. }) => assert_eq!(position, 2),
             other => panic!("expected a parse error for `a,,b`, got {other:?}"),
         }
         // Trailing separator: the error points at the dangling separator.
         match Regex::parse("a,") {
-            Err(AutomataError::RegexParse { position, .. }) => assert_eq!(position, 1),
+            Err(AutomataError::Parse { position, .. }) => assert_eq!(position, 1),
             other => panic!("expected a parse error for `a,`, got {other:?}"),
         }
         // Leading separator, doubled alternation, parenthesised variants.
@@ -770,7 +765,7 @@ mod tests {
     fn unknown_characters_are_rejected() {
         for bad in ["a @ b", "a;b", "a&b", "a - b"] {
             match Regex::parse(bad) {
-                Err(AutomataError::RegexParse { .. }) => {}
+                Err(AutomataError::Parse { .. }) => {}
                 other => panic!("expected a parse error for `{bad}`, got {other:?}"),
             }
         }
@@ -785,20 +780,100 @@ mod tests {
         assert!(!re2.nullable());
     }
 
-    #[test]
-    fn glushkov_matches_thompson() {
-        for src in ["a*bc*", "(ab)+", "a?b|c", "(a|b)*a(a|b)", "a+b+", "(ab + ba)*"] {
-            let re = Regex::parse_chars(src).unwrap();
-            let g = re.glushkov().to_nfa();
-            let t = re.to_nfa();
-            for w in ["", "a", "b", "ab", "ba", "abab", "aab", "abb", "bab", "aaa"] {
-                assert_eq!(
-                    g.accepts(&word_chars(w)),
-                    t.accepts(&word_chars(w)),
-                    "regex {src}, word {w}"
-                );
+    /// The end offsets `j` such that `re` matches `w[from..j]`, computed on
+    /// the syntax tree alone — the reference [`Regex::to_nfa`] is checked
+    /// against.
+    fn match_ends(re: &Regex, w: &[Symbol], from: usize) -> BTreeSet<usize> {
+        let iterate = |starts: BTreeSet<usize>, r: &Regex| {
+            let mut ends = starts.clone();
+            let mut todo: Vec<usize> = starts.into_iter().collect();
+            while let Some(i) = todo.pop() {
+                for j in match_ends(r, w, i) {
+                    if ends.insert(j) {
+                        todo.push(j);
+                    }
+                }
+            }
+            ends
+        };
+        match re {
+            Regex::Empty => BTreeSet::new(),
+            Regex::Epsilon => BTreeSet::from([from]),
+            Regex::Sym(s) => (w.get(from) == Some(s)).then_some(from + 1).into_iter().collect(),
+            Regex::Concat(parts) => parts.iter().fold(BTreeSet::from([from]), |starts, p| {
+                starts.iter().flat_map(|&i| match_ends(p, w, i)).collect()
+            }),
+            Regex::Alt(parts) => parts.iter().flat_map(|p| match_ends(p, w, from)).collect(),
+            Regex::Star(r) => iterate(BTreeSet::from([from]), r),
+            Regex::Plus(r) => iterate(match_ends(r, w, from), r),
+            Regex::Opt(r) => {
+                let mut ends = match_ends(r, w, from);
+                ends.insert(from);
+                ends
             }
         }
+    }
+
+    /// A random expression over {a, b} of nesting depth ≤ `depth`, built
+    /// from the constructors directly (no flattening), so ∅ and ε also
+    /// occur inside compound expressions.
+    fn random_regex(state: &mut u64, depth: usize) -> Regex {
+        fn below(state: &mut u64, n: u64) -> u64 {
+            // xorshift64
+            *state ^= *state << 13;
+            *state ^= *state >> 7;
+            *state ^= *state << 17;
+            *state % n
+        }
+        let kind = below(state, if depth == 0 { 4 } else { 9 });
+        let sub = |state: &mut u64| random_regex(state, depth - 1);
+        match kind {
+            0 => Regex::Empty,
+            1 => Regex::Epsilon,
+            2 => Regex::sym("a"),
+            3 => Regex::sym("b"),
+            4 | 5 => {
+                let parts = (0..2 + below(state, 2)).map(|_| sub(state)).collect();
+                if kind == 4 { Regex::Concat(parts) } else { Regex::Alt(parts) }
+            }
+            6 => Regex::Star(Box::new(sub(state))),
+            7 => Regex::Plus(Box::new(sub(state))),
+            _ => Regex::Opt(Box::new(sub(state))),
+        }
+    }
+
+    #[test]
+    fn to_nfa_matches_the_syntax_tree() {
+        let sigma = [Symbol::new("a"), Symbol::new("b")];
+        let mut words: Vec<Vec<Symbol>> = vec![Vec::new()];
+        let mut i = 0;
+        while i < words.len() {
+            if words[i].len() < 5 {
+                for s in sigma {
+                    words.push([words[i].as_slice(), &[s]].concat());
+                }
+            }
+            i += 1;
+        }
+        assert_eq!(words.len(), 63);
+        let mut state = 0x5DEE_CE66_D1CE_4E5Bu64;
+        let mut nonempty = 0;
+        for case in 0..300 {
+            let re = random_regex(&mut state, 4);
+            let nfa = re.to_nfa();
+            let positions = re.glushkov().position_symbols.len() - 1;
+            assert!(nfa.num_states() <= positions + 1, "case {case}: `{re}` has too many states");
+            assert_eq!(nfa.trim(), nfa, "case {case}: `{re}` compiles to an untrimmed automaton");
+            for w in &words {
+                assert_eq!(
+                    nfa.accepts(w),
+                    match_ends(&re, w, 0).contains(&w.len()),
+                    "case {case}: `{re}` on {w:?}"
+                );
+            }
+            nonempty += usize::from(!nfa.is_empty());
+        }
+        assert!(nonempty > 150, "only {nonempty} of 300 expressions denote a non-empty language");
     }
 
     #[test]

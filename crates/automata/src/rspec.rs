@@ -72,11 +72,6 @@ pub enum RSpec {
 }
 
 impl RSpec {
-    /// Wraps a regular expression as an `nRE` content model.
-    pub fn nre(re: Regex) -> RSpec {
-        RSpec::Nre(re)
-    }
-
     /// Wraps a regular expression as a `dRE` content model, verifying
     /// one-unambiguity of the expression.
     pub fn dre(re: Regex) -> Result<RSpec, AutomataError> {

@@ -37,7 +37,7 @@ fn sigma() -> Vec<Symbol> {
 }
 
 /// A random NFA with up to 5 states over {a, b}, with ~2 transitions per
-/// state, a sprinkling of ε-transitions and ~2 final states.
+/// state and ~2 final states.
 fn random_nfa(rng: &mut Rng) -> Nfa {
     let n = 1 + rng.below(5);
     let mut nfa = Nfa::new(n, rng.below(n));
@@ -47,9 +47,6 @@ fn random_nfa(rng: &mut Rng) -> Nfa {
             if rng.chance(2, 3) {
                 nfa.add_transition(q, *sym, rng.below(n));
             }
-        }
-        if rng.chance(1, 5) {
-            nfa.add_epsilon(q, rng.below(n));
         }
         if rng.chance(2, 5) {
             nfa.set_final(q);
@@ -156,19 +153,49 @@ fn complement_laws() {
 }
 
 #[test]
-fn eps_free_and_trim_preserve_language() {
+fn trim_preserves_language() {
     let words = all_words_up_to(5);
     let mut rng = Rng::new(99);
     for case in 0..60 {
         let a = random_nfa(&mut rng);
-        let ef = a.eps_free();
-        assert!(!ef.has_epsilon());
         let t = a.trim();
         for w in &words {
-            assert_eq!(a.accepts(w), ef.accepts(w), "case {case}: eps_free changed membership");
             assert_eq!(a.accepts(w), t.accepts(w), "case {case}: trim changed membership");
         }
     }
+}
+
+/// `concat` and `union` join automata without ε-links, by copying start
+/// out-edges; checked against the definitions word by word: `w ∈ a·b` iff
+/// some split `w = uv` has `u ∈ a` and `v ∈ b`, and `w ∈ a ∪ b` iff
+/// `w ∈ a` or `w ∈ b`.
+#[test]
+fn concat_and_union_laws() {
+    let words = all_words_up_to(5);
+    let mut rng = Rng::new(31);
+    let (mut eps_right, mut looping_start) = (0, 0);
+    for case in 0..120 {
+        let a = random_nfa(&mut rng);
+        let b = random_nfa(&mut rng);
+        eps_right += usize::from(b.is_final(b.start()));
+        looping_start += usize::from(b.transitions().any(|(_, _, t)| t == b.start()));
+        let concat = a.concat(&b);
+        let union = a.union(&b);
+        for w in &words {
+            let split = (0..=w.len()).any(|i| a.accepts(&w[..i]) && b.accepts(&w[i..]));
+            assert_eq!(concat.accepts(w), split, "case {case}: concat wrong on {w:?}");
+            assert_eq!(
+                union.accepts(w),
+                a.accepts(w) || b.accepts(w),
+                "case {case}: union wrong on {w:?}"
+            );
+        }
+        assert_eq!(Nfa::union_all([&a, &b, &concat]).accepts(&[]), a.accepts(&[]) || b.accepts(&[]));
+    }
+    // The family covers the delicate shapes: a right operand accepting ε
+    // (the left finals must stay final) and a start state with incoming
+    // edges (copied edges must not re-enter it from the left operand).
+    assert!(eps_right > 10 && looping_start > 10, "{eps_right} / {looping_start}");
 }
 
 #[test]

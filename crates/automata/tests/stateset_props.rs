@@ -31,7 +31,7 @@ impl Rng {
 }
 
 /// A random NFA: up to `max_states` states over `alphabet`, with random
-/// symbol and ε transitions and random finals. The shapes deliberately
+/// transitions and random finals. The shapes deliberately
 /// include unreachable states, dead states and empty-final automata.
 fn random_nfa(rng: &mut Rng, max_states: usize, alphabet: &[Symbol]) -> Nfa {
     let n = 1 + rng.below(max_states);
@@ -40,11 +40,7 @@ fn random_nfa(rng: &mut Rng, max_states: usize, alphabet: &[Symbol]) -> Nfa {
     for _ in 0..transitions {
         let from = rng.below(n);
         let to = rng.below(n);
-        if rng.chance(15) {
-            nfa.add_epsilon(from, to);
-        } else {
-            nfa.add_transition(from, alphabet[rng.below(alphabet.len())], to);
-        }
+        nfa.add_transition(from, alphabet[rng.below(alphabet.len())], to);
     }
     for q in 0..n {
         if rng.chance(25) {
@@ -55,12 +51,12 @@ fn random_nfa(rng: &mut Rng, max_states: usize, alphabet: &[Symbol]) -> Nfa {
 }
 
 /// The seed's state-set representation of the same automaton:
-/// `BTreeMap<Option<Symbol>, BTreeSet<usize>>` per state, rebuilt from the
+/// `BTreeMap<Symbol, BTreeSet<usize>>` per state, rebuilt from the
 /// public transition view, with the seed's clone-heavy set stepping.
 struct RefNfa {
     start: usize,
     finals: BTreeSet<usize>,
-    trans: Vec<BTreeMap<Option<Symbol>, BTreeSet<usize>>>,
+    trans: Vec<BTreeMap<Symbol, BTreeSet<usize>>>,
 }
 
 impl RefNfa {
@@ -71,42 +67,27 @@ impl RefNfa {
             trans: vec![BTreeMap::new(); nfa.num_states()],
         };
         for (q, lbl, t) in nfa.transitions() {
-            out.trans[q].entry(lbl.copied()).or_default().insert(t);
+            out.trans[q].entry(*lbl).or_default().insert(t);
         }
         out
     }
 
     fn alphabet(&self) -> BTreeSet<Symbol> {
-        self.trans.iter().flat_map(|m| m.keys()).filter_map(|k| *k).collect()
-    }
-
-    fn epsilon_closure(&self, set: &BTreeSet<usize>) -> BTreeSet<usize> {
-        let mut closure = set.clone();
-        let mut stack: Vec<usize> = set.iter().copied().collect();
-        while let Some(q) = stack.pop() {
-            if let Some(next) = self.trans[q].get(&None) {
-                for &t in next {
-                    if closure.insert(t) {
-                        stack.push(t);
-                    }
-                }
-            }
-        }
-        closure
+        self.trans.iter().flat_map(|m| m.keys()).copied().collect()
     }
 
     fn step(&self, set: &BTreeSet<usize>, sym: &Symbol) -> BTreeSet<usize> {
         let mut next = BTreeSet::new();
         for &q in set {
-            if let Some(ts) = self.trans[q].get(&Some(*sym)) {
+            if let Some(ts) = self.trans[q].get(sym) {
                 next.extend(ts.iter().copied());
             }
         }
-        self.epsilon_closure(&next)
+        next
     }
 
     fn start_set(&self) -> BTreeSet<usize> {
-        self.epsilon_closure(&BTreeSet::from([self.start]))
+        BTreeSet::from([self.start])
     }
 
     fn is_accepting_set(&self, set: &BTreeSet<usize>) -> bool {
@@ -247,21 +228,19 @@ fn membership_frontier_agrees_with_the_btreeset_reference() {
 
 #[test]
 fn derived_procedures_agree_with_the_reference_language() {
-    // eps_free, trim and Dfa::from_nfa all reshape the automaton through the
-    // bitset paths; the language must be untouched.
+    // trim and Dfa::from_nfa both reshape the automaton through the bitset
+    // paths; the language must be untouched.
     let alphabet: Vec<Symbol> = ["a", "b"].map(Symbol::new).to_vec();
     let mut rng = Rng(0xde1_ab17);
     for case in 0..100 {
         let nfa = random_nfa(&mut rng, 7, &alphabet);
         let reference = RefNfa::of(&nfa);
-        let ef = nfa.eps_free();
         let trimmed = nfa.trim();
         let dfa = Dfa::from_nfa(&nfa);
         for len in 0..6 {
             let word: Vec<Symbol> =
                 (0..len).map(|_| alphabet[rng.below(alphabet.len())]).collect();
             let want = reference.accepts(&word);
-            assert_eq!(ef.accepts(&word), want, "case {case}: eps_free diverged on {word:?}");
             assert_eq!(trimmed.accepts(&word), want, "case {case}: trim diverged on {word:?}");
             assert_eq!(dfa.accepts(&word), want, "case {case}: Dfa::from_nfa diverged on {word:?}");
         }

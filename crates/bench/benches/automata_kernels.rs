@@ -9,20 +9,24 @@
 //! property tests (`automata/tests/stateset_props.rs`,
 //! `tree/tests/frontier_props.rs`), not timed here.
 
-use dxml_automata::{Dfa, Nfa, RFormalism, Symbol};
+use dxml_automata::{Dfa, Nfa, RFormalism, RSpec, Regex, Symbol};
 use dxml_bench::{box_workload, dtd_family, elem, section, Session};
 
-/// The starred, ε-eliminated union of every content model of the `(n, 11)`
-/// DTD family, with each symbol renamed by `rename` — the automaton shape
-/// the design procedures determinise and step over and over.
+/// The Glushkov automaton of the starred union of every content model of
+/// the `(n, 11)` DTD family, with each symbol renamed by `rename` — the
+/// automaton shape the design procedures determinise and step over and
+/// over.
 fn family_language(n: usize, rename: impl Fn(&Symbol) -> Symbol) -> Nfa {
     let target = dtd_family(RFormalism::Nre, n, 11);
-    let contents: Vec<Nfa> = target
+    let contents: Vec<Regex> = target
         .alphabet()
         .iter()
-        .map(|a| target.content(a).to_nfa())
+        .map(|a| match target.content(a) {
+            RSpec::Nre(re) => re,
+            other => unreachable!("the nRE family has nRE content models, not {other:?}"),
+        })
         .collect();
-    Nfa::union_all(contents.iter()).star().map_symbols(rename).eps_free()
+    Regex::alt(contents).star().to_nfa().map_symbols(rename)
 }
 
 /// The family's compressed `e<i>` names expanded to the paper's

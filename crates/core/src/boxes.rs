@@ -441,7 +441,7 @@ impl BoxTargetCache {
                     continue;
                 };
                 let finals = gap.finals_set();
-                let mut set = gap.start_closure();
+                let mut set = gap.start_set();
                 let mut q = p;
                 loop {
                     if set.intersects(&finals) {

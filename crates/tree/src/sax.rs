@@ -106,7 +106,7 @@ impl<'a> SaxParser<'a> {
 
     /// The next event, `Ok(None)` at the clean end of the document.
     ///
-    /// Errors are located ([`AutomataError::RegexParse`] with the byte
+    /// Errors are located ([`AutomataError::Parse`] with the byte
     /// offset); after an error every subsequent call returns `Ok(None)`.
     pub fn next_event(&mut self) -> Result<Option<SaxEvent>, AutomataError> {
         if self.failed {
@@ -179,7 +179,7 @@ impl<'a> SaxParser<'a> {
     }
 
     fn error(&self, message: &str) -> AutomataError {
-        AutomataError::RegexParse { message: format!("XML: {message}"), position: self.pos }
+        AutomataError::Parse { message: format!("XML: {message}"), position: self.pos }
     }
 
     fn starts_with(&self, s: &str) -> bool {

@@ -19,8 +19,8 @@ pub fn parse_term(input: &str) -> Result<XTree, AutomataError> {
     let tree = parser.parse_tree()?;
     parser.skip_ws();
     if parser.pos != parser.input.len() {
-        return Err(AutomataError::RegexParse {
-            message: "unexpected trailing input after term".into(),
+        return Err(AutomataError::Parse {
+            message: "term: unexpected trailing input".into(),
             position: parser.pos,
         });
     }
@@ -108,8 +108,8 @@ impl TermParser<'_> {
             }
         }
         if len == 0 {
-            return Err(AutomataError::RegexParse {
-                message: "expected an identifier".into(),
+            return Err(AutomataError::Parse {
+                message: "term: expected an identifier".into(),
                 position: self.pos,
             });
         }
@@ -134,8 +134,8 @@ impl TermParser<'_> {
         while let Some(&parent) = open.last() {
             self.skip_ws();
             if self.pos >= self.input.len() {
-                return Err(AutomataError::RegexParse {
-                    message: "unterminated '(' in term".into(),
+                return Err(AutomataError::Parse {
+                    message: "term: unterminated '('".into(),
                     position: self.pos,
                 });
             }

@@ -37,9 +37,9 @@ pub struct Nuta {
     labels: Alphabet,
     /// `(state, label) → content NFA over state symbols`.
     delta: BTreeMap<(Symbol, Symbol), Nfa>,
-    /// `label → states with a rule for it` (sorted): the bottom-up run
-    /// consults only the states that can type a node's label instead of
-    /// scanning the whole state set per node.
+    /// `label → states with a rule for it` (sorted): the bottom-up run and
+    /// the determinisation consult only the states that can type a node's
+    /// label instead of scanning the whole state set.
     by_label: BTreeMap<Symbol, Vec<Symbol>>,
 }
 
@@ -122,7 +122,7 @@ impl Nuta {
 
     /// Whether `content` accepts some word `w1…wk` with `wi ∈ child_sets[i]`.
     fn content_accepts_over_sets(content: &Nfa, child_sets: &[&BTreeSet<Symbol>]) -> bool {
-        let mut current = content.start_closure();
+        let mut current = content.start_set();
         let mut next = StateSet::empty(content.num_states());
         for set in child_sets {
             content.step_all_into(&current, set.iter(), &mut next);
@@ -238,14 +238,12 @@ impl Nuta {
     ) -> Result<Duta, AutomataError> {
         budget.check_interrupts()?;
         let labels = labels.union(self.labels());
-        // Per label: the list of states with a rule and their ε-free content
-        // automata.
-        struct Building {
-            states_with_rule: Vec<Symbol>,
-            nfas: Vec<Nfa>,
+        // Per label: the states with a rule and their content automata.
+        struct Building<'a> {
+            states_with_rule: &'a [Symbol],
+            nfas: Vec<&'a Nfa>,
             configs: Vec<Vec<StateSet>>,
             config_index: FxHashMap<Vec<StateSet>, usize>,
-            config_paths: Vec<Vec<usize>>,
             /// Sorted `(letter, next config)` adjacency per config; letters
             /// are discovered in increasing order, so plain pushes keep the
             /// vectors sorted.
@@ -254,15 +252,10 @@ impl Nuta {
         }
         let mut building: BTreeMap<Symbol, Building> = BTreeMap::new();
         for label in &labels {
-            let states_with_rule: Vec<Symbol> = self
-                .states()
+            let states_with_rule = self.by_label.get(label).map_or(&[][..], Vec::as_slice);
+            let nfas = states_with_rule
                 .iter()
-                .filter(|q| self.rule(q, label).is_some())
-                .cloned()
-                .collect();
-            let nfas: Vec<Nfa> = states_with_rule
-                .iter()
-                .map(|q| self.rule(q, label).unwrap().eps_free())
+                .map(|q| self.rule(q, label).expect("by_label lists only ruled states"))
                 .collect();
             building.insert(
                 *label,
@@ -271,7 +264,6 @@ impl Nuta {
                     nfas,
                     configs: Vec::new(),
                     config_index: FxHashMap::default(),
-                    config_paths: Vec::new(),
                     trans: Vec::new(),
                     output: Vec::new(),
                 },
@@ -280,7 +272,6 @@ impl Nuta {
 
         let mut subsets: Vec<BTreeSet<Symbol>> = Vec::new();
         let mut subset_index: BTreeMap<BTreeSet<Symbol>, usize> = BTreeMap::new();
-        let mut witnesses: Vec<XTree> = Vec::new();
 
         // Helper closures operate through explicit arguments to appease the
         // borrow checker.
@@ -296,12 +287,10 @@ impl Nuta {
 
         // Seed: the start configuration of each label (its output is the
         // subset assigned to a leaf with that label).
-        for (label, b) in &mut building {
-            let start_config: Vec<StateSet> =
-                b.nfas.iter().map(Nfa::start_closure).collect();
+        for b in building.values_mut() {
+            let start_config: Vec<StateSet> = b.nfas.iter().map(|nfa| nfa.start_set()).collect();
             b.configs.push(start_config.clone());
             b.config_index.insert(start_config.clone(), 0);
-            b.config_paths.push(Vec::new());
             b.trans.push(Vec::new());
             let out = config_output(b, &start_config);
             let idx = match subset_index.entry(out.clone()) {
@@ -309,7 +298,6 @@ impl Nuta {
                 std::collections::btree_map::Entry::Vacant(slot) => {
                     budget.grow_states(1)?;
                     subsets.push(out);
-                    witnesses.push(XTree::leaf(*label));
                     *slot.insert(subsets.len() - 1)
                 }
             };
@@ -320,7 +308,7 @@ impl Nuta {
         loop {
             let mut changed = false;
             let num_subsets = subsets.len();
-            for (label, b) in &mut building {
+            for b in building.values_mut() {
                 // Per-component scratch frontiers reused across every
                 // (config, letter) expansion of this label; only genuinely
                 // new configurations are cloned out of them.
@@ -350,21 +338,13 @@ impl Nuta {
                                 let i = b.configs.len();
                                 b.configs.push(scratch.clone());
                                 b.config_index.insert(scratch.clone(), i);
-                                let mut path = b.config_paths[config_id].clone();
-                                path.push(letter);
-                                b.config_paths.push(path);
                                 b.trans.push(Vec::new());
                                 let out = config_output(b, &scratch);
                                 let idx = match subset_index.entry(out.clone()) {
                                     std::collections::btree_map::Entry::Occupied(e) => *e.get(),
                                     std::collections::btree_map::Entry::Vacant(slot) => {
                                         budget.grow_states(1)?;
-                                        let children: Vec<XTree> = b.config_paths[i]
-                                            .iter()
-                                            .map(|&l| witnesses[l].clone())
-                                            .collect();
                                         subsets.push(out);
-                                        witnesses.push(XTree::node(*label, children));
                                         *slot.insert(subsets.len() - 1)
                                     }
                                 };
@@ -396,7 +376,6 @@ impl Nuta {
         Ok(Duta {
             letters: (0..subsets.len()).map(|i| Symbol::new(format!("#s{i}"))).collect(),
             subsets,
-            witnesses,
             finals_orig: self.finals().clone(),
             labels,
             machines,
@@ -508,7 +487,6 @@ pub struct Duta {
     subsets: Vec<BTreeSet<Symbol>>,
     /// `letters[i]`: the symbol standing for subset state `i`.
     letters: Vec<Symbol>,
-    witnesses: Vec<XTree>,
     finals_orig: BTreeSet<Symbol>,
     labels: Alphabet,
     machines: BTreeMap<Symbol, LabelMachine>,
@@ -542,11 +520,6 @@ impl Duta {
     fn letter_index(&self, sym: &Symbol) -> Option<usize> {
         let i: usize = sym.as_str().strip_prefix("#s")?.parse().ok()?;
         (self.letters.get(i) == Some(sym)).then_some(i)
-    }
-
-    /// A tree whose run ends in subset state `i`.
-    pub fn witness(&self, i: usize) -> &XTree {
-        &self.witnesses[i]
     }
 
     /// Whether subset state `i` is accepting (contains an original final
@@ -632,9 +605,9 @@ impl Duta {
     /// The inhabited `(label, subset state)` pairs: for every label of the
     /// universe, the subset states achievable by trees rooted at it — the
     /// Moore outputs of its machine. Every configuration is reachable (the
-    /// determinisation creates one only as the successor of another) and
-    /// every subset state is inhabited ([`Duta::witness`]), so each output
-    /// is achieved. These are exactly the specialised names of the
+    /// determinisation creates one only as the successor of another, whose
+    /// letter is itself the output of a reachable configuration), so each
+    /// output is achieved by some tree. These are exactly the specialised names of the
     /// normalised R-EDTD of Lemma 4.10 (one per pair), and the sets the
     /// kernel boxes of Section 7 are made of.
     pub fn inhabited_label_states(&self) -> BTreeMap<Symbol, BTreeSet<usize>> {
@@ -714,7 +687,7 @@ fn moore_image(
 ) -> Result<Vec<Reached>, AutomataError> {
     let finals = content.finals_set();
     type Node = (StateSet, Option<usize>);
-    let start: Node = (content.start_closure(), machine.map(LabelMachine::start));
+    let start: Node = (content.start_set(), machine.map(LabelMachine::start));
     let mut image: Vec<Reached> = Vec::new();
     let mut found: FxHashSet<Option<usize>> = FxHashSet::default();
     let mut seen: FxHashSet<Node> = FxHashSet::from_iter([start.clone()]);
@@ -1014,11 +987,11 @@ mod tests {
     fn inclusion_and_equivalence_with_witnesses() {
         // L1 = s(a*), L2 = s((aa)*)
         let mut l1 = Nuta::new();
-        l1.set_rule("qs", "s", Nfa::symbol("qa").star());
+        l1.set_rule("qs", "s", content("qa*"));
         l1.set_rule("qa", "a", Nfa::epsilon());
         l1.set_final("qs");
         let mut l2 = Nuta::new();
-        l2.set_rule("qs", "s", Nfa::literal(&[Symbol::new("qa"), Symbol::new("qa")]).star());
+        l2.set_rule("qs", "s", content("(qa qa)*"));
         l2.set_rule("qa", "a", Nfa::epsilon());
         l2.set_final("qs");
 
@@ -1035,7 +1008,7 @@ mod tests {
         // Equivalence of syntactically different automata for the same
         // language: s(a*) vs s(a* a?) written differently.
         let mut l3 = Nuta::new();
-        l3.set_rule("qs", "s", Nfa::symbol("qa").star().concat(&Nfa::symbol("qa").optional()));
+        l3.set_rule("qs", "s", content("qa* qa?"));
         l3.set_rule("qa", "a", Nfa::epsilon());
         l3.set_final("qs");
         assert!(is_equivalent(&l1, &l3));
@@ -1045,7 +1018,7 @@ mod tests {
     fn included_in_duta_handles_out_of_universe_labels() {
         // Target: s(a*) — determinised only over its own labels {s, a}.
         let mut target = Nuta::new();
-        target.set_rule("qs", "s", Nfa::symbol("qa").star());
+        target.set_rule("qs", "s", content("qa*"));
         target.set_rule("qa", "a", Nfa::epsilon());
         target.set_final("qs");
         let dt = target.determinize(target.labels());
@@ -1126,7 +1099,7 @@ mod tests {
         let sa = *pairs[&Symbol::new("a")].iter().next().unwrap();
         let sb = *pairs[&Symbol::new("b")].iter().next().unwrap();
         // Children words (Sa Sb)*: the only output is the accepting state.
-        let good = Nfa::literal(&[d.letter(sa), d.letter(sb)]).star();
+        let good = Regex::concat(vec![Regex::sym(d.letter(sa)), Regex::sym(d.letter(sb))]).star().to_nfa();
         let outs = d.outputs_over(&Symbol::new("s"), &good);
         assert!(outs.keys().all(|&i| d.is_final(i)));
         // Shortest witness is the empty word (a leaf s is valid).

@@ -48,7 +48,7 @@ pub fn parse_xml_with_limit(input: &str, depth_limit: usize) -> Result<XTree, Au
             }
         }
     }
-    tree.ok_or_else(|| AutomataError::RegexParse {
+    tree.ok_or_else(|| AutomataError::Parse {
         message: "XML: expected a root element".into(),
         position: input.len(),
     })
@@ -141,6 +141,21 @@ mod tests {
         assert_eq!(t.root_label().as_str(), "café");
         let back = parse_xml(&to_xml(&t)).unwrap();
         assert_eq!(t, back);
+    }
+
+    #[test]
+    fn parse_errors_name_their_syntax() {
+        // XML, term and regex errors share one variant; the message says
+        // which syntax failed.
+        let xml = parse_xml("<s><nat>").unwrap_err();
+        assert_eq!(xml.to_string(), "parse error at byte 8: XML: unterminated element <nat>");
+        let term = parse_term("s(a").unwrap_err();
+        assert_eq!(term.to_string(), "parse error at byte 3: term: unterminated '('");
+        let regex = dxml_automata::Regex::parse("a,").unwrap_err();
+        assert_eq!(
+            regex.to_string(),
+            "parse error at byte 1: regex: empty operand after explicit concatenation separator"
+        );
     }
 
     #[test]

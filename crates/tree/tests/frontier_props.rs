@@ -39,11 +39,7 @@ fn random_content(rng: &mut Rng, states: &[Symbol]) -> Nfa {
     for _ in 0..rng.below(2 * n + 2) {
         let from = rng.below(n);
         let to = rng.below(n);
-        if rng.chance(10) {
-            nfa.add_epsilon(from, to);
-        } else {
-            nfa.add_transition(from, states[rng.below(states.len())], to);
-        }
+        nfa.add_transition(from, states[rng.below(states.len())], to);
     }
     for q in 0..n {
         if rng.chance(40) {
@@ -83,7 +79,7 @@ fn random_nuta(rng: &mut Rng) -> Nuta {
 struct RefNfa {
     start: usize,
     finals: BTreeSet<usize>,
-    trans: Vec<BTreeMap<Option<Symbol>, BTreeSet<usize>>>,
+    trans: Vec<BTreeMap<Symbol, BTreeSet<usize>>>,
 }
 
 impl RefNfa {
@@ -94,34 +90,19 @@ impl RefNfa {
             trans: vec![BTreeMap::new(); nfa.num_states()],
         };
         for (q, lbl, t) in nfa.transitions() {
-            out.trans[q].entry(lbl.copied()).or_default().insert(t);
+            out.trans[q].entry(*lbl).or_default().insert(t);
         }
         out
-    }
-
-    fn epsilon_closure(&self, set: &BTreeSet<usize>) -> BTreeSet<usize> {
-        let mut closure = set.clone();
-        let mut stack: Vec<usize> = set.iter().copied().collect();
-        while let Some(q) = stack.pop() {
-            if let Some(next) = self.trans[q].get(&None) {
-                for &t in next {
-                    if closure.insert(t) {
-                        stack.push(t);
-                    }
-                }
-            }
-        }
-        closure
     }
 
     fn step(&self, set: &BTreeSet<usize>, sym: &Symbol) -> BTreeSet<usize> {
         let mut next = BTreeSet::new();
         for &q in set {
-            if let Some(ts) = self.trans[q].get(&Some(*sym)) {
+            if let Some(ts) = self.trans[q].get(sym) {
                 next.extend(ts.iter().copied());
             }
         }
-        self.epsilon_closure(&next)
+        next
     }
 }
 
@@ -151,7 +132,7 @@ fn reference_outputs_over(
         .collect();
     // One BFS state of the seed product: (machine config, BTreeSet frontier).
     type Pair = (usize, BTreeSet<usize>);
-    let start = (machine.start(), word.epsilon_closure(&BTreeSet::from([word.start])));
+    let start = (machine.start(), BTreeSet::from([word.start]));
     let mut outputs: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
     let mut seen: BTreeSet<Pair> = BTreeSet::from([start.clone()]);
     let mut queue: VecDeque<(Pair, Vec<usize>)> = VecDeque::from([(start, Vec::new())]);

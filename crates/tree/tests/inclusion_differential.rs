@@ -37,15 +37,12 @@ fn states_of(labels: &[&str], per_label: usize) -> Vec<(Symbol, Symbol)> {
         .collect()
 }
 
-/// A random content NFA (1–3 states, an occasional ε-move) over `states`.
+/// A random content NFA (1–3 states) over `states`.
 fn random_content(rng: &mut SplitRng, states: &[Symbol]) -> Nfa {
     let n = 1 + rng.below(3);
     let mut nfa = Nfa::new(n, 0);
     for _ in 0..rng.below(2 * n + 2) {
         nfa.add_transition(rng.below(n), *rng.pick(states), rng.below(n));
-    }
-    if rng.chance(1, 5) {
-        nfa.add_epsilon(rng.below(n), rng.below(n));
     }
     for q in 0..n {
         if rng.chance(1, 2) {

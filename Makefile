@@ -169,7 +169,8 @@ lint-schemas:
 lint-repo:
 	$(CARGO) run -q --release --example repo_invariants
 
-# The tier-1 gate plus lints, docs, bench compilation and the repo-invariant
-# lint (so a retired counter that gets recorded again fails locally too).
-verify: build test clippy doc bench lint-repo
+# The tier-1 gate plus lints, docs, bench compilation, the repo-invariant
+# lint (so a retired counter that gets recorded again fails locally too) and
+# the example goldens (they pin the determinised targets' subset numbering).
+verify: build test clippy doc bench lint-repo examples
 	@echo "verify: OK"

@@ -45,14 +45,25 @@
 //!   DTD target. Each label whose specialisations admit the empty child
 //!   word types a leaf by a non-empty set of its own, so the number of
 //!   such labels (at least 1) is a floor;
-//! * the determinisation expands every configuration of every label's
-//!   Moore machine on every state exactly once, so its steps are
-//!   `Σ_label configs × states`. A configuration holds one state set per
+//! * the determinisation expands each configuration of a label's Moore
+//!   machine at most once on each letter that holds a name its content
+//!   automata read, and charges nothing for the other letters (they lead
+//!   to the dead configuration). A letter holds specialisations of one
+//!   label, so a label whose rules read the labels `L'` has at most
+//!   `Σ_{L'} (2^{k_{L'}} − 1)` such letters, and its steps are at most
+//!   `configs` times that. A configuration holds one state set per
 //!   specialisation of the label — a subset of its content automaton's
 //!   `m` states, or the dead empty set — so a label has at most the
 //!   product of `2^m` over its specialisations; when every state is a
 //!   single name (a DTD target), a deterministic content model stays on
 //!   singletons and the product is over `subset_states.upper + 1`;
+//! * a name some tree types makes its label's machine take at least
+//!   `min_word_len` expansions: the configurations along a shortest child
+//!   word that types it are pairwise distinct and none is dead. A label
+//!   whose rules read nothing charges no step, so the floor is the sum
+//!   over labels of the longest such word among their names known to be
+//!   typable (a name without a rule or accepting ε, or one whose rule
+//!   accepts a word and reads only typable names);
 //! * a function's product fixpoint evaluates each rule of its schema once,
 //!   plus once per new pair of a name the rule's content reads (a name has
 //!   at most `states + 1` pairs), and an evaluation pops each (content
@@ -398,6 +409,44 @@ impl SchemaCost {
     fn rule(&self, rule: Option<usize>) -> Option<&ContentModelCost> {
         rule.map(|i| &self.rules[i].1)
     }
+
+    /// Names that type some tree, by a sufficient condition: a name
+    /// without a rule or whose rule accepts the empty word, or whose rule
+    /// accepts some word and reads only such names (every accepted word is
+    /// then made of typable children). Each name appears once.
+    fn surely_inhabited(&self) -> Vec<Symbol> {
+        // Unit propagation: a name waits on the distinct names its rule
+        // reads, and is ready once none is left, so it is pushed once.
+        let mut waiting: FxHashMap<Symbol, usize> =
+            FxHashMap::with_capacity_and_hasher(self.names.len(), Default::default());
+        let mut readers: Vec<(Symbol, Symbol)> = Vec::new();
+        let mut ready: Vec<Symbol> = Vec::new();
+        for (name, (_, rule)) in &self.names {
+            match self.rule(*rule).map(|c| &c.metrics) {
+                None => ready.push(*name),
+                Some(m) if m.min_word_len == Some(0) => ready.push(*name),
+                Some(m) if m.min_word_len.is_some() => {
+                    waiting.insert(*name, m.alphabet.len());
+                    readers.extend(m.alphabet.iter().map(|read| (*read, *name)));
+                }
+                Some(_) => {}
+            }
+        }
+        readers.sort_unstable_by_key(|(read, _)| read.id());
+        let mut inhabited: Vec<Symbol> = Vec::with_capacity(self.names.len());
+        while let Some(name) = ready.pop() {
+            inhabited.push(name);
+            let from = readers.partition_point(|(read, _)| read.id() < name.id());
+            for (_, reader) in readers[from..].iter().take_while(|(read, _)| *read == name) {
+                let left = waiting.get_mut(reader).expect("every reader waits");
+                *left -= 1;
+                if *left == 0 {
+                    ready.push(*reader);
+                }
+            }
+        }
+        inhabited
+    }
 }
 
 /// Brackets the content-model determinisation cost of an `R-DTD`.
@@ -440,8 +489,8 @@ pub struct DesignCost {
     /// trips.
     pub states: Bounds,
     /// Bracket of the steps the build charges: the determinisation's
-    /// (configuration, state) expansions plus the pops of every function's
-    /// product fixpoint.
+    /// (configuration, readable letter) expansions plus the pops of every
+    /// function's product fixpoint.
     pub steps: Bounds,
     /// The dominating location, when one content model accounts for at
     /// least half of the design's summed per-rule upper state bounds.
@@ -477,10 +526,32 @@ impl DesignCost {
         let states_upper =
             labels.values().fold(1u64, |sum, &(k, _)| sum.saturating_add(pow2_minus1(k)));
         let states_lower = labels.values().filter(|&&(_, leaf)| leaf).count().max(1) as u64;
-        let mut steps_upper = configs
+        // (label, label its rules read): only the letters of the read
+        // labels move a configuration anywhere but the dead one.
+        let names = &target.names;
+        let mut reads: Vec<(Symbol, Symbol)> = names
             .values()
-            .fold(0u64, |sum, c| sum.saturating_add(c.saturating_mul(states_upper)));
-        let mut steps_lower = (labels.len() as u64).saturating_mul(states_lower);
+            .filter_map(|(label, rule)| Some((*label, target.rule(*rule)?)))
+            .flat_map(|(label, c)| {
+                c.metrics.alphabet.iter().filter_map(move |n| Some((label, names.get(n)?.0)))
+            })
+            .collect();
+        reads.sort_unstable_by_key(|(label, read)| (label.id(), read.id()));
+        reads.dedup();
+        let mut steps_upper = reads.iter().fold(0u64, |sum, (label, read)| {
+            sum.saturating_add(configs[label].saturating_mul(pow2_minus1(labels[read].0)))
+        });
+        // Per target label: the longest shortest child word among its
+        // names that some tree surely types.
+        let mut longest: FxHashMap<Symbol, u64> =
+            FxHashMap::with_capacity_and_hasher(labels.len(), Default::default());
+        for name in &target.surely_inhabited() {
+            let (label, rule) = target.names[name];
+            let len = target.rule(rule).and_then(|c| c.metrics.min_word_len).unwrap_or(0);
+            let slot = longest.entry(label).or_default();
+            *slot = (*slot).max(len as u64);
+        }
+        let mut steps_lower = longest.values().fold(0u64, |sum, &len| sum.saturating_add(len));
         // The pairs a function name can reach: its label's output, a set of
         // that label's target specialisations, or the dead state.
         let pairs =
@@ -749,6 +820,19 @@ mod tests {
         e.set_rule("x", RSpec::Nre(re("b")));
         let cost = box_design_cost(&BoxDesignProblem::new(e));
         assert_eq!(cost.states.upper, 1 + 1 + 3 + 1, "s, a (x, y), b");
+    }
+
+    #[test]
+    fn target_steps_are_bracketed_by_readable_letters() {
+        // `s` (8 configurations) reads the labels `a` and `b`, `a` (4)
+        // reads `b`, and `b` reads nothing: 8 × 2 + 4 × 1 + 0 steps at
+        // most. `s` types some tree only on a child word of length ≥ 1.
+        let dtd = RDtd::parse(RFormalism::Nre, "s -> a, b?\na -> b*").unwrap();
+        let cost = design_cost(&DesignProblem::new(dtd.clone()));
+        assert_eq!(cost.steps, Bounds::new(1, 20));
+        let budget = Budget::unlimited().with_step_quota(u64::MAX / 2);
+        dtd.to_nuta().determinize_with_budget(dtd.alphabet(), &budget).unwrap();
+        assert!(cost.steps.contains(budget.steps_spent()), "{}", budget.steps_spent());
     }
 
     #[test]

@@ -17,7 +17,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use dxml_automata::{Alphabet, Dfa, Nfa, RFormalism, RSpec, Symbol};
+use dxml_automata::{Alphabet, Dfa, FxHashMap, Nfa, RFormalism, RSpec, Symbol};
 use dxml_tree::{Nuta, XTree};
 
 use crate::edtd::REdtd;
@@ -126,7 +126,8 @@ impl RDtd {
     // ------------------------------------------------------------------
 
     /// Validates a tree, returning the first violation found (in document
-    /// order).
+    /// order). Each label's content model is compiled at most once per
+    /// call.
     pub fn validate(&self, tree: &XTree) -> Result<(), SchemaError> {
         if tree.root_label() != &self.start {
             return Err(SchemaError::RootMismatch {
@@ -134,18 +135,19 @@ impl RDtd {
                 found: *tree.root_label(),
             });
         }
+        let mut compiled: FxHashMap<Symbol, Nfa> = FxHashMap::default();
         for node in tree.document_order() {
             let label = tree.label(node);
             if !self.alphabet.contains(label) {
                 return Err(SchemaError::UnknownElement { label: *label });
             }
             let children = tree.child_str(node);
-            let content = self.content(label);
+            let content = compiled.entry(*label).or_insert_with(|| self.content(label).to_nfa());
             if !content.accepts(&children) {
                 return Err(SchemaError::InvalidContent {
                     path: tree.anc_str(node),
                     children,
-                    expected: format!("{content}"),
+                    expected: format!("{}", self.content(label)),
                 });
             }
         }
@@ -316,14 +318,10 @@ impl RDtd {
     /// Converts to an [`REdtd`] where every element name is its own (unique)
     /// specialisation.
     pub fn to_edtd(&self) -> REdtd {
-        let mut edtd = REdtd::new(self.formalism, self.start, self.start);
-        for a in &self.alphabet {
-            edtd.add_specialization(*a, *a);
-        }
-        for (a, content) in &self.rules {
-            edtd.set_rule(*a, content.clone());
-        }
-        edtd
+        // The alphabet holds the start and every symbol of every rule, so
+        // it is the whole of `µ`.
+        let mu = self.alphabet.iter().map(|a| (*a, *a)).collect();
+        REdtd::from_parts(self.formalism, self.start, mu, self.rules.clone())
     }
 
     /// Converts to an unranked tree automaton.

@@ -46,6 +46,17 @@ impl REdtd {
         REdtd { formalism, start, mu, rules: BTreeMap::new() }
     }
 
+    /// An EDTD from its parts; `mu` must map the start and every symbol
+    /// of every rule.
+    pub(crate) fn from_parts(
+        formalism: RFormalism,
+        start: Symbol,
+        mu: BTreeMap<Symbol, Symbol>,
+        rules: BTreeMap<Symbol, RSpec>,
+    ) -> REdtd {
+        REdtd { formalism, start, mu, rules }
+    }
+
     /// Registers a specialised name with its underlying element name
     /// (`µ(specialized) = label`). Idempotent; re-registering with a
     /// different label replaces the mapping.

@@ -14,7 +14,8 @@
 //! * emptiness with witness trees ([`Nuta::inhabited_witnesses`]);
 //! * bottom-up determinisation ([`Duta`], the dUTAs of the paper) via the
 //!   reachable-subset construction, with per-label Moore machines over
-//!   subset states;
+//!   subset states, expanded only on the letters their content automata
+//!   can read;
 //! * inclusion and equivalence of tree languages with counter-example trees
 //!   ([`included`], [`equivalent`]) — the oracles behind `equiv[S]` for
 //!   SDTDs and EDTDs (Theorem 4.7). Only the right-hand side is
@@ -221,11 +222,24 @@ impl Nuta {
             .expect("the unlimited budget never trips")
     }
 
-    /// Governed variant of [`Nuta::determinize`]: every `(label, config,
-    /// subset letter)` expansion of the fixpoint charges one budget step and
-    /// every discovered subset state charges the state quota; the
-    /// construction aborts with [`AutomataError::BudgetExceeded`] when the
-    /// budget trips, leaving no partial automaton behind.
+    /// Governed variant of [`Nuta::determinize`].
+    ///
+    /// The fixpoint is sparse. A configuration can leave the *dead*
+    /// configuration (every component empty) only on a letter holding a
+    /// state that one of its frontier states reads, so each configuration
+    /// is expanded only on those letters, each at most once, and every
+    /// such expansion charges one budget step. Every other letter leads to
+    /// the dead configuration, which is created without a step and stored
+    /// as no transition at all. Every discovered subset state charges the
+    /// state quota. The construction aborts with
+    /// [`AutomataError::BudgetExceeded`] when the budget trips, leaving no
+    /// partial automaton behind.
+    ///
+    /// Subsets and configurations are numbered as by a dense scan that
+    /// steps every configuration on every letter: round after round, each
+    /// label's configurations in creation order on the letters in
+    /// increasing order, the dead configuration being created at the first
+    /// letter that would reach it.
     ///
     /// # Panics
     ///
@@ -238,144 +252,219 @@ impl Nuta {
     ) -> Result<Duta, AutomataError> {
         budget.check_interrupts()?;
         let labels = labels.union(self.labels());
-        // Per label: the states with a rule and their content automata.
+        let state_index: FxHashMap<Symbol, usize> =
+            self.states.iter().enumerate().map(|(i, q)| (*q, i)).collect();
+        // One configuration of a label machine under construction.
+        struct Config {
+            /// One frontier per content automaton.
+            sets: Vec<StateSet>,
+            /// The original states (indices into `states`) the frontier
+            /// reads, ascending.
+            reads: Vec<usize>,
+            /// Sorted `(letter, next config)` pairs; letters are expanded
+            /// in increasing order, so plain pushes keep them sorted.
+            trans: Vec<(usize, usize)>,
+            output: usize,
+            /// The letters below this one have been considered.
+            expanded: usize,
+        }
+        // Per label: the states with a rule, their content automata and
+        // the configurations found so far.
         struct Building<'a> {
+            label: Symbol,
             states_with_rule: &'a [Symbol],
             nfas: Vec<&'a Nfa>,
-            configs: Vec<Vec<StateSet>>,
-            config_index: FxHashMap<Vec<StateSet>, usize>,
-            /// Sorted `(letter, next config)` adjacency per config; letters
-            /// are discovered in increasing order, so plain pushes keep the
-            /// vectors sorted.
-            trans: Vec<Vec<(usize, usize)>>,
-            output: Vec<usize>,
+            configs: Vec<Config>,
+            index: FxHashMap<Vec<StateSet>, usize>,
+            dead: Option<usize>,
+            /// Per-component frontiers reused across every expansion; only
+            /// genuinely new configurations are cloned out of them.
+            scratch: Vec<StateSet>,
         }
-        let mut building: BTreeMap<Symbol, Building> = BTreeMap::new();
-        for label in &labels {
-            let states_with_rule = self.by_label.get(label).map_or(&[][..], Vec::as_slice);
-            let nfas = states_with_rule
-                .iter()
-                .map(|q| self.rule(q, label).expect("by_label lists only ruled states"))
-                .collect();
-            building.insert(
-                *label,
+        // The subset states found so far, with the letters each original
+        // state belongs to.
+        struct Subsets {
+            list: Vec<BTreeSet<Symbol>>,
+            /// Members' symbol ids (in text order) → letter.
+            index: FxHashMap<Vec<u32>, usize>,
+            /// `containing[state]`: ascending letters holding the state.
+            containing: Vec<Vec<usize>>,
+        }
+        impl Building<'_> {
+            fn add_config(
+                &mut self,
+                sets: Vec<StateSet>,
+                subsets: &mut Subsets,
+                state_index: &FxHashMap<Symbol, usize>,
+                budget: &Budget,
+            ) -> Result<usize, AutomataError> {
+                let id = self.configs.len();
+                // `states_with_rule` is sorted, so the output is in text
+                // order.
+                let outputs = || {
+                    self.states_with_rule
+                        .iter()
+                        .zip(&self.nfas)
+                        .zip(&sets)
+                        .filter(|((_, nfa), comp)| comp.iter().any(|s| nfa.is_final(s)))
+                        .map(|((q, _), _)| *q)
+                };
+                let key: Vec<u32> = outputs().map(Symbol::id).collect();
+                let output = match subsets.index.get(&key) {
+                    Some(&letter) => letter,
+                    None => {
+                        budget.grow_states(1)?;
+                        let letter = subsets.list.len();
+                        for q in outputs() {
+                            subsets.containing[state_index[&q]].push(letter);
+                        }
+                        subsets.list.push(outputs().collect());
+                        subsets.index.insert(key, letter);
+                        letter
+                    }
+                };
+                let mut reads = Vec::new();
+                for (nfa, comp) in self.nfas.iter().zip(&sets) {
+                    if !comp.is_empty() {
+                        reads.extend(
+                            nfa.transitions()
+                                .filter(|&(s, _, _)| comp.contains(s))
+                                .filter_map(|(_, sym, _)| state_index.get(sym).copied()),
+                        );
+                    }
+                }
+                reads.sort_unstable();
+                reads.dedup();
+                // No expansion reaches the dead configuration, so it is
+                // never looked up.
+                if sets.iter().all(StateSet::is_empty) {
+                    self.dead = Some(id);
+                } else {
+                    self.index.insert(sets.clone(), id);
+                }
+                self.configs.push(Config { sets, reads, trans: Vec::new(), output, expanded: 0 });
+                Ok(id)
+            }
+
+            /// Creates the dead configuration unless it exists. It keeps no
+            /// frontiers: it reads nothing, so nothing steps it.
+            fn reach_dead(
+                &mut self,
+                subsets: &mut Subsets,
+                state_index: &FxHashMap<Symbol, usize>,
+                budget: &Budget,
+            ) -> Result<(), AutomataError> {
+                if self.dead.is_none() {
+                    self.add_config(Vec::new(), subsets, state_index, budget)?;
+                }
+                Ok(())
+            }
+        }
+
+        let mut subsets = Subsets {
+            list: Vec::new(),
+            index: FxHashMap::default(),
+            containing: vec![Vec::new(); self.states.len()],
+        };
+        // In label order, which numbers the subsets.
+        let mut building: Vec<Building> = labels
+            .iter()
+            .map(|label| {
+                let states_with_rule = self.by_label.get(label).map_or(&[][..], Vec::as_slice);
+                let nfas: Vec<&Nfa> = states_with_rule
+                    .iter()
+                    .map(|q| self.rule(q, label).expect("by_label lists only ruled states"))
+                    .collect();
+                let scratch = nfas.iter().map(|nfa| StateSet::empty(nfa.num_states())).collect();
                 Building {
+                    label: *label,
                     states_with_rule,
                     nfas,
                     configs: Vec::new(),
-                    config_index: FxHashMap::default(),
-                    trans: Vec::new(),
-                    output: Vec::new(),
-                },
-            );
-        }
-
-        let mut subsets: Vec<BTreeSet<Symbol>> = Vec::new();
-        let mut subset_index: BTreeMap<BTreeSet<Symbol>, usize> = BTreeMap::new();
-
-        // Helper closures operate through explicit arguments to appease the
-        // borrow checker.
-        fn config_output(b: &Building, config: &[StateSet]) -> BTreeSet<Symbol> {
-            b.states_with_rule
-                .iter()
-                .zip(&b.nfas)
-                .zip(config)
-                .filter(|((_, nfa), comp)| comp.iter().any(|s| nfa.is_final(s)))
-                .map(|((q, _), _)| *q)
-                .collect()
-        }
+                    index: FxHashMap::default(),
+                    dead: None,
+                    scratch,
+                }
+            })
+            .collect();
 
         // Seed: the start configuration of each label (its output is the
         // subset assigned to a leaf with that label).
-        for b in building.values_mut() {
-            let start_config: Vec<StateSet> = b.nfas.iter().map(|nfa| nfa.start_set()).collect();
-            b.configs.push(start_config.clone());
-            b.config_index.insert(start_config.clone(), 0);
-            b.trans.push(Vec::new());
-            let out = config_output(b, &start_config);
-            let idx = match subset_index.entry(out.clone()) {
-                std::collections::btree_map::Entry::Occupied(e) => *e.get(),
-                std::collections::btree_map::Entry::Vacant(slot) => {
-                    budget.grow_states(1)?;
-                    subsets.push(out);
-                    *slot.insert(subsets.len() - 1)
-                }
-            };
-            b.output.push(idx);
+        for b in &mut building {
+            let start: Vec<StateSet> = b.nfas.iter().map(|nfa| nfa.start_set()).collect();
+            b.add_config(start, &mut subsets, &state_index, budget)?;
         }
 
-        // Fixpoint: expand every (label, config, subset letter) combination.
+        // Fixpoint: each round expands every configuration on the letters
+        // it has not yet considered, until a round finds no new letter.
+        let mut candidates: Vec<usize> = Vec::new();
         loop {
-            let mut changed = false;
-            let num_subsets = subsets.len();
-            for b in building.values_mut() {
-                // Per-component scratch frontiers reused across every
-                // (config, letter) expansion of this label; only genuinely
-                // new configurations are cloned out of them.
-                let mut scratch: Vec<StateSet> =
-                    b.nfas.iter().map(|nfa| StateSet::empty(nfa.num_states())).collect();
-                let mut config_id = 0;
-                while config_id < b.configs.len() {
-                    for letter in 0..num_subsets {
-                        if b.trans[config_id]
-                            .binary_search_by_key(&letter, |&(l, _)| l)
-                            .is_ok()
-                        {
-                            continue;
+            let num_subsets = subsets.list.len();
+            for b in &mut building {
+                let mut next_config = 0;
+                while next_config < b.configs.len() {
+                    let id = next_config;
+                    next_config += 1;
+                    let config = &mut b.configs[id];
+                    let from = config.expanded;
+                    if from >= num_subsets {
+                        continue;
+                    }
+                    config.expanded = num_subsets;
+                    // The new letters holding a state the frontier reads.
+                    candidates.clear();
+                    for &q in &config.reads {
+                        let letters = &subsets.containing[q];
+                        let lo = letters.partition_point(|&l| l < from);
+                        candidates.extend(letters[lo..].iter().take_while(|&&l| l < num_subsets));
+                    }
+                    candidates.sort_unstable();
+                    candidates.dedup();
+                    // Every skipped letter leads to the dead configuration.
+                    let mut next_letter = from;
+                    for &letter in &candidates {
+                        if letter > next_letter {
+                            b.reach_dead(&mut subsets, &state_index, budget)?;
                         }
-                        changed = true;
+                        next_letter = letter + 1;
                         budget.step()?;
-                        // Advance every component by "any state in the letter
-                        // subset".
-                        for (slot, (nfa, comp)) in
-                            scratch.iter_mut().zip(b.nfas.iter().zip(&b.configs[config_id]))
-                        {
-                            nfa.step_all_into(comp, &subsets[letter], slot);
+                        // Advance every component by "any state in the
+                        // letter subset".
+                        let sets = &b.configs[id].sets;
+                        for (slot, (nfa, comp)) in b.scratch.iter_mut().zip(b.nfas.iter().zip(sets)) {
+                            nfa.step_all_into(comp, &subsets.list[letter], slot);
                         }
-                        let next_id = match b.config_index.get(&scratch) {
+                        let next_id = match b.index.get(&b.scratch) {
                             Some(&i) => i,
                             None => {
-                                let i = b.configs.len();
-                                b.configs.push(scratch.clone());
-                                b.config_index.insert(scratch.clone(), i);
-                                b.trans.push(Vec::new());
-                                let out = config_output(b, &scratch);
-                                let idx = match subset_index.entry(out.clone()) {
-                                    std::collections::btree_map::Entry::Occupied(e) => *e.get(),
-                                    std::collections::btree_map::Entry::Vacant(slot) => {
-                                        budget.grow_states(1)?;
-                                        subsets.push(out);
-                                        *slot.insert(subsets.len() - 1)
-                                    }
-                                };
-                                b.output.push(idx);
-                                i
+                                let next = b.scratch.clone();
+                                b.add_config(next, &mut subsets, &state_index, budget)?
                             }
                         };
-                        let v = &mut b.trans[config_id];
-                        match v.binary_search_by_key(&letter, |&(l, _)| l) {
-                            Ok(pos) => v[pos].1 = next_id,
-                            Err(pos) => v.insert(pos, (letter, next_id)),
-                        }
+                        b.configs[id].trans.push((letter, next_id));
                     }
-                    config_id += 1;
+                    if next_letter < num_subsets {
+                        b.reach_dead(&mut subsets, &state_index, budget)?;
+                    }
                 }
             }
-            if !changed && subsets.len() == num_subsets {
+            if subsets.list.len() == num_subsets {
                 break;
             }
         }
 
         let machines = building
             .into_iter()
-            .map(|(label, b)| {
-                (label, LabelMachine { start: 0, trans: b.trans, output: b.output })
+            .map(|b| {
+                let output = b.configs.iter().map(|c| c.output).collect();
+                let trans = b.configs.into_iter().map(|c| c.trans).collect();
+                (b.label, LabelMachine { start: 0, trans, output, dead: b.dead })
             })
             .collect();
 
         Ok(Duta {
-            letters: (0..subsets.len()).map(|i| Symbol::new(format!("#s{i}"))).collect(),
-            subsets,
+            letters: (0..subsets.list.len()).map(|i| Symbol::new(format!("#s{i}"))).collect(),
+            subsets: subsets.list,
             finals_orig: self.finals().clone(),
             labels,
             machines,
@@ -408,15 +497,23 @@ impl fmt::Debug for Nuta {
 /// all content automata for that label; reading a child subset-state advances
 /// every component, and the output of a configuration is the subset of
 /// original states whose content automaton is in an accepting configuration.
+///
+/// The *dead* configuration, in which every component is empty, is left
+/// implicit: no transition into it is stored, and a missing transition
+/// means the dead configuration.
 #[derive(Clone, Debug)]
 pub struct LabelMachine {
     start: usize,
     /// `trans[config]`: sorted `(child subset index, next config)` pairs —
     /// the dense-adjacency analogue of the automata crate's transition
-    /// storage (at most one entry per letter, found by binary search).
+    /// storage (at most one entry per letter, found by binary search). A
+    /// letter without an entry leads to the dead configuration.
     trans: Vec<Vec<(usize, usize)>>,
     /// `output[config] = subset index`.
     output: Vec<usize>,
+    /// The dead configuration, if some configuration reaches it (or
+    /// starts in it). Its output is the empty subset.
+    dead: Option<usize>,
 }
 
 impl LabelMachine {
@@ -425,18 +522,25 @@ impl LabelMachine {
         self.start
     }
 
-    /// Deterministic transition on a child subset index.
+    /// The dead configuration, in which every content automaton is empty;
+    /// `None` if no configuration reaches it.
+    pub fn dead(&self) -> Option<usize> {
+        self.dead
+    }
+
+    /// Deterministic transition on a child subset index; a missing
+    /// transition is the dead configuration.
     ///
     /// # Panics
     ///
-    /// Panics if the transition was never materialised (the determinisation
-    /// fixpoint makes every machine total over the discovered letters).
-    fn step(&self, config: usize, child_subset: usize) -> usize {
+    /// Only on a broken internal invariant: the determinisation creates
+    /// the dead configuration whenever some letter leads to it.
+    pub fn step(&self, config: usize, child_subset: usize) -> usize {
         let v = &self.trans[config];
-        let pos = v
-            .binary_search_by_key(&child_subset, |&(l, _)| l)
-            .expect("label machine is total over discovered subset letters");
-        v[pos].1
+        match v.binary_search_by_key(&child_subset, |&(l, _)| l) {
+            Ok(pos) => v[pos].1,
+            Err(_) => self.dead.expect("a missing transition leads to the dead configuration"),
+        }
     }
 
     /// The subset-state produced for a node whose children produced
@@ -454,13 +558,14 @@ impl LabelMachine {
         self.output[config]
     }
 
-    /// Number of configurations.
-    fn num_configs(&self) -> usize {
+    /// Number of configurations, the dead one included.
+    pub fn num_configs(&self) -> usize {
         self.output.len()
     }
 
-    /// Iterates over the deterministic transitions as
-    /// `(config, child_subset, next_config)` triples.
+    /// Iterates over the stored transitions as
+    /// `(config, child_subset, next_config)` triples: every transition
+    /// except those into the dead configuration.
     pub fn transitions(&self) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
         self.trans
             .iter()
@@ -472,7 +577,9 @@ impl LabelMachine {
 /// A bottom-up deterministic unranked tree automaton obtained by
 /// determinising an [`Nuta`]: its states are the reachable subsets of the
 /// original state set; every tree over the label universe has exactly one
-/// run.
+/// run. Its label machines ([`LabelMachine`]) store no transition into
+/// their dead configuration: a missing transition means dead, and every
+/// run, image and product below reads it so.
 ///
 /// String automata over subset states — the content languages of
 /// [`Duta::content_dfa`] and [`Duta::content_nfa`], the word languages
@@ -565,13 +672,25 @@ impl Duta {
     /// `label` whose children have subset states `S1…Sk` gets a state
     /// satisfying `accept`. An unknown label yields a one-state DFA
     /// accepting nothing.
+    ///
+    /// The DFA is partial: a transition into the dead configuration is
+    /// left out, unless the dead configuration's output satisfies
+    /// `accept`; then every letter is routed, and the DFA is total.
     pub fn content_dfa(&self, label: &Symbol, accept: impl Fn(usize) -> bool) -> Dfa {
         let Some(machine) = self.machines.get(label) else {
             return Dfa::new(1, 0);
         };
         let mut dfa = Dfa::new(machine.num_configs(), machine.start);
-        for (config, letter, next) in machine.transitions() {
-            dfa.set_transition(config, self.letters[letter], next);
+        if machine.dead.is_some_and(|dead| accept(machine.output[dead])) {
+            for config in 0..machine.num_configs() {
+                for (letter, &sym) in self.letters.iter().enumerate() {
+                    dfa.set_transition(config, sym, machine.step(config, letter));
+                }
+            }
+        } else {
+            for (config, letter, next) in machine.transitions() {
+                dfa.set_transition(config, self.letters[letter], next);
+            }
         }
         for (config, &out) in machine.output.iter().enumerate() {
             if accept(out) {

@@ -4,11 +4,12 @@
 //! states **and** shortest witness words) — must be byte-identical to a
 //! `BTreeSet<usize>` reference reimplementation of the seed algorithms.
 //! The per-label content DFA ([`Duta::content_dfa`]) is checked against the
-//! bottom-up run it encodes.
+//! bottom-up run it encodes, and the sparse determinisation against a dense
+//! reference that steps every configuration on every letter.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use dxml_automata::{Nfa, Symbol};
+use dxml_automata::{equiv, Alphabet, Dfa, Nfa, Symbol};
 use dxml_tree::generate::{random_trees, TreeGenConfig};
 use dxml_tree::uta::{Duta, Nuta};
 
@@ -141,9 +142,10 @@ fn reference_outputs_over(
             outputs.entry(machine.output(config)).or_insert_with(|| witness.clone());
         }
         for &(sym, letter) in &moves {
+            // A missing transition leads to the dead configuration.
             let next_config = match delta.get(&(config, letter)) {
                 Some(&c) => c,
-                None => continue,
+                None => machine.dead().expect("a missing transition means a dead configuration"),
             };
             let next_set = word.step(&set, &sym);
             if next_set.is_empty() {
@@ -225,4 +227,169 @@ fn content_dfas_accept_exactly_the_run_state_of_the_root() {
         }
     }
     assert!(checked > 600, "the family must exercise many trees ({checked})");
+}
+
+/// One label's Moore machine in the dense reference: a transition for
+/// every (configuration, letter) pair, the dead configuration included.
+struct DenseMachine {
+    trans: BTreeMap<(usize, usize), usize>,
+    output: Vec<usize>,
+}
+
+/// The dense determinisation: round after round, every configuration of
+/// every label (in creation order) is stepped on every subset letter (in
+/// increasing order) that it has no transition for yet, until a round
+/// finds no new letter.
+fn dense_determinize(
+    nuta: &Nuta,
+    labels: &Alphabet,
+) -> (Vec<BTreeSet<Symbol>>, BTreeMap<Symbol, DenseMachine>) {
+    type Config = Vec<BTreeSet<usize>>;
+    struct Label {
+        comps: Vec<(Symbol, RefNfa)>,
+        configs: Vec<Config>,
+        index: BTreeMap<Config, usize>,
+        machine: DenseMachine,
+    }
+    fn add_config(
+        lab: &mut Label,
+        config: Config,
+        subsets: &mut Vec<BTreeSet<Symbol>>,
+    ) -> usize {
+        let out: BTreeSet<Symbol> = lab
+            .comps
+            .iter()
+            .zip(&config)
+            .filter(|((_, nfa), set)| set.iter().any(|q| nfa.finals.contains(q)))
+            .map(|((q, _), _)| *q)
+            .collect();
+        let letter = match subsets.iter().position(|s| *s == out) {
+            Some(i) => i,
+            None => {
+                subsets.push(out);
+                subsets.len() - 1
+            }
+        };
+        let id = lab.configs.len();
+        lab.index.insert(config.clone(), id);
+        lab.configs.push(config);
+        lab.machine.output.push(letter);
+        id
+    }
+    let mut lab_of: BTreeMap<Symbol, Label> = labels
+        .union(nuta.labels())
+        .iter()
+        .map(|l| {
+            let lab = Label {
+                comps: Vec::new(),
+                configs: Vec::new(),
+                index: BTreeMap::new(),
+                machine: DenseMachine { trans: BTreeMap::new(), output: Vec::new() },
+            };
+            (*l, lab)
+        })
+        .collect();
+    // `rules()` runs in (state, label) order, so each label's states come
+    // in text order.
+    for (q, l, nfa) in nuta.rules() {
+        lab_of.get_mut(l).expect("every ruled label is in the universe").comps.push((*q, RefNfa::of(nfa)));
+    }
+    let mut subsets: Vec<BTreeSet<Symbol>> = Vec::new();
+    for lab in lab_of.values_mut() {
+        let start = lab.comps.iter().map(|(_, nfa)| BTreeSet::from([nfa.start])).collect();
+        add_config(lab, start, &mut subsets);
+    }
+    loop {
+        let n = subsets.len();
+        let mut changed = false;
+        for lab in lab_of.values_mut() {
+            let mut c = 0;
+            while c < lab.configs.len() {
+                for letter in 0..n {
+                    if lab.machine.trans.contains_key(&(c, letter)) {
+                        continue;
+                    }
+                    changed = true;
+                    let next: Config = lab
+                        .comps
+                        .iter()
+                        .zip(&lab.configs[c])
+                        .map(|((_, nfa), set)| {
+                            subsets[letter].iter().flat_map(|sym| nfa.step(set, sym)).collect()
+                        })
+                        .collect();
+                    let id = match lab.index.get(&next) {
+                        Some(&id) => id,
+                        None => add_config(lab, next, &mut subsets),
+                    };
+                    lab.machine.trans.insert((c, letter), id);
+                }
+                c += 1;
+            }
+        }
+        if !changed && subsets.len() == n {
+            break;
+        }
+    }
+    let machines = lab_of.into_iter().map(|(l, lab)| (l, lab.machine)).collect();
+    (subsets, machines)
+}
+
+#[test]
+fn sparse_determinisation_matches_the_dense_reference() {
+    let mut rng = Rng(0x5ba7_5e00 ^ 0x0dd_c0de);
+    let (mut missing, mut dead_accepted) = (0usize, 0usize);
+    for case in 0..150 {
+        let nuta = random_nuta(&mut rng);
+        // A label without rules has a machine that starts dead.
+        let mut labels = nuta.labels().clone();
+        labels.insert(Symbol::new("lz"));
+        let duta = nuta.determinize(&labels);
+        let (subsets, machines) = dense_determinize(&nuta, &labels);
+        assert_eq!(duta.subsets(), subsets.as_slice(), "case {case}: subsets or their order diverged");
+        let n = subsets.len();
+        let empty = subsets.iter().position(BTreeSet::is_empty);
+        for (label, dense) in &machines {
+            let machine = duta.machine(label).expect("every label of the universe has a machine");
+            let configs = dense.output.len();
+            assert_eq!(machine.num_configs(), configs, "case {case}: `{label}` configurations");
+            for c in 0..configs {
+                assert_eq!(machine.output(c), dense.output[c], "case {case}: `{label}` output of {c}");
+                for letter in 0..n {
+                    assert_eq!(
+                        machine.step(c, letter),
+                        dense.trans[&(c, letter)],
+                        "case {case}: `{label}` step ({c}, {letter})"
+                    );
+                }
+            }
+            missing += configs * n - machine.transitions().count();
+            // Content languages, for an acceptance set with and without
+            // the empty subset.
+            let accepts: [&dyn Fn(usize) -> bool; 2] =
+                [&|out| Some(out) == empty || duta.is_final(out), &|out| duta.is_final(out)];
+            for accept in accepts {
+                let mut want = Dfa::new(configs, 0);
+                for (&(c, letter), &next) in &dense.trans {
+                    want.set_transition(c, duta.letter(letter), next);
+                }
+                for (c, &out) in dense.output.iter().enumerate() {
+                    if accept(out) {
+                        want.set_final(c);
+                    }
+                }
+                let got = duta.content_dfa(label, accept);
+                assert!(
+                    equiv::is_equivalent(&got.to_nfa(), &want.to_nfa()),
+                    "case {case}: content DFA of `{label}` diverged from the dense one"
+                );
+                dead_accepted += usize::from(
+                    machine.dead().is_some_and(|d| accept(machine.output(d)))
+                        && machine.transitions().count() < configs * n,
+                );
+            }
+        }
+    }
+    assert!(missing > 2000, "the family must leave many transitions implicit ({missing})");
+    assert!(dead_accepted > 300, "the family must accept the dead configuration ({dead_accepted})");
 }

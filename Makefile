@@ -164,8 +164,9 @@ lint-schemas:
 	$(CARGO) run -q --release --example schema_lint -- --json --costs
 
 # Lint the repo's structural conventions (telemetry metrics wired, bench
-# targets baseline-gated and documented, *_with_budget twins, forbid
-# unsafe): exits non-zero on any violation.
+# targets baseline-gated and documented, every *_with_budget the governed
+# half of a plain/governed pair while one-entry procedures take &Budget,
+# forbid unsafe): exits non-zero on any violation.
 lint-repo:
 	$(CARGO) run -q --release --example repo_invariants
 

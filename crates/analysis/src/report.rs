@@ -26,8 +26,8 @@ use crate::{Diagnostic, Severity};
 
 /// Minimal JSON string rendering: quotes, backslashes and control
 /// characters escaped, everything else (including non-ASCII) passed
-/// through verbatim — the same dialect as the bench harness's
-/// `BENCH_*`/`TELEMETRY_*` files.
+/// through verbatim. The bench harness writes its `BENCH_*` files with it
+/// too.
 pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');

@@ -218,7 +218,7 @@ fn competing_positions(g: &Glushkov, set: &BTreeSet<usize>) -> Option<(usize, us
 fn make_witness(g: &Glushkov, mut word: Word, p: usize, q: usize) -> AmbiguityWitness {
     let symbol = g.position_symbols[p];
     let occurrence =
-        |pos: usize| g.position_symbols[1..=pos].iter().filter(|s| **s == symbol).count();
+        |pos: usize| g.position_symbols[..=pos].iter().filter(|s| **s == symbol).count();
     word.push(symbol);
     AmbiguityWitness { symbol, occurrences: (occurrence(p), occurrence(q)), word }
 }

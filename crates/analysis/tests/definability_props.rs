@@ -82,7 +82,8 @@ fn find_violation(
                     if !guard(t1, x1, t2, x2) {
                         continue;
                     }
-                    let swapped = t1.with_subtree_replaced(x1, &t2.subtree(x2));
+                    let exchanged = [t2.subtree(x2)];
+                    let swapped = t1.replace_nodes(|n| (n == x1).then_some(&exchanged[..]));
                     if !nuta.accepts(&swapped) {
                         return Some(swapped);
                     }

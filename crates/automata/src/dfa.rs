@@ -6,16 +6,17 @@
 //! materialises the sink when a total function is needed (for complement).
 //!
 //! The module provides the subset construction ([`Dfa::from_nfa`]),
-//! completion, complementation, partition-refinement minimisation
-//! ([`Dfa::minimize`]) and pairwise product. Minimal DFAs are the input of
-//! the Brüggemann-Klein/Wood one-unambiguity test in [`crate::dre`].
+//! completion, complementation and partition-refinement minimisation
+//! ([`Dfa::minimize`]); products are taken on NFAs ([`Nfa::intersect`]).
+//! Minimal DFAs are the input of the Brüggemann-Klein/Wood one-unambiguity
+//! test in [`crate::dre`].
 //!
 //! Like [`Nfa`], the transition function is stored densely: a per-automaton
 //! symbol index maps each [`Symbol`] to a local `u32`, and every state keeps
 //! a sorted `(local symbol, successor)` vector with at most one entry per
 //! symbol. `δ(q, a)` is a hash of an interned id plus a binary search —
 //! no string is ever compared. The determinism-sensitive search procedures
-//! (subset construction, product, shortest-word BFS) still *scan* alphabets
+//! (subset construction, shortest-word BFS) still *scan* alphabets
 //! in text order so state numbering and witness words stay canonical.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -424,60 +425,6 @@ impl Dfa {
         }
         out
     }
-
-    /// Product automaton where acceptance is decided by `accept(f1, f2)`
-    /// applied to the two component acceptance flags (so `&&` gives the
-    /// intersection, `||` the union, `and not` the difference). Both DFAs are
-    /// completed over the union of the alphabets first.
-    ///
-    /// # Panics
-    ///
-    /// Only on a broken internal invariant (a completed DFA missing a
-    /// symbol of the union alphabet).
-    pub fn product(&self, other: &Dfa, accept: impl Fn(bool, bool) -> bool) -> Dfa {
-        let alphabet = self.alphabet().union(&other.alphabet());
-        let a = self.complete(&alphabet);
-        let b = other.complete(&alphabet);
-        // Both components are total over `alphabet` after completion, so
-        // every symbol resolves in both.
-        let syms: Vec<(Symbol, u32, u32)> = alphabet
-            .iter()
-            .map(|&s| {
-                (
-                    s,
-                    a.sym_id(&s).expect("completed over alphabet"),
-                    b.sym_id(&s).expect("completed over alphabet"),
-                )
-            })
-            .collect();
-        let mut index: FxHashMap<(StateId, StateId), StateId> = FxHashMap::default();
-        let mut out = Dfa::new(1, 0);
-        index.insert((a.start, b.start), 0);
-        let mut queue = VecDeque::from([(a.start, b.start)]);
-        while let Some((p, q)) = queue.pop_front() {
-            let id = index[&(p, q)];
-            if accept(a.is_final(p), b.is_final(q)) {
-                out.set_final(id);
-            }
-            for &(sym, sa, sb) in &syms {
-                let (tp, tq) = match (a.delta_local(p, sa), b.delta_local(q, sb)) {
-                    (Some(tp), Some(tq)) => (tp, tq),
-                    _ => continue,
-                };
-                let tid = match index.get(&(tp, tq)) {
-                    Some(&i) => i,
-                    None => {
-                        let i = out.add_state();
-                        index.insert((tp, tq), i);
-                        queue.push_back((tp, tq));
-                        i
-                    }
-                };
-                out.set_transition(id, sym, tid);
-            }
-        }
-        out
-    }
 }
 
 impl PartialEq for Dfa {
@@ -569,20 +516,6 @@ mod tests {
         assert!(comp.accepts(&word_chars("b")));
         assert!(comp.accepts(&word_chars("ab")));
         assert!(!comp.accepts(&word_chars("aaa")));
-    }
-
-    #[test]
-    fn product_intersection_and_union() {
-        let astar_b = Dfa::from_nfa(&re("a*b"));
-        let a_bstar = Dfa::from_nfa(&re("ab*"));
-        let inter = astar_b.product(&a_bstar, |x, y| x && y);
-        assert!(inter.accepts(&word_chars("ab")));
-        assert!(!inter.accepts(&word_chars("aab")));
-        assert!(!inter.accepts(&word_chars("abb")));
-        let union = astar_b.product(&a_bstar, |x, y| x || y);
-        assert!(union.accepts(&word_chars("aab")));
-        assert!(union.accepts(&word_chars("abb")));
-        assert!(!union.accepts(&word_chars("ba")));
     }
 
     #[test]

@@ -14,9 +14,7 @@ use std::collections::VecDeque;
 use dxml_telemetry as telemetry;
 
 use crate::dfa::Dfa;
-use crate::error::AutomataError;
 use crate::hash::{FxHashMap, FxHashSet};
-use crate::limits::Budget;
 use crate::nfa::Nfa;
 use crate::symbol::{Alphabet, Symbol, Word};
 
@@ -40,65 +38,29 @@ impl Counterexample {
 }
 
 /// Checks `[a] ⊆ [b]`; on failure returns a shortest word in `[a] − [b]`.
-///
-/// # Panics
-///
-/// Never in practice: the unlimited budget cannot trip.
 pub fn included(a: &Nfa, b: &Nfa) -> Result<(), Counterexample> {
-    included_with_budget(a, b, &Budget::unlimited())
-        .expect("the unlimited budget never trips")
-}
-
-/// Governed variant of [`included`]. The outer `Result` reports resource
-/// governance (`BudgetExceeded`); the inner one is the inclusion verdict.
-pub fn included_with_budget(
-    a: &Nfa,
-    b: &Nfa,
-    budget: &Budget,
-) -> Result<Result<(), Counterexample>, AutomataError> {
-    budget.check_interrupts()?;
     let alphabet = a.alphabet().union(&b.alphabet());
-    let da = Dfa::from_nfa_with_budget(a, budget)?.complete(&alphabet);
-    let db = Dfa::from_nfa_with_budget(b, budget)?.complete(&alphabet);
-    Ok(
-        if let Some(word) = distinguishing_word(&da, &db, &alphabet, |fa, fb| fa && !fb, budget)? {
-            Err(Counterexample { word, in_first: true })
-        } else {
-            Ok(())
-        },
-    )
+    let da = Dfa::from_nfa(a).complete(&alphabet);
+    let db = Dfa::from_nfa(b).complete(&alphabet);
+    match distinguishing_word(&da, &db, &alphabet, |fa, fb| fa && !fb) {
+        Some(word) => Err(Counterexample { word, in_first: true }),
+        None => Ok(()),
+    }
 }
 
 /// Checks `[a] = [b]`; on failure returns a shortest distinguishing word
 /// together with the side it belongs to.
-///
-/// # Panics
-///
-/// Never in practice: the unlimited budget cannot trip.
 pub fn equivalent(a: &Nfa, b: &Nfa) -> Result<(), Counterexample> {
-    equivalent_with_budget(a, b, &Budget::unlimited())
-        .expect("the unlimited budget never trips")
-}
-
-/// Governed variant of [`equivalent`]. The outer `Result` reports resource
-/// governance (`BudgetExceeded`); the inner one is the equivalence verdict.
-pub fn equivalent_with_budget(
-    a: &Nfa,
-    b: &Nfa,
-    budget: &Budget,
-) -> Result<Result<(), Counterexample>, AutomataError> {
-    budget.check_interrupts()?;
     let alphabet = a.alphabet().union(&b.alphabet());
-    let da = Dfa::from_nfa_with_budget(a, budget)?.complete(&alphabet);
-    let db = Dfa::from_nfa_with_budget(b, budget)?.complete(&alphabet);
-    Ok(
-        if let Some(word) = distinguishing_word(&da, &db, &alphabet, |fa, fb| fa != fb, budget)? {
+    let da = Dfa::from_nfa(a).complete(&alphabet);
+    let db = Dfa::from_nfa(b).complete(&alphabet);
+    match distinguishing_word(&da, &db, &alphabet, |fa, fb| fa != fb) {
+        Some(word) => {
             let in_first = a.accepts(&word);
             Err(Counterexample { word, in_first })
-        } else {
-            Ok(())
-        },
-    )
+        }
+        None => Ok(()),
+    }
 }
 
 /// Convenience boolean wrappers.
@@ -130,8 +92,7 @@ fn distinguishing_word(
     b: &Dfa,
     alphabet: &Alphabet,
     bad: impl Fn(bool, bool) -> bool,
-    budget: &Budget,
-) -> Result<Option<Word>, AutomataError> {
+) -> Option<Word> {
     // Resolve each symbol against both local indices once; the BFS then
     // moves on integer ids only. Scanning in text order keeps the witness
     // lexicographically least among the shortest.
@@ -162,15 +123,11 @@ fn distinguishing_word(
     // the BFS loop free of atomic traffic.
     let mut popped: u64 = 0;
     let mut edges: u64 = 0;
-    let mut witness = Ok(None);
+    let mut witness = None;
     while let Some((p, q)) = queue.pop_front() {
         popped += 1;
-        if let Err(trip) = budget.step() {
-            witness = Err(trip);
-            break;
-        }
         if bad(a.is_final(p), b.is_final(q)) {
-            witness = Ok(Some(reconstruct((p, q), &parent)));
+            witness = Some(reconstruct((p, q), &parent));
             break;
         }
         for &(sym, sa, sb) in &ids {

@@ -26,9 +26,9 @@
 //!   parameter `R`;
 //! * [`limits`] — resource governance: the clonable [`Budget`] handle
 //!   (step/state/node quotas, depth limits, wall-clock deadlines,
-//!   cooperative cancellation) threaded through every worst-case-exponential
-//!   loop by the `*_with_budget` entry points, plus the deterministic
-//!   fault-injection harness in [`limits::faults`];
+//!   cooperative cancellation) threaded through the engine's
+//!   worst-case-exponential loops, plus the deterministic fault-injection
+//!   harness in [`limits::faults`];
 //! * [`StateSet`] — fixed-width dense bitset state sets, the frontier
 //!   representation of every subset construction and membership loop in the
 //!   workspace.

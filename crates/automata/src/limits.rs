@@ -8,9 +8,13 @@
 //! completion no matter what. A [`Budget`] makes
 //! abusive input degrade into a *typed error*
 //! ([`AutomataError::BudgetExceeded`]) instead of an unbounded compute
-//! sink: the governed `*_with_budget` entry points thread a budget through
-//! their hot loops and return the error as soon as a quota, the deadline or
-//! a cancellation trips.
+//! sink: the governed entry points thread a budget through their hot loops
+//! and return the error as soon as a quota, the deadline or a cancellation
+//! trips. A procedure with one entry point takes `&Budget` in its
+//! signature (the residuals, `Duta::outputs_over`, `uta::run_pairs`); a
+//! `*_with_budget` name marks the governed half of a pair whose plain half
+//! runs with [`Budget::unlimited`] (`Dfa::from_nfa`, `Nuta::determinize`,
+//! the design-engine entry points).
 //!
 //! # What each quota counts
 //!

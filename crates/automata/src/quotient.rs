@@ -20,10 +20,11 @@
 //! language the universal residual is vacuously `Σ*` over that union — the
 //! caller decides what to intersect it with.
 //!
-//! The subject is a [`Dfa`] because the synthesis loops take thousands of
-//! residuals of the *same* language by varying contexts: they determinise
-//! once ([`Dfa::from_nfa`]) and re-enter here. Each operation has a governed
-//! `*_with_budget` twin.
+//! The subject is a [`Dfa`] because perfect-schema synthesis already holds
+//! one: the determinised target's content machine of the docking parent
+//! (`Duta::content_dfa` in `dxml-tree`), so nothing is determinised here.
+//! Both operations charge the caller's [`Budget`]; unlimited callers pass
+//! [`Budget::unlimited`].
 
 use std::collections::VecDeque;
 
@@ -46,23 +47,15 @@ impl Dfa {
     /// transition functions are fine — completion over the union of the
     /// alphabets happens here.
     ///
-    /// # Panics
-    ///
-    /// Never in practice: the unlimited budget cannot trip.
-    pub fn universal_context_residual(&self, prefixes: &Nfa, suffixes: &Nfa) -> Nfa {
-        self.universal_context_residual_with_budget(prefixes, suffixes, &Budget::unlimited())
-            .expect("the unlimited budget never trips")
-    }
-
-    /// Governed variant of [`Dfa::universal_context_residual`]: the
-    /// set-simulation and the context reachability walks charge the budget
-    /// and abort with [`AutomataError::BudgetExceeded`] when it trips.
+    /// The set-simulation and the context reachability walks charge
+    /// `budget` and abort with [`AutomataError::BudgetExceeded`] when it
+    /// trips.
     ///
     /// # Panics
     ///
     /// Only on a broken internal invariant (a completed DFA missing an
     /// alphabet symbol).
-    pub fn universal_context_residual_with_budget(
+    pub fn universal_context_residual(
         &self,
         prefixes: &Nfa,
         suffixes: &Nfa,
@@ -140,23 +133,14 @@ impl Dfa {
     /// reachable transformation monoid is at most `|Q|^|Q|` but stays tiny
     /// for the content-model DFAs this is used on.
     ///
-    /// # Panics
-    ///
-    /// Panics if `contexts` has fewer than two entries (no gap to fill).
-    pub fn uniform_context_residual(&self, contexts: &[Nfa]) -> Nfa {
-        self.uniform_context_residual_with_budget(contexts, &Budget::unlimited())
-            .expect("the unlimited budget never trips")
-    }
-
-    /// Governed variant of [`Dfa::uniform_context_residual`]: the
-    /// transformation-monoid enumeration and the context reachability walks
-    /// charge the budget and abort with [`AutomataError::BudgetExceeded`]
-    /// when it trips.
+    /// The transformation-monoid enumeration and the context reachability
+    /// walks charge `budget` and abort with
+    /// [`AutomataError::BudgetExceeded`] when it trips.
     ///
     /// # Panics
     ///
     /// Panics if `contexts` has fewer than two entries (no gap to fill).
-    pub fn uniform_context_residual_with_budget(
+    pub fn uniform_context_residual(
         &self,
         contexts: &[Nfa],
         budget: &Budget,
@@ -371,13 +355,21 @@ mod tests {
         Dfa::from_nfa(&re(s))
     }
 
+    fn universal(l: &Dfa, prefixes: &Nfa, suffixes: &Nfa) -> Nfa {
+        l.universal_context_residual(prefixes, suffixes, &Budget::unlimited()).unwrap()
+    }
+
+    fn uniform(l: &Dfa, contexts: &[Nfa]) -> Nfa {
+        l.uniform_context_residual(contexts, &Budget::unlimited()).unwrap()
+    }
+
     #[test]
     fn universal_residual_single_contexts() {
         // {w : a·w ∈ a b*} = b*
-        let r = dfa("ab*").universal_context_residual(&re("a"), &Nfa::epsilon());
+        let r = universal(&dfa("ab*"), &re("a"), &Nfa::epsilon());
         assert!(is_equivalent(&r, &re("b*")));
         // {w : a·w·c ∈ a b* c} = b*
-        let r2 = dfa("ab*c").universal_context_residual(&re("a"), &re("c"));
+        let r2 = universal(&dfa("ab*c"), &re("a"), &re("c"));
         assert!(is_equivalent(&r2, &re("b*")));
     }
 
@@ -385,13 +377,13 @@ mod tests {
     fn universal_residual_quantifies_over_all_contexts() {
         // L = aa | bb, prefix ranges over {a}: w must satisfy a·w ∈ L, so
         // w = a only.
-        let r = dfa("aa + bb").universal_context_residual(&re("a"), &Nfa::epsilon());
+        let r = universal(&dfa("aa + bb"), &re("a"), &Nfa::epsilon());
         assert!(is_equivalent(&r, &re("a")));
         // Prefix ranges over {a, b}: no w works for both.
-        let r2 = dfa("aa + bb").universal_context_residual(&re("a + b"), &Nfa::epsilon());
+        let r2 = universal(&dfa("aa + bb"), &re("a + b"), &Nfa::epsilon());
         assert!(r2.is_empty());
         // L = a*, prefix a*, suffix a*: every a-word works, nothing else.
-        let r3 = dfa("a*").universal_context_residual(&re("a*"), &re("a*"));
+        let r3 = universal(&dfa("a*"), &re("a*"), &re("a*"));
         assert!(is_equivalent(&r3, &re("a*")));
         assert!(!r3.accepts(&word_chars("b")));
     }
@@ -400,7 +392,7 @@ mod tests {
     fn universal_residual_is_vacuous_on_empty_contexts() {
         // No realizable prefix: every word (over the combined alphabet)
         // qualifies, including words outside the target language.
-        let r = dfa("ab").universal_context_residual(&Nfa::empty(), &Nfa::epsilon());
+        let r = universal(&dfa("ab"), &Nfa::empty(), &Nfa::epsilon());
         assert!(r.accepts(&word_chars("ab")));
         assert!(r.accepts(&word_chars("ba")));
         assert!(r.accepts(&[]));
@@ -411,8 +403,8 @@ mod tests {
         for (l, pre, suf) in [("ab*c", "a", "c"), ("(ab)*", "a + ab", "ε"), ("aa + bb", "a + b", "ε")] {
             let l = dfa(l);
             let (p, s) = (re(pre), re(suf));
-            let uni = l.uniform_context_residual(&[p.clone(), s.clone()]);
-            let fre = l.universal_context_residual(&p, &s);
+            let uni = uniform(&l, &[p.clone(), s.clone()]);
+            let fre = universal(&l, &p, &s);
             assert!(is_equivalent(&uni, &fre), "L={l:?}");
         }
     }
@@ -421,19 +413,19 @@ mod tests {
     fn uniform_residual_substitutes_the_same_word_everywhere() {
         let eps = || Nfa::epsilon();
         // {w : w·w ∈ {aa, bb}} = {a, b}: each singleton works on its own.
-        let u = dfa("aa + bb").uniform_context_residual(&[eps(), eps(), eps()]);
+        let u = uniform(&dfa("aa + bb"), &[eps(), eps(), eps()]);
         assert!(u.accepts(&word_chars("a")));
         assert!(u.accepts(&word_chars("b")));
         assert!(!u.accepts(&[]));
         assert!(!u.accepts(&word_chars("ab")));
         // {w : w·w ∈ {a}} = ∅ (a single `a` cannot split evenly).
-        assert!(dfa("a").uniform_context_residual(&[eps(), eps(), eps()]).is_empty());
+        assert!(uniform(&dfa("a"), &[eps(), eps(), eps()]).is_empty());
         // {w : w·w ∈ (ab)*} = (ab)*.
-        let sq = dfa("(ab)*").uniform_context_residual(&[eps(), eps(), eps()]);
+        let sq = uniform(&dfa("(ab)*"), &[eps(), eps(), eps()]);
         assert!(is_equivalent(&sq, &re("(ab)*")));
         // Inner contexts are quantified universally too:
         // {w : ∀v∈{b,bb}: w·v·w ∈ a b+ a} = {a}.
-        let mid = dfa("ab+a").uniform_context_residual(&[eps(), re("b + bb"), eps()]);
+        let mid = uniform(&dfa("ab+a"), &[eps(), re("b + bb"), eps()]);
         assert!(is_equivalent(&mid, &re("a")));
     }
 
@@ -445,7 +437,7 @@ mod tests {
         let l = re("ab + bc");
         assert!(l.accepts(&word_chars("ab")));
         assert!(l.accepts(&word_chars("bc")));
-        let univ = Dfa::from_nfa(&l).universal_context_residual(&re("a + b"), &Nfa::epsilon());
+        let univ = universal(&Dfa::from_nfa(&l), &re("a + b"), &Nfa::epsilon());
         assert!(univ.is_empty());
     }
 }

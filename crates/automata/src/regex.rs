@@ -169,23 +169,22 @@ impl Regex {
     }
 
     /// Compiles to the Glushkov automaton, trimmed: ε-free, with at most
-    /// one state per symbol occurrence plus the start state `0`; state `p`
-    /// is position `p` of [`Regex::glushkov`], entered by reading its
-    /// symbol.
+    /// one state per symbol occurrence plus the start state `0`; state
+    /// `p + 1` is position `p` of [`Regex::glushkov`], entered by reading
+    /// its symbol.
     pub fn to_nfa(&self) -> Nfa {
         let g = self.glushkov();
-        let n = g.position_symbols.len();
-        let mut nfa = Nfa::new(n, 0);
+        let mut nfa = Nfa::new(g.position_symbols.len() + 1, 0);
         for &p in &g.first {
-            nfa.add_transition(0, g.position_symbols[p], p);
+            nfa.add_transition(0, g.position_symbols[p], p + 1);
         }
-        for p in 1..n {
-            for &q in &g.follow[p] {
-                nfa.add_transition(p, g.position_symbols[q], q);
+        for (p, follow) in g.follow.iter().enumerate() {
+            for &q in follow {
+                nfa.add_transition(p + 1, g.position_symbols[q], q + 1);
             }
         }
         for &p in &g.last {
-            nfa.set_final(p);
+            nfa.set_final(p + 1);
         }
         if g.nullable {
             nfa.set_final(0);
@@ -285,13 +284,13 @@ impl fmt::Display for Regex {
 
 /// The Glushkov (position) automaton of a regular expression.
 ///
-/// Positions are numbered `1..=n` in left-to-right order of symbol
-/// occurrences; state `0` is the initial state. The expression is
+/// Positions are numbered `0..n` in left-to-right order of symbol
+/// occurrences. The expression is
 /// *deterministic* (one-unambiguous, a `dRE`) exactly when this automaton is
 /// deterministic — see [`Glushkov::is_deterministic`] and [`crate::dre`].
 #[derive(Debug, Clone)]
 pub struct Glushkov {
-    /// The symbol at each position (index 0 is unused).
+    /// The symbol at each position.
     pub position_symbols: Vec<Symbol>,
     /// Whether ε belongs to the language.
     pub nullable: bool,
@@ -379,10 +378,9 @@ impl Glushkov {
                 }
             }
         }
-        // Positions are indices into ctx.symbols starting at 1; the dummy at
-        // index 0 keeps the numbering aligned with the initial state. `go`
-        // pushes onto both vectors so positions and follow stay in sync.
-        let mut ctx = Ctx { symbols: vec![Symbol::new("#start")], follow: vec![BTreeSet::new()] };
+        // Positions are indices into ctx.symbols; `go` pushes onto both
+        // vectors so positions and follow stay in sync.
+        let mut ctx = Ctx { symbols: Vec::new(), follow: Vec::new() };
         let info = go(re, &mut ctx);
         Glushkov {
             position_symbols: ctx.symbols,
@@ -412,7 +410,7 @@ impl Glushkov {
         if !distinct_symbols(&self.first) {
             return false;
         }
-        (1..self.position_symbols.len()).all(|p| distinct_symbols(&self.follow[p]))
+        self.follow.iter().all(distinct_symbols)
     }
 }
 
@@ -861,7 +859,7 @@ mod tests {
         for case in 0..300 {
             let re = random_regex(&mut state, 4);
             let nfa = re.to_nfa();
-            let positions = re.glushkov().position_symbols.len() - 1;
+            let positions = re.glushkov().position_symbols.len();
             assert!(nfa.num_states() <= positions + 1, "case {case}: `{re}` has too many states");
             assert_eq!(nfa.trim(), nfa, "case {case}: `{re}` compiles to an untrimmed automaton");
             for w in &words {

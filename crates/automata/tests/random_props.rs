@@ -261,9 +261,8 @@ fn context_residuals_match_brute_force() {
         let pair = d.alphabet().union(&nfas[0].alphabet()).union(&nfas[1].alphabet());
         let all = nfas[2..].iter().fold(pair.clone(), |acc, c| acc.union(&c.alphabet()));
         let unlimited = Budget::unlimited();
-        let uniform = d.uniform_context_residual_with_budget(&nfas, &unlimited).unwrap();
-        let universal =
-            d.universal_context_residual_with_budget(&nfas[0], &nfas[1], &unlimited).unwrap();
+        let uniform = d.uniform_context_residual(&nfas, &unlimited).unwrap();
+        let universal = d.universal_context_residual(&nfas[0], &nfas[1], &unlimited).unwrap();
         for w in &words {
             let over = |sigma: &Alphabet| w.iter().all(|s| sigma.contains(s));
             assert_eq!(

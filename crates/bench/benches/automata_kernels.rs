@@ -9,7 +9,7 @@
 //! property tests (`automata/tests/stateset_props.rs`,
 //! `tree/tests/frontier_props.rs`), not timed here.
 
-use dxml_automata::{Dfa, Nfa, RFormalism, RSpec, Regex, Symbol};
+use dxml_automata::{Budget, Dfa, Nfa, RFormalism, RSpec, Regex, Symbol};
 use dxml_bench::{box_workload, dtd_family, elem, section, Session};
 
 /// The Glushkov automaton of the starred union of every content model of
@@ -82,8 +82,9 @@ fn main() {
         let duta = cache.duta();
         let word_lang = cache.forest_states(&Symbol::new("f")).expect("workload declares f");
         let label = Symbol::new("s");
+        let free = Budget::unlimited();
         session.bench(&format!("outputs_over_bitset/n={n}"), 15, || {
-            duta.outputs_over(&label, word_lang).len()
+            duta.outputs_over(&label, word_lang, &free).unwrap().len()
         });
     }
 

@@ -27,6 +27,7 @@
 
 use std::time::{Duration, Instant};
 
+use dxml_analysis::report::json_string;
 use dxml_automata::{RFormalism, Regex, RSpec, Symbol};
 use dxml_core::{BoxDesignProblem, DesignProblem, DistributedDoc};
 use dxml_schema::{RDtd, REdtd};
@@ -426,24 +427,6 @@ impl Session {
             .unwrap_or_else(|e| panic!("cannot write {}: {e}", sidecar.display()));
         println!("\ntimings written to {} (telemetry sidecar alongside)", path.display());
     }
-}
-
-/// Minimal JSON string rendering (quotes, backslashes and control
-/// characters escaped) — enough for bench case names, without a JSON
-/// dependency the offline build cannot fetch.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

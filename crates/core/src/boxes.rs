@@ -104,7 +104,7 @@ impl FunArtifacts {
         // independent state choices, so the image of a content word is the
         // full product of the per-name sets. A label the target does not
         // know yields `None`, which propagates to every ancestor.
-        let pairs = uta::run_pairs_with_budget(&schema.to_nuta(), duta, budget)?;
+        let pairs = uta::run_pairs(&schema.to_nuta(), duta, budget)?;
         let mut slots: BTreeMap<Symbol, BTreeSet<Symbol>> = BTreeMap::new();
         let mut first: BTreeMap<Symbol, &XTree> = BTreeMap::new();
         for (spec, state, witness) in &pairs {
@@ -371,7 +371,7 @@ impl BoxTargetCache {
                 return Ok(pass);
             }
             let word = self.child_word(doc, kernel.children(node), &achievable, candidate);
-            let outs = self.duta.outputs_over_with_budget(label, &word, budget)?;
+            let outs = self.duta.outputs_over(label, &word, budget)?;
             // A realizable child word with no typing at all is already a
             // violation — the surrounding kernel always completes it to a
             // full extension (all gap languages are non-empty), and the
@@ -926,7 +926,7 @@ impl BoxDesignProblem {
                         }
                         let schema = &self.fun_schemas[label];
                         if !pairs.contains_key(label) {
-                            let found = uta::run_pairs_with_budget(&schema.to_nuta(), &cache.duta, budget)?;
+                            let found = uta::run_pairs(&schema.to_nuta(), &cache.duta, budget)?;
                             pairs.insert(*label, found);
                         }
                         let forest = forest_for(schema, &pairs[label], piece, budget)?
@@ -937,25 +937,11 @@ impl BoxDesignProblem {
             }
             Some(Refutation::UnknownElement(_)) | None => {}
         }
-        let mut tree = XTree::leaf(*kernel.label(kernel.root()));
-        let mut image = vec![tree.root(); kernel.size()];
-        for node in kernel.document_order() {
-            if doc.is_function(kernel.label(node)) {
-                continue;
-            }
-            for &child in kernel.children(node) {
-                let label = kernel.label(child);
-                if doc.is_function(label) {
-                    let forest = planted.get(&child).unwrap_or(&cache.funs[label].default_forest);
-                    for tree_of_forest in forest {
-                        tree.graft(image[node], tree_of_forest);
-                    }
-                } else {
-                    image[child] = tree.add_child(image[node], *label);
-                }
-            }
-        }
-        Ok(tree)
+        Ok(kernel.replace_nodes(|n| {
+            let label = kernel.label(n);
+            doc.is_function(label)
+                .then(|| planted.get(&n).unwrap_or(&cache.funs[label].default_forest).as_slice())
+        }))
     }
 
     /// The Section-7 string route: typing verification without tree
@@ -1156,7 +1142,7 @@ impl BoxDesignProblem {
                 let word = cache.child_word(doc, kernel.children(node), &achievable, None);
                 let outs = cache
                     .duta
-                    .outputs_over_with_budget(label, &word, budget)
+                    .outputs_over(label, &word, budget)
                     .map_err(DesignError::from)?;
                 achievable[node] = StateSet::from_iter(universe, outs.keys().copied());
             } else if let Some(local) = &local {
@@ -1196,13 +1182,10 @@ impl BoxDesignProblem {
                 }
                 contexts.push(segment(&children[prev..]));
                 let residual = if positions.len() == 1 {
-                    admissible_children.universal_context_residual_with_budget(
-                        &contexts[0],
-                        &contexts[1],
-                        budget,
-                    )
+                    let (prefixes, suffixes) = (&contexts[0], &contexts[1]);
+                    admissible_children.universal_context_residual(prefixes, suffixes, budget)
                 } else {
-                    admissible_children.uniform_context_residual_with_budget(&contexts, budget)
+                    admissible_children.uniform_context_residual(&contexts, budget)
                 }
                 .map_err(DesignError::from)?;
                 gap = Some(match gap {
@@ -1214,7 +1197,7 @@ impl BoxDesignProblem {
                 // pinned, the child word is fixed and must be admissible.
                 let outs = cache
                     .duta
-                    .outputs_over_with_budget(label, &segment(children), budget)
+                    .outputs_over(label, &segment(children), budget)
                     .map_err(DesignError::from)?;
                 if outs.keys().any(|&o| !safe.contains(o)) {
                     forced_empty = true;
@@ -1229,7 +1212,7 @@ impl BoxDesignProblem {
                 let prefix = segment(&children[..position]);
                 let suffix = segment(&children[position + 1..]);
                 let residual = admissible_children
-                    .universal_context_residual_with_budget(&prefix, &suffix, budget)
+                    .universal_context_residual(&prefix, &suffix, budget)
                     .map_err(DesignError::from)?;
                 safe = StateSet::from_iter(
                     universe,

@@ -104,9 +104,10 @@ impl DistributedDoc {
                 return Err(DesignError::MissingFunctionResult { function: f });
             }
         }
-        Ok(self
-            .kernel
-            .replace_with_forest(|l| self.functions.contains(l), |l| results[l].clone()))
+        Ok(self.kernel.replace_nodes(|n| {
+            let label = self.kernel.label(n);
+            self.is_function(label).then(|| results[label].as_slice())
+        }))
     }
 }
 
@@ -167,5 +168,20 @@ mod tests {
             doc.materialize(&missing),
             Err(DesignError::MissingFunctionResult { .. })
         ));
+    }
+
+    #[test]
+    fn hundred_thousand_deep_kernel_materialises() {
+        // a(a(…f…)) with 100,000 `a`s: the recursive rebuild this replaced
+        // aborted with a stack overflow at this depth.
+        let depth = 100_000;
+        let src = format!("{}f{}", "a(".repeat(depth), ")".repeat(depth));
+        let doc = DistributedDoc::parse(&src, ["f"]).unwrap();
+        let forest = parse_forest("b(c) d").unwrap();
+        let results = BTreeMap::from([(Symbol::new("f"), forest)]);
+        let ext = doc.materialize(&results).unwrap();
+        assert_eq!(ext.size(), depth + 3);
+        assert_eq!(ext.depth(), depth + 2);
+        assert_eq!(ext.nodes_labelled(&"f".into()), Vec::<NodeId>::new());
     }
 }

@@ -24,10 +24,11 @@
 //!   SDTD validation of many documents over all cores, with per-document
 //!   panic isolation.
 //!
-//! Every decision procedure has a governed `*_with_budget` variant
+//! Every decision procedure comes in two halves: the plain entry point
+//! runs unlimited, and its `*_with_budget` twin
 //! ([`DesignProblem::typecheck_with_budget`],
 //! [`BoxDesignProblem::perfect_schema_with_budget`],
-//! [`validate_batch_with_budget`], …) taking a
+//! [`validate_batch_with_budget`], …) takes a
 //! [`Budget`](dxml_automata::Budget): step/state/node quotas, a depth
 //! limit, a wall-clock deadline and cooperative cancellation, surfacing
 //! [`DesignError::BudgetExceeded`] without poisoning the problem's caches.

@@ -229,3 +229,28 @@ fn rejects_kernel_breaking_the_global_type_without_functions() {
     assert!(!problem.typecheck(&bad).unwrap().is_valid());
     assert!(!problem.verify_local(&bad).unwrap().is_valid());
 }
+
+#[test]
+fn refuted_deep_kernel_yields_a_rejected_counterexample() {
+    // s(a(a(…a(f)…))) with 10,000 `a`s: f returns `b b`, which no `a`
+    // admits, so the only violation sits at the bottom of the kernel.
+    let depth = 10_000;
+    let target = RDtd::parse(RFormalism::Nre, "s -> a\na -> a | b\nb -> ε").unwrap();
+    let fun = RDtd::parse(RFormalism::Nre, "r -> b, b\nb -> ε").unwrap();
+    let problem = DesignProblem::new(target.clone()).with_function("f", fun);
+    let term = format!("s({}f{})", "a(".repeat(depth), ")".repeat(depth));
+    let doc = DistributedDoc::parse(&term, ["f"]).unwrap();
+    match problem.typecheck(&doc).unwrap() {
+        TypingVerdict::Invalid { counterexample, .. } => {
+            assert_eq!(counterexample.size(), depth + 3);
+            match target.validate(&counterexample) {
+                Err(SchemaError::InvalidContent { path, children, .. }) => {
+                    assert_eq!(path.len(), depth + 1);
+                    assert_eq!(children, vec![Symbol::new("b"), Symbol::new("b")]);
+                }
+                other => panic!("expected InvalidContent, got {other:?}"),
+            }
+        }
+        TypingVerdict::Valid => panic!("the deep design must be rejected"),
+    }
+}

@@ -137,8 +137,8 @@ fn counterexample_construction_trips_and_the_same_problem_recovers() {
     // witness word and searching the forests of `f` for it are charged
     // too.
     let fixpoint = Budget::unlimited().with_step_quota(u64::MAX);
-    dxml_tree::uta::run_pairs_with_budget(&fun.to_edtd().to_nuta(), problem.target_cache().duta(), &fixpoint)
-        .unwrap();
+    let duta = problem.target_cache().duta();
+    dxml_tree::uta::run_pairs(&fun.to_edtd().to_nuta(), duta, &fixpoint).unwrap();
     let construction = full.steps_spent() - pass.steps_spent();
     assert!(construction > fixpoint.steps_spent() + 1, "{construction} construction steps");
     // A quota the kernel pass fits in trips inside the construction.

@@ -23,8 +23,8 @@ struct NodeData {
 /// A finite ordered unranked tree with [`Symbol`] labels, stored in an arena.
 ///
 /// The root is always node `0`. Node identifiers are stable under
-/// [`XTree::add_child`] but not across structural editing operations such as
-/// [`XTree::replace_with_forest`], which rebuild the arena.
+/// [`XTree::add_child`] but not across [`XTree::replace_nodes`], which
+/// rebuilds the arena.
 #[derive(Clone)]
 pub struct XTree {
     nodes: Vec<NodeData>,
@@ -200,74 +200,43 @@ impl XTree {
         max
     }
 
-    /// Replaces every node whose label satisfies `is_target` by the forest
-    /// produced by `replacement` for that node, rebuilding the tree.
+    /// Rebuilds the tree with some nodes replaced by forests: every node
+    /// for which `replacement` returns a forest is replaced, subtree and
+    /// all, by the trees of that forest, in order; every other node is
+    /// copied. The descendants of a replaced node are never offered.
     ///
     /// This is the *materialisation* primitive: the extension
     /// `ext_T(t1..tn)` of a kernel replaces each function node `fi` by the
     /// forest of trees directly connected to the root of `ti` (Section 2.3).
-    /// Target nodes must be leaves (as function nodes are).
+    /// It is iterative, so it copes with arbitrarily deep trees, and it
+    /// numbers the copied nodes in document order.
     ///
     /// # Panics
     ///
-    /// Panics if the root itself satisfies `is_target`: a kernel's root is
-    /// never a function node.
-    pub fn replace_with_forest(
+    /// Panics if the root is replaced by a forest that is not a single
+    /// tree.
+    pub fn replace_nodes<'f>(
         &self,
-        is_target: impl Fn(&Symbol) -> bool,
-        mut replacement: impl FnMut(&Symbol) -> XForest,
+        mut replacement: impl FnMut(NodeId) -> Option<&'f [XTree]>,
     ) -> XTree {
-        fn rec(
-            source: &XTree,
-            node: NodeId,
-            out: &mut XTree,
-            out_parent: NodeId,
-            is_target: &impl Fn(&Symbol) -> bool,
-            replacement: &mut impl FnMut(&Symbol) -> XForest,
-        ) {
-            for &child in source.children(node) {
-                let label = source.label(child);
-                if is_target(label) {
-                    assert!(
-                        source.is_leaf(child),
-                        "replace_with_forest: target node `{label}` is not a leaf"
-                    );
-                    for tree in replacement(label) {
-                        out.graft(out_parent, &tree);
-                    }
-                } else {
-                    let new_id = out.add_child(out_parent, *label);
-                    rec(source, child, out, new_id, is_target, replacement);
-                }
-            }
-        }
-        assert!(
-            !is_target(self.root_label()),
-            "replace_with_forest: the root cannot be a function node"
-        );
-        let mut out = XTree::leaf(*self.root_label());
-        rec(self, 0, &mut out, 0, &is_target, &mut replacement);
-        out
-    }
-
-    /// Replaces the subtree rooted at `node` by the subtree `new`, returning
-    /// a fresh tree. Used by the closure-property checks (subtree exchange).
-    pub fn with_subtree_replaced(&self, node: NodeId, new: &XTree) -> XTree {
-        fn rec(source: &XTree, n: NodeId, target: NodeId, new: &XTree, out: &mut XTree, out_node: NodeId) {
-            for &child in source.children(n) {
-                if child == target {
-                    out.graft(out_node, new);
-                } else {
-                    let id = out.add_child(out_node, *source.label(child));
-                    rec(source, child, target, new, out, id);
-                }
-            }
-        }
-        if node == 0 {
-            return new.clone();
+        if let Some(forest) = replacement(0) {
+            assert!(forest.len() == 1, "replace_nodes: the root must become exactly one tree");
+            return forest[0].clone();
         }
         let mut out = XTree::leaf(*self.root_label());
-        rec(self, 0, node, new, &mut out, 0);
+        // (source node, parent in `out`), popped in document order.
+        let mut stack: Vec<(NodeId, NodeId)> =
+            self.children(0).iter().rev().map(|&c| (c, 0)).collect();
+        while let Some((node, parent)) = stack.pop() {
+            if let Some(forest) = replacement(node) {
+                for tree in forest {
+                    out.graft(parent, tree);
+                }
+            } else {
+                let id = out.add_child(parent, *self.label(node));
+                stack.extend(self.children(node).iter().rev().map(|&c| (c, id)));
+            }
+        }
         out
     }
 }
@@ -361,21 +330,18 @@ mod tests {
     }
 
     #[test]
-    fn replace_with_forest_materialises_extension() {
+    fn replace_nodes_materialises_extension() {
         // The example from Section 2.3: T0 = s(a f1 b(f2)), f1 returns
         // s1(c(dd)) and f2 returns s2(d(ef)); the extension is
         // s(a c(dd) b(d(ef))).
         let t = sample();
-        let ext = t.replace_with_forest(
-            |l| l.as_str().starts_with('f'),
-            |l| {
-                if l.as_str() == "f1" {
-                    vec![XTree::node("c", vec![XTree::leaf("d"), XTree::leaf("d")])]
-                } else {
-                    vec![XTree::node("d", vec![XTree::leaf("e"), XTree::leaf("f")])]
-                }
-            },
-        );
+        let f1 = [XTree::node("c", vec![XTree::leaf("d"), XTree::leaf("d")])];
+        let f2 = [XTree::node("d", vec![XTree::leaf("e"), XTree::leaf("f")])];
+        let ext = t.replace_nodes(|n| match t.label(n).as_str() {
+            "f1" => Some(&f1[..]),
+            "f2" => Some(&f2[..]),
+            _ => None,
+        });
         let expected = XTree::node(
             "s",
             vec![
@@ -385,26 +351,65 @@ mod tests {
             ],
         );
         assert_eq!(ext, expected);
+        // Copied nodes are numbered in document order.
+        assert_eq!(ext.document_order(), (0..ext.size()).collect::<Vec<_>>());
+        // Replacing an inner node drops its subtree.
+        let b = t.nodes_labelled(&"b".into())[0];
+        let dropped = t.replace_nodes(|n| (n == b).then_some(&f1[..]));
+        let kept = vec![XTree::leaf("a"), XTree::leaf("f1"), f1[0].clone()];
+        assert_eq!(dropped, XTree::node("s", kept));
+        // Replacing the root by one tree yields that tree.
+        assert_eq!(t.replace_nodes(|n| (n == 0).then_some(&f2[..])), f2[0]);
     }
 
     #[test]
     fn replace_with_empty_and_multi_tree_forest() {
         let t = XTree::node("s", vec![XTree::leaf("f1")]);
-        let empty = t.replace_with_forest(|l| l.as_str() == "f1", |_| vec![]);
+        let f1 = |n: NodeId| t.label(n).as_str() == "f1";
+        let empty = t.replace_nodes(|n| f1(n).then_some(&[][..]));
         assert_eq!(empty, XTree::leaf("s"));
-        let multi = t.replace_with_forest(
-            |l| l.as_str() == "f1",
-            |_| vec![XTree::leaf("a"), XTree::leaf("b")],
-        );
+        let two = [XTree::leaf("a"), XTree::leaf("b")];
+        let multi = t.replace_nodes(|n| f1(n).then_some(&two[..]));
         assert_eq!(multi, XTree::node("s", vec![XTree::leaf("a"), XTree::leaf("b")]));
+        assert_eq!(t.replace_nodes(|_| None), t);
     }
 
     #[test]
     fn subtree_replacement_and_relabelling() {
         let t = sample();
         let a = t.nodes_labelled(&"a".into())[0];
-        let replaced = t.with_subtree_replaced(a, &XTree::node("x", vec![XTree::leaf("y")]));
+        let new = [XTree::node("x", vec![XTree::leaf("y")])];
+        let replaced = t.replace_nodes(|n| (n == a).then_some(&new[..]));
         assert_eq!(replaced.nodes_labelled(&"x".into()).len(), 1);
         assert_eq!(replaced.size(), 6);
+    }
+
+    #[test]
+    #[should_panic(expected = "the root must become exactly one tree")]
+    fn replacing_the_root_by_a_forest_panics() {
+        let t = sample();
+        let two = [XTree::leaf("a"), XTree::leaf("b")];
+        t.replace_nodes(|n| (n == 0).then_some(&two[..]));
+    }
+
+    #[test]
+    fn replace_nodes_rebuilds_a_hundred_thousand_deep_tree() {
+        // a(a(…a(z)…)) with 100,000 `a`s; the node at depth 50,000 is
+        // replaced by b(c), dropping the 50,001 nodes below it.
+        const DEPTH: usize = 100_000;
+        let mut t = XTree::leaf("a");
+        let mut cur = t.root();
+        for _ in 1..DEPTH {
+            cur = t.add_child(cur, "a");
+        }
+        t.add_child(cur, "z");
+        let mid = DEPTH / 2 - 1;
+        let forest = [XTree::node("b", vec![XTree::leaf("c")])];
+        let out = t.replace_nodes(|n| (n == mid).then_some(&forest[..]));
+        assert_eq!(out.size(), mid + 2);
+        assert_eq!(out.depth(), mid + 2);
+        assert_eq!(out.leaves().len(), 1);
+        assert_eq!(out.label(out.leaves()[0]).as_str(), "c");
+        assert_eq!(out.nodes_labelled(&"b".into()).len(), 1);
     }
 }

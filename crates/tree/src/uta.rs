@@ -750,18 +750,9 @@ impl Duta {
     /// language over subset states, and typing verification asks which
     /// subset states the node itself can reach.
     ///
-    /// # Panics
-    ///
-    /// Never in practice: the unlimited budget cannot trip.
-    pub fn outputs_over(&self, label: &Symbol, word_lang: &Nfa) -> BTreeMap<usize, Vec<usize>> {
-        self.outputs_over_with_budget(label, word_lang, &Budget::unlimited())
-            .expect("the unlimited budget never trips")
-    }
-
-    /// Governed variant of [`Duta::outputs_over`]: the product BFS charges
-    /// one budget step per popped pair and aborts with
-    /// [`AutomataError::BudgetExceeded`] when the budget trips.
-    pub fn outputs_over_with_budget(
+    /// The product BFS charges one `budget` step per popped pair and aborts
+    /// with [`AutomataError::BudgetExceeded`] when the budget trips.
+    pub fn outputs_over(
         &self,
         label: &Symbol,
         word_lang: &Nfa,
@@ -873,17 +864,9 @@ impl fmt::Debug for Duta {
 /// dead state, rendered as `None`, which propagates upward — exactly the
 /// semantics of [`Duta::run`] returning `None` on out-of-universe labels.
 ///
-/// # Panics
-///
-/// Never in practice: the unlimited budget cannot trip.
-pub fn run_pairs(a: &Nuta, db: &Duta) -> Vec<(Symbol, Option<usize>, XTree)> {
-    run_pairs_with_budget(a, db, &Budget::unlimited()).expect("the unlimited budget never trips")
-}
-
-/// Governed variant of [`run_pairs`]: every BFS pop charges one budget step,
-/// and the fixpoint aborts with [`AutomataError::BudgetExceeded`] when the
-/// budget trips.
-pub fn run_pairs_with_budget(
+/// Every BFS pop charges one `budget` step, and the fixpoint aborts with
+/// [`AutomataError::BudgetExceeded`] when the budget trips.
+pub fn run_pairs(
     a: &Nuta,
     db: &Duta,
     budget: &Budget,
@@ -950,8 +933,13 @@ pub fn included(a: &Nuta, b: &Nuta) -> Result<(), XTree> {
 /// against the same target (typing verification, perfect-schema synthesis):
 /// the expensive determinisation of the target happens once, outside, and
 /// the left-hand side is never determinised ([`run_pairs`]).
+///
+/// # Panics
+///
+/// Never in practice: the unlimited budget cannot trip.
 pub fn included_in_duta(a: &Nuta, db: &Duta) -> Result<(), XTree> {
-    let separating = run_pairs(a, db)
+    let separating = run_pairs(a, db, &Budget::unlimited())
+        .expect("the unlimited budget never trips")
         .into_iter()
         .filter(|(q, s, _)| a.finals().contains(q) && !s.is_some_and(|i| db.is_final(i)))
         .map(|(_, _, witness)| witness)
@@ -1219,19 +1207,20 @@ mod tests {
         let sb = *pairs[&Symbol::new("b")].iter().next().unwrap();
         // Children words (Sa Sb)*: the only output is the accepting state.
         let good = Regex::concat(vec![Regex::sym(d.letter(sa)), Regex::sym(d.letter(sb))]).star().to_nfa();
-        let outs = d.outputs_over(&Symbol::new("s"), &good);
+        let outs = d.outputs_over(&Symbol::new("s"), &good, &Budget::unlimited()).unwrap();
         assert!(outs.keys().all(|&i| d.is_final(i)));
         // Shortest witness is the empty word (a leaf s is valid).
         assert_eq!(outs.values().next().unwrap().len(), 0);
         // Children words (Sa Sb)* Sa: only the empty subset is achievable.
         let bad = good.concat(&Nfa::symbol(d.letter(sa)));
-        let outs2 = d.outputs_over(&Symbol::new("s"), &bad);
+        let outs2 = d.outputs_over(&Symbol::new("s"), &bad, &Budget::unlimited()).unwrap();
         assert_eq!(outs2.len(), 1);
         let (&o, w) = outs2.iter().next().unwrap();
         assert!(d.subset(o).is_empty());
         assert_eq!(w, &vec![sa], "shortest witness is the single word Sa");
         // Unknown labels have no machine.
-        assert!(d.outputs_over(&Symbol::new("zz"), &good).is_empty());
+        let unknown = d.outputs_over(&Symbol::new("zz"), &good, &Budget::unlimited()).unwrap();
+        assert!(unknown.is_empty());
     }
 
     #[test]
@@ -1254,16 +1243,17 @@ mod tests {
         for sym in &not_letters {
             // Alone: no realizable non-empty word, so no output at all.
             let alone = Nfa::symbol(sym.as_str());
-            assert!(d.outputs_over(&s, &alone).is_empty(), "`{sym}` read as a letter");
+            let outs = d.outputs_over(&s, &alone, &Budget::unlimited()).unwrap();
+            assert!(outs.is_empty(), "`{sym}` read as a letter");
             // Beside the real letters: only the letter words are imaged.
             let mixed = Nfa::symbol(sym.as_str()).union(&Nfa::epsilon());
-            let outs = d.outputs_over(&s, &mixed);
+            let outs = d.outputs_over(&s, &mixed, &Budget::unlimited()).unwrap();
             assert_eq!(outs.len(), 1, "`{sym}` moved the machine");
             assert!(outs.values().all(Vec::is_empty));
         }
         // A letter of the automaton itself is read.
         let last = Nfa::symbol(d.letter(n - 1));
-        assert!(!d.outputs_over(&s, &last).is_empty());
+        assert!(!d.outputs_over(&s, &last, &Budget::unlimited()).unwrap().is_empty());
     }
 
     #[test]

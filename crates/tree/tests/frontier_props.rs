@@ -9,7 +9,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use dxml_automata::{equiv, Alphabet, Dfa, Nfa, Symbol};
+use dxml_automata::{equiv, Alphabet, Budget, Dfa, Nfa, Symbol};
 use dxml_tree::generate::{random_trees, TreeGenConfig};
 use dxml_tree::uta::{Duta, Nuta};
 
@@ -174,7 +174,7 @@ fn outputs_over_images_match_the_btreeset_reference() {
         let letters: Vec<Symbol> = (0..n).map(|i| duta.letter(i)).collect();
         for label in &labels {
             let word_lang = random_content(&mut rng, &letters);
-            let real = duta.outputs_over(label, &word_lang);
+            let real = duta.outputs_over(label, &word_lang, &Budget::unlimited()).unwrap();
             let want = reference_outputs_over(&duta, label, &word_lang);
             assert_eq!(real, want, "case {case}: outputs_over diverged under `{label}`");
             nonempty_images += usize::from(!real.is_empty());

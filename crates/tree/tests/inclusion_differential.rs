@@ -18,7 +18,7 @@
 
 use std::collections::BTreeSet;
 
-use dxml_automata::{Nfa, Symbol};
+use dxml_automata::{Budget, Nfa, Symbol};
 use dxml_tree::generate::{random_trees, SplitRng, TreeGenConfig};
 use dxml_tree::uta::{self, Duta, Nuta};
 use dxml_tree::XTree;
@@ -127,7 +127,7 @@ fn pairs_are_realised_by_their_witnesses_and_complete() {
         let b = random_nuta(&mut rng, &LABELS);
         let db = b.determinize(b.labels());
         let a = left_side(&mut rng, &b, case);
-        let pairs = uta::run_pairs(&a, &db);
+        let pairs = uta::run_pairs(&a, &db, &Budget::unlimited()).unwrap();
         let reported: BTreeSet<(Symbol, Option<usize>)> =
             pairs.iter().map(|(q, s, _)| (*q, *s)).collect();
         assert_eq!(reported.len(), pairs.len(), "case {case}: a pair is reported twice");

@@ -21,8 +21,11 @@
 //!   target: a stale baseline of a deleted target would otherwise surface
 //!   only as a failure of the full-timing `make bench-compare` run.
 //! * `RI005` — every governed `*_with_budget` function has an ungoverned
-//!   twin of the same name in the same crate (the workspace's API
-//!   convention: governance is opt-in, never forced).
+//!   twin of the same name in the same crate. The workspace's API
+//!   convention: a `_with_budget` suffix marks the governed half of a pair
+//!   whose two halves both have callers outside tests; a procedure with
+//!   one entry point takes `&Budget` in its signature instead, under its
+//!   plain name.
 //! * `RI006` — every crate root (and the umbrella root) carries
 //!   `#![forbid(unsafe_code)]`.
 //!

@@ -14,11 +14,14 @@
 //! * [`telemetry`] — zero-dependency counters, histograms and span tracing
 //!   over the whole engine (off by default; `DXML_TELEMETRY=1` enables).
 //!
-//! Every worst-case-exponential decision procedure has a governed
-//! `*_with_budget` variant taking a [`Budget`] (step/state/node quotas, a
-//! depth limit, a wall-clock deadline, cooperative cancellation via a
-//! [`CancelHandle`]); a trip surfaces as a typed `BudgetExceeded` error and
-//! leaves every cache rebuildable — see `dxml_automata::limits`.
+//! The engine's worst-case-exponential loops are governed by a [`Budget`]
+//! (step/state/node quotas, a depth limit, a wall-clock deadline,
+//! cooperative cancellation via a [`CancelHandle`]); a trip surfaces as a
+//! typed `BudgetExceeded` error and leaves every cache rebuildable — see
+//! `dxml_automata::limits`. A procedure with one entry point takes the
+//! budget in its signature; a `*_with_budget` name is the governed half of
+//! a pair whose plain half runs unlimited. Schema comparison (string and
+//! tree inclusion and equivalence) runs unlimited.
 
 #![forbid(unsafe_code)]
 

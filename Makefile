@@ -9,7 +9,7 @@ CARGO ?= cargo
 BENCH_TARGETS := $(shell sed -n 's/^name = "\([a-z0-9_]*\)"$$/\1/p' \
                  crates/bench/Cargo.toml | grep -v '^dxml')
 
-.PHONY: all build test clippy doc fmt-check bench bench-smoke bench-baselines bench-compare fuzz-smoke soak perfbench-test examples lint-schemas lint-repo verify
+.PHONY: all build test clippy doc bench bench-smoke bench-baselines bench-compare fuzz-smoke soak perfbench-test examples lint-schemas lint-repo verify
 
 all: verify
 

@@ -4,9 +4,11 @@
 //! node a function of its label and its parent's specialised name, so an
 //! [`RSdtd`] can type a document top-down while the document is *parsed*,
 //! without ever materialising the tree. [`StreamValidator`] consumes the
-//! [`SaxEvent`] stream of [`dxml_tree::sax`] with a stack of
-//! (specialised name, content-model DFA state) frames — memory proportional
-//! to the open-element chain, not to the document.
+//! [`SaxEvent`] stream of [`dxml_tree::sax`] with a stack of (label,
+//! specialisation index, content-model DFA state) frames — memory
+//! proportional to the open-element chain, not to the document. Each element
+//! costs one probe of its parent's per-(state, label) move table, built once
+//! per schema.
 //!
 //! The verdict — and the error value, byte for byte — agrees with the
 //! materialising route `parse_xml` + [`RSdtd::validate`] on *every* input
@@ -26,12 +28,15 @@
 //!
 //! A violated frame keeps collecting the labels of its direct children until
 //! it closes, because [`SchemaError::InvalidContent`] reports the node's full
-//! `child-str`, including children after the offending one.
+//! `child-str`, including children after the offending one. Typed frames
+//! collect theirs too, in case they fail at their close. Frames nest, so the
+//! children of all open frames live in one shared stack: the top frame's
+//! children are always its top segment.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use dxml_automata::nfa::StateId;
-use dxml_automata::{Budget, Dfa, Symbol};
+use dxml_automata::{Budget, Dfa, FxHashMap, Symbol};
 use dxml_telemetry as telemetry;
 use dxml_tree::sax::{SaxEvent, SaxParser, DEFAULT_DEPTH_LIMIT};
 
@@ -39,12 +44,15 @@ use crate::error::SchemaError;
 use crate::sdtd::RSdtd;
 
 /// Per-specialisation machinery, prebuilt once so that validating a document
-/// costs one DFA transition per element: the content model determinised, the
-/// label → specialisation map of the single-type property, and the rendered
-/// content model for error messages.
+/// costs one hash probe per element: the content-model DFA's transitions
+/// re-keyed by *element label* through the single-type map `µ` (a content
+/// model names at most one specialisation of each label), the DFA's start
+/// and final states, and the rendered content model for error messages.
 struct SpecInfo {
-    dfa: Dfa,
-    by_label: BTreeMap<Symbol, Symbol>,
+    /// `(state, child label) → (next state, child's specialisation index)`.
+    moves: FxHashMap<(StateId, Symbol), (StateId, u32)>,
+    start: StateId,
+    finals: Vec<bool>,
     expected: String,
 }
 
@@ -62,24 +70,29 @@ pub struct StreamStats {
 
 /// A reusable streaming validator for one [`RSdtd`].
 ///
-/// Construction determinises every content model once; the validator itself
-/// is immutable and can be shared across threads to validate many documents
-/// concurrently (see `dxml_core`'s batch front end).
+/// Construction determinises every content model once and numbers the
+/// specialised names; each specialisation gets a move table keyed by
+/// (DFA state, child label) that yields the next state and the child's
+/// specialisation index. A run keeps a stack of frames carrying those
+/// indices and one shared stack of the open frames' child labels. The
+/// validator itself is immutable and can be shared across threads to
+/// validate many documents concurrently (see `dxml_core`'s batch front end).
 pub struct StreamValidator {
     root_label: Symbol,
-    start: Symbol,
-    specs: BTreeMap<Symbol, SpecInfo>,
+    /// Specialisation index of the start name.
+    start: u32,
+    specs: Vec<SpecInfo>,
 }
 
-/// One open element during the streaming run.
+/// One open element during the streaming run. `from` is where the frame's
+/// child labels start in the shared child stack.
 enum Frame {
-    /// A normally-typed element: its label, specialised name, current DFA
-    /// state in the parent content model of its children, and the child
-    /// labels seen so far (needed verbatim if this frame turns out violated).
-    Typed { label: Symbol, spec: Symbol, state: StateId, children: Vec<Symbol> },
+    /// A normally-typed element: its label, specialisation index and current
+    /// DFA state in the content model of its children.
+    Typed { label: Symbol, spec: u32, state: StateId, from: usize },
     /// The current pending violation's node, still open: collects the rest of
     /// its direct children so the error can report the full `child-str`.
-    Violated { path: Vec<Symbol>, children: Vec<Symbol>, expected: String },
+    Violated { label: Symbol, spec: u32, from: usize },
     /// An element whose verdict cannot matter any more (inside a violated
     /// subtree, or opened after a violation was pending).
     Skip,
@@ -98,24 +111,28 @@ impl StreamValidator {
             names.insert(*lhs);
             names.extend(content.alphabet().iter().copied());
         }
-        let mut specs = BTreeMap::new();
-        for spec in names {
-            let content = edtd.content(&spec);
-            let mut by_label: BTreeMap<Symbol, Symbol> = BTreeMap::new();
-            for sym in content.alphabet().iter() {
-                let label = edtd.label_of(sym).copied().unwrap_or(*sym);
-                by_label.insert(label, *sym);
-            }
-            specs.insert(
-                spec,
-                SpecInfo {
-                    dfa: Dfa::from_nfa(&content.to_nfa()),
-                    by_label,
-                    expected: format!("{content}"),
-                },
-            );
-        }
-        StreamValidator { root_label, start, specs }
+        // Interned symbols number at most 2²⁴, so `u32` indices never wrap.
+        let index: FxHashMap<Symbol, u32> = names.iter().copied().zip(0..).collect();
+        let specs = names
+            .iter()
+            .map(|spec| {
+                let content = edtd.content(spec);
+                let dfa = Dfa::from_nfa(&content.to_nfa());
+                let moves = dfa
+                    .transitions()
+                    .map(|(q, sym, next)| {
+                        let label = edtd.label_of(sym).copied().unwrap_or(*sym);
+                        ((q, label), (next, index[sym]))
+                    })
+                    .collect();
+                let mut finals = vec![false; dfa.num_states()];
+                for &q in dfa.finals() {
+                    finals[q] = true;
+                }
+                SpecInfo { moves, start: dfa.start(), finals, expected: format!("{content}") }
+            })
+            .collect();
+        StreamValidator { root_label, start: index[&start], specs }
     }
 
     /// Validates a document given as an XML string, in one streaming pass.
@@ -148,8 +165,10 @@ impl StreamValidator {
             .map_or(DEFAULT_DEPTH_LIMIT, |l| l.saturating_add(1));
         let mut parser = SaxParser::with_depth_limit(input, parser_limit);
         let mut frames: Vec<Frame> = Vec::new();
+        // The child labels of every open typed or violated frame, each
+        // frame's segment above its parent's.
+        let mut children: Vec<Symbol> = Vec::new();
         let mut pending: Option<SchemaError> = None;
-        let mut buffered = 0usize;
         let mut stats = StreamStats::default();
         // Event tally kept local and flushed once per document, so the
         // per-event loop carries no atomic traffic.
@@ -186,117 +205,92 @@ impl StreamValidator {
             }
             match event {
                 SaxEvent::Open(label) => {
-                    enum Act {
-                        PushTyped(Symbol),
-                        PushSkip,
-                        ViolateTop,
-                    }
-                    let act = match frames.last_mut() {
+                    // The specialisation index of a child to type, `None`
+                    // for a child to skip.
+                    let typed = match frames.last_mut() {
                         None => {
                             if label == self.root_label {
-                                Act::PushTyped(self.start)
+                                Some(self.start)
                             } else {
                                 pending = Some(SchemaError::RootMismatch {
                                     expected: self.root_label,
                                     found: label,
                                 });
-                                Act::PushSkip
+                                None
                             }
                         }
-                        Some(Frame::Skip) => Act::PushSkip,
-                        Some(Frame::Violated { children, .. }) => {
-                            children.push(label);
-                            buffered += 1;
-                            Act::PushSkip
-                        }
-                        Some(Frame::Typed { spec, state, children, .. }) => {
-                            children.push(label);
-                            buffered += 1;
-                            let info = &self.specs[spec];
-                            match info.by_label.get(&label) {
-                                Some(child_spec) => match info.dfa.delta(*state, child_spec) {
-                                    Some(next) => {
+                        Some(top) => match top {
+                            Frame::Skip => None,
+                            Frame::Violated { .. } => {
+                                children.push(label);
+                                None
+                            }
+                            Frame::Typed { label: parent, spec, state, from } => {
+                                children.push(label);
+                                match self.specs[*spec as usize].moves.get(&(*state, label)) {
+                                    Some(&(next, child)) => {
                                         *state = next;
-                                        Act::PushTyped(*child_spec)
+                                        Some(child)
                                     }
-                                    None => Act::ViolateTop,
-                                },
-                                None => Act::ViolateTop,
+                                    None => {
+                                        // The top frame is Typed, hence a
+                                        // strict ancestor of any pending
+                                        // node: it supersedes. Its frame
+                                        // becomes the collector for its
+                                        // remaining children; the child just
+                                        // opened is skipped.
+                                        pending = None;
+                                        let (label, spec, from) = (*parent, *spec, *from);
+                                        *top = Frame::Violated { label, spec, from };
+                                        None
+                                    }
+                                }
                             }
-                        }
+                        },
                     };
-                    stats.peak_buffered = stats.peak_buffered.max(buffered);
-                    match act {
-                        Act::PushSkip => frames.push(Frame::Skip),
-                        Act::PushTyped(spec) if pending.is_none() => {
-                            let state = self.specs[&spec].dfa.start();
-                            frames.push(Frame::Typed { label, spec, state, children: Vec::new() });
-                        }
+                    stats.peak_buffered = stats.peak_buffered.max(children.len());
+                    match typed {
+                        Some(spec) if pending.is_none() => frames.push(Frame::Typed {
+                            label,
+                            spec,
+                            state: self.specs[spec as usize].start,
+                            from: children.len(),
+                        }),
                         // A violation is already pending and this element is
                         // later in preorder: its parent's DFA was stepped
                         // (the parent, an open ancestor, may still violate),
                         // but its own subtree cannot change the verdict.
-                        Act::PushTyped(_) => frames.push(Frame::Skip),
-                        Act::ViolateTop => {
-                            // The top frame is Typed, hence a strict ancestor
-                            // of any pending node: it supersedes. Its frame
-                            // becomes the collector for its remaining
-                            // children; the child just opened is skipped.
-                            pending = None;
-                            let top = frames.len() - 1;
-                            let mut path: Vec<Symbol> = frames[..top]
-                                .iter()
-                                .map(|f| match f {
-                                    Frame::Typed { label, .. } => *label,
-                                    _ => unreachable!("frames under a typed frame are typed"),
-                                })
-                                .collect();
-                            let (label, spec, children) = match std::mem::replace(&mut frames[top], Frame::Skip) {
-                                Frame::Typed { label, spec, children, .. } => (label, spec, children),
-                                _ => unreachable!("ViolateTop fires on a typed top frame"),
-                            };
-                            path.push(label);
-                            frames[top] = Frame::Violated {
-                                path,
-                                children,
-                                expected: self.specs[&spec].expected.clone(),
-                            };
-                            frames.push(Frame::Skip);
-                        }
+                        _ => frames.push(Frame::Skip),
                     }
                 }
-                SaxEvent::Close => {
-                    match frames.pop().expect("parser balances open/close events") {
-                        Frame::Skip => {}
-                        Frame::Violated { path, children, expected } => {
-                            buffered -= children.len();
-                            pending =
-                                Some(SchemaError::InvalidContent { path, children, expected });
-                        }
-                        Frame::Typed { label, spec, state, children } => {
-                            buffered -= children.len();
-                            let info = &self.specs[&spec];
-                            if !info.dfa.is_final(state) {
-                                // This frame is a strict ancestor of any
-                                // pending node, so it supersedes; its child
-                                // list is complete, so the error is final.
-                                let mut path: Vec<Symbol> = frames
-                                    .iter()
-                                    .map(|f| match f {
-                                        Frame::Typed { label, .. } => *label,
-                                        _ => unreachable!("frames under a typed frame are typed"),
-                                    })
-                                    .collect();
-                                path.push(label);
-                                pending = Some(SchemaError::InvalidContent {
-                                    path,
-                                    children,
-                                    expected: info.expected.clone(),
-                                });
-                            }
-                        }
+                SaxEvent::Close => match frames.pop().expect("parser balances open/close events") {
+                    Frame::Skip => {}
+                    Frame::Typed { spec, state, from, .. }
+                        if self.specs[spec as usize].finals[state] =>
+                    {
+                        children.truncate(from);
                     }
-                }
+                    // A violated frame, or a typed one failing at its close:
+                    // it is a strict ancestor of any pending node, so it
+                    // supersedes; its child list is complete, so the error
+                    // is final. Every frame still open is a typed ancestor.
+                    Frame::Typed { label, spec, from, .. }
+                    | Frame::Violated { label, spec, from } => {
+                        let mut path: Vec<Symbol> = frames
+                            .iter()
+                            .map(|f| match f {
+                                Frame::Typed { label, .. } => *label,
+                                _ => unreachable!("frames under a typed frame are typed"),
+                            })
+                            .collect();
+                        path.push(label);
+                        pending = Some(SchemaError::InvalidContent {
+                            path,
+                            children: children.split_off(from),
+                            expected: self.specs[spec as usize].expected.clone(),
+                        });
+                    }
+                },
             }
         }
         stats.peak_depth = parser.peak_depth();
@@ -404,6 +398,51 @@ mod tests {
                 assert_eq!(path.last().unwrap().as_str(), "a");
             }
             other => panic!("expected InvalidContent, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn ancestor_failing_at_close_reports_only_its_direct_children() {
+        // Each `a` closes cleanly after buffering children of its own; `s`
+        // then fails at its close (`b` missing). The shared child stack must
+        // hand `s` exactly its own segment, with no `c` left over.
+        let s = RSdtd::parse(RFormalism::Nre, "s -> a, a, b\na -> c*").unwrap();
+        let v = StreamValidator::new(&s);
+        let doc = "<s><a><c/><c/></a><a><c/></a></s>";
+        let stream = v.validate(doc);
+        assert_eq!(stream, tree_route(&s, doc));
+        assert_eq!(
+            stream,
+            Err(SchemaError::InvalidContent {
+                path: vec![Symbol::new("s")],
+                children: vec![Symbol::new("a"), Symbol::new("a")],
+                expected: "a a b".to_string(),
+            })
+        );
+    }
+
+    #[test]
+    fn child_label_without_a_move_violates_its_parent() {
+        // `s`'s DFA has moves (on `a` first, then on `b`), but none on the
+        // label read: `c` is declared only under `a`, and `b` cannot come
+        // first. Either way `s` is blamed with its full child list.
+        let s = RSdtd::parse(RFormalism::Nre, "s -> a, b*\na -> c?").unwrap();
+        let v = StreamValidator::new(&s);
+        for (doc, children) in [
+            ("<s><a/><c/><b/></s>", ["a", "c", "b"].as_slice()),
+            ("<s><b/><a><c/></a></s>", ["b", "a"].as_slice()),
+        ] {
+            let stream = v.validate(doc);
+            assert_eq!(stream, tree_route(&s, doc), "doc {doc:?}");
+            assert_eq!(
+                stream,
+                Err(SchemaError::InvalidContent {
+                    path: vec![Symbol::new("s")],
+                    children: children.iter().map(Symbol::new).collect(),
+                    expected: "a b*".to_string(),
+                }),
+                "doc {doc:?}"
+            );
         }
     }
 

@@ -3,7 +3,9 @@
 //! string — same verdict and byte-identical error value — across random
 //! schemas, random documents, mutated documents and adversarial tag soup.
 
-use dxml_automata::RFormalism;
+use std::collections::BTreeMap;
+
+use dxml_automata::{Dfa, RFormalism, Symbol};
 use dxml_schema::{RSdtd, SchemaError, StreamValidator};
 use dxml_tree::generate::{random_tree, SplitRng, TreeGenConfig};
 use dxml_tree::xml::{parse_xml, to_xml};
@@ -120,6 +122,107 @@ fn streaming_agrees_with_tree_route_on_random_schemas_and_documents() {
         }
         assert_agree(&v, &s, "");
         let _ = round;
+    }
+}
+
+/// A document typed by `s` from the root down: each element's children
+/// spell a random walk through its content model's DFA, ending in a final
+/// state when the walk can. Elements at `max_depth`, or once `budget`
+/// elements are spent, get no children, so a deep element may still fail at
+/// its close.
+fn schema_walk(rng: &mut SplitRng, s: &RSdtd, max_depth: usize, max_fanout: usize) -> String {
+    struct Walk<'a> {
+        s: &'a RSdtd,
+        dfas: BTreeMap<Symbol, Dfa>,
+        max_depth: usize,
+        max_fanout: usize,
+        budget: usize,
+        out: String,
+    }
+    fn element(w: &mut Walk, rng: &mut SplitRng, spec: Symbol, depth: usize) {
+        let edtd = w.s.as_edtd();
+        let label = *edtd.label_of(&spec).unwrap_or(&spec);
+        w.budget = w.budget.saturating_sub(1);
+        let dfa =
+            w.dfas.entry(spec).or_insert_with(|| Dfa::from_nfa(&edtd.content(&spec).to_nfa()));
+        let mut state = dfa.start();
+        let mut word = Vec::new();
+        while depth < w.max_depth && word.len() < 2 * w.max_fanout {
+            let stop = dfa.is_final(state) && (word.len() >= w.max_fanout || rng.chance(1, 3));
+            let moves: Vec<(Symbol, usize)> =
+                dfa.transitions_from(state).map(|(a, q)| (*a, q)).collect();
+            if stop || moves.is_empty() || w.budget == 0 {
+                break;
+            }
+            let (child, next) = *rng.pick(&moves);
+            word.push(child);
+            state = next;
+        }
+        if word.is_empty() {
+            w.out.push_str(&format!("<{label}/>"));
+            return;
+        }
+        w.out.push_str(&format!("<{label}>"));
+        for child in word {
+            element(w, rng, child, depth + 1);
+        }
+        w.out.push_str(&format!("</{label}>"));
+    }
+    let mut w =
+        Walk { s, dfas: BTreeMap::new(), max_depth, max_fanout, budget: 2000, out: String::new() };
+    element(&mut w, rng, *s.start(), 0);
+    w.out
+}
+
+/// A well-formed mutant of a document: a leaf element inserted before a
+/// random tag inside the root, or a leaf element deleted. Either can break
+/// a content model at any depth, so violations surface under many open
+/// frames.
+fn structural_mutant(rng: &mut SplitRng, doc: &str) -> String {
+    let tags: Vec<usize> = doc.match_indices('<').map(|(i, _)| i).filter(|&i| i > 0).collect();
+    let leaves: Vec<(usize, usize)> = doc
+        .match_indices("/>")
+        .map(|(end, _)| (doc[..end].rfind('<').expect("a leaf tag opens"), end + 2))
+        .collect();
+    if !leaves.is_empty() && rng.chance(1, 3) {
+        let (from, to) = *rng.pick(&leaves);
+        return format!("{}{}", &doc[..from], &doc[to..]);
+    }
+    if tags.is_empty() {
+        return doc.to_string();
+    }
+    let at = *rng.pick(&tags);
+    let label = rng.pick(&["a", "b", "c", "d", "e"]);
+    format!("{}<{label}/>{}", &doc[..at], &doc[at..])
+}
+
+#[test]
+fn streaming_agrees_on_deep_and_wide_documents() {
+    let mut rng = SplitRng::new(0x5EED_DEE9);
+    let alphabet = dxml_automata::Alphabet::from_iter(LABELS);
+    for _ in 0..60 {
+        let s = random_sdtd(&mut rng);
+        let v = StreamValidator::new(&s);
+        // Schema-guided documents: mostly valid, so typed frames nest deep
+        // and close cleanly, and their mutants fail under many open frames.
+        for _ in 0..4 {
+            let (depth, fanout) = (4 + rng.below(9), 1 + rng.below(8));
+            let doc = schema_walk(&mut rng, &s, depth, fanout);
+            assert_agree(&v, &s, &doc);
+            for _ in 0..4 {
+                assert_agree(&v, &s, &structural_mutant(&mut rng, &doc));
+            }
+        }
+        // Random trees up to 12 deep and 8 wide, kept small by a low
+        // branching chance.
+        let mut config = TreeGenConfig::new(&alphabet, 4 + rng.below(9), 2 + rng.below(7));
+        config.branch_chance = 30;
+        for _ in 0..6 {
+            let xml = to_xml(&random_tree(&mut rng, &config));
+            assert_agree(&v, &s, &xml);
+            assert_agree(&v, &s, &structural_mutant(&mut rng, &xml));
+            assert_agree(&v, &s, &mutate(&mut rng, &xml));
+        }
     }
 }
 

@@ -22,8 +22,11 @@
 //! * tracks quote state while skipping attributes, so `>` inside a quoted
 //!   attribute value does not terminate the tag.
 //!
-//! Memory while parsing is `O(depth)`: one [`Symbol`] per open element (for
-//! end-tag matching), nothing per sibling.
+//! Start tag names are interned into [`Symbol`]s, the names of
+//! [`SaxEvent::Open`]. End tag names are not: they are matched by text
+//! against the open element's name, so a closing tag never grows the
+//! process-wide intern table. Memory while parsing is `O(depth)`: one
+//! [`Symbol`] per open element, nothing per sibling.
 
 use dxml_automata::{AutomataError, Symbol};
 
@@ -142,9 +145,9 @@ impl<'a> SaxParser<'a> {
                 return Err(self.error("closing tag without a matching open element"));
             }
             self.pos += 2;
-            let close = self.parse_name()?;
+            let close = self.scan_name()?;
             let name = *self.open.last().expect("checked non-empty above");
-            if close != name {
+            if close != name.as_str() {
                 return Err(self.error(&format!("mismatched closing tag </{close}> for <{name}>")));
             }
             self.skip_ws();
@@ -155,7 +158,7 @@ impl<'a> SaxParser<'a> {
             return Ok(Some(self.close_top()));
         }
         self.pos += 1;
-        let name = self.parse_name()?;
+        let name = Symbol::try_new(self.scan_name()?)?;
         let self_closing = self.skip_attributes(&name)?;
         if self.open.len() >= self.depth_limit {
             return Err(self.error(&format!(
@@ -235,12 +238,13 @@ impl<'a> SaxParser<'a> {
             .find(|&i| haystack[i..].starts_with(needle))
     }
 
-    /// Parses an element name, decoding UTF-8 characters properly — a
+    /// Scans an element name, decoding UTF-8 characters properly — a
     /// multibyte letter is one name character, never a sequence of
     /// byte-casted surrogates (the seed parser classified raw continuation
     /// bytes like `0xB2` as alphanumeric and then panicked slicing the name
-    /// mid-character).
-    fn parse_name(&mut self) -> Result<Symbol, AutomataError> {
+    /// mid-character). The name is returned as text; only start tags intern
+    /// it.
+    fn scan_name(&mut self) -> Result<&'a str, AutomataError> {
         let rest = &self.input[self.pos..];
         let mut len = 0;
         for (i, c) in rest.char_indices() {
@@ -253,9 +257,8 @@ impl<'a> SaxParser<'a> {
         if len == 0 {
             return Err(self.error("expected an element name"));
         }
-        let name = &rest[..len];
         self.pos += len;
-        Symbol::try_new(name)
+        Ok(&rest[..len])
     }
 
     /// Skips attributes up to the end of the tag, tracking quote state so a
@@ -391,6 +394,21 @@ mod tests {
             "<>",
         ] {
             assert!(events(bad).is_err(), "expected error for {bad:?}");
+        }
+    }
+
+    #[test]
+    fn mismatched_end_tag_error_names_both_tags_at_the_end_of_the_close_name() {
+        for (doc, message, position) in [
+            ("<a><b></c></a>", "XML: mismatched closing tag </c> for <b>", 9),
+            ("<café></cafe>", "XML: mismatched closing tag </cafe> for <café>", 13),
+            ("<a><b></bé></a>", "XML: mismatched closing tag </bé> for <b>", 11),
+        ] {
+            assert_eq!(
+                events(doc),
+                Err(AutomataError::Parse { message: message.to_string(), position }),
+                "doc {doc:?}"
+            );
         }
     }
 

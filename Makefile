@@ -147,10 +147,11 @@ EXAMPLES := quickstart distributed_validation perfect_typing_words \
 
 examples:
 	$(CARGO) build -q --release --examples
-	@for e in $(EXAMPLES); do \
-		$(CARGO) run -q --release --example $$e > target/example_$$e.txt || { \
+	@out=$$(mktemp -d); trap 'rm -rf "$$out"' EXIT; \
+	for e in $(EXAMPLES); do \
+		$(CARGO) run -q --release --example $$e > $$out/$$e.txt || { \
 			echo "examples: $$e exited non-zero" >&2; exit 1; }; \
-		diff -u examples/expected/$$e.txt target/example_$$e.txt || { \
+		diff -u examples/expected/$$e.txt $$out/$$e.txt || { \
 			echo "examples: $$e output differs from examples/expected/$$e.txt" >&2; exit 1; }; \
 	done
 	@echo "examples: all $(words $(EXAMPLES)) outputs match their goldens"

@@ -75,10 +75,10 @@
 //! The rest of a design op charges the same budget but depends on the
 //! *document*: the kernel passes of `verify_local`, `typecheck` and the
 //! confirmation of `perfect_schema`, the counterexample construction of a
-//! refuted `typecheck` (one product fixpoint per function docking under the
-//! violating node), and the residual walks of synthesis. No bracket models
-//! that work; the positive-headroom quotas cover it with the headroom
-//! factor plus [`BASE_SLACK`].
+//! refuted `typecheck` (forest searches over the cached function pairs, and
+//! a step per tree node built, exponential in the schemas at worst), and the
+//! residual walks of synthesis. No bracket models that work; quotas with a
+//! positive headroom cover it with that factor plus [`BASE_SLACK`].
 //!
 //! # Budget synthesis
 //!

@@ -22,9 +22,9 @@
 //!   iteration of a governed search: a `(state set, symbol)` expansion in
 //!   subset construction, a popped pair or traversed edge in a product BFS,
 //!   a `(configuration, letter)` expansion in tree-automaton
-//!   determinisation, one consumed SAX event in streaming validation. The
-//!   step counter is the universal work measure; every other check
-//!   piggybacks on it.
+//!   determinisation, a consumed SAX event in streaming validation, a
+//!   witness-tree node built by `uta::materialise`. The step counter is the
+//!   universal work measure; every other check piggybacks on it.
 //! * **states** ([`Budget::with_state_quota`]) — one unit per *discovered*
 //!   state of a constructed automaton (subset states of a DFA, subset
 //!   states of a determinised tree automaton, elements of a transformation

@@ -46,8 +46,8 @@
 //! differential tests and `make soak` do.
 //!
 //! All target- and schema-derived artefacts (the determinised specialised
-//! target; the per-function gap languages over subset states, read off the
-//! product fixpoint [`uta::run_pairs`] run on each function schema) are
+//! target; per function, the pairs of the product fixpoint
+//! [`uta::run_pairs`] on its schema and the gap language read off them) are
 //! built lazily once per problem in a [`BoxTargetCache`] behind an
 //! `OnceLock`. Nothing document-dependent is cached.
 
@@ -55,10 +55,10 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::OnceLock;
 
-use dxml_automata::{AutomataError, BoxLang, Budget, Nfa, RSpec, StateSet, Symbol};
+use dxml_automata::{AutomataError, BoxLang, Budget, FxHashMap, Nfa, RSpec, StateSet, Symbol};
 use dxml_schema::{REdtd, SchemaError};
 use dxml_telemetry as telemetry;
-use dxml_tree::uta::Duta;
+use dxml_tree::uta::{Duta, RunPair};
 use dxml_tree::{uta, NodeId, Nuta, XForest, XTree};
 
 use crate::design::{Origin, TypingVerdict};
@@ -80,15 +80,18 @@ struct FunArtifacts {
     /// Whether the function can return no document at all (empty schema
     /// language — the design is vacuous).
     forest_empty: bool,
+    /// Every (specialised name, target subset state) pair some tree of the
+    /// name realizes, with the witness DAG ([`uta::run_pairs`]).
+    pairs: Vec<RunPair>,
     /// A forest the function can return: a shortest root word, each name
-    /// replaced by its first witness tree. Counterexamples plug it into
-    /// every docking point they do not constrain.
-    default_forest: XForest,
+    /// replaced by its first pair. Counterexamples plug it into every
+    /// docking point they do not constrain.
+    default_forest: Vec<usize>,
     /// A violation the function's forests realize on their own, whatever
     /// the kernel — an element unknown to the target, else a tree the
     /// target types by no name at all — with a forest of the function
-    /// containing the offending witness tree.
-    fault: Option<(BoxViolation, XForest)>,
+    /// containing the offending pair.
+    fault: Option<(BoxViolation, Vec<usize>)>,
 }
 
 impl FunArtifacts {
@@ -98,19 +101,14 @@ impl FunArtifacts {
         duta: &Duta,
         budget: &Budget,
     ) -> Result<FunArtifacts, AutomataError> {
-        // Every pair (specialised name ã, target subset state) some tree
-        // derivable from ã realizes, with a witness tree: `d[ã]` is the set
-        // of `Some` states of ã. Exact — independent subtrees make
-        // independent state choices, so the image of a content word is the
-        // full product of the per-name sets. A label the target does not
-        // know yields `None`, which propagates to every ancestor.
+        // `d[ã]` is the set of `Some` states of ã's pairs. Exact — independent
+        // subtrees make independent state choices, so the image of a content
+        // word is the full product of the per-name sets. A label the target
+        // does not know yields `None`, which propagates to every ancestor.
         let pairs = uta::run_pairs(&schema.to_nuta(), duta, budget)?;
         let mut slots: BTreeMap<Symbol, BTreeSet<Symbol>> = BTreeMap::new();
-        let mut first: BTreeMap<Symbol, &XTree> = BTreeMap::new();
-        for (spec, state, witness) in &pairs {
-            let slot = slots.entry(*spec).or_default();
-            slot.extend(state.map(|i| duta.letter(i)));
-            first.entry(*spec).or_insert(witness);
+        for pair in &pairs {
+            slots.entry(pair.name).or_default().extend(pair.state.map(|i| duta.letter(i)));
         }
         // The forest language over inhabited names: after the restriction
         // every remaining transition lies on a realizable word, so the
@@ -122,69 +120,56 @@ impl FunArtifacts {
             .trim();
         let forest_empty = forest_restricted.is_empty();
         let roots = &forest_restricted.alphabet();
-        let realizable = |state: Option<usize>| {
-            pairs.iter().filter(move |(spec, s, _)| *s == state && roots.contains(spec))
-        };
+        let realizable =
+            |state| (0..pairs.len()).find(|&p| pairs[p].state == state && roots.contains(&pairs[p].name));
         let origin = Origin::Function { function };
-        let unknown = realizable(None).find_map(|(spec, _, witness)| {
-            let element = witness
-                .document_order()
-                .into_iter()
-                .map(|n| *witness.label(n))
-                .find(|label| !duta.labels().contains(label))?;
-            Some((BoxViolation::UnknownElement { element, origin: origin.clone() }, spec, witness))
-        });
-        let fault = unknown.or_else(|| {
-            let e = duta.empty_subset()?;
-            realizable(Some(e)).find_map(|(spec, _, witness)| {
-                let (element, word) = untypable_node(duta, witness, e)?;
-                let violation = BoxViolation::Content {
-                    element,
-                    counterexample: box_of(duta, &word),
-                    admitted: Vec::new(),
-                    origin: origin.clone(),
-                };
-                Some((violation, spec, witness))
-            })
-        });
-        // A shortest root word with each name's first witness plugged in;
-        // a fault's forest has the bad witness at the first occurrence of
-        // its name.
-        let plug = |word: &[Symbol]| -> XForest { word.iter().map(|name| first[name].clone()).collect() };
+        // The first pair of a root name whose witness leaves the target's
+        // label universe, else the first one the target types by no name.
+        let fault = match realizable(None) {
+            Some(p) => Some((BoxViolation::UnknownElement { element: culprit(duta, &pairs, p).label, origin }, p)),
+            None => duta.empty_subset().and_then(|e| realizable(Some(e))).map(|p| {
+                let node = culprit(duta, &pairs, p);
+                let word: Vec<usize> = node.children.iter().filter_map(|&c| pairs[c].state).collect();
+                let counterexample = box_of(duta, &word);
+                (BoxViolation::Content { element: node.label, counterexample, admitted: Vec::new(), origin }, p)
+            }),
+        };
+        // A shortest root word with each name's first pair plugged in; a
+        // fault's forest has the bad pair at the first occurrence of its
+        // name.
+        let first = |name: &Symbol| pairs.iter().position(|pair| pair.name == *name);
+        let plug = |word: &[Symbol]| -> Vec<usize> { word.iter().filter_map(first).collect() };
         let default_forest =
             forest_restricted.shortest_accepted_with_budget(budget)?.map_or_else(Vec::new, |word| plug(&word));
         let fault = match fault {
-            Some((violation, spec, witness)) => {
-                let around = Nfa::sigma_star(roots);
-                let containing = around.concat(&Nfa::symbol(*spec)).concat(&around);
+            Some((violation, bad)) => {
+                let (around, name) = (Nfa::sigma_star(roots), pairs[bad].name);
+                let containing = around.concat(&Nfa::symbol(name)).concat(&around);
                 let word =
                     forest_restricted.intersect(&containing).shortest_accepted_with_budget(budget)?.unwrap_or_default();
                 let mut forest = plug(&word);
-                if let Some(at) = word.iter().position(|name| name == spec) {
-                    forest[at] = witness.clone();
+                if let Some(at) = word.iter().position(|n| *n == name) {
+                    forest[at] = bad;
                 }
                 Some((violation, forest))
             }
             None => None,
         };
         let forest_states = forest_restricted.expand_symbols(&slots).trim();
-        Ok(FunArtifacts { forest_states, forest_empty, default_forest, fault })
+        Ok(FunArtifacts { forest_states, forest_empty, pairs, default_forest, fault })
     }
 }
 
-/// The deepest node on the chain of untypable nodes from the root of
-/// `tree`, whose run under `duta` ends in the empty subset `empty`: an
-/// untypable node whose children are all typable, as its label and its
-/// children's subset states. `None` if the tree leaves the target's label
-/// universe.
-fn untypable_node(duta: &Duta, tree: &XTree, empty: usize) -> Option<(Symbol, Vec<usize>)> {
-    let states = duta.run(tree)?;
-    let mut node = tree.root();
-    while let Some(&child) = tree.children(node).iter().find(|&&c| states[c] == empty) {
-        node = child;
+/// The last pair on the chain from pair `p` down through first children in
+/// `p`'s state, stopping at a label the target does not know: for a pair off
+/// the label universe, the first unknown element of its witness in document
+/// order; for an untypable one, an untypable node over typable children.
+fn culprit<'p>(duta: &Duta, pairs: &'p [RunPair], mut p: usize) -> &'p RunPair {
+    while duta.labels().contains(&pairs[p].label) {
+        let Some(&child) = pairs[p].children.iter().find(|&&c| pairs[c].state == pairs[p].state) else { break };
+        p = child;
     }
-    let word = tree.children(node).iter().map(|&c| states[c]).collect();
-    Some((*tree.label(node), word))
+    &pairs[p]
 }
 
 /// Renders a witness word of subset states as a box of specialised-name
@@ -196,47 +181,40 @@ fn box_of(duta: &Duta, witness: &[usize]) -> BoxLang {
 /// A forest of `schema` whose trees evaluate, in order, to the subset
 /// states of `word`: a word of the forest language whose `j`-th name has a
 /// pair with `word[j]` among `pairs` ([`uta::run_pairs`] of the schema),
-/// each name replaced by that pair's witness tree. `None` if `word` is not
-/// in the function's gap language. The search for the name word charges
-/// `budget`.
+/// each name replaced by the first such pair. `None` if `word` is not in
+/// the function's gap language. The search for the name word charges `budget`.
 fn forest_for(
     schema: &REdtd,
     pairs: &[RunPair],
     word: &[usize],
     budget: &Budget,
-) -> Result<Option<XForest>, AutomataError> {
+) -> Result<Option<Vec<usize>>, AutomataError> {
+    // The pairs of each state, in discovery order.
+    let mut of_state: FxHashMap<Option<usize>, Vec<usize>> = FxHashMap::default();
+    for (p, pair) in pairs.iter().enumerate() {
+        of_state.entry(pair.state).or_default().push(p);
+    }
+    let of = |state: usize| of_state.get(&Some(state)).map_or(&[][..], Vec::as_slice);
     let mut chain = Nfa::new(word.len() + 1, 0);
     for (j, &state) in word.iter().enumerate() {
-        for (name, _, _) in pairs.iter().filter(|(_, s, _)| *s == Some(state)) {
-            chain.add_transition(j, *name, j + 1);
+        for &p in of(state) {
+            chain.add_transition(j, pairs[p].name, j + 1);
         }
     }
     chain.set_final(word.len());
     let forests = schema.content(schema.start()).to_nfa().intersect(&chain);
     let Some(names) = forests.shortest_accepted_with_budget(budget)? else { return Ok(None) };
-    Ok(names
-        .iter()
-        .zip(word)
-        .map(|(name, &state)| {
-            let (_, _, witness) = pairs.iter().find(|(n, s, _)| n == name && *s == Some(state))?;
-            Some(witness.clone())
-        })
-        .collect())
+    let pair = |(name, &state): (&Symbol, &usize)| of(state).iter().copied().find(|&p| pairs[p].name == *name);
+    Ok(names.iter().zip(word).map(pair).collect())
 }
-
-/// One pair of [`uta::run_pairs`]: a specialised name, the subset state (or
-/// `None`, out of the target's label universe) of a tree derivable from it,
-/// and that tree.
-type RunPair = (Symbol, Option<usize>, XTree);
 
 /// A synthesis candidate's gap language standing in for one function's.
 type Candidate<'a> = Option<(&'a Symbol, &'a Nfa)>;
 
 /// Where the kernel pass refutes a design.
-enum Refutation<'a> {
-    /// A called function realizes, on its own, a violation of the target,
-    /// with a forest of it containing the offending tree.
-    Function { function: Symbol, violation: &'a BoxViolation, forest: &'a XForest },
+enum Refutation {
+    /// A called function realizes, on its own, its cached `fault`.
+    Function(Symbol),
     /// A kernel node labelled outside the target's label universe.
     UnknownElement(NodeId),
     /// A kernel node reaching subset state `state` — the empty subset, or
@@ -246,17 +224,17 @@ enum Refutation<'a> {
 }
 
 /// One run of the kernel pass ([`BoxTargetCache::kernel_pass`]).
-struct KernelPass<'a> {
+struct KernelPass {
     /// Per evaluated kernel node: every subset state it can reach, with a
     /// shortest witness child word ([`Duta::outputs_over`]).
     outputs: Vec<BTreeMap<usize, Vec<usize>>>,
     /// The first refutation found; `None` for a valid design.
-    refutation: Option<Refutation<'a>>,
+    refutation: Option<Refutation>,
 }
 
 /// Problem artefacts of a [`BoxDesignProblem`] that are expensive to build
 /// and independent of the document being checked: the determinised
-/// specialised target and the per-function gap languages. Plain data,
+/// specialised target and, per function, its pair DAG and gap language. Plain data,
 /// computed lazily on the first decision and shared by every subsequent
 /// [`BoxDesignProblem::typecheck`], [`BoxDesignProblem::verify_local`] and
 /// [`BoxDesignProblem::perfect_schema`] call; mutating the problem
@@ -341,7 +319,7 @@ impl BoxTargetCache {
         doc: &DistributedDoc,
         candidate: Candidate<'_>,
         budget: &Budget,
-    ) -> Result<KernelPass<'_>, AutomataError> {
+    ) -> Result<KernelPass, AutomataError> {
         let kernel = doc.kernel();
         let called = doc.called_functions();
         let mut pass = KernelPass { outputs: vec![BTreeMap::new(); kernel.size()], refutation: None };
@@ -353,11 +331,9 @@ impl BoxTargetCache {
         if vacuous {
             return Ok(pass);
         }
-        for f in called.iter().filter(|f| !stands_in(f)) {
-            if let Some((violation, forest)) = &self.funs[f].fault {
-                pass.refutation = Some(Refutation::Function { function: *f, violation, forest });
-                return Ok(pass);
-            }
+        if let Some(f) = called.iter().find(|f| !stands_in(f) && self.funs[*f].fault.is_some()) {
+            pass.refutation = Some(Refutation::Function(*f));
+            return Ok(pass);
         }
         let universe = self.duta.num_states();
         let mut achievable: Vec<StateSet> = vec![StateSet::empty(universe); kernel.size()];
@@ -391,11 +367,11 @@ impl BoxTargetCache {
     }
 
     /// The violation a kernel pass reports, if it refuted the design.
-    fn violation(&self, doc: &DistributedDoc, pass: &KernelPass<'_>) -> Option<BoxViolation> {
+    fn violation(&self, doc: &DistributedDoc, pass: &KernelPass) -> Option<BoxViolation> {
         let kernel = doc.kernel();
         let origin = |node| Origin::Kernel { path: kernel.anc_str(node) };
         Some(match *pass.refutation.as_ref()? {
-            Refutation::Function { violation, .. } => violation.clone(),
+            Refutation::Function(f) => self.funs[&f].fault.as_ref()?.0.clone(),
             Refutation::UnknownElement(node) => {
                 BoxViolation::UnknownElement { element: *kernel.label(node), origin: origin(node) }
             }
@@ -840,8 +816,8 @@ impl BoxDesignProblem {
     ///
     /// The target automaton is determinised once per problem (see
     /// [`BoxDesignProblem::target_cache`]); a valid design only pays for
-    /// the kernel pass, a refuted one also for one product fixpoint
-    /// ([`uta::run_pairs`]) per function docking under the violating node.
+    /// the kernel pass, a refuted one also for searching the cached function
+    /// pairs and building the counterexample from them ([`uta::materialise`]).
     pub fn typecheck(&self, doc: &DistributedDoc) -> Result<TypingVerdict, DesignError> {
         self.typecheck_with_budget(doc, &Budget::unlimited())
     }
@@ -896,21 +872,21 @@ impl BoxDesignProblem {
         &self,
         cache: &BoxTargetCache,
         doc: &DistributedDoc,
-        pass: &KernelPass<'_>,
+        pass: &KernelPass,
         budget: &Budget,
     ) -> Result<XTree, DesignError> {
         let kernel = doc.kernel();
         let broken = |detail: &str| DesignError::InvariantViolation { detail: detail.into() };
-        let mut planted: BTreeMap<NodeId, XForest> = BTreeMap::new();
+        let mut planted: BTreeMap<NodeId, Vec<usize>> = BTreeMap::new();
         match pass.refutation {
-            Some(Refutation::Function { function, forest, .. }) => {
+            Some(Refutation::Function(function)) => {
                 let dock = doc.function_nodes().into_iter().find(|&n| *kernel.label(n) == function);
-                planted.extend(dock.map(|n| (n, forest.clone())));
+                let fault = cache.funs[&function].fault.iter();
+                planted.extend(dock.into_iter().zip(fault).map(|(n, (_, forest))| (n, forest.clone())));
             }
             Some(Refutation::Content { node, state }) => {
                 // Top-down from the violating node: each node's witness
                 // word for its required state, split across its children.
-                let mut pairs: BTreeMap<Symbol, Vec<RunPair>> = BTreeMap::new();
                 let mut todo = vec![(node, state)];
                 while let Some((x, s)) = todo.pop() {
                     budget.step()?;
@@ -924,12 +900,7 @@ impl BoxDesignProblem {
                             todo.push((child, piece[0]));
                             continue;
                         }
-                        let schema = &self.fun_schemas[label];
-                        if !pairs.contains_key(label) {
-                            let found = uta::run_pairs(&schema.to_nuta(), &cache.duta, budget)?;
-                            pairs.insert(*label, found);
-                        }
-                        let forest = forest_for(schema, &pairs[label], piece, budget)?
+                        let forest = forest_for(&self.fun_schemas[label], &cache.funs[label].pairs, piece, budget)?
                             .ok_or_else(|| broken("a gap word has no forest of its function's schema"))?;
                         planted.insert(child, forest);
                     }
@@ -937,11 +908,13 @@ impl BoxDesignProblem {
             }
             Some(Refutation::UnknownElement(_)) | None => {}
         }
-        Ok(kernel.replace_nodes(|n| {
-            let label = kernel.label(n);
-            doc.is_function(label)
-                .then(|| planted.get(&n).unwrap_or(&cache.funs[label].default_forest).as_slice())
-        }))
+        let mut forests: BTreeMap<NodeId, XForest> = BTreeMap::new();
+        for dock in doc.function_nodes() {
+            let fun = &cache.funs[kernel.label(dock)];
+            let word = planted.get(&dock).unwrap_or(&fun.default_forest).iter();
+            forests.insert(dock, word.map(|&p| uta::materialise(&fun.pairs, p, budget)).collect::<Result<_, _>>()?);
+        }
+        Ok(kernel.replace_nodes(|n| forests.get(&n).map(Vec::as_slice)))
     }
 
     /// The Section-7 string route: typing verification without tree

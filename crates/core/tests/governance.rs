@@ -12,9 +12,10 @@ use dxml_automata::limits::faults;
 use dxml_automata::{Budget, RFormalism, Resource};
 use dxml_core::{
     validate_batch, validate_batch_with_budget, BoxDesignProblem, DesignError, DesignProblem,
-    DistributedDoc,
+    DistributedDoc, TypingVerdict,
 };
 use dxml_schema::{RDtd, RSdtd, SchemaError, StreamValidator};
+use dxml_tree::XTree;
 
 /// A design problem whose target content model is the subset-blowup family
 /// `(a|b)* a (a|b)^{n-1}` — determinising it needs `2^n` states, so small
@@ -125,22 +126,22 @@ fn counterexample_construction_trips_and_the_same_problem_recovers() {
     // through the docking point of `f`.
     let target = RDtd::parse(RFormalism::Nre, "s -> x, a?\nx -> b*").unwrap();
     let fun = RDtd::parse(RFormalism::Nre, "r -> b*, a").unwrap();
-    let problem = DesignProblem::new(target).with_function("f", fun.clone());
+    let problem = DesignProblem::new(target.clone()).with_function("f", fun);
     let doc = DistributedDoc::parse("s(x(f))", ["f"]).unwrap();
     assert!(!problem.verify_local(&doc).unwrap().is_valid(), "warms the cache");
     let pass = Budget::unlimited().with_step_quota(u64::MAX);
     problem.verify_local_with_budget(&doc, &pass).unwrap();
     let full = Budget::unlimited().with_step_quota(u64::MAX);
     assert!(!problem.typecheck_with_budget(&doc, &full).unwrap().is_valid());
-    // The construction charges more than the product fixpoint of `f` it
-    // runs and the one step of the violating node `x`: splitting the
-    // witness word and searching the forests of `f` for it are charged
-    // too.
-    let fixpoint = Budget::unlimited().with_step_quota(u64::MAX);
-    let duta = problem.target_cache().duta();
-    dxml_tree::uta::run_pairs(&fun.to_edtd().to_nuta(), duta, &fixpoint).unwrap();
-    let construction = full.steps_spent() - pass.steps_spent();
-    assert!(construction > fixpoint.steps_spent() + 1, "{construction} construction steps");
+    // The construction reads the cached pairs of `f` and runs no product
+    // fixpoint: a schema of `f` that differs only by rules unreachable
+    // from its start charges a warm refuted typecheck the same steps.
+    let padded = RDtd::parse(RFormalism::Nre, "r -> b*, a\nz -> (a | b | y)*\ny -> a, z?").unwrap();
+    let padded = DesignProblem::new(target).with_function("f", padded);
+    assert!(!padded.verify_local(&doc).unwrap().is_valid(), "warms the cache");
+    let padded_full = Budget::unlimited().with_step_quota(u64::MAX);
+    assert!(!padded.typecheck_with_budget(&doc, &padded_full).unwrap().is_valid());
+    assert_eq!(padded_full.steps_spent(), full.steps_spent(), "unreachable rules are charged");
     // A quota the kernel pass fits in trips inside the construction.
     let quota = pass.steps_spent();
     assert!(problem.verify_local_with_budget(&doc, &faults::budget_tripping_after(quota)).is_ok());
@@ -149,6 +150,47 @@ fn counterexample_construction_trips_and_the_same_problem_recovers() {
         other => panic!("expected a steps trip, got {other:?}"),
     }
     assert!(!problem.typecheck(&doc).unwrap().is_valid());
+}
+
+/// `first` followed by the doubling chain `a<i> -> a<i+1>, a<i+1>` for
+/// `i < n`: the one tree of `a0` has `2^(n+1) - 1` nodes, over a pair DAG
+/// of `n + 1` pairs.
+fn doubling_chain(first: &str, n: usize) -> String {
+    let mut rules = String::from(first);
+    for i in 0..n {
+        rules.push_str(&format!("\na{i} -> a{j}, a{j}", j = i + 1));
+    }
+    rules
+}
+
+#[test]
+fn an_exponential_counterexample_trips_the_step_quota_and_the_same_problem_recovers() {
+    let n = 16;
+    let target = RDtd::parse(RFormalism::Nre, &doubling_chain("s -> a0*", n)).unwrap();
+    let fun = RDtd::parse(RFormalism::Nre, &doubling_chain("r -> a0", n)).unwrap();
+    let problem = DesignProblem::new(target).with_function("f", fun);
+    let doc = DistributedDoc::parse("s(f a0(a1 a1 a1))", ["f"]).unwrap();
+    // The kernel's leaf `a1` refutes the design, and the counterexample
+    // plugs the default forest of `f` — one tree of 2^17 - 1 nodes — into
+    // the docking point. Building it charges a step per node.
+    match problem.typecheck_with_budget(&doc, &Budget::unlimited().with_step_quota(10_000)) {
+        Err(DesignError::BudgetExceeded { resource: Resource::Steps, .. }) => {}
+        Err(other) => panic!("expected a steps trip, got {other}"),
+        Ok(verdict) => panic!("expected a steps trip, got a verdict (valid: {})", verdict.is_valid()),
+    }
+    let mut full = XTree::leaf(format!("a{n}"));
+    for i in (0..n).rev() {
+        full = XTree::node(format!("a{i}"), vec![full.clone(), full]);
+    }
+    let kernel_a0 = XTree::node("a0", vec![XTree::leaf("a1"), XTree::leaf("a1"), XTree::leaf("a1")]);
+    let expected = XTree::node("s", vec![full, kernel_a0]);
+    match problem.typecheck(&doc).unwrap() {
+        TypingVerdict::Invalid { counterexample, .. } => {
+            assert_eq!(counterexample.size(), 131_076);
+            assert!(counterexample == expected, "an unexpected counterexample");
+        }
+        TypingVerdict::Valid => panic!("expected invalid"),
+    }
 }
 
 #[test]

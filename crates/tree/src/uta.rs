@@ -20,15 +20,15 @@
 //!   ([`included`], [`equivalent`]) — the oracles behind `equiv[S]` for
 //!   SDTDs and EDTDs (Theorem 4.7). Only the right-hand side is
 //!   determinised: one product fixpoint ([`run_pairs`]) pairs the states of
-//!   the nondeterministic left side with the deterministic run of the
-//!   right side.
+//!   the nondeterministic left side with the deterministic run of the right
+//!   side, its witnesses a DAG of pairs that only [`materialise`] expands.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
 use dxml_automata::{Alphabet, AutomataError, Budget, Dfa, FxHashMap, FxHashSet, Nfa, StateSet, Symbol};
 
-use crate::tree::XTree;
+use crate::tree::{NodeId, XTree};
 
 /// A nondeterministic unranked tree automaton whose states are [`Symbol`]s.
 #[derive(Clone)]
@@ -846,9 +846,23 @@ impl fmt::Debug for Duta {
 // Inclusion / equivalence
 // ----------------------------------------------------------------------
 
+/// A pair of [`run_pairs`] as a node of its witness DAG: a `label` root
+/// over the witnesses of the `children` pairs, which precede it.
+#[derive(Clone, Debug)]
+pub struct RunPair {
+    /// The state of the nondeterministic automaton.
+    pub name: Symbol,
+    /// The deterministic run's state (`None` off its label universe).
+    pub state: Option<usize>,
+    /// The witness root's label.
+    pub label: Symbol,
+    /// The pairs witnessing the root's children, in order.
+    pub children: Vec<usize>,
+}
+
 /// Every pair `(q, s)` jointly reachable by some tree `t` — `q` a state `a`
 /// can assign to `t`, `s` the state of `db`'s unique run on `t` — each with
-/// such a tree as witness, in discovery order.
+/// such a tree as witness ([`RunPair`]), in discovery order.
 ///
 /// This is the product fixpoint behind tree-language inclusion of a
 /// nondeterministic automaton in a deterministic one: `a` is never
@@ -866,23 +880,18 @@ impl fmt::Debug for Duta {
 ///
 /// Every BFS pop charges one `budget` step, and the fixpoint aborts with
 /// [`AutomataError::BudgetExceeded`] when the budget trips.
-pub fn run_pairs(
-    a: &Nuta,
-    db: &Duta,
-    budget: &Budget,
-) -> Result<Vec<(Symbol, Option<usize>, XTree)>, AutomataError> {
+pub fn run_pairs(a: &Nuta, db: &Duta, budget: &Budget) -> Result<Vec<RunPair>, AutomataError> {
     budget.check_interrupts()?;
     let rules: Vec<(&Symbol, &Symbol, &Nfa)> = a.rules().collect();
-    let mut readers: BTreeMap<Symbol, Vec<usize>> = BTreeMap::new();
+    let mut readers: FxHashMap<Symbol, Vec<usize>> = FxHashMap::default();
     for (r, (_, _, content)) in rules.iter().enumerate() {
         for sym in content.alphabet().iter() {
             readers.entry(*sym).or_default().push(r);
         }
     }
-    let mut pairs: Vec<(Symbol, Option<usize>, XTree)> = Vec::new();
-    let mut known: FxHashSet<(Symbol, Option<usize>)> = FxHashSet::default();
+    let mut pairs: Vec<RunPair> = Vec::new();
     // The pairs of each state, as indices into `pairs`.
-    let mut of_state: BTreeMap<Symbol, Vec<usize>> = BTreeMap::new();
+    let mut of_state: FxHashMap<Symbol, Vec<usize>> = FxHashMap::default();
     // Seeded in reverse state order: where states are numbered in document
     // order (as in extension automata), children then come before their
     // parents, so most rules settle in one evaluation.
@@ -898,15 +907,15 @@ pub fn run_pairs(
             .iter()
             .filter_map(|sym| {
                 let known_pairs = of_state.get(sym)?;
-                let letters = known_pairs.iter().map(|&p| (pairs[p].1, p)).collect();
+                let letters = known_pairs.iter().map(|&p| (pairs[p].state, p)).collect();
                 Some((content.sym_id(sym)?, letters))
             })
             .collect();
-        for (out, path) in moore_image(db.machine(&label), content, &moves, budget)? {
-            if known.insert((q, out)) {
-                let children = path.iter().map(|&p| pairs[p].2.clone()).collect();
-                of_state.entry(q).or_default().push(pairs.len());
-                pairs.push((q, out, XTree::node(label, children)));
+        for (state, children) in moore_image(db.machine(&label), content, &moves, budget)? {
+            let known = of_state.entry(q).or_default();
+            if !known.iter().any(|&p| pairs[p].state == state) {
+                known.push(pairs.len());
+                pairs.push(RunPair { name: q, state, label, children });
                 for &reader in readers.get(&q).into_iter().flatten() {
                     if !queued[reader] {
                         queued[reader] = true;
@@ -919,6 +928,21 @@ pub fn run_pairs(
     Ok(pairs)
 }
 
+/// The witness tree of pair `root`, numbered in document order: the one
+/// builder of witness trees, iterative, charging one `budget` step per node.
+pub fn materialise(pairs: &[RunPair], root: usize, budget: &Budget) -> Result<XTree, AutomataError> {
+    budget.step()?;
+    let mut tree = XTree::leaf(pairs[root].label);
+    // (pair, parent in `tree`), popped in document order.
+    let mut stack: Vec<(usize, NodeId)> = pairs[root].children.iter().rev().map(|&c| (c, 0)).collect();
+    while let Some((p, parent)) = stack.pop() {
+        budget.step()?;
+        let node = tree.add_child(parent, pairs[p].label);
+        stack.extend(pairs[p].children.iter().rev().map(|&c| (c, node)));
+    }
+    Ok(tree)
+}
+
 /// Checks `[a] ⊆ [b]` as tree languages; on failure returns a tree accepted
 /// by `a` but not by `b`.
 pub fn included(a: &Nuta, b: &Nuta) -> Result<(), XTree> {
@@ -926,8 +950,8 @@ pub fn included(a: &Nuta, b: &Nuta) -> Result<(), XTree> {
 }
 
 /// Checks `[a] ⊆ [db]` against an already-determinised right-hand side; on
-/// failure returns a tree accepted by `a` but not by `db`, the smallest
-/// witness among the reachable pairs that separate the two.
+/// failure returns a tree accepted by `a` but not by `db`: the first smallest
+/// separating witness, sized over the pair DAG and the only tree built.
 ///
 /// This is the entry point for callers that check many left-hand sides
 /// against the same target (typing verification, perfect-schema synthesis):
@@ -938,13 +962,16 @@ pub fn included(a: &Nuta, b: &Nuta) -> Result<(), XTree> {
 ///
 /// Never in practice: the unlimited budget cannot trip.
 pub fn included_in_duta(a: &Nuta, db: &Duta) -> Result<(), XTree> {
-    let separating = run_pairs(a, db, &Budget::unlimited())
-        .expect("the unlimited budget never trips")
-        .into_iter()
-        .filter(|(q, s, _)| a.finals().contains(q) && !s.is_some_and(|i| db.is_final(i)))
-        .map(|(_, _, witness)| witness)
-        .min_by_key(XTree::size);
-    separating.map_or(Ok(()), Err)
+    let unlimited = Budget::unlimited();
+    let pairs = run_pairs(a, db, &unlimited).expect("the unlimited budget never trips");
+    let mut sizes: Vec<u64> = Vec::with_capacity(pairs.len());
+    for pair in &pairs {
+        sizes.push(pair.children.iter().fold(1, |size, &c| size.saturating_add(sizes[c])));
+    }
+    let separating =
+        |&p: &usize| a.finals().contains(&pairs[p].name) && !pairs[p].state.is_some_and(|i| db.is_final(i));
+    let Some(p) = (0..pairs.len()).filter(separating).min_by_key(|&p| sizes[p]) else { return Ok(()) };
+    Err(materialise(&pairs, p, &unlimited).expect("the unlimited budget never trips"))
 }
 
 /// Checks `[a] = [b]` as tree languages, as two inclusions; on failure

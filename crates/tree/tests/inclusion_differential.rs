@@ -8,9 +8,12 @@
 //! checked against a random right-hand side `b` determinised over its own
 //! labels (`b.determinize(b.labels())`):
 //!
-//! * every pair the fixpoint reports is realised by its witness tree, and
-//!   every `(state, run state)` pair of a random tree over the left-hand
-//!   labels is reported (the fixpoint is sound and complete);
+//! * every pair the fixpoint reports is realised by its witness tree, as
+//!   [`uta::materialise`] builds it from the pair DAG (one budget step per
+//!   node), and every `(state, run state)` pair of a random tree over the
+//!   left-hand labels is reported (the fixpoint is sound and complete);
+//! * the inclusion counterexample has the least witness size among the
+//!   separating pairs;
 //! * every inclusion counterexample is accepted by `a` and rejected by `b`;
 //!   on an `Ok` verdict, no random tree and no inhabitation witness of `a`
 //!   separates the two;
@@ -128,16 +131,32 @@ fn pairs_are_realised_by_their_witnesses_and_complete() {
         let db = b.determinize(b.labels());
         let a = left_side(&mut rng, &b, case);
         let pairs = uta::run_pairs(&a, &db, &Budget::unlimited()).unwrap();
-        let reported: BTreeSet<(Symbol, Option<usize>)> =
-            pairs.iter().map(|(q, s, _)| (*q, *s)).collect();
+        let reported: BTreeSet<(Symbol, Option<usize>)> = pairs.iter().map(|p| (p.name, p.state)).collect();
         assert_eq!(reported.len(), pairs.len(), "case {case}: a pair is reported twice");
-        for (q, s, witness) in &pairs {
+        let budget = Budget::unlimited().with_step_quota(u64::MAX);
+        let witnesses: Vec<XTree> =
+            (0..pairs.len()).map(|p| uta::materialise(&pairs, p, &budget).unwrap()).collect();
+        let mut sizes: Vec<usize> = Vec::new();
+        for (pair, witness) in pairs.iter().zip(&witnesses) {
+            let q = pair.name;
+            assert!(pair.children.iter().all(|&c| c < sizes.len()), "case {case}: a child follows `{q}`");
+            sizes.push(1 + pair.children.iter().map(|&c| sizes[c]).sum::<usize>());
+            assert_eq!(witness.size(), sizes[sizes.len() - 1], "case {case}: witness `{witness}` of `{q}`");
+            assert_eq!(witness.document_order(), (0..witness.size()).collect::<Vec<_>>());
             assert!(
-                a.run(witness)[witness.root()].contains(q),
+                a.run(witness)[witness.root()].contains(&q),
                 "case {case}: witness `{witness}` cannot be typed `{q}`"
             );
-            assert_eq!(root_state(&db, witness), *s, "case {case}: witness `{witness}` of `{q}`");
+            assert_eq!(root_state(&db, witness), pair.state, "case {case}: witness `{witness}` of `{q}`");
         }
+        assert_eq!(budget.steps_spent(), sizes.iter().sum::<usize>() as u64, "case {case}: one step per node");
+        // The inclusion witness has the least size among the separating pairs.
+        let separating = pairs
+            .iter()
+            .zip(&sizes)
+            .filter(|(p, _)| a.finals().contains(&p.name) && !p.state.is_some_and(|i| db.is_final(i)));
+        let least = separating.map(|(_, &size)| size).min();
+        assert_eq!(uta::included_in_duta(&a, &db).err().map(|w| w.size()), least, "case {case}");
         for tree in probe_trees(&a, case as u64) {
             let s = root_state(&db, &tree);
             for q in &a.run(&tree)[tree.root()] {

@@ -158,11 +158,21 @@ examples:
 
 # Lint the example/bench schema corpus: exits non-zero on any
 # error-severity diagnostic from the dxml-analysis passes. --costs appends
-# the static cost-analysis summary for the corpus designs; the second run
-# drives the JSON report, whose costs array is spliced into the findings.
+# the static cost-analysis summary for the corpus designs. The text report
+# is diffed against its golden, examples/expected/schema_lint.txt, so any
+# change to a diagnostic or its suggested schema fails here (an intended
+# change regenerates the golden with
+# `cargo run -q --release --example schema_lint -- --costs > examples/expected/schema_lint.txt`).
+# The second run drives the JSON report, whose costs array is spliced into
+# the findings.
 lint-schemas:
-	$(CARGO) run -q --release --example schema_lint -- --costs
+	@out=$$(mktemp -d); trap 'rm -rf "$$out"' EXIT; \
+	$(CARGO) run -q --release --example schema_lint -- --costs > $$out/schema_lint.txt || { \
+		cat $$out/schema_lint.txt; echo "lint-schemas: schema_lint exited non-zero" >&2; exit 1; }; \
+	diff -u examples/expected/schema_lint.txt $$out/schema_lint.txt || { \
+		echo "lint-schemas: schema_lint output differs from examples/expected/schema_lint.txt" >&2; exit 1; }
 	$(CARGO) run -q --release --example schema_lint -- --json --costs
+	@echo "lint-schemas: no error-severity finding; the text report matches its golden"
 
 # Lint the repo's structural conventions (telemetry metrics wired, bench
 # targets baseline-gated and documented, every *_with_budget the governed
@@ -172,7 +182,8 @@ lint-repo:
 	$(CARGO) run -q --release --example repo_invariants
 
 # The tier-1 gate plus lints, docs, bench compilation, the repo-invariant
-# lint (so a retired counter that gets recorded again fails locally too) and
-# the example goldens (they pin the determinised targets' subset numbering).
-verify: build test clippy doc bench lint-repo examples
+# lint (so a retired counter that gets recorded again fails locally too),
+# the example goldens (they pin the determinised targets' subset numbering)
+# and the schema lint with its golden report.
+verify: build test clippy doc bench lint-repo examples lint-schemas
 	@echo "verify: OK"

@@ -1,8 +1,10 @@
 //! Decision procedures for the definability hierarchy of Section 3.
 //!
 //! Both procedures follow the same closure-based recipe: *reduce* the EDTD
-//! (keep only specialised names that are productive and reachable through
-//! realizable content words), build the **candidate** schema of the lemma —
+//! with [`REdtd::reduce`] (keep only the inhabited specialised names
+//! reachable through realizable content words, with their content models
+//! restricted to them; an empty language keeps only the start, whose
+//! content model is empty), build the **candidate** schema of the lemma —
 //! the least DTD (Lemma 3.12) or single-type SDTD (Lemma 3.5) whose language
 //! contains the target — and decide language equivalence of the candidate
 //! against the original with the tree-automata machinery. Because the
@@ -30,77 +32,21 @@ use dxml_automata::{Nfa, RFormalism, RSpec, Symbol};
 use dxml_schema::{RDtd, REdtd, RSdtd};
 use dxml_tree::uta;
 
-/// A reduced view of an EDTD: only specialised names that are productive
-/// (some finite tree satisfies them) *and* reachable from the start through
-/// realizable content words, with content automata restricted accordingly.
-struct Reduced {
-    start: Symbol,
-    root_label: Symbol,
-    /// Kept specialised name → (its label `µ(ã)`, reduced content NFA).
-    rules: BTreeMap<Symbol, (Symbol, Nfa)>,
-}
-
-/// Reduces `e`; `None` iff the language is empty (then no specialised name
-/// can type the root, and both candidates degenerate to the empty schema).
-fn reduce(e: &REdtd) -> Option<Reduced> {
-    let productive: BTreeSet<Symbol> =
-        e.to_nuta().inhabited_witnesses().keys().copied().collect();
-    if !productive.contains(e.start()) {
-        return None;
-    }
-    let root_label = *e.label_of(e.start()).unwrap_or(e.start());
-    let mut rules: BTreeMap<Symbol, (Symbol, Nfa)> = BTreeMap::new();
-    let mut queue: VecDeque<Symbol> = VecDeque::from([*e.start()]);
-    while let Some(name) = queue.pop_front() {
-        if rules.contains_key(&name) {
-            continue;
-        }
-        // Restricting to productive letters and trimming leaves exactly the
-        // letters that occur in some realizable content word, so the
-        // alphabet of the reduced content is the set of reachable children.
-        let content = e
-            .content(&name)
-            .to_nfa()
-            .filter_symbols(|s| productive.contains(s))
-            .trim();
-        for child in content.alphabet().iter() {
-            queue.push_back(*child);
-        }
-        let label = *e.label_of(&name).unwrap_or(&name);
-        rules.insert(name, (label, content));
-    }
-    Some(Reduced { start: *e.start(), root_label, rules })
-}
-
-/// The trivial empty-language DTD over `root_label` (no tree validates:
-/// the root's children can match no word of the empty content model).
-fn empty_dtd(root_label: Symbol) -> RDtd {
-    let mut dtd = RDtd::new(RFormalism::Nfa, root_label);
-    dtd.set_rule(root_label, RSpec::Nfa(Nfa::empty()));
-    dtd
-}
-
 /// The candidate DTD of Lemma 3.12: per element name `a`, the union over
 /// every kept specialisation `ã` with `µ(ã) = a` of its reduced content
 /// model, with `µ` erased. Its language always *contains* the language of
 /// `e`; it equals it exactly when the language is DTD-definable.
 pub fn dtd_candidate(e: &REdtd) -> RDtd {
-    let root_label = *e.label_of(e.start()).unwrap_or(e.start());
-    let reduced = match reduce(e) {
-        Some(r) => r,
-        None => return empty_dtd(root_label),
-    };
+    let reduced = e.reduce();
+    let mu = |name: &Symbol| *reduced.label_of(name).unwrap_or(name);
     // Group the kept specialisations by label.
-    let mut by_label: BTreeMap<Symbol, Vec<&Nfa>> = BTreeMap::new();
-    for (label, content) in reduced.rules.values() {
-        by_label.entry(*label).or_default().push(content);
+    let mut by_label: BTreeMap<Symbol, Vec<Nfa>> = BTreeMap::new();
+    for name in reduced.specialized_names().iter() {
+        by_label.entry(mu(name)).or_default().push(reduced.content(name).to_nfa());
     }
-    let mu: BTreeMap<Symbol, Symbol> =
-        reduced.rules.iter().map(|(name, (label, _))| (*name, *label)).collect();
-    let mut dtd = RDtd::new(RFormalism::Nfa, reduced.root_label);
+    let mut dtd = RDtd::new(RFormalism::Nfa, mu(reduced.start()));
     for (label, contents) in by_label {
-        let union = Nfa::union_all(contents.iter().copied());
-        let mapped = union.map_symbols(|s| mu[s]).trim();
+        let mapped = Nfa::union_all(&contents).map_symbols(mu).trim();
         dtd.set_rule(label, RSpec::Nfa(mapped));
     }
     dtd
@@ -129,33 +75,29 @@ pub fn dtd_definable(e: &REdtd) -> Option<RDtd> {
 /// Only on a broken internal invariant (the construction producing a
 /// candidate that is not single-type).
 pub fn sdtd_candidate(e: &REdtd) -> RSdtd {
-    let root_label = *e.label_of(e.start()).unwrap_or(e.start());
-    let reduced = match reduce(e) {
-        Some(r) => r,
-        None => {
-            return RSdtd::from_edtd(empty_dtd(root_label).to_edtd())
-                .expect("a single-rule DTD is single-type");
-        }
-    };
+    let reduced = e.reduce();
+    let mu = |name: &Symbol| *reduced.label_of(name).unwrap_or(name);
+    let root_label = mu(reduced.start());
     // Interned (label, specialisation set) pairs: the single-type names.
     let mut names: BTreeMap<(Symbol, BTreeSet<Symbol>), Symbol> = BTreeMap::new();
     let mut counters: BTreeMap<Symbol, usize> = BTreeMap::new();
     let mut queue: VecDeque<(Symbol, BTreeSet<Symbol>)> = VecDeque::new();
-    let start_type = (reduced.root_label, BTreeSet::from([reduced.start]));
-    let start_name = reduced.root_label.specialize(0);
+    let start_type = (root_label, BTreeSet::from([*reduced.start()]));
+    let start_name = root_label.specialize(0);
     names.insert(start_type.clone(), start_name);
-    counters.insert(reduced.root_label, 1);
+    counters.insert(root_label, 1);
     queue.push_back(start_type);
     let mut out = REdtd::new(RFormalism::Nfa, start_name, root_label);
     out.add_specialization(start_name, root_label);
     while let Some(ty) = queue.pop_front() {
-        let union = Nfa::union_all(ty.1.iter().map(|q| &reduced.rules[q].1));
+        let contents: Vec<Nfa> = ty.1.iter().map(|q| reduced.content(q).to_nfa()).collect();
+        let union = Nfa::union_all(&contents);
         // Group the letters of the merged content by label: all
         // specialisations of `b` occurring here collapse into the one pair
         // `(b, S_b)` — which is what makes the candidate single-type.
         let mut child_sets: BTreeMap<Symbol, BTreeSet<Symbol>> = BTreeMap::new();
         for s in union.alphabet().iter() {
-            child_sets.entry(reduced.rules[s].0).or_default().insert(*s);
+            child_sets.entry(mu(s)).or_default().insert(*s);
         }
         let mut rename: BTreeMap<Symbol, Symbol> = BTreeMap::new();
         for (label, child_set) in child_sets {

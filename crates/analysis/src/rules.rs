@@ -7,8 +7,9 @@ use std::fmt;
 
 use dxml_automata::regex::Glushkov;
 use dxml_automata::symbol::Word;
-use dxml_automata::{dre, RSpec, Regex, Symbol};
+use dxml_automata::{dre, Budget, RSpec, Regex, Symbol};
 use dxml_schema::{RDtd, REdtd, RSdtd};
+use dxml_tree::uta;
 
 use crate::cost::{suffix_counting, EXPONENTIAL_THRESHOLD};
 use crate::definability::{dtd_definable, sdtd_definable};
@@ -38,7 +39,8 @@ pub fn analyze_schema(schema: AnySchema<'_>) -> Vec<Diagnostic> {
 /// empty and non-one-unambiguous content models.
 pub fn analyze_dtd(dtd: &RDtd) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    if dtd.language_is_empty() {
+    let bound = dtd.bound_names();
+    if !bound.contains(dtd.start()) {
         out.push(Diagnostic::new(
             "DX001",
             Severity::Error,
@@ -47,7 +49,6 @@ pub fn analyze_dtd(dtd: &RDtd) -> Vec<Diagnostic> {
         ));
     }
     let reachable = dtd.reachable_names();
-    let bound = dtd.bound_names();
     for name in dtd.alphabet() {
         if !reachable.contains(name) {
             out.push(
@@ -109,7 +110,11 @@ pub fn analyze_sdtd(s: &RSdtd) -> Vec<Diagnostic> {
 /// The structural rules shared by the EDTD and SDTD passes.
 fn structural_edtd_rules(e: &REdtd) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    if e.language_is_empty() {
+    // The inhabited names: one pair each of the fixpoint against no target.
+    let pairs = uta::run_pairs(&e.to_nuta(), None, &Budget::unlimited())
+        .expect("the unlimited budget never trips");
+    let productive: BTreeSet<Symbol> = pairs.iter().map(|p| p.name).collect();
+    if !productive.contains(e.start()) {
         out.push(Diagnostic::new(
             "DX001",
             Severity::Error,
@@ -117,8 +122,6 @@ fn structural_edtd_rules(e: &REdtd) -> Vec<Diagnostic> {
             format!("the schema's language is empty: start `{}` is unsatisfiable", e.start()),
         ));
     }
-    let productive: BTreeSet<Symbol> =
-        e.to_nuta().inhabited_witnesses().keys().copied().collect();
     // Reachable: top-down closure from the start through content alphabets.
     let mut reachable: BTreeSet<Symbol> = BTreeSet::from([*e.start()]);
     let mut stack = vec![*e.start()];

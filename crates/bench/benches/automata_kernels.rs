@@ -22,7 +22,7 @@ fn family_language(n: usize, rename: impl Fn(&Symbol) -> Symbol) -> Nfa {
         .alphabet()
         .iter()
         .map(|a| match target.content(a) {
-            RSpec::Nre(re) => re,
+            RSpec::Nre(re) => re.clone(),
             other => unreachable!("the nRE family has nRE content models, not {other:?}"),
         })
         .collect();

@@ -77,8 +77,9 @@ pub fn dtd_family(formalism: RFormalism, n: usize, seed: u64) -> RDtd {
     dtd
 }
 
-/// A valid document of the `(n, seed)` DTD family, grown by repeatedly
-/// materialising the shortest content word of each element (deterministic).
+/// A valid document of the `(n, seed)` DTD family: its sample tree
+/// ([`RDtd::sample_tree`], the start's witness in the inhabitation
+/// fixpoint's pair DAG; deterministic).
 ///
 /// # Panics
 ///

@@ -105,7 +105,7 @@ impl FunArtifacts {
         // subtrees make independent state choices, so the image of a content
         // word is the full product of the per-name sets. A label the target
         // does not know yields `None`, which propagates to every ancestor.
-        let pairs = uta::run_pairs(&schema.to_nuta(), duta, budget)?;
+        let pairs = uta::run_pairs(&schema.to_nuta(), Some(duta), budget)?;
         let mut slots: BTreeMap<Symbol, BTreeSet<Symbol>> = BTreeMap::new();
         for pair in &pairs {
             slots.entry(pair.name).or_default().extend(pair.state.map(|i| duta.letter(i)));

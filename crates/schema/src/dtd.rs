@@ -8,8 +8,10 @@
 //!
 //! The module implements validation, the vertical automaton `dual(τ)`
 //! (Definition 4), the *bound-state* marking and the *reduced* property
-//! (Definition 5) with the reduction algorithm, language emptiness,
-//! equivalence (Proposition 4.1) and conversion to [`REdtd`]. The closure
+//! (Definition 5), language emptiness, equivalence (Proposition 4.1) and
+//! conversion to [`REdtd`]. The bound names are the inhabited states of the
+//! DTD's tree automaton, read off the pairs of [`uta::run_pairs`] against
+//! no target; the reduction is the EDTD one ([`REdtd::reduce`]). The closure
 //! characterisation of Lemma 3.12 (closure under subtree substitution) is
 //! *decided* — not sampled — by `dxml-analysis::dtd_definable`, with the
 //! brute-force closure search living in that crate's property tests.
@@ -17,12 +19,16 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use dxml_automata::{Alphabet, Dfa, FxHashMap, Nfa, RFormalism, RSpec, Symbol};
-use dxml_tree::{Nuta, XTree};
+use dxml_automata::{Alphabet, Budget, Dfa, FxHashMap, Nfa, RFormalism, RSpec, Regex, Symbol};
+use dxml_tree::{uta, Nuta, XTree};
 
 use crate::edtd::REdtd;
 use crate::error::SchemaError;
 use crate::syntax;
+
+/// The content model `{ε}` of every leaf-only name, shared by
+/// [`RDtd::content`] and [`REdtd::content`].
+pub(crate) static LEAF_CONTENT: RSpec = RSpec::Nre(Regex::Epsilon);
 
 /// An `R-DTD` `⟨Σ, π, s⟩` (Definition 3).
 #[derive(Clone)]
@@ -97,12 +103,9 @@ impl RDtd {
         &self.start
     }
 
-    /// The content model `π(name)`; leaf-only elements yield `{ε}`.
-    pub fn content(&self, name: &Symbol) -> RSpec {
-        self.rules
-            .get(name)
-            .cloned()
-            .unwrap_or(RSpec::Nre(dxml_automata::Regex::Epsilon))
+    /// The content model `π(name)`; leaf-only elements share one `{ε}`.
+    pub fn content(&self, name: &Symbol) -> &RSpec {
+        self.rules.get(name).unwrap_or(&LEAF_CONTENT)
     }
 
     /// Whether the element has an explicit content rule.
@@ -188,37 +191,17 @@ impl RDtd {
 
     /// The *bound* element names: the fixpoint marking of Definition 5.
     /// An element name is bound if its content model contains some word over
-    /// bound names (in particular, if it contains ε).
+    /// bound names (in particular, if it contains ε): exactly the inhabited
+    /// states of [`RDtd::to_nuta`], one pair each of [`uta::run_pairs`]
+    /// against no target.
+    ///
+    /// # Panics
+    ///
+    /// Never in practice: the unlimited budget cannot trip.
     pub fn bound_names(&self) -> BTreeSet<Symbol> {
-        // The content NFAs are loop-invariant: build each once, not once per
-        // fixpoint round (leaf-only names are bound immediately — their
-        // content is {ε}).
-        let mut bound: BTreeSet<Symbol> = BTreeSet::new();
-        let mut pending: Vec<(&Symbol, Nfa)> = Vec::new();
-        for a in &self.alphabet {
-            match self.rules.get(a) {
-                Some(content) => pending.push((a, content.to_nfa())),
-                None => {
-                    bound.insert(*a);
-                }
-            }
-        }
-        loop {
-            let mut changed = false;
-            pending.retain(|(a, content)| {
-                let restricted = content.filter_symbols(|s| bound.contains(s));
-                if restricted.shortest_accepted().is_some() {
-                    bound.insert(*(*a));
-                    changed = true;
-                    false
-                } else {
-                    true
-                }
-            });
-            if !changed {
-                return bound;
-            }
-        }
+        let pairs = uta::run_pairs(&self.to_nuta(), None, &Budget::unlimited())
+            .expect("the unlimited budget never trips");
+        pairs.iter().map(|p| p.name).collect()
     }
 
     /// The element names reachable from the start symbol in `dual(τ)`.
@@ -250,34 +233,17 @@ impl RDtd {
             && bound.contains(&self.start)
     }
 
-    /// The reduction of the DTD: removes unreachable or unbound
-    /// ("unprofitable") element names and restricts the remaining content
-    /// models to words over the surviving names. The result describes the
-    /// same tree language.
+    /// The reduction of the DTD, [`REdtd::reduce`] of [`RDtd::to_edtd`]:
+    /// keeps the bound element names reachable from the start through
+    /// content models restricted to bound names, and restricts those
+    /// content models to them. The result describes the same tree
+    /// language and is reduced unless that language is empty; then only
+    /// the start is kept, with an unsatisfiable content model.
     pub fn reduce(&self) -> RDtd {
-        let bound = self.bound_names();
-        let reachable = self.reachable_names();
-        if !bound.contains(&self.start) {
-            // Empty language: keep the start with an unsatisfiable content
-            // model so the reduction still describes the same (empty)
-            // language instead of silently turning the start into a leaf.
-            let mut out = RDtd::new(self.formalism, self.start);
-            out.rules.insert(self.start, RSpec::Nfa(dxml_automata::Nfa::empty()));
-            return out;
-        }
-        let keep: BTreeSet<Symbol> =
-            bound.intersection(&reachable).cloned().collect();
+        let reduced = self.to_edtd().reduce();
         let mut out = RDtd::new(self.formalism, self.start);
-        for a in &keep {
-            out.alphabet.insert(*a);
-        }
-        for (a, content) in &self.rules {
-            if !keep.contains(a) {
-                continue;
-            }
-            let nfa = content.to_nfa().filter_symbols(|s| keep.contains(s)).trim();
-            out.rules.insert(*a, RSpec::Nfa(nfa));
-        }
+        out.alphabet = reduced.specialized_names();
+        out.rules = reduced.rules().map(|(a, content)| (*a, content.clone())).collect();
         out
     }
 
@@ -301,8 +267,9 @@ impl RDtd {
     pub fn equivalent(&self, other: &RDtd) -> bool {
         let a = self.reduce();
         let b = other.reduce();
-        if a.language_is_empty() || b.language_is_empty() {
-            return a.language_is_empty() == b.language_is_empty();
+        let (a_empty, b_empty) = (a.language_is_empty(), b.language_is_empty());
+        if a_empty || b_empty {
+            return a_empty == b_empty;
         }
         if a.start != b.start || a.alphabet != b.alphabet {
             return false;
@@ -450,6 +417,18 @@ mod tests {
         let empty = RDtd::parse(RFormalism::Nre, "s -> s").unwrap();
         assert!(empty.language_is_empty());
         assert_eq!(empty.sample_tree(), None);
+    }
+
+    #[test]
+    fn reduction_drops_names_reachable_only_through_unbound_ones() {
+        // `x` is bound, but only the unbound `y` mentions it.
+        let dtd = RDtd::parse(RFormalism::Nre, "s -> a | y\ny -> y, x").unwrap();
+        let red = dtd.reduce();
+        assert!(red.is_reduced(), "{red}");
+        assert_eq!(red.alphabet().to_vec(), vec![Symbol::new("a"), Symbol::new("s")]);
+        let plain = RDtd::parse(RFormalism::Nre, "s -> a").unwrap();
+        assert!(dtd.equivalent(&plain));
+        assert!(dtd.equivalent_witness(&plain).is_ok());
     }
 
     #[test]

@@ -10,13 +10,15 @@
 //! languages, operationally an [`Nuta`] whose states are the specialised
 //! names.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
-use dxml_automata::{Alphabet, Nfa, RFormalism, RSpec, Symbol};
+use dxml_automata::{Alphabet, Budget, Nfa, RFormalism, RSpec, Symbol};
 use dxml_tree::uta::Duta;
 use dxml_tree::{uta, Nuta, XTree};
 
+use crate::dtd::LEAF_CONTENT;
 use crate::error::SchemaError;
 
 /// An `R-EDTD` `⟨Σ, Σ', d, s⟩` (Definition 7).
@@ -112,17 +114,13 @@ impl REdtd {
     }
 
     /// The content model of a specialised name; unregistered or leaf-only
-    /// names yield `{ε}`.
-    pub fn content(&self, specialized: &Symbol) -> RSpec {
-        self.rules
-            .get(specialized)
-            .cloned()
-            .unwrap_or(RSpec::Nre(dxml_automata::Regex::Epsilon))
+    /// names share one `{ε}`.
+    pub fn content(&self, specialized: &Symbol) -> &RSpec {
+        self.rules.get(specialized).unwrap_or(&LEAF_CONTENT)
     }
 
-    /// The explicit content rule of a specialised name, by reference
-    /// (`None` for leaf-only names). The non-cloning sibling of
-    /// [`REdtd::content`], for callers that only read the rule.
+    /// The explicit content rule of a specialised name (`None` for
+    /// leaf-only names, whose [`REdtd::content`] is the shared `{ε}`).
     pub fn rule(&self, specialized: &Symbol) -> Option<&RSpec> {
         self.rules.get(specialized)
     }
@@ -222,6 +220,47 @@ impl REdtd {
     /// A tree in the language, if any.
     pub fn sample_tree(&self) -> Option<XTree> {
         self.to_nuta().sample_tree()
+    }
+
+    /// The reduction (Definition 5, lifted to specialised names): keeps the
+    /// *inhabited* names (those some tree can be typed with — one pair each
+    /// of [`uta::run_pairs`] against no target) that are reachable from the
+    /// start through content models restricted to inhabited names and
+    /// trimmed, and gives each kept rule that restricted, trimmed content.
+    /// Trimming leaves exactly the names of some realizable content word,
+    /// so every kept name types a node of some tree of the language, which
+    /// is unchanged. An empty language keeps only the start, with the empty
+    /// content model.
+    ///
+    /// The one reduction behind [`crate::RDtd::reduce`] and the
+    /// definability candidates.
+    ///
+    /// # Panics
+    ///
+    /// Never in practice: the unlimited budget cannot trip, and `µ` maps
+    /// the start and every symbol of every rule.
+    pub fn reduce(&self) -> REdtd {
+        let pairs = uta::run_pairs(&self.to_nuta(), None, &Budget::unlimited())
+            .expect("the unlimited budget never trips");
+        let inhabited: BTreeSet<Symbol> = pairs.iter().map(|p| p.name).collect();
+        let mut out = REdtd::new(self.formalism, self.start, self.mu[&self.start]);
+        if !inhabited.contains(&self.start) {
+            out.rules.insert(self.start, RSpec::Nfa(Nfa::empty()));
+            return out;
+        }
+        let mut queue = VecDeque::from([self.start]);
+        while let Some(name) = queue.pop_front() {
+            let Some(rule) = self.rules.get(&name) else { continue };
+            let content = rule.to_nfa().filter_symbols(|s| inhabited.contains(s)).trim();
+            for child in content.alphabet().iter() {
+                if let Entry::Vacant(slot) = out.mu.entry(*child) {
+                    slot.insert(self.mu[child]);
+                    queue.push_back(*child);
+                }
+            }
+            out.rules.insert(name, RSpec::Nfa(content));
+        }
+        out
     }
 
     /// Language equivalence with another EDTD (`equiv[S]`, Theorem 4.7).

@@ -131,7 +131,7 @@ impl RSdtd {
         // specialisation in the content model) is loop-invariant; build it
         // once per specialisation, not once per node.
         let mut types: Vec<Symbol> = vec![*start; tree.size()];
-        let mut maps: BTreeMap<Symbol, (RSpec, BTreeMap<Symbol, Symbol>)> = BTreeMap::new();
+        let mut maps: BTreeMap<Symbol, (&RSpec, BTreeMap<Symbol, Symbol>)> = BTreeMap::new();
         for node in tree.document_order() {
             let spec = types[node];
             let (content, by_label) = maps.entry(spec).or_insert_with(|| {

@@ -11,7 +11,9 @@
 //! provides:
 //!
 //! * membership ([`Nuta::accepts`]) via the bottom-up possible-state-set run;
-//! * emptiness with witness trees ([`Nuta::inhabited_witnesses`]);
+//! * emptiness and sample trees read off the inhabited states: the pairs
+//!   of [`run_pairs`] against no target, one per inhabited state, with
+//!   their witness DAG ([`Nuta::is_empty`], [`Nuta::sample_tree`]);
 //! * bottom-up determinisation ([`Duta`], the dUTAs of the paper) via the
 //!   reachable-subset construction, with per-label Moore machines over
 //!   subset states, expanded only on the letters their content automata
@@ -172,42 +174,27 @@ impl Nuta {
     // Emptiness
     // ------------------------------------------------------------------
 
-    /// For every *inhabited* state `q` (a state to which some tree can be
-    /// assigned), a witness tree. The language is empty iff no final state is
-    /// inhabited.
-    pub fn inhabited_witnesses(&self) -> BTreeMap<Symbol, XTree> {
-        let mut witnesses: BTreeMap<Symbol, XTree> = BTreeMap::new();
-        loop {
-            let mut changed = false;
-            for ((state, label), content) in &self.delta {
-                if witnesses.contains_key(state) {
-                    continue;
-                }
-                // Restrict the content automaton to currently inhabited
-                // states and look for a shortest accepted word.
-                let restricted = content.filter_symbols(|s| witnesses.contains_key(s));
-                if let Some(word) = restricted.shortest_accepted() {
-                    let children: Vec<XTree> = word.iter().map(|s| witnesses[s].clone()).collect();
-                    witnesses.insert(*state, XTree::node(*label, children));
-                    changed = true;
-                }
-            }
-            if !changed {
-                return witnesses;
-            }
-        }
-    }
-
-    /// Whether the tree language is empty.
+    /// Whether the tree language is empty: no final state is inhabited.
+    ///
+    /// # Panics
+    ///
+    /// Never in practice: the unlimited budget cannot trip.
     pub fn is_empty(&self) -> bool {
-        let witnesses = self.inhabited_witnesses();
-        !self.finals.iter().any(|f| witnesses.contains_key(f))
+        let pairs = run_pairs(self, None, &Budget::unlimited()).expect("the unlimited budget never trips");
+        !pairs.iter().any(|p| self.finals.contains(&p.name))
     }
 
-    /// A tree in the language, if any.
+    /// A tree in the language, if any: the witness of the first inhabited
+    /// final state.
+    ///
+    /// # Panics
+    ///
+    /// Never in practice: the unlimited budget cannot trip.
     pub fn sample_tree(&self) -> Option<XTree> {
-        let witnesses = self.inhabited_witnesses();
-        self.finals.iter().find_map(|f| witnesses.get(f).cloned())
+        let unlimited = Budget::unlimited();
+        let pairs = run_pairs(self, None, &unlimited).expect("the unlimited budget never trips");
+        let root = self.finals.iter().find_map(|f| pairs.iter().position(|p| p.name == *f))?;
+        Some(materialise(&pairs, root, &unlimited).expect("the unlimited budget never trips"))
     }
 
     /// Determinises the automaton over the label universe `labels` (which
@@ -784,20 +771,34 @@ type Reached = (Option<usize>, Vec<usize>);
 /// The Moore image of a content language under a label machine: a BFS over
 /// (content frontier, machine configuration) pairs in which the symbol of
 /// each move reads each of its letters, `None` being the dead state of
-/// trees outside the machine's universe. A dead letter or a missing
-/// `machine` sends the configuration to `None` for good. Returns every
+/// trees outside the machine's universe. A dead letter sends the
+/// configuration to `None` for good. Returns every
 /// output (`None` for the dead configuration) reached with a final
 /// frontier, in discovery order, with the tags of the first — shortest —
 /// path to it. Charges one budget step per popped pair.
+///
+/// Without a machine the one output is `None`, reached by the least
+/// shortest word in move order, which is symbol text order. That word is
+/// found on single content states ([`Nfa::shortest_accepted_with_budget`],
+/// whose budget steps it charges), not on frontiers, whose number can be
+/// exponential in a nondeterministic content model.
 fn moore_image(
     machine: Option<&LabelMachine>,
     content: &Nfa,
     moves: &[Move],
     budget: &Budget,
 ) -> Result<Vec<Reached>, AutomataError> {
+    let Some(machine) = machine else {
+        let tag = |sym: &Symbol| {
+            let sid = content.sym_id(sym)?;
+            Some(moves.iter().find(|(s, _)| *s == sid)?.1.first()?.1)
+        };
+        let word = content.filter_symbols(|sym| tag(sym).is_some()).shortest_accepted_with_budget(budget)?;
+        return Ok(word.map(|w| (None, w.iter().filter_map(tag).collect())).into_iter().collect());
+    };
     let finals = content.finals_set();
     type Node = (StateSet, Option<usize>);
-    let start: Node = (content.start_set(), machine.map(LabelMachine::start));
+    let start: Node = (content.start_set(), Some(machine.start()));
     let mut image: Vec<Reached> = Vec::new();
     let mut found: FxHashSet<Option<usize>> = FxHashSet::default();
     let mut seen: FxHashSet<Node> = FxHashSet::from_iter([start.clone()]);
@@ -805,7 +806,7 @@ fn moore_image(
     while let Some(((set, config), path)) = queue.pop_front() {
         budget.step()?;
         if set.intersects(&finals) {
-            let out = config.zip(machine).map(|(c, m)| m.output(c));
+            let out = config.map(|c| machine.output(c));
             if found.insert(out) {
                 image.push((out, path.clone()));
             }
@@ -816,10 +817,7 @@ fn moore_image(
                 continue;
             }
             for &(letter, tag) in letters {
-                let next_config = match (config, letter, machine) {
-                    (Some(c), Some(s), Some(m)) => Some(m.step(c, s)),
-                    _ => None,
-                };
+                let next_config = config.zip(letter).map(|(c, s)| machine.step(c, s));
                 let next = (next_set.clone(), next_config);
                 if seen.insert(next.clone()) {
                     let mut next_path = path.clone();
@@ -878,9 +876,18 @@ pub struct RunPair {
 /// dead state, rendered as `None`, which propagates upward — exactly the
 /// semantics of [`Duta::run`] returning `None` on out-of-universe labels.
 ///
-/// Every BFS pop charges one `budget` step, and the fixpoint aborts with
-/// [`AutomataError::BudgetExceeded`] when the budget trips.
-pub fn run_pairs(a: &Nuta, db: &Duta, budget: &Budget) -> Result<Vec<RunPair>, AutomataError> {
+/// With no target (`db = None`) every label is off the universe, so there
+/// is exactly one pair per *inhabited* state of `a` (a state some tree can
+/// be assigned), its witness built from the least shortest content word
+/// over the states inhabited when its rule is evaluated. This is the
+/// inhabitation fixpoint behind emptiness ([`Nuta::is_empty`]), sample
+/// trees ([`Nuta::sample_tree`]) and the reduction of schemas.
+///
+/// Every BFS pop (for a label off the universe, every content state the
+/// shortest-word search visits) charges one `budget` step, and the
+/// fixpoint aborts with [`AutomataError::BudgetExceeded`] when the budget
+/// trips.
+pub fn run_pairs(a: &Nuta, db: Option<&Duta>, budget: &Budget) -> Result<Vec<RunPair>, AutomataError> {
     budget.check_interrupts()?;
     let rules: Vec<(&Symbol, &Symbol, &Nfa)> = a.rules().collect();
     let mut readers: FxHashMap<Symbol, Vec<usize>> = FxHashMap::default();
@@ -911,7 +918,7 @@ pub fn run_pairs(a: &Nuta, db: &Duta, budget: &Budget) -> Result<Vec<RunPair>, A
                 Some((content.sym_id(sym)?, letters))
             })
             .collect();
-        for (state, children) in moore_image(db.machine(&label), content, &moves, budget)? {
+        for (state, children) in moore_image(db.and_then(|d| d.machine(&label)), content, &moves, budget)? {
             let known = of_state.entry(q).or_default();
             if !known.iter().any(|&p| pairs[p].state == state) {
                 known.push(pairs.len());
@@ -963,7 +970,7 @@ pub fn included(a: &Nuta, b: &Nuta) -> Result<(), XTree> {
 /// Never in practice: the unlimited budget cannot trip.
 pub fn included_in_duta(a: &Nuta, db: &Duta) -> Result<(), XTree> {
     let unlimited = Budget::unlimited();
-    let pairs = run_pairs(a, db, &unlimited).expect("the unlimited budget never trips");
+    let pairs = run_pairs(a, Some(db), &unlimited).expect("the unlimited budget never trips");
     let mut sizes: Vec<u64> = Vec::with_capacity(pairs.len());
     for pair in &pairs {
         sizes.push(pair.children.iter().fold(1, |size, &c| size.saturating_add(sizes[c])));

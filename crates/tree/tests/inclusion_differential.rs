@@ -14,6 +14,9 @@
 //!   left-hand labels is reported (the fixpoint is sound and complete);
 //! * the inclusion counterexample has the least witness size among the
 //!   separating pairs;
+//! * against no target, the fixpoint reports one pair per state that some
+//!   pair against `b` names (the inhabited states), each realised by its
+//!   witness;
 //! * every inclusion counterexample is accepted by `a` and rejected by `b`;
 //!   on an `Ok` verdict, no random tree and no inhabitation witness of `a`
 //!   separates the two;
@@ -108,10 +111,18 @@ fn left_side(rng: &mut SplitRng, b: &Nuta, case: usize) -> Nuta {
     }
 }
 
+/// The inhabitation witness of every inhabited state of `a`: the pairs of
+/// the fixpoint against no target, materialised.
+fn inhabitation_witnesses(a: &Nuta) -> Vec<(Symbol, XTree)> {
+    let unlimited = Budget::unlimited();
+    let pairs = uta::run_pairs(a, None, &unlimited).unwrap();
+    (0..pairs.len()).map(|p| (pairs[p].name, uta::materialise(&pairs, p, &unlimited).unwrap())).collect()
+}
+
 /// Random trees over `a`'s labels plus the inhabitation witness of every
-/// state of `a` (computed independently of the pair fixpoint).
+/// inhabited state of `a`.
 fn probe_trees(a: &Nuta, seed: u64) -> Vec<XTree> {
-    let mut trees: Vec<XTree> = a.inhabited_witnesses().into_values().collect();
+    let mut trees: Vec<XTree> = inhabitation_witnesses(a).into_iter().map(|(_, t)| t).collect();
     if !a.labels().is_empty() {
         trees.extend(random_trees(seed, &TreeGenConfig::new(a.labels(), 3, 3), 150));
     }
@@ -130,7 +141,7 @@ fn pairs_are_realised_by_their_witnesses_and_complete() {
         let b = random_nuta(&mut rng, &LABELS);
         let db = b.determinize(b.labels());
         let a = left_side(&mut rng, &b, case);
-        let pairs = uta::run_pairs(&a, &db, &Budget::unlimited()).unwrap();
+        let pairs = uta::run_pairs(&a, Some(&db), &Budget::unlimited()).unwrap();
         let reported: BTreeSet<(Symbol, Option<usize>)> = pairs.iter().map(|p| (p.name, p.state)).collect();
         assert_eq!(reported.len(), pairs.len(), "case {case}: a pair is reported twice");
         let budget = Budget::unlimited().with_step_quota(u64::MAX);
@@ -150,6 +161,14 @@ fn pairs_are_realised_by_their_witnesses_and_complete() {
             assert_eq!(root_state(&db, witness), pair.state, "case {case}: witness `{witness}` of `{q}`");
         }
         assert_eq!(budget.steps_spent(), sizes.iter().sum::<usize>() as u64, "case {case}: one step per node");
+        // Against no target: one pair per inhabited state, realised.
+        let inhabited = inhabitation_witnesses(&a);
+        let names: BTreeSet<Symbol> = inhabited.iter().map(|(q, _)| *q).collect();
+        assert_eq!(names.len(), inhabited.len(), "case {case}: a state is inhabited twice");
+        assert_eq!(names, pairs.iter().map(|p| p.name).collect(), "case {case}: inhabited states");
+        for (q, witness) in &inhabited {
+            assert!(a.run(witness)[witness.root()].contains(q), "case {case}: `{witness}` is not `{q}`");
+        }
         // The inclusion witness has the least size among the separating pairs.
         let separating = pairs
             .iter()

@@ -4,6 +4,8 @@
 //!
 //! This is the cross-layer oracle the design algorithms rely on: the typing
 //! check trusts that the automaton view of a DTD is its validation view.
+//! The same corpus pins the reduction (Definition 5) to its definition and
+//! the equivalence test of Proposition 4.1 to the tree-automaton route.
 
 use dxml_automata::{RFormalism, Symbol};
 use dxml_schema::RDtd;
@@ -27,6 +29,8 @@ fn dtds() -> Vec<RDtd> {
         RDtd::parse(RFormalism::Dre, "s -> x?, y*, z").unwrap(),
         // An unreduced DTD (junk rule never satisfiable).
         RDtd::parse(RFormalism::Nre, "s -> a* | junk, junk\njunk -> junk").unwrap(),
+        // Unreduced: `x` is bound, but reachable only through the unbound `y`.
+        RDtd::parse(RFormalism::Nre, "s -> a | y\ny -> y, x").unwrap(),
     ]
 }
 
@@ -80,5 +84,27 @@ fn positive_samples_are_accepted_by_both() {
         let sample = dtd.sample_tree().unwrap_or_else(|| panic!("dtd {i} is non-empty"));
         assert!(dtd.accepts(&sample), "dtd {i}: sample {sample} rejected by validation");
         assert!(dtd.to_nuta().accepts(&sample), "dtd {i}: sample {sample} rejected by uta");
+    }
+}
+
+#[test]
+fn reductions_are_reduced() {
+    for (i, dtd) in dtds().iter().enumerate() {
+        if !dtd.language_is_empty() {
+            let reduced = dtd.reduce();
+            assert!(reduced.is_reduced(), "dtd {i}: its reduction {reduced} is not reduced");
+        }
+    }
+}
+
+#[test]
+fn equivalence_of_reductions_agrees_with_the_automaton_route() {
+    // Proposition 4.1 (compare the reductions) against tree-automaton
+    // equivalence, over every pair of corpus DTDs and their reductions.
+    let schemas: Vec<RDtd> = dtds().into_iter().flat_map(|d| [d.reduce(), d]).collect();
+    for (i, a) in schemas.iter().enumerate() {
+        for (j, b) in schemas.iter().enumerate() {
+            assert_eq!(a.equivalent(b), a.equivalent_witness(b).is_ok(), "schemas {i} and {j}: {a} vs {b}");
+        }
     }
 }

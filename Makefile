@@ -106,7 +106,10 @@ bench-compare:
 # turns a hung governed loop — the exact failure mode budgets exist to
 # prevent — into a hard failure instead of a stuck CI job. The tree
 # inclusion differential rides along: a pair fixpoint that fails to
-# terminate fails here instead of hanging the test job.
+# terminate fails here instead of hanging the test job. So does the
+# wide-kernel scaling test: a kernel node with thousands of children must
+# stay linear on the extension automaton and the kernel pass, in release
+# as in debug.
 FUZZ_SMOKE_TIMEOUT ?= 300
 
 fuzz-smoke:
@@ -114,7 +117,8 @@ fuzz-smoke:
 	timeout $(FUZZ_SMOKE_TIMEOUT) $(CARGO) test -q --release -p dxml-core --test governance
 	timeout $(FUZZ_SMOKE_TIMEOUT) $(CARGO) test -q --release -p dxml-bench --test cost_calibration
 	timeout $(FUZZ_SMOKE_TIMEOUT) $(CARGO) test -q --release -p dxml-tree --test inclusion_differential
-	@echo "fuzz-smoke: governance fault suite passed within $(FUZZ_SMOKE_TIMEOUT)s per binary"
+	timeout $(FUZZ_SMOKE_TIMEOUT) $(CARGO) test -q --release -p dxml-analysis --test wide_kernel_scaling
+	@echo "fuzz-smoke: governance fault suite and scaling tests passed within $(FUZZ_SMOKE_TIMEOUT)s per binary"
 
 # Seeded soak of the one decision procedure against its oracle: the ignored
 # sibling of the tier-1 corpus differential sweeps 2000 seeds of random

@@ -786,7 +786,7 @@ mod tests {
     fn deterministic_specs_get_linear_uppers() {
         let dfa = Dfa::from_nfa(&re("(b* a)+").to_nfa());
         let n = dfa.num_states() as u64;
-        let cost = content_model_cost(&RSpec::Dfa(dfa));
+        let cost = content_model_cost(&RSpec::dfa(dfa));
         assert!(cost.subset_states.upper <= n, "{} > {n}", cost.subset_states.upper);
     }
 

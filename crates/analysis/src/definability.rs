@@ -47,7 +47,7 @@ pub fn dtd_candidate(e: &REdtd) -> RDtd {
     let mut dtd = RDtd::new(RFormalism::Nfa, mu(reduced.start()));
     for (label, contents) in by_label {
         let mapped = Nfa::union_all(&contents).map_symbols(mu).trim();
-        dtd.set_rule(label, RSpec::Nfa(mapped));
+        dtd.set_rule(label, RSpec::nfa(mapped));
     }
     dtd
 }
@@ -115,7 +115,7 @@ pub fn sdtd_candidate(e: &REdtd) -> RSdtd {
             }
         }
         let content = union.map_symbols(|s| rename[s]).trim();
-        out.set_rule(names[&ty], RSpec::Nfa(content));
+        out.set_rule(names[&ty], RSpec::nfa(content));
     }
     RSdtd::from_edtd(out).expect("one name per label in each content model")
 }

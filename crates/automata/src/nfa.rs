@@ -740,15 +740,24 @@ impl Nfa {
     /// continues `other`'s start, and stays final iff `other` accepts ε.
     pub fn concat(&self, other: &Nfa) -> Nfa {
         let mut out = self.clone();
-        let o = out.absorb(other);
-        for &f in &self.finals {
-            out.copy_out_edges(other.start + o, f);
-        }
-        if !other.is_final(other.start) {
-            out.finals.clear();
-        }
-        out.finals.extend(other.finals.iter().map(|f| f + o));
+        out.append(other);
         out
+    }
+
+    /// In-place concatenation: `self` becomes `[self] ◦ [other]`, at a cost
+    /// linear in `other` plus the out-edges copied onto `self`'s finals, so
+    /// a word built piece by piece costs the sum of its pieces rather than
+    /// a copy of the growing prefix per piece.
+    pub fn append(&mut self, other: &Nfa) {
+        let finals = std::mem::take(&mut self.finals);
+        let o = self.absorb(other);
+        for &f in &finals {
+            self.copy_out_edges(other.start + o, f);
+        }
+        if other.is_final(other.start) {
+            self.finals = finals;
+        }
+        self.finals.extend(other.finals.iter().map(|f| f + o));
     }
 
     /// Intersection `[self] ∩ [other]` (product construction over the
@@ -926,6 +935,15 @@ mod tests {
         }
         assert!(Nfa::epsilon().concat(&Nfa::epsilon()).accepts(&[]));
         assert!(Nfa::empty().concat(&astar).is_empty());
+        // Appending piece by piece builds the same word as folding concat.
+        let pieces = [re("a*"), re("b?"), Nfa::symbol("a"), re("(ab)*")];
+        let mut appended = Nfa::epsilon();
+        for piece in &pieces {
+            appended.append(piece);
+        }
+        let folded = pieces.iter().fold(Nfa::epsilon(), |word, piece| word.concat(piece));
+        assert!(crate::equiv::is_equivalent(&appended, &folded));
+        assert_eq!(appended.num_states(), folded.num_states());
     }
 
     #[test]

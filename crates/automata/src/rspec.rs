@@ -61,10 +61,15 @@ impl fmt::Display for RFormalism {
 /// language given in one of the four formalisms.
 #[derive(Clone, Debug)]
 pub enum RSpec {
-    /// A language given by a nondeterministic automaton.
-    Nfa(Nfa),
-    /// A language given by a deterministic automaton.
-    Dfa(Dfa),
+    /// A language given by a nondeterministic automaton. Boxed, like
+    /// [`RSpec::Dfa`], so that an `RSpec` stays the size of a regular
+    /// expression plus a tag (40 bytes) instead of an inline automaton:
+    /// every slot of a schema's rule map pays for the largest variant.
+    /// Build one with [`RSpec::nfa`].
+    Nfa(Box<Nfa>),
+    /// A language given by a deterministic automaton, boxed for the same
+    /// reason as [`RSpec::Nfa`]. Build one with [`RSpec::dfa`].
+    Dfa(Box<Dfa>),
     /// A language given by a (possibly nondeterministic) regular expression.
     Nre(Regex),
     /// A language given by a deterministic regular expression.
@@ -84,12 +89,12 @@ impl RSpec {
 
     /// Wraps an NFA as an `nFA` content model.
     pub fn nfa(nfa: Nfa) -> RSpec {
-        RSpec::Nfa(nfa)
+        RSpec::Nfa(Box::new(nfa))
     }
 
     /// Wraps a DFA as a `dFA` content model.
     pub fn dfa(dfa: Dfa) -> RSpec {
-        RSpec::Dfa(dfa)
+        RSpec::Dfa(Box::new(dfa))
     }
 
     /// Parses a content model from the DTD-style identifier syntax
@@ -113,8 +118,8 @@ impl RSpec {
         Ok(match formalism {
             RFormalism::Nre => RSpec::Nre(re),
             RFormalism::Dre => return RSpec::dre(re),
-            RFormalism::Nfa => RSpec::Nfa(re.to_nfa()),
-            RFormalism::Dfa => RSpec::Dfa(Dfa::from_nfa(&re.to_nfa())),
+            RFormalism::Nfa => RSpec::nfa(re.to_nfa()),
+            RFormalism::Dfa => RSpec::dfa(Dfa::from_nfa(&re.to_nfa())),
         })
     }
 
@@ -131,7 +136,7 @@ impl RSpec {
     /// The language as an [`Nfa`] (the internal lingua franca).
     pub fn to_nfa(&self) -> Nfa {
         match self {
-            RSpec::Nfa(a) => a.clone(),
+            RSpec::Nfa(a) => Nfa::clone(a),
             RSpec::Dfa(d) => d.to_nfa(),
             RSpec::Nre(r) | RSpec::Dre(r) => r.to_nfa(),
         }
@@ -204,12 +209,12 @@ impl RSpec {
     /// Proposition 3.6(3) and is not needed by the design algorithms.
     pub fn convert_to(&self, formalism: RFormalism) -> Result<RSpec, AutomataError> {
         match formalism {
-            RFormalism::Nfa => Ok(RSpec::Nfa(self.to_nfa())),
-            RFormalism::Dfa => Ok(RSpec::Dfa(Dfa::from_nfa(&self.to_nfa()).minimize())),
+            RFormalism::Nfa => Ok(RSpec::nfa(self.to_nfa())),
+            RFormalism::Dfa => Ok(RSpec::dfa(Dfa::from_nfa(&self.to_nfa()).minimize())),
             RFormalism::Nre => Ok(self.clone_as_nre()),
             RFormalism::Dre => {
                 if self.expressible_in(RFormalism::Dre) {
-                    Ok(RSpec::Dfa(Dfa::from_nfa(&self.to_nfa()).minimize()))
+                    Ok(RSpec::dfa(Dfa::from_nfa(&self.to_nfa()).minimize()))
                 } else {
                     Err(AutomataError::NotDeterministic(format!("{self}")))
                 }
@@ -220,7 +225,7 @@ impl RSpec {
     fn clone_as_nre(&self) -> RSpec {
         match self {
             RSpec::Nre(r) | RSpec::Dre(r) => RSpec::Nre(r.clone()),
-            other => RSpec::Nfa(other.to_nfa()),
+            other => RSpec::nfa(other.to_nfa()),
         }
     }
 
@@ -301,6 +306,13 @@ mod tests {
         assert!(!second_to_last.expressible_in(RFormalism::Dre));
         assert!(second_to_last.convert_to(RFormalism::Dre).is_err());
         assert!(second_to_last.convert_to(RFormalism::Dfa).is_ok());
+    }
+
+    #[test]
+    fn automaton_variants_are_boxed() {
+        // Every slot of a schema's rule map is one `RSpec`; an inline
+        // automaton variant would triple it.
+        assert!(std::mem::size_of::<RSpec>() <= 48, "{}", std::mem::size_of::<RSpec>());
     }
 
     #[test]

@@ -45,15 +45,20 @@
 //! test oracle: the runtime never cross-checks a verdict against it, the
 //! differential tests and `make soak` do.
 //!
-//! All target- and schema-derived artefacts (the determinised specialised
-//! target; per function, the pairs of the product fixpoint
-//! [`uta::run_pairs`] on its schema and the gap language read off them) are
-//! built lazily once per problem in a [`BoxTargetCache`] behind an
-//! `OnceLock`. Nothing document-dependent is cached.
+//! All target- and schema-derived artefacts are built lazily once per
+//! problem, each behind its own `OnceLock`: the decisions' [`BoxTargetCache`]
+//! (the determinised specialised target; per function, the pairs of the
+//! product fixpoint [`uta::run_pairs`] on its schema and the gap language
+//! read off them), and the extension automaton's per-function fragments
+//! (each function's rules renamed `f$ã`, and its start forest), which need
+//! the function schemas alone and never determinise the target. Every
+//! extension automaton shares the fragments' rule automata rather than
+//! copying them. Nothing document-dependent is cached.
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use dxml_automata::{AutomataError, BoxLang, Budget, FxHashMap, Nfa, RSpec, StateSet, Symbol};
 use dxml_schema::{REdtd, SchemaError};
@@ -296,13 +301,15 @@ impl BoxTargetCache {
         achievable: &[StateSet],
         candidate: Candidate<'_>,
     ) -> Nfa {
-        children.iter().fold(Nfa::epsilon(), |word, &child| {
+        let mut word = Nfa::epsilon();
+        for &child in children {
             let label = doc.kernel().label(child);
-            word.concat(&match self.gap(label, candidate) {
-                Some(gap) if doc.is_function(label) => gap.clone(),
-                _ => Nfa::any_of(achievable[child].iter().map(|i| self.duta.letter(i))),
-            })
-        })
+            match self.gap(label, candidate) {
+                Some(gap) if doc.is_function(label) => word.append(gap),
+                _ => word.append(&Nfa::any_of(achievable[child].iter().map(|i| self.duta.letter(i)))),
+            }
+        }
+        word
     }
 
     /// The Section-7 kernel pass, the one decision procedure of the
@@ -483,6 +490,50 @@ impl BoxTargetCache {
         self.funs.get(function).map(|fa| &fa.forest_states)
     }
 }
+
+/// One function's half of the extension automaton
+/// ([`BoxDesignProblem::extension_nuta`]): its schema with every specialised
+/// name `ã` renamed `f$ã`. It depends on the function schema alone, so a
+/// problem builds it once and every extension automaton shares its rules.
+#[derive(Clone)]
+struct ExtensionFragment {
+    /// `(f$ã, µ(ã), content of ã over f$ names)`, per specialised name.
+    rules: Vec<(Symbol, Symbol, Arc<Nfa>)>,
+    /// The start name's rule, whose content is the forests a docking point
+    /// of the function reads.
+    start: usize,
+}
+
+impl ExtensionFragment {
+    /// Compiles `schema`'s content models once and renames them for
+    /// `function`. Fails only when the symbol table cannot intern an `f$`
+    /// name.
+    fn build(function: Symbol, schema: &REdtd) -> Result<ExtensionFragment, AutomataError> {
+        let compiled: Vec<(Symbol, Nfa)> =
+            schema.specialized_names().into_iter().map(|spec| (spec, schema.content(&spec).to_nfa())).collect();
+        let mut names: FxHashMap<Symbol, Symbol> = FxHashMap::default();
+        for name in compiled.iter().flat_map(|(spec, nfa)| std::iter::once(*spec).chain(nfa.alphabet())) {
+            if let Entry::Vacant(slot) = names.entry(name) {
+                slot.insert(Symbol::try_new(format!("{function}${name}"))?);
+            }
+        }
+        let start = compiled.iter().position(|(spec, _)| spec == schema.start()).expect("µ maps the start name");
+        let rules = compiled
+            .iter()
+            .map(|(spec, nfa)| {
+                let label = schema.label_of(spec).copied().unwrap_or(*spec);
+                (names[spec], label, Arc::new(nfa.map_symbols(|s| names[s])))
+            })
+            .collect();
+        Ok(ExtensionFragment { rules, start })
+    }
+
+    /// The forests a docking point of the function reads, over `f$` names.
+    fn forest(&self) -> &Nfa {
+        &self.rules[self.start].2
+    }
+}
+
 // ----------------------------------------------------------------------
 // Verdicts
 // ----------------------------------------------------------------------
@@ -573,13 +624,17 @@ impl BoxVerdict {
 /// is the DTD-typed view over this engine.
 ///
 /// The problem-derived artefacts ([`BoxTargetCache`]) are built lazily on
-/// the first decision and reused by every later one; mutating the problem
-/// invalidates them. Nothing document-dependent is cached.
+/// the first decision and reused by every later one. The per-function
+/// fragments of [`BoxDesignProblem::extension_nuta`] sit in a second cell,
+/// built on its first call from the function schemas alone and shared by
+/// every later extension automaton. Mutating the problem invalidates both.
+/// Nothing document-dependent is cached.
 #[derive(Clone)]
 pub struct BoxDesignProblem {
     doc_schema: REdtd,
     fun_schemas: BTreeMap<Symbol, REdtd>,
     target: OnceLock<BoxTargetCache>,
+    fragments: OnceLock<BTreeMap<Symbol, ExtensionFragment>>,
 }
 
 impl fmt::Debug for BoxDesignProblem {
@@ -607,6 +662,7 @@ impl BoxDesignProblem {
             doc_schema,
             fun_schemas: BTreeMap::new(),
             target: OnceLock::new(),
+            fragments: OnceLock::new(),
         }
     }
 
@@ -637,6 +693,7 @@ impl BoxDesignProblem {
 
     fn invalidate_caches(&mut self) {
         self.target = OnceLock::new();
+        self.fragments = OnceLock::new();
     }
 
     /// The declared function schemas.
@@ -702,6 +759,23 @@ impl BoxDesignProblem {
         self.target.get().is_some()
     }
 
+    /// The per-function fragments of the extension automaton, built on the
+    /// first call from the function schemas alone (the target is not
+    /// determinised). Like [`BoxDesignProblem::target_cache_with_budget`],
+    /// the cell is only set from a complete build, so a failed one caches
+    /// nothing.
+    fn fragments(&self) -> Result<&BTreeMap<Symbol, ExtensionFragment>, DesignError> {
+        if let Some(fragments) = self.fragments.get() {
+            return Ok(fragments);
+        }
+        let built = self
+            .fun_schemas
+            .iter()
+            .map(|(f, schema)| ExtensionFragment::build(*f, schema).map(|fragment| (*f, fragment)))
+            .collect::<Result<_, _>>()?;
+        Ok(self.fragments.get_or_init(|| built))
+    }
+
     fn require_schemas(&self, doc: &DistributedDoc) -> Result<(), DesignError> {
         for f in doc.called_functions() {
             if !self.fun_schemas.contains_key(&f) {
@@ -757,45 +831,49 @@ impl BoxDesignProblem {
     /// materialisation when the same function occurs twice — matching the
     /// paper, where every docking point is its own call.
     ///
+    /// The function half depends on the schemas alone: the first call
+    /// compiles every declared function's `f$` rules and start forest once,
+    /// and every later call shares those rule automata (the same `Arc`s)
+    /// instead of recompiling them. A call builds only the kernel rules,
+    /// each node's content in time linear in its children. Interning a
+    /// `#k`/`f$` name in a full symbol table is an error, not a panic.
+    ///
     /// No decision reads it: it is the tree-route oracle of the tests —
     /// `typecheck` agrees with [`uta::included_in_duta`] of this automaton
     /// against [`BoxTargetCache::duta`], and every counterexample it
     /// returns is accepted here.
     pub fn extension_nuta(&self, doc: &DistributedDoc) -> Result<Nuta, DesignError> {
         self.require_schemas(doc)?;
+        let fragments = self.fragments()?;
         let kernel = doc.kernel();
         let mut a = Nuta::new();
-
-        let mut forest_nfas: BTreeMap<Symbol, Nfa> = BTreeMap::new();
         for f in doc.called_functions() {
-            let schema = &self.fun_schemas[&f];
-            let prefix = |name: &Symbol| Symbol::new(format!("{f}${name}"));
-            for spec in schema.specialized_names().iter() {
-                let content = schema.content(spec).to_nfa().map_symbols(prefix);
-                let label = schema.label_of(spec).cloned().unwrap_or(*spec);
-                a.set_rule(prefix(spec), label, content);
+            for (state, label, content) in &fragments[&f].rules {
+                a.set_rule(*state, *label, Arc::clone(content));
             }
-            let forest = schema.content(schema.start()).to_nfa().map_symbols(prefix);
-            forest_nfas.insert(f, forest);
         }
-
-        let state_of = |node: usize| Symbol::new(format!("#k{node}"));
-        for node in kernel.document_order() {
-            if doc.is_function(kernel.label(node)) {
+        // Children before parents, so each `#k<node>` is interned once and
+        // read by its parent's content; docking points have no state.
+        let mut states: Vec<Option<Symbol>> = vec![None; kernel.size()];
+        for node in kernel.bottom_up_order() {
+            let label = kernel.label(node);
+            if doc.is_function(label) {
                 continue;
             }
             let mut content = Nfa::epsilon();
             for &child in kernel.children(node) {
-                let label = kernel.label(child);
-                let piece = match forest_nfas.get(label) {
-                    Some(forest) => forest.clone(),
-                    None => Nfa::symbol(state_of(child)),
-                };
-                content = content.concat(&piece);
+                match states[child] {
+                    Some(state) => content.append(&Nfa::symbol(state)),
+                    None => content.append(fragments[kernel.label(child)].forest()),
+                }
             }
-            a.set_rule(state_of(node), *kernel.label(node), content);
+            let state = Symbol::try_new(format!("#k{node}"))?;
+            a.set_rule(state, *label, content);
+            states[node] = Some(state);
         }
-        a.set_final(state_of(kernel.root()));
+        if let Some(root) = states[kernel.root()] {
+            a.set_final(root);
+        }
         Ok(a)
     }
 
@@ -1482,6 +1560,44 @@ mod tests {
         let mut changed = p.clone();
         changed.set_doc_schema(one_c_target());
         assert!(!changed.target_cache_ready());
+    }
+
+    /// Same states, finals and rules, each rule's content the same
+    /// language.
+    fn same_extension(a: &Nuta, b: &Nuta) -> bool {
+        a.states() == b.states()
+            && a.finals() == b.finals()
+            && a.rules().count() == b.rules().count()
+            && a.rules().all(|(s, l, content)| {
+                b.rule(s, l).is_some_and(|other| dxml_automata::equiv::is_equivalent(content, other))
+            })
+    }
+
+    #[test]
+    fn extension_fragments_are_built_once_and_shared() {
+        let p = BoxDesignProblem::new(one_c_target()).with_function("f", ac_forest_schema(false));
+        let doc = DistributedDoc::parse("s(a(b) f)", ["f"]).unwrap();
+        let first = p.extension_nuta(&doc).unwrap();
+        assert!(!p.target_cache_ready(), "the fragments must not determinise the target");
+        let second = p.extension_nuta(&doc).unwrap();
+        let (state, label) = (Symbol::new("f$x"), Symbol::new("a"));
+        let rule = first.rule(&state, &label).expect("the function's x-rule");
+        assert!(std::ptr::eq(rule, second.rule(&state, &label).unwrap()), "function rules must be shared");
+        // A clone shares them too and builds the same automaton.
+        let cloned = p.clone();
+        let third = cloned.extension_nuta(&doc).unwrap();
+        assert!(std::ptr::eq(rule, third.rule(&state, &label).unwrap()));
+        assert!(same_extension(&first, &third));
+        // Replacing the schema rebuilds the fragments: `f` may now return
+        // any number of `a(c)`s, as on a fresh problem.
+        let mut changed = p.clone();
+        changed.add_function("f", ac_forest_schema(true));
+        let replaced = changed.extension_nuta(&doc).unwrap();
+        let fresh = BoxDesignProblem::new(one_c_target()).with_function("f", ac_forest_schema(true));
+        assert!(same_extension(&replaced, &fresh.extension_nuta(&doc).unwrap()));
+        assert!(!same_extension(&first, &replaced));
+        let two = parse_term("s(a(b) a(c) a(c))").unwrap();
+        assert!(replaced.accepts(&two) && !first.accepts(&two));
     }
 
     #[test]

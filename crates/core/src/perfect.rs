@@ -160,7 +160,7 @@ fn project(schema: &REdtd) -> RDtd {
     let label = |name: &Symbol| schema.label_of(name).copied().unwrap_or(*name);
     let mut dtd = RDtd::new(RFormalism::Nfa, label(schema.start()));
     for (name, spec) in schema.rules() {
-        dtd.set_rule(label(name), RSpec::Nfa(spec.to_nfa().map_symbols(label)));
+        dtd.set_rule(label(name), RSpec::nfa(spec.to_nfa().map_symbols(label)));
     }
     dtd
 }

@@ -64,7 +64,7 @@ fn assert_perfect_and_maximal(problem: &DesignProblem, doc: &DistributedDoc, f: 
                 continue;
             }
             let mut grown = schema.clone();
-            grown.set_rule(*name, RSpec::Nfa(content.union(&Nfa::literal(w))));
+            grown.set_rule(*name, RSpec::nfa(content.union(&Nfa::literal(w))));
             let enlarged = problem.clone().with_function(f, grown);
             let verdict = enlarged.typecheck(doc).unwrap();
             let rendered: Vec<&str> = w.iter().map(Symbol::as_str).collect();

@@ -245,7 +245,7 @@ impl REdtd {
         let inhabited: BTreeSet<Symbol> = pairs.iter().map(|p| p.name).collect();
         let mut out = REdtd::new(self.formalism, self.start, self.mu[&self.start]);
         if !inhabited.contains(&self.start) {
-            out.rules.insert(self.start, RSpec::Nfa(Nfa::empty()));
+            out.rules.insert(self.start, RSpec::nfa(Nfa::empty()));
             return out;
         }
         let mut queue = VecDeque::from([self.start]);
@@ -258,7 +258,7 @@ impl REdtd {
                     queue.push_back(*child);
                 }
             }
-            out.rules.insert(name, RSpec::Nfa(content));
+            out.rules.insert(name, RSpec::nfa(content));
         }
         out
     }
@@ -381,7 +381,7 @@ impl REdtd {
                     queue.push_back((*next, expand(&duta.content_nfa(i, &label))));
                 }
             }
-            out.set_rule(name, RSpec::Nfa(content));
+            out.set_rule(name, RSpec::nfa(content));
         }
         out
     }

@@ -27,6 +27,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
+use std::sync::Arc;
 
 use dxml_automata::{Alphabet, AutomataError, Budget, Dfa, FxHashMap, FxHashSet, Nfa, StateSet, Symbol};
 
@@ -38,8 +39,9 @@ pub struct Nuta {
     states: BTreeSet<Symbol>,
     finals: BTreeSet<Symbol>,
     labels: Alphabet,
-    /// `(state, label) → content NFA over state symbols`.
-    delta: BTreeMap<(Symbol, Symbol), Nfa>,
+    /// `(state, label) → content NFA over state symbols`, shared: a rule
+    /// set from an `Arc` is stored without a copy.
+    delta: BTreeMap<(Symbol, Symbol), Arc<Nfa>>,
     /// `label → states with a rule for it` (sorted): the bottom-up run and
     /// the determinisation consult only the states that can type a node's
     /// label instead of scanning the whole state set.
@@ -72,7 +74,10 @@ impl Nuta {
 
     /// Sets the content automaton for `(state, label)`. The content NFA reads
     /// *state* symbols. Adding a rule registers the state and the label.
-    pub fn set_rule(&mut self, state: impl Into<Symbol>, label: impl Into<Symbol>, content: Nfa) {
+    /// `content` is an owned [`Nfa`] or an `Arc<Nfa>`; the automaton keeps
+    /// an `Arc`, so a rule shared by several automata (the per-function
+    /// fragments of an extension automaton) is stored once, not copied.
+    pub fn set_rule(&mut self, state: impl Into<Symbol>, label: impl Into<Symbol>, content: impl Into<Arc<Nfa>>) {
         let s = state.into();
         let l = label.into();
         self.states.insert(s);
@@ -81,7 +86,7 @@ impl Nuta {
         if let Err(pos) = states.binary_search(&s) {
             states.insert(pos, s);
         }
-        self.delta.insert((s, l), content);
+        self.delta.insert((s, l), content.into());
     }
 
     /// The states.
@@ -101,12 +106,12 @@ impl Nuta {
 
     /// The content automaton for `(state, label)` if a rule exists.
     pub fn rule(&self, state: &Symbol, label: &Symbol) -> Option<&Nfa> {
-        self.delta.get(&(*state, *label))
+        self.delta.get(&(*state, *label)).map(Arc::as_ref)
     }
 
     /// Iterates over all rules.
     pub fn rules(&self) -> impl Iterator<Item = (&Symbol, &Symbol, &Nfa)> {
-        self.delta.iter().map(|((s, l), nfa)| (s, l, nfa))
+        self.delta.iter().map(|((s, l), nfa)| (s, l, nfa.as_ref()))
     }
 
     /// Total size: number of states plus the sizes of all content automata.

@@ -68,7 +68,7 @@ fn main() {
     let forest = perfect.content(perfect.start()).to_nfa();
     too_wide.set_rule(
         *perfect.start(),
-        dxml::automata::RSpec::Nfa(
+        dxml::automata::RSpec::nfa(
             forest.union(&dxml::automata::Nfa::symbol("country")),
         ),
     );

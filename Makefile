@@ -109,7 +109,9 @@ bench-compare:
 # terminate fails here instead of hanging the test job. So does the
 # wide-kernel scaling test: a kernel node with thousands of children must
 # stay linear on the extension automaton and the kernel pass, in release
-# as in debug.
+# as in debug. The SAX fuzz suite and the streaming differential run here
+# in release too, so the byte-level element-name scanner's UTF-8
+# boundaries and the validator's name table get optimised-code coverage.
 FUZZ_SMOKE_TIMEOUT ?= 300
 
 fuzz-smoke:
@@ -118,7 +120,9 @@ fuzz-smoke:
 	timeout $(FUZZ_SMOKE_TIMEOUT) $(CARGO) test -q --release -p dxml-bench --test cost_calibration
 	timeout $(FUZZ_SMOKE_TIMEOUT) $(CARGO) test -q --release -p dxml-tree --test inclusion_differential
 	timeout $(FUZZ_SMOKE_TIMEOUT) $(CARGO) test -q --release -p dxml-analysis --test wide_kernel_scaling
-	@echo "fuzz-smoke: governance fault suite and scaling tests passed within $(FUZZ_SMOKE_TIMEOUT)s per binary"
+	timeout $(FUZZ_SMOKE_TIMEOUT) $(CARGO) test -q --release -p dxml-tree --test sax_fuzz
+	timeout $(FUZZ_SMOKE_TIMEOUT) $(CARGO) test -q --release -p dxml-schema --test stream_differential
+	@echo "fuzz-smoke: governance fault suite, scaling, SAX fuzz and streaming differential tests passed within $(FUZZ_SMOKE_TIMEOUT)s per binary"
 
 # Seeded soak of the one decision procedure against its oracle: the ignored
 # sibling of the tier-1 corpus differential sweeps 2000 seeds of random

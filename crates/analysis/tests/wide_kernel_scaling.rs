@@ -4,6 +4,11 @@
 //! Each call on the design `s(a f a f … a f)` (`s -> a*`, `f` returning one
 //! `a`) at `WIDTH` children must finish under `BOUND`, unoptimised too.
 //!
+//! Refuting the odd-length variant `s(a f … a f a)` against `s -> (a, a)*`
+//! splits the counterexample's child word into one piece per child; that
+//! split keeps one dense row of split points plus the reached ones, not a
+//! `children × word` table, so it stays under `BOUND` too.
+//!
 //! The kernel pass still grows faster than linear: its Moore-image search
 //! steps a dense frontier set over the whole child word per search pair.
 //!
@@ -43,4 +48,16 @@ fn a_wide_kernel_node_is_decided_without_copying_child_words() {
     assert_eq!(extension.states().len(), WIDTH / 2 + 3);
     assert!(timed("verify_local", || problem.verify_local(&doc)).unwrap().is_valid());
     assert!(timed("typecheck", || problem.typecheck(&doc)).unwrap().is_valid());
+}
+
+#[test]
+fn a_refuted_wide_kernel_node_splits_its_counterexample_per_child() {
+    let target = RDtd::parse(RFormalism::Nre, "s -> (a, a)*").unwrap();
+    let forest = RDtd::parse(RFormalism::Nre, "r -> a").unwrap();
+    let problem = DesignProblem::new(target).with_function("f", forest);
+    let children = vec!["a f"; WIDTH / 2].join(" ");
+    let doc = DistributedDoc::parse(&format!("s({children} a)"), ["f"]).unwrap();
+
+    assert!(!timed("verify_local", || problem.verify_local(&doc)).unwrap().is_valid());
+    assert!(!timed("typecheck", || problem.typecheck(&doc)).unwrap().is_valid());
 }

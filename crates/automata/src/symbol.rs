@@ -43,9 +43,13 @@
 //!
 //! One caveat: because `Hash` hashes the id while `str` hashes its bytes, a
 //! `Borrow<str>` impl would silently break hashed-container lookups keyed by
-//! a raw `&str` — so `Symbol` deliberately does **not** implement it. Intern
-//! the key with [`Symbol::new`] first (a hash plus one shard lock on a hit);
-//! every comparison-based need is covered by `as_str`.
+//! a raw `&str` — so `Symbol` deliberately does **not** implement it.
+//! Interning the key first costs a hash plus one shard lock even on a hit,
+//! and adds untrusted text to the table on a miss; code that resolves many
+//! raw names against a fixed set of symbols builds its own table from their
+//! text instead, as stream validation does with its per-schema name table
+//! (`dxml_schema::StreamValidator`). Every comparison-based need is covered
+//! by `as_str`.
 
 use std::cmp::Ordering;
 use std::collections::BTreeSet;

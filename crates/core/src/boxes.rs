@@ -405,21 +405,29 @@ impl BoxTargetCache {
         budget: &Budget,
     ) -> Result<Option<Vec<&'w [usize]>>, AutomataError> {
         let kernel = doc.kernel();
-        // `start[i][q]`: where the piece of child `i - 1` starts when the
-        // first `i` children read exactly `word[..q]`.
-        let mut start = vec![vec![None; word.len() + 1]; children.len() + 1];
-        start[0][0] = Some(0);
-        for (i, &child) in children.iter().enumerate() {
+        // `first[q]`: where the piece of the current child starts when the
+        // children so far read exactly `word[..q]` (the least such start,
+        // as split points are tried in increasing order), for the ends in
+        // `next`; `back[i]`: those `(end, start)` pairs of child `i`, by
+        // end. Only reached split points are stored.
+        let mut first: Vec<Option<usize>> = vec![None; word.len() + 1];
+        let mut back: Vec<Vec<(usize, usize)>> = Vec::with_capacity(children.len());
+        let mut reached = vec![0];
+        for &child in children {
             let label = kernel.label(child);
             let gap = self.gap(label, None).filter(|_| doc.is_function(label));
-            for p in 0..=word.len() {
-                if start[i][p].is_none() {
-                    continue;
+            let mut next = Vec::new();
+            let mut end_at = |q: usize, p: usize| {
+                if first[q].is_none() {
+                    first[q] = Some(p);
+                    next.push(q);
                 }
+            };
+            for &p in &reached {
                 budget.step()?;
                 let Some(gap) = gap else {
                     if word.get(p).is_some_and(|letter| outputs[child].contains_key(letter)) {
-                        start[i + 1][p + 1].get_or_insert(p);
+                        end_at(p + 1, p);
                     }
                     continue;
                 };
@@ -428,7 +436,7 @@ impl BoxTargetCache {
                 let mut q = p;
                 loop {
                     if set.intersects(&finals) {
-                        start[i + 1][q].get_or_insert(p);
+                        end_at(q, p);
                     }
                     let Some(&letter) = word.get(q) else { break };
                     budget.step()?;
@@ -439,11 +447,16 @@ impl BoxTargetCache {
                     q += 1;
                 }
             }
+            next.sort_unstable();
+            let starts = next.iter().map(|&q| (q, first[q].take().expect("reached ends start")));
+            back.push(starts.collect());
+            reached = next;
         }
         let mut pieces = vec![&word[..0]; children.len()];
         let mut q = word.len();
-        for i in (0..children.len()).rev() {
-            let Some(p) = start[i + 1][q] else { return Ok(None) };
+        for (i, ends) in back.iter().enumerate().rev() {
+            let Ok(at) = ends.binary_search_by_key(&q, |&(end, _)| end) else { return Ok(None) };
+            let p = ends[at].1;
             pieces[i] = &word[p..q];
             q = p;
         }

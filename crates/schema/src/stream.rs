@@ -4,11 +4,19 @@
 //! node a function of its label and its parent's specialised name, so an
 //! [`RSdtd`] can type a document top-down while the document is *parsed*,
 //! without ever materialising the tree. [`StreamValidator`] consumes the
-//! [`SaxEvent`] stream of [`dxml_tree::sax`] with a stack of (label,
-//! specialisation index, content-model DFA state) frames — memory
-//! proportional to the open-element chain, not to the document. Each element
-//! costs one probe of its parent's per-(state, label) move table, built once
-//! per schema.
+//! [`SaxEvent`] stream of [`dxml_tree::sax`] with a stack of
+//! (specialisation index, content-model DFA state) frames — memory
+//! proportional to the open-element chain, not to the document.
+//!
+//! Element names stay text: the parser borrows them from the input, and the
+//! validator resolves each through a per-schema name table from name bytes
+//! to a dense label id, then indexes its parent's `states × labels` move
+//! table. An element costs one name lookup and one direct index, and takes
+//! no lock; a name the schema never mentions has no id, hence no move, and
+//! is the usual content violation. Names reach the process-wide intern table
+//! only when an error reports them (`RootMismatch.found` and the violating
+//! node's `children`), so validating a document interns nothing, however
+//! many fresh names it carries.
 //!
 //! The verdict — and the error value, byte for byte — agrees with the
 //! materialising route `parse_xml` + [`RSdtd::validate`] on *every* input
@@ -26,33 +34,127 @@
 //!   steps when it is on top), so each supersession moves the pending node
 //!   strictly earlier in preorder and the preorder-minimum wins.
 //!
-//! A violated frame keeps collecting the labels of its direct children until
-//! it closes, because [`SchemaError::InvalidContent`] reports the node's full
+//! A violated frame keeps collecting its direct children until it closes,
+//! because [`SchemaError::InvalidContent`] reports the node's full
 //! `child-str`, including children after the offending one. Typed frames
 //! collect theirs too, in case they fail at their close. Frames nest, so the
 //! children of all open frames live in one shared stack: the top frame's
-//! children are always its top segment.
+//! children are always its top segment. Its entries are the `u32` byte
+//! offsets of the children's names in the input, re-read
+//! ([`dxml_tree::sax::name_at`]) only when the violation is reported.
 
 use std::collections::BTreeSet;
 
-use dxml_automata::nfa::StateId;
 use dxml_automata::{Budget, Dfa, FxHashMap, Symbol};
 use dxml_telemetry as telemetry;
-use dxml_tree::sax::{SaxEvent, SaxParser, DEFAULT_DEPTH_LIMIT};
+use dxml_tree::sax::{name_at, SaxEvent, SaxParser, DEFAULT_DEPTH_LIMIT};
 
 use crate::error::SchemaError;
 use crate::sdtd::RSdtd;
 
-/// Per-specialisation machinery, prebuilt once so that validating a document
-/// costs one hash probe per element: the content-model DFA's transitions
-/// re-keyed by *element label* through the single-type map `µ` (a content
-/// model names at most one specialisation of each label), the DFA's start
-/// and final states, and the rendered content model for error messages.
+/// The element labels a schema's content models mention, numbered densely
+/// in text order, with an open-addressed index from their name bytes to
+/// those ids. A name's first eight bytes, read as one word, and its length
+/// pick the home slot and settle the comparison for names of up to eight
+/// bytes; longer names compare their tails too.
+struct NameTable {
+    /// At most half full, so every probe sequence reaches an empty slot.
+    slots: Box<[Slot]>,
+    /// `64 - log2(slots.len())`: the hash's top bits pick the home slot.
+    shift: u32,
+    /// The names by id.
+    names: Vec<Box<str>>,
+}
+
+#[derive(Clone, Copy)]
+struct Slot {
+    head: u64,
+    len: u32,
+    /// [`NONE`] for an empty slot.
+    id: u32,
+}
+
+/// The empty slot's id, and the specialisation of a missing move.
+const NONE: u32 = u32::MAX;
+
+impl NameTable {
+    fn new(labels: &BTreeSet<Symbol>) -> NameTable {
+        let size = (2 * labels.len()).next_power_of_two().max(2);
+        let shift = 64 - size.trailing_zeros();
+        let mut slots = vec![Slot { head: 0, len: 0, id: NONE }; size].into_boxed_slice();
+        let names: Vec<Box<str>> = labels.iter().map(|l| l.as_str().into()).collect();
+        for (id, name) in (0..).zip(&names) {
+            let head = head_word(name.as_bytes());
+            let mut i = home(head, name.len(), shift);
+            while slots[i].id != NONE {
+                i = (i + 1) & (size - 1);
+            }
+            slots[i] = Slot { head, len: name.len() as u32, id };
+        }
+        NameTable { slots, shift, names }
+    }
+
+    /// The number of labels.
+    fn len(&self) -> usize {
+        self.names.len()
+    }
+
+    /// The id of the label spelled `name`, `None` for any other name.
+    fn id(&self, name: &str) -> Option<u32> {
+        let bytes = name.as_bytes();
+        let head = head_word(bytes);
+        let mut i = home(head, bytes.len(), self.shift);
+        loop {
+            let slot = self.slots[i];
+            if slot.id == NONE {
+                return None;
+            }
+            if slot.head == head
+                && slot.len as usize == bytes.len()
+                && (bytes.len() <= 8 || self.names[slot.id as usize].as_bytes()[8..] == bytes[8..])
+            {
+                return Some(slot.id);
+            }
+            i = (i + 1) & (self.slots.len() - 1);
+        }
+    }
+}
+
+/// The first (up to) eight bytes of a name as one little-endian word,
+/// zero-padded.
+fn head_word(bytes: &[u8]) -> u64 {
+    match bytes.get(..8) {
+        Some(head) => u64::from_le_bytes(head.try_into().expect("eight bytes")),
+        None => bytes.iter().rev().fold(0, |word, &b| word << 8 | u64::from(b)),
+    }
+}
+
+/// The home slot of a name: a multiplicative hash of its head word and
+/// length.
+fn home(head: u64, len: usize, shift: u32) -> usize {
+    ((head ^ len as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize
+}
+
+/// One entry of a move table: the next DFA state and the child's
+/// specialisation index, [`NONE`] when the child's label has no move.
+#[derive(Clone, Copy)]
+struct Move {
+    next: u32,
+    spec: u32,
+}
+
+/// Per-specialisation machinery, prebuilt once so that typing an element
+/// costs one direct index: the content-model DFA's transitions re-keyed by
+/// *label id* through the single-type map `µ` (a content model names at most
+/// one specialisation of each label), the DFA's start and final states, the
+/// specialisation's own label (for error paths) and the rendered content
+/// model for error messages.
 struct SpecInfo {
-    /// `(state, child label) → (next state, child's specialisation index)`.
-    moves: FxHashMap<(StateId, Symbol), (StateId, u32)>,
-    start: StateId,
+    /// `moves[state * labels + label]`, over the schema's [`NameTable`] ids.
+    moves: Box<[Move]>,
+    start: u32,
     finals: Vec<bool>,
+    label: Symbol,
     expected: String,
 }
 
@@ -70,69 +172,95 @@ pub struct StreamStats {
 
 /// A reusable streaming validator for one [`RSdtd`].
 ///
-/// Construction determinises every content model once and numbers the
-/// specialised names; each specialisation gets a move table keyed by
-/// (DFA state, child label) that yields the next state and the child's
-/// specialisation index. A run keeps a stack of frames carrying those
-/// indices and one shared stack of the open frames' child labels. The
-/// validator itself is immutable and can be shared across threads to
-/// validate many documents concurrently (see `dxml_core`'s batch front end).
+/// Construction determinises every content model once, numbers the
+/// specialised names and the labels the content models mention, and gives
+/// each specialisation a dense move table indexed by (DFA state, label id)
+/// that yields the next state and the child's specialisation index. A run
+/// keeps a stack of frames carrying those indices and one shared stack of
+/// the open frames' children, as name offsets. The validator itself is
+/// immutable and can be shared across threads to validate many documents
+/// concurrently (see `dxml_core`'s batch front end).
 pub struct StreamValidator {
     root_label: Symbol,
     /// Specialisation index of the start name.
     start: u32,
+    names: NameTable,
     specs: Vec<SpecInfo>,
 }
 
 /// One open element during the streaming run. `from` is where the frame's
-/// child labels start in the shared child stack.
+/// children start in the shared child stack.
 enum Frame {
-    /// A normally-typed element: its label, specialisation index and current
-    /// DFA state in the content model of its children.
-    Typed { label: Symbol, spec: u32, state: StateId, from: usize },
+    /// A normally-typed element: its specialisation index and current DFA
+    /// state in the content model of its children.
+    Typed { spec: u32, state: u32, from: u32 },
     /// The current pending violation's node, still open: collects the rest of
     /// its direct children so the error can report the full `child-str`.
-    Violated { label: Symbol, spec: u32, from: usize },
+    Violated { spec: u32, from: u32 },
     /// An element whose verdict cannot matter any more (inside a violated
     /// subtree, or opened after a violation was pending).
     Skip,
 }
 
+/// A violation found during the run, its names kept as input offsets until
+/// [`StreamValidator::report`] turns it into the error.
+enum Violation {
+    /// The root element's name is not the schema's root label.
+    Root { at: u32 },
+    /// A typed node's children, named at `children`, fail its content model.
+    Content { path: Vec<Symbol>, children: Vec<u32>, spec: u32 },
+}
+
 impl StreamValidator {
     /// Prebuilds the streaming machinery for a schema.
+    ///
+    /// # Panics
+    ///
+    /// Only on a broken internal invariant (a label some content model
+    /// mentions missing from the name table built from those labels).
     pub fn new(sdtd: &RSdtd) -> StreamValidator {
         let edtd = sdtd.as_edtd();
         let start = *edtd.start();
-        let root_label = edtd.label_of(&start).copied().unwrap_or(start);
-        let mut names: BTreeSet<Symbol> = BTreeSet::new();
-        names.insert(start);
-        names.extend(edtd.specialized_names().iter().copied());
+        let label_of = |spec: &Symbol| edtd.label_of(spec).copied().unwrap_or(*spec);
+        let mut specs: BTreeSet<Symbol> = BTreeSet::new();
+        specs.insert(start);
+        specs.extend(edtd.specialized_names().iter().copied());
         for (lhs, content) in edtd.rules() {
-            names.insert(*lhs);
-            names.extend(content.alphabet().iter().copied());
+            specs.insert(*lhs);
+            specs.extend(content.alphabet().iter().copied());
         }
         // Interned symbols number at most 2²⁴, so `u32` indices never wrap.
-        let index: FxHashMap<Symbol, u32> = names.iter().copied().zip(0..).collect();
-        let specs = names
+        let index: FxHashMap<Symbol, u32> = specs.iter().copied().zip(0..).collect();
+        let mut labels: BTreeSet<Symbol> = BTreeSet::new();
+        for spec in &specs {
+            labels.extend(edtd.content(spec).alphabet().iter().map(label_of));
+        }
+        let names = NameTable::new(&labels);
+        let specs = specs
             .iter()
             .map(|spec| {
                 let content = edtd.content(spec);
                 let dfa = Dfa::from_nfa(&content.to_nfa());
-                let moves = dfa
-                    .transitions()
-                    .map(|(q, sym, next)| {
-                        let label = edtd.label_of(sym).copied().unwrap_or(*sym);
-                        ((q, label), (next, index[sym]))
-                    })
-                    .collect();
+                let mut moves = vec![Move { next: 0, spec: NONE }; dfa.num_states() * names.len()];
+                for (q, sym, next) in dfa.transitions() {
+                    let label = names.id(label_of(sym).as_str()).expect("content labels are named");
+                    moves[q * names.len() + label as usize] =
+                        Move { next: next as u32, spec: index[sym] };
+                }
                 let mut finals = vec![false; dfa.num_states()];
                 for &q in dfa.finals() {
                     finals[q] = true;
                 }
-                SpecInfo { moves, start: dfa.start(), finals, expected: format!("{content}") }
+                SpecInfo {
+                    moves: moves.into_boxed_slice(),
+                    start: dfa.start() as u32,
+                    finals,
+                    label: label_of(spec),
+                    expected: format!("{content}"),
+                }
             })
             .collect();
-        StreamValidator { root_label, start: index[&start], specs }
+        StreamValidator { root_label: label_of(&start), start: index[&start], names, specs }
     }
 
     /// Validates a document given as an XML string, in one streaming pass.
@@ -156,6 +284,14 @@ impl StreamValidator {
         self.validate_impl(input, &Budget::unlimited())
     }
 
+    /// The move of a `Typed` frame of specialisation `spec` in DFA `state`
+    /// on a child named `name`, `None` when there is none.
+    fn step(&self, spec: u32, state: u32, name: &str) -> Option<Move> {
+        let label = self.names.id(name)?;
+        let moves = &self.specs[spec as usize].moves;
+        Some(moves[state as usize * self.names.len() + label as usize]).filter(|m| m.spec != NONE)
+    }
+
     fn validate_impl(&self, input: &str, budget: &Budget) -> (Result<(), SchemaError>, StreamStats) {
         let _span = telemetry::span(telemetry::SpanKind::ValidateStream);
         // The parser's own guard sits one past the budget's depth limit so a
@@ -165,10 +301,10 @@ impl StreamValidator {
             .map_or(DEFAULT_DEPTH_LIMIT, |l| l.saturating_add(1));
         let mut parser = SaxParser::with_depth_limit(input, parser_limit);
         let mut frames: Vec<Frame> = Vec::new();
-        // The child labels of every open typed or violated frame, each
-        // frame's segment above its parent's.
-        let mut children: Vec<Symbol> = Vec::new();
-        let mut pending: Option<SchemaError> = None;
+        // The name offsets of the children of every open typed or violated
+        // frame, each frame's segment above its parent's.
+        let mut children: Vec<u32> = Vec::new();
+        let mut pending: Option<Violation> = None;
         let mut stats = StreamStats::default();
         // Event tally kept local and flushed once per document, so the
         // per-event loop carries no atomic traffic.
@@ -204,31 +340,30 @@ impl StreamValidator {
                 return (Err(trip.into()), stats);
             }
             match event {
-                SaxEvent::Open(label) => {
+                SaxEvent::Open(name) => {
+                    // The parser keeps name offsets below 2³², so they fit.
+                    let at = parser.open_offset().expect("an opened element is open") as u32;
                     // The specialisation index of a child to type, `None`
                     // for a child to skip.
                     let typed = match frames.last_mut() {
                         None => {
-                            if label == self.root_label {
+                            if name == self.root_label.as_str() {
                                 Some(self.start)
                             } else {
-                                pending = Some(SchemaError::RootMismatch {
-                                    expected: self.root_label,
-                                    found: label,
-                                });
+                                pending = Some(Violation::Root { at });
                                 None
                             }
                         }
-                        Some(top) => match top {
+                        Some(top) => match *top {
                             Frame::Skip => None,
                             Frame::Violated { .. } => {
-                                children.push(label);
+                                children.push(at);
                                 None
                             }
-                            Frame::Typed { label: parent, spec, state, from } => {
-                                children.push(label);
-                                match self.specs[*spec as usize].moves.get(&(*state, label)) {
-                                    Some(&(next, child)) => {
+                            Frame::Typed { spec, ref mut state, from } => {
+                                children.push(at);
+                                match self.step(spec, *state, name) {
+                                    Some(Move { next, spec: child }) => {
                                         *state = next;
                                         Some(child)
                                     }
@@ -240,8 +375,7 @@ impl StreamValidator {
                                         // remaining children; the child just
                                         // opened is skipped.
                                         pending = None;
-                                        let (label, spec, from) = (*parent, *spec, *from);
-                                        *top = Frame::Violated { label, spec, from };
+                                        *top = Frame::Violated { spec, from };
                                         None
                                     }
                                 }
@@ -251,10 +385,9 @@ impl StreamValidator {
                     stats.peak_buffered = stats.peak_buffered.max(children.len());
                     match typed {
                         Some(spec) if pending.is_none() => frames.push(Frame::Typed {
-                            label,
                             spec,
                             state: self.specs[spec as usize].start,
-                            from: children.len(),
+                            from: children.len() as u32,
                         }),
                         // A violation is already pending and this element is
                         // later in preorder: its parent's DFA was stepped
@@ -265,37 +398,55 @@ impl StreamValidator {
                 }
                 SaxEvent::Close => match frames.pop().expect("parser balances open/close events") {
                     Frame::Skip => {}
-                    Frame::Typed { spec, state, from, .. }
-                        if self.specs[spec as usize].finals[state] =>
+                    Frame::Typed { spec, state, from }
+                        if self.specs[spec as usize].finals[state as usize] =>
                     {
-                        children.truncate(from);
+                        children.truncate(from as usize);
                     }
                     // A violated frame, or a typed one failing at its close:
                     // it is a strict ancestor of any pending node, so it
-                    // supersedes; its child list is complete, so the error
-                    // is final. Every frame still open is a typed ancestor.
-                    Frame::Typed { label, spec, from, .. }
-                    | Frame::Violated { label, spec, from } => {
-                        let mut path: Vec<Symbol> = frames
+                    // supersedes; its child list is complete, so the
+                    // violation is final. Every frame still open is a typed
+                    // ancestor.
+                    Frame::Typed { spec, from, .. } | Frame::Violated { spec, from } => {
+                        let path = frames
                             .iter()
                             .map(|f| match f {
-                                Frame::Typed { label, .. } => *label,
+                                Frame::Typed { spec, .. } => *spec,
                                 _ => unreachable!("frames under a typed frame are typed"),
                             })
+                            .chain([spec])
+                            .map(|spec| self.specs[spec as usize].label)
                             .collect();
-                        path.push(label);
-                        pending = Some(SchemaError::InvalidContent {
-                            path,
-                            children: children.split_off(from),
-                            expected: self.specs[spec as usize].expected.clone(),
-                        });
+                        let children = children.split_off(from as usize);
+                        pending = Some(Violation::Content { path, children, spec });
                     }
                 },
             }
         }
         stats.peak_depth = parser.peak_depth();
         flush_stream_telemetry(events, stats.peak_depth, pending.is_some());
-        (pending.map_or(Ok(()), Err), stats)
+        (pending.map_or(Ok(()), |v| Err(self.report(input, v))), stats)
+    }
+
+    /// The error of a final violation: the names it reports are read back
+    /// from `input` and interned here, and nowhere else in a run.
+    fn report(&self, input: &str, violation: Violation) -> SchemaError {
+        let intern = |at: u32| Symbol::try_new(name_at(input, at as usize));
+        let error = match violation {
+            Violation::Root { at } => intern(at)
+                .map(|found| SchemaError::RootMismatch { expected: self.root_label, found }),
+            Violation::Content { path, children, spec } => {
+                children.into_iter().map(intern).collect::<Result<_, _>>().map(|children| {
+                    SchemaError::InvalidContent {
+                        path,
+                        children,
+                        expected: self.specs[spec as usize].expected.clone(),
+                    }
+                })
+            }
+        };
+        error.unwrap_or_else(SchemaError::from)
     }
 }
 
@@ -444,6 +595,24 @@ mod tests {
                 "doc {doc:?}"
             );
         }
+    }
+
+    #[test]
+    fn name_table_resolves_exactly_its_names() {
+        // Enough names that probe sequences collide and wrap, short and
+        // long, sharing prefixes, with a multibyte character in each.
+        let labels: BTreeSet<Symbol> =
+            (0..300).map(|i| Symbol::new(format!("n{i}é{}", "x".repeat(i % 11)))).collect();
+        let table = NameTable::new(&labels);
+        for (id, label) in (0..).zip(&labels) {
+            let name = label.as_str();
+            assert_eq!(table.id(name), Some(id), "{name}");
+            let stem = name.trim_end_matches('x');
+            for miss in [format!("{name}y"), format!("{stem}z"), format!("{stem}xxxxxxxxxxx")] {
+                assert_eq!(table.id(&miss), None, "{miss}");
+            }
+        }
+        assert_eq!(table.id("n1"), None);
     }
 
     #[test]

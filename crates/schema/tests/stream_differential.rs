@@ -12,24 +12,33 @@ use dxml_tree::xml::{parse_xml, to_xml};
 
 const LABELS: [&str; 5] = ["s", "a", "b", "c", "d"];
 
-/// A random single-type SDTD over [`LABELS`]: each rule's content model uses
-/// at most one specialisation per label (the single-type restriction holds by
-/// construction), with random postfix operators and comma/pipe combinators.
-fn random_sdtd(rng: &mut SplitRng) -> RSdtd {
+/// Element names that stress the validator's name table and the parser's
+/// byte-level name scanner: multibyte names, ASCII names that another name
+/// continues with a non-ASCII character (`ab`, `ab²`), a name of exactly
+/// eight bytes, and two longer names that share their first eight bytes and
+/// their length.
+const NAMES: [&str; 10] =
+    ["r", "ab", "ab²", "abc", "café", "möbius²", "é", "abcdefgh", "nationalIndex", "nationalIndey"];
+
+/// A random single-type SDTD over `labels`, rooted at the first: each rule's
+/// content model uses at most one specialisation per label (the single-type
+/// restriction holds by construction), with random postfix operators and
+/// comma/pipe combinators.
+fn random_sdtd(rng: &mut SplitRng, labels: &[&str]) -> RSdtd {
     // How many specialisations each label has (label~1, label~2, ...).
-    let spec_counts: Vec<usize> = LABELS.iter().map(|_| 1 + rng.below(2)).collect();
-    let all_specs: Vec<String> = LABELS
+    let spec_counts: Vec<usize> = labels.iter().map(|_| 1 + rng.below(2)).collect();
+    let all_specs: Vec<String> = labels
         .iter()
         .zip(&spec_counts)
         .flat_map(|(l, &k)| (1..=k).map(move |i| format!("{l}~{i}")))
         .collect();
     let mut rules = vec![];
-    for (si, spec) in std::iter::once(&"s".to_string()).chain(&all_specs).enumerate() {
+    for (si, spec) in std::iter::once(&labels[0].to_string()).chain(&all_specs).enumerate() {
         if si > 0 && rng.chance(1, 3) {
             continue; // leaf-only: defaults to the {ε} content model
         }
         let mut atoms = vec![];
-        for (li, label) in LABELS.iter().enumerate() {
+        for (li, label) in labels.iter().enumerate() {
             if rng.chance(1, 2) {
                 continue;
             }
@@ -44,8 +53,8 @@ fn random_sdtd(rng: &mut SplitRng) -> RSdtd {
         let sep = if rng.chance(1, 4) { "|" } else { ", " };
         rules.push(format!("{spec} -> {}", atoms.join(sep)));
     }
-    if rules.is_empty() || !rules[0].starts_with("s ") {
-        rules.insert(0, "s -> a~1?".to_string());
+    if rules.is_empty() || !rules[0].starts_with(&format!("{} ", labels[0])) {
+        rules.insert(0, format!("{} -> {}~1?", labels[0], labels[1]));
     }
     RSdtd::parse(RFormalism::Nre, &rules.join("\n")).expect("constructed rules are single-type")
 }
@@ -97,7 +106,7 @@ fn streaming_agrees_with_tree_route_on_random_schemas_and_documents() {
     let mut rng = SplitRng::new(0xD15_7C0DE);
     let alphabet = dxml_automata::Alphabet::from_iter(LABELS);
     for round in 0..40 {
-        let s = random_sdtd(&mut rng);
+        let s = random_sdtd(&mut rng, &LABELS);
         let v = StreamValidator::new(&s);
         // Documents in the language, when the language is non-empty.
         if let Some(t) = s.sample_tree() {
@@ -174,11 +183,11 @@ fn schema_walk(rng: &mut SplitRng, s: &RSdtd, max_depth: usize, max_fanout: usiz
     w.out
 }
 
-/// A well-formed mutant of a document: a leaf element inserted before a
-/// random tag inside the root, or a leaf element deleted. Either can break
-/// a content model at any depth, so violations surface under many open
-/// frames.
-fn structural_mutant(rng: &mut SplitRng, doc: &str) -> String {
+/// A well-formed mutant of a document: a leaf element named from `names`
+/// inserted before a random tag inside the root, or a leaf element deleted.
+/// Either can break a content model at any depth, so violations surface
+/// under many open frames.
+fn structural_mutant(rng: &mut SplitRng, doc: &str, names: &[&str]) -> String {
     let tags: Vec<usize> = doc.match_indices('<').map(|(i, _)| i).filter(|&i| i > 0).collect();
     let leaves: Vec<(usize, usize)> = doc
         .match_indices("/>")
@@ -192,16 +201,20 @@ fn structural_mutant(rng: &mut SplitRng, doc: &str) -> String {
         return doc.to_string();
     }
     let at = *rng.pick(&tags);
-    let label = rng.pick(&["a", "b", "c", "d", "e"]);
+    let label = rng.pick(names);
     format!("{}<{label}/>{}", &doc[..at], &doc[at..])
 }
+
+/// The leaf names [`structural_mutant`] inserts into documents over
+/// [`LABELS`]: four of them, and one the schemas never declare.
+const LEAVES: [&str; 5] = ["a", "b", "c", "d", "e"];
 
 #[test]
 fn streaming_agrees_on_deep_and_wide_documents() {
     let mut rng = SplitRng::new(0x5EED_DEE9);
     let alphabet = dxml_automata::Alphabet::from_iter(LABELS);
     for _ in 0..60 {
-        let s = random_sdtd(&mut rng);
+        let s = random_sdtd(&mut rng, &LABELS);
         let v = StreamValidator::new(&s);
         // Schema-guided documents: mostly valid, so typed frames nest deep
         // and close cleanly, and their mutants fail under many open frames.
@@ -210,7 +223,7 @@ fn streaming_agrees_on_deep_and_wide_documents() {
             let doc = schema_walk(&mut rng, &s, depth, fanout);
             assert_agree(&v, &s, &doc);
             for _ in 0..4 {
-                assert_agree(&v, &s, &structural_mutant(&mut rng, &doc));
+                assert_agree(&v, &s, &structural_mutant(&mut rng, &doc, &LEAVES));
             }
         }
         // Random trees up to 12 deep and 8 wide, kept small by a low
@@ -220,7 +233,7 @@ fn streaming_agrees_on_deep_and_wide_documents() {
         for _ in 0..6 {
             let xml = to_xml(&random_tree(&mut rng, &config));
             assert_agree(&v, &s, &xml);
-            assert_agree(&v, &s, &structural_mutant(&mut rng, &xml));
+            assert_agree(&v, &s, &structural_mutant(&mut rng, &xml, &LEAVES));
             assert_agree(&v, &s, &mutate(&mut rng, &xml));
         }
     }
@@ -231,5 +244,91 @@ fn convenience_entry_point_agrees_too() {
     let s = RSdtd::parse(RFormalism::Nre, "s -> a*, b\na -> c?").unwrap();
     for doc in ["<s><a><c/></a><b/></s>", "<s><b/><a/></s>", "<s>", "junk"] {
         assert_eq!(StreamValidator::new(&s).validate(doc), tree_route(&s, doc), "doc {doc:?}");
+    }
+}
+
+#[test]
+fn streaming_agrees_on_multibyte_undeclared_and_prefix_names() {
+    let mut rng = SplitRng::new(0x0A3E_5CA9);
+    let pool = dxml_automata::Alphabet::from_iter(NAMES);
+    for _ in 0..60 {
+        // The root and a random half of the other names are declared; the
+        // documents draw from all of them.
+        let mut declared: Vec<&str> = vec![NAMES[0]];
+        declared.extend(NAMES[1..].iter().filter(|_| rng.chance(1, 2)));
+        if declared.len() < 2 {
+            declared.push(NAMES[1 + rng.below(NAMES.len() - 1)]);
+        }
+        let s = random_sdtd(&mut rng, &declared);
+        let v = StreamValidator::new(&s);
+        for _ in 0..4 {
+            let (depth, fanout) = (2 + rng.below(6), 1 + rng.below(5));
+            let doc = schema_walk(&mut rng, &s, depth, fanout);
+            assert_agree(&v, &s, &doc);
+            // One inserted name can violate a content model and land in the
+            // violating node's child list; a second one then often sits in
+            // a skipped subtree.
+            let once = structural_mutant(&mut rng, &doc, &NAMES);
+            assert_agree(&v, &s, &once);
+            assert_agree(&v, &s, &structural_mutant(&mut rng, &once, &NAMES));
+        }
+        // Random trees over every name: undeclared roots, undeclared
+        // children and undeclared names under violated nodes.
+        let config = TreeGenConfig::new(&pool, 1 + rng.below(5), 1 + rng.below(4));
+        for _ in 0..6 {
+            let xml = to_xml(&random_tree(&mut rng, &config));
+            assert_agree(&v, &s, &xml);
+            assert_agree(&v, &s, &structural_mutant(&mut rng, &xml, &NAMES));
+        }
+    }
+}
+
+#[test]
+fn names_are_told_apart_by_every_byte() {
+    let s = RSdtd::parse(RFormalism::Nre, "ab -> abc*, café?\ncafé -> nationalIndex*").unwrap();
+    let v = StreamValidator::new(&s);
+    let names = |names: &[&str]| names.iter().map(Symbol::new).collect::<Vec<_>>();
+    for (doc, verdict) in [
+        ("<ab><abc/><café><nationalIndex/></café></ab>", Ok(())),
+        // An ASCII prefix continued by a non-ASCII name character is
+        // another name, at the root ...
+        (
+            "<ab²/>",
+            Err(SchemaError::RootMismatch {
+                expected: Symbol::new("ab"),
+                found: Symbol::new("ab²"),
+            }),
+        ),
+        // ... and in a violating node's child list, reported in full.
+        (
+            "<ab><abc/><abc²/><cafe/></ab>",
+            Err(SchemaError::InvalidContent {
+                path: names(&["ab"]),
+                children: names(&["abc", "abc²", "cafe"]),
+                expected: "abc* café?".to_string(),
+            }),
+        ),
+        // Same first eight bytes and length, different tail.
+        (
+            "<ab><café><nationalIndey/></café></ab>",
+            Err(SchemaError::InvalidContent {
+                path: names(&["ab", "café"]),
+                children: names(&["nationalIndey"]),
+                expected: "nationalIndex*".to_string(),
+            }),
+        ),
+        // `ab` is violated at `abc` (after `café`), so everything under
+        // `abc` is skipped and never named.
+        (
+            "<ab><café/><abc><zz²/><möbius²><x/></möbius²></abc></ab>",
+            Err(SchemaError::InvalidContent {
+                path: names(&["ab"]),
+                children: names(&["café", "abc"]),
+                expected: "abc* café?".to_string(),
+            }),
+        ),
+    ] {
+        assert_eq!(v.validate(doc), verdict, "doc {doc:?}");
+        assert_agree(&v, &s, doc);
     }
 }

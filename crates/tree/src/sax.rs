@@ -22,24 +22,84 @@
 //! * tracks quote state while skipping attributes, so `>` inside a quoted
 //!   attribute value does not terminate the tag.
 //!
-//! Start tag names are interned into [`Symbol`]s, the names of
-//! [`SaxEvent::Open`]. End tag names are not: they are matched by text
-//! against the open element's name, so a closing tag never grows the
-//! process-wide intern table. Memory while parsing is `O(depth)`: one
-//! [`Symbol`] per open element, nothing per sibling.
+//! Element names are borrowed, never interned: [`SaxEvent::Open`] carries
+//! the start tag's name as a `&str` slice of the input, and end tags are
+//! matched by text against the open element's name. Parsing a document
+//! therefore never touches the process-wide intern table; a consumer that
+//! wants [`Symbol`](dxml_automata::Symbol)s interns them itself
+//! ([`crate::xml::parse_xml`] does, per start tag). Memory while parsing is
+//! `O(depth)`: one `u32` byte offset per open element (the name is re-read
+//! at its offset when an error reports it), nothing per sibling. Offsets
+//! being `u32`, a start tag whose name begins 4 GiB or more into the input
+//! is a located error.
+//!
+//! Names are scanned a byte at a time: an ASCII byte is classified by table
+//! lookup, and only a non-ASCII byte decodes its UTF-8 character.
 
-use dxml_automata::{AutomataError, Symbol};
+use dxml_automata::AutomataError;
 
 /// Default bound on element nesting depth: far beyond any sane document,
 /// small enough that the open-element stack of adversarial input stays a
 /// few megabytes instead of exhausting memory.
 pub const DEFAULT_DEPTH_LIMIT: usize = 1 << 20;
 
+/// Which ASCII bytes are element name characters: letters, digits and
+/// `_ - . : ~`.
+const ASCII_NAME: [bool; 128] = {
+    let mut table = [false; 128];
+    let mut b = 0;
+    while b < 128 {
+        let c = b as u8;
+        table[b] = c.is_ascii_alphanumeric() || matches!(c, b'_' | b'-' | b'.' | b':' | b'~');
+        b += 1;
+    }
+    table
+};
+
+/// The end of the element name starting at byte `start` of `input`: the
+/// longest run of name characters there (ASCII letters, digits and
+/// `_ - . : ~`, or any alphanumeric character). `start` itself when none.
+///
+/// # Panics
+///
+/// Panics if `start` is not a character boundary of `input`.
+pub fn name_end(input: &str, start: usize) -> usize {
+    let bytes = input.as_bytes();
+    let mut end = start;
+    while let Some(&b) = bytes.get(end) {
+        if b.is_ascii() {
+            if !ASCII_NAME[b as usize] {
+                break;
+            }
+            end += 1;
+        } else {
+            // Whole characters are consumed, so `end` is a char boundary.
+            match input[end..].chars().next() {
+                Some(c) if c.is_alphanumeric() => end += c.len_utf8(),
+                _ => break,
+            }
+        }
+    }
+    end
+}
+
+/// The element name at byte `offset` of `input`, as the parser scanned it:
+/// [`SaxParser::open_offset`] locates the names of open elements, so a
+/// consumer that kept only their offsets can read them again here.
+///
+/// # Panics
+///
+/// Panics if `offset` is not a character boundary of `input`.
+pub fn name_at(input: &str, offset: usize) -> &str {
+    &input[offset..name_end(input, offset)]
+}
+
 /// One event of the element structure of a document.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SaxEvent {
-    /// A start tag (or the opening half of a self-closing tag).
-    Open(Symbol),
+pub enum SaxEvent<'a> {
+    /// A start tag (or the opening half of a self-closing tag), with its
+    /// name borrowed from the input.
+    Open(&'a str),
     /// The end tag matching the most recent unclosed [`SaxEvent::Open`].
     /// The parser guarantees proper nesting, so the event needs no name.
     Close,
@@ -55,8 +115,9 @@ pub enum SaxEvent {
 pub struct SaxParser<'a> {
     input: &'a str,
     pos: usize,
-    /// Names of the currently open elements (for end-tag matching).
-    open: Vec<Symbol>,
+    /// Byte offsets of the names of the currently open elements (for
+    /// end-tag matching and error messages).
+    open: Vec<u32>,
     depth_limit: usize,
     /// Greatest `open.len()` reached so far — the peak event-buffer size,
     /// reported by throughput benchmarks.
@@ -101,6 +162,13 @@ impl<'a> SaxParser<'a> {
         self.open.len()
     }
 
+    /// The byte offset of the innermost open element's name: right after an
+    /// [`SaxEvent::Open`], that of its name. [`name_at`] reads the name
+    /// back.
+    pub fn open_offset(&self) -> Option<usize> {
+        self.open.last().map(|&at| at as usize)
+    }
+
     /// The greatest nesting depth seen so far — proportional to the peak
     /// memory the parser (and any streaming consumer stacked on it) holds.
     pub fn peak_depth(&self) -> usize {
@@ -111,7 +179,7 @@ impl<'a> SaxParser<'a> {
     ///
     /// Errors are located ([`AutomataError::Parse`] with the byte
     /// offset); after an error every subsequent call returns `Ok(None)`.
-    pub fn next_event(&mut self) -> Result<Option<SaxEvent>, AutomataError> {
+    pub fn next_event(&mut self) -> Result<Option<SaxEvent<'a>>, AutomataError> {
         if self.failed {
             return Ok(None);
         }
@@ -124,7 +192,7 @@ impl<'a> SaxParser<'a> {
         }
     }
 
-    fn advance(&mut self) -> Result<Option<SaxEvent>, AutomataError> {
+    fn advance(&mut self) -> Result<Option<SaxEvent<'a>>, AutomataError> {
         if self.pending_close {
             self.pending_close = false;
             return Ok(Some(self.close_top()));
@@ -132,7 +200,10 @@ impl<'a> SaxParser<'a> {
         self.skip_misc();
         if self.pos >= self.input.len() {
             return match self.open.last() {
-                Some(name) => Err(self.error(&format!("unterminated element <{name}>"))),
+                Some(&at) => {
+                    let name = name_at(self.input, at as usize);
+                    Err(self.error(&format!("unterminated element <{name}>")))
+                }
                 None if !self.seen_root => Err(self.error("expected '<'")),
                 None => Ok(None),
             };
@@ -146,8 +217,14 @@ impl<'a> SaxParser<'a> {
             }
             self.pos += 2;
             let close = self.scan_name()?;
-            let name = *self.open.last().expect("checked non-empty above");
-            if close != name.as_str() {
+            let at = *self.open.last().expect("checked non-empty above") as usize;
+            // The open name is the longest name run at `at`: it equals
+            // `close` iff it starts with it and no name character follows.
+            let end = at + close.len();
+            let same = self.input.as_bytes()[at..].starts_with(close.as_bytes())
+                && name_end(self.input, end) == end;
+            if !same {
+                let name = name_at(self.input, at);
                 return Err(self.error(&format!("mismatched closing tag </{close}> for <{name}>")));
             }
             self.skip_ws();
@@ -158,22 +235,24 @@ impl<'a> SaxParser<'a> {
             return Ok(Some(self.close_top()));
         }
         self.pos += 1;
-        let name = Symbol::try_new(self.scan_name()?)?;
-        let self_closing = self.skip_attributes(&name)?;
+        let at = u32::try_from(self.pos)
+            .map_err(|_| self.error("element names past 4 GiB into the input are not supported"))?;
+        let name = self.scan_name()?;
+        let self_closing = self.skip_attributes(name)?;
         if self.open.len() >= self.depth_limit {
             return Err(self.error(&format!(
                 "element nesting exceeds the depth limit of {}",
                 self.depth_limit
             )));
         }
-        self.open.push(name);
+        self.open.push(at);
         self.peak_depth = self.peak_depth.max(self.open.len());
         self.pending_close = self_closing;
         Ok(Some(SaxEvent::Open(name)))
     }
 
     /// Pops the innermost open element and returns its `Close` event.
-    fn close_top(&mut self) -> SaxEvent {
+    fn close_top(&mut self) -> SaxEvent<'a> {
         self.open.pop();
         if self.open.is_empty() {
             self.seen_root = true;
@@ -203,30 +282,20 @@ impl<'a> SaxParser<'a> {
     fn skip_misc(&mut self) {
         let bytes = self.input.as_bytes();
         loop {
-            self.skip_ws();
-            if self.starts_with("<!--") {
-                match self.find_sub("-->") {
-                    Some(end) => self.pos = end + 3,
-                    None => {
-                        self.pos = bytes.len();
-                        return;
-                    }
+            // Whitespace and text content alike: skip to the next tag.
+            let text = &bytes[self.pos..];
+            self.pos += text.iter().position(|&b| b == b'<').unwrap_or(text.len());
+            let skip_to = match bytes.get(self.pos + 1) {
+                Some(b'!') if self.starts_with("<!--") => self.find_sub("-->").map(|end| end + 3),
+                Some(b'?') => self.find_sub("?>").map(|end| end + 2),
+                _ => return,
+            };
+            match skip_to {
+                Some(end) => self.pos = end,
+                None => {
+                    self.pos = bytes.len();
+                    return;
                 }
-            } else if self.starts_with("<?") {
-                match self.find_sub("?>") {
-                    Some(end) => self.pos = end + 2,
-                    None => {
-                        self.pos = bytes.len();
-                        return;
-                    }
-                }
-            } else if self.pos < bytes.len() && bytes[self.pos] != b'<' {
-                // Text content: skip to the next tag.
-                while self.pos < bytes.len() && bytes[self.pos] != b'<' {
-                    self.pos += 1;
-                }
-            } else {
-                return;
             }
         }
     }
@@ -238,34 +307,26 @@ impl<'a> SaxParser<'a> {
             .find(|&i| haystack[i..].starts_with(needle))
     }
 
-    /// Scans an element name, decoding UTF-8 characters properly — a
-    /// multibyte letter is one name character, never a sequence of
-    /// byte-casted surrogates (the seed parser classified raw continuation
-    /// bytes like `0xB2` as alphanumeric and then panicked slicing the name
-    /// mid-character). The name is returned as text; only start tags intern
-    /// it.
+    /// Scans an element name ([`name_end`]), decoding UTF-8 characters
+    /// properly — a multibyte letter is one name character, never a
+    /// sequence of byte-casted surrogates (the seed parser classified raw
+    /// continuation bytes like `0xB2` as alphanumeric and then panicked
+    /// slicing the name mid-character). The name is borrowed from the input.
     fn scan_name(&mut self) -> Result<&'a str, AutomataError> {
-        let rest = &self.input[self.pos..];
-        let mut len = 0;
-        for (i, c) in rest.char_indices() {
-            if c.is_alphanumeric() || matches!(c, '_' | '-' | '.' | ':' | '~') {
-                len = i + c.len_utf8();
-            } else {
-                break;
-            }
-        }
-        if len == 0 {
+        let start = self.pos;
+        let end = name_end(self.input, start);
+        if end == start {
             return Err(self.error("expected an element name"));
         }
-        self.pos += len;
-        Ok(&rest[..len])
+        self.pos = end;
+        Ok(&self.input[start..end])
     }
 
     /// Skips attributes up to the end of the tag, tracking quote state so a
     /// `>` inside a quoted attribute value does not terminate the tag
     /// (`<a x="1>2">` parses as one element with one attribute). Returns
     /// whether the tag is self-closing.
-    fn skip_attributes(&mut self, name: &Symbol) -> Result<bool, AutomataError> {
+    fn skip_attributes(&mut self, name: &str) -> Result<bool, AutomataError> {
         let bytes = self.input.as_bytes();
         while self.pos < bytes.len() {
             match bytes[self.pos] {
@@ -296,8 +357,8 @@ impl<'a> SaxParser<'a> {
     }
 }
 
-impl Iterator for SaxParser<'_> {
-    type Item = Result<SaxEvent, AutomataError>;
+impl<'a> Iterator for SaxParser<'a> {
+    type Item = Result<SaxEvent<'a>, AutomataError>;
 
     fn next(&mut self) -> Option<Self::Item> {
         self.next_event().transpose()
@@ -308,12 +369,12 @@ impl Iterator for SaxParser<'_> {
 mod tests {
     use super::*;
 
-    fn events(input: &str) -> Result<Vec<SaxEvent>, AutomataError> {
+    fn events(input: &str) -> Result<Vec<SaxEvent<'_>>, AutomataError> {
         SaxParser::new(input).collect()
     }
 
-    fn open(name: &str) -> SaxEvent {
-        SaxEvent::Open(Symbol::new(name))
+    fn open(name: &str) -> SaxEvent<'_> {
+        SaxEvent::Open(name)
     }
 
     #[test]
@@ -410,6 +471,47 @@ mod tests {
                 "doc {doc:?}"
             );
         }
+    }
+
+    #[test]
+    fn names_are_borrowed_and_located_by_offset() {
+        let doc = "<ab x='1'><ab²/><é-1.x/></ab>";
+        let mut p = SaxParser::new(doc);
+        let mut offsets = Vec::new();
+        while let Some(event) = p.next_event().unwrap() {
+            if let SaxEvent::Open(name) = event {
+                let at = p.open_offset().unwrap();
+                assert_eq!(name_at(doc, at), name);
+                assert!(std::ptr::eq(name, &doc[at..at + name.len()]), "{name} is borrowed");
+                offsets.push(at);
+            }
+        }
+        assert_eq!(offsets, [1, 11, 18]);
+        assert_eq!(p.open_offset(), None);
+    }
+
+    #[test]
+    fn an_ascii_prefix_continued_by_a_non_ascii_character_is_one_name() {
+        assert_eq!(
+            events("<ab²><ab/></ab²>").unwrap(),
+            vec![open("ab²"), open("ab"), SaxEvent::Close, SaxEvent::Close]
+        );
+        // End tags compare whole names: neither is a prefix match.
+        for (doc, message, position) in [
+            ("<ab></ab²>", "XML: mismatched closing tag </ab²> for <ab>", 10),
+            ("<ab²></ab>", "XML: mismatched closing tag </ab> for <ab²>", 10),
+        ] {
+            assert_eq!(
+                events(doc),
+                Err(AutomataError::Parse { message: message.to_string(), position }),
+                "doc {doc:?}"
+            );
+        }
+        // The name is re-read at its offset for an unterminated element.
+        assert_eq!(
+            events("<ab²>").unwrap_err().to_string(),
+            "parse error at byte 6: XML: unterminated element <ab²>"
+        );
     }
 
     #[test]

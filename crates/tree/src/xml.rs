@@ -13,7 +13,7 @@
 //! print without native stack growth (bounded only by the parser's
 //! [depth limit](crate::sax::DEFAULT_DEPTH_LIMIT)).
 
-use dxml_automata::AutomataError;
+use dxml_automata::{AutomataError, Symbol};
 
 use crate::sax::{SaxEvent, SaxParser, DEFAULT_DEPTH_LIMIT};
 use crate::tree::{NodeId, XTree};
@@ -34,10 +34,12 @@ pub fn parse_xml_with_limit(input: &str, depth_limit: usize) -> Result<XTree, Au
     let mut stack: Vec<NodeId> = Vec::new();
     while let Some(event) = parser.next_event()? {
         match event {
+            // The parser borrows names; the tree interns them, one
+            // fallible lookup per start tag.
             SaxEvent::Open(name) => match (&mut tree, stack.last()) {
-                (Some(t), Some(&parent)) => stack.push(t.add_child(parent, name)),
+                (Some(t), Some(&parent)) => stack.push(t.add_child(parent, Symbol::try_new(name)?)),
                 (slot @ None, _) => {
-                    let root = XTree::leaf(name);
+                    let root = XTree::leaf(Symbol::try_new(name)?);
                     stack.push(root.root());
                     *slot = Some(root);
                 }

@@ -20,7 +20,7 @@ fn adversarial_string(rng: &mut SplitRng, len: usize) -> String {
 }
 
 /// Drains the parser, checking stream invariants event by event.
-fn drain(input: &str) -> Result<Vec<SaxEvent>, dxml_automata::AutomataError> {
+fn drain(input: &str) -> Result<Vec<SaxEvent<'_>>, dxml_automata::AutomataError> {
     let mut parser = SaxParser::new(input);
     let mut events = Vec::new();
     let mut depth = 0usize;

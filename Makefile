@@ -109,7 +109,9 @@ bench-compare:
 # terminate fails here instead of hanging the test job. So does the
 # wide-kernel scaling test: a kernel node with thousands of children must
 # stay linear on the extension automaton and the kernel pass, in release
-# as in debug. The SAX fuzz suite and the streaming differential run here
+# as in debug, and so does the nondeterministic-gap scaling test: a
+# suffix-counting gap must be decided under a fixed step quota, so a pair
+# search that went exponential again trips it. The SAX fuzz suite and the streaming differential run here
 # in release too, so the byte-level element-name scanner's UTF-8
 # boundaries and the validator's name table get optimised-code coverage.
 FUZZ_SMOKE_TIMEOUT ?= 300
@@ -120,9 +122,10 @@ fuzz-smoke:
 	timeout $(FUZZ_SMOKE_TIMEOUT) $(CARGO) test -q --release -p dxml-bench --test cost_calibration
 	timeout $(FUZZ_SMOKE_TIMEOUT) $(CARGO) test -q --release -p dxml-tree --test inclusion_differential
 	timeout $(FUZZ_SMOKE_TIMEOUT) $(CARGO) test -q --release -p dxml-analysis --test wide_kernel_scaling
+	timeout $(FUZZ_SMOKE_TIMEOUT) $(CARGO) test -q --release -p dxml-analysis --test nondeterministic_gap_scaling
 	timeout $(FUZZ_SMOKE_TIMEOUT) $(CARGO) test -q --release -p dxml-tree --test sax_fuzz
 	timeout $(FUZZ_SMOKE_TIMEOUT) $(CARGO) test -q --release -p dxml-schema --test stream_differential
-	@echo "fuzz-smoke: governance fault suite, scaling, SAX fuzz and streaming differential tests passed within $(FUZZ_SMOKE_TIMEOUT)s per binary"
+	@echo "fuzz-smoke: governance fault suite, wide-kernel and nondeterministic-gap scaling, SAX fuzz and streaming differential tests passed within $(FUZZ_SMOKE_TIMEOUT)s per binary"
 
 # Seeded soak of the one decision procedure against its oracle: the ignored
 # sibling of the tier-1 corpus differential sweeps 2000 seeds of random

@@ -66,9 +66,13 @@
 //!   accepts a word and reads only typable names);
 //! * a function's product fixpoint evaluates each rule of its schema once,
 //!   plus once per new pair of a name the rule's content reads (a name has
-//!   at most `states + 1` pairs), and an evaluation pops each (content
-//!   subset state, label configuration or dead) node at most once — and
-//!   at least its start node.
+//!   at most `states + 1` pairs). An evaluation is a pair search over
+//!   (content state, label configuration or dead) pairs that charges one
+//!   step per group of pairs first reached by one word, so at least one
+//!   (the start pair's) and at most one per pair. The bracket still
+//!   multiplies by the content model's subset-state bound: it is at least
+//!   the number `m` of content states (`m ≤ 2^m − 1`), so it stays an
+//!   upper bound.
 //!
 //! # What the brackets leave out
 //!

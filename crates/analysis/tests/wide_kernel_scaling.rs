@@ -9,14 +9,16 @@
 //! split keeps one dense row of split points plus the reached ones, not a
 //! `children × word` table, so it stays under `BOUND` too.
 //!
-//! The kernel pass still grows faster than linear: its Moore-image search
-//! steps a dense frontier set over the whole child word per search pair.
+//! With `f` returning `a+`, every docking point is a gap with a loop. The
+//! kernel pass and `perfect_schema`'s context walks search (child-word
+//! state, machine state) pairs, never child-word state sets, so they stay
+//! linear in the width too.
 //!
 //! [`Nfa::append`]: dxml_automata::Nfa::append
 
 use std::time::{Duration, Instant};
 
-use dxml_automata::RFormalism;
+use dxml_automata::{RFormalism, Symbol};
 use dxml_core::{DesignProblem, DistributedDoc};
 use dxml_schema::RDtd;
 
@@ -60,4 +62,18 @@ fn a_refuted_wide_kernel_node_splits_its_counterexample_per_child() {
 
     assert!(!timed("verify_local", || problem.verify_local(&doc)).unwrap().is_valid());
     assert!(!timed("typecheck", || problem.typecheck(&doc)).unwrap().is_valid());
+}
+
+#[test]
+fn a_wide_kernel_node_with_looping_gaps_is_decided_in_linear_time() {
+    let target = RDtd::parse(RFormalism::Nre, "s -> a*").unwrap();
+    let forest = RDtd::parse(RFormalism::Nre, "r -> a+").unwrap();
+    let problem = DesignProblem::new(target).with_function("f", forest);
+    let children = vec!["a f"; WIDTH / 2].join(" ");
+    let doc = DistributedDoc::parse(&format!("s({children})"), ["f"]).unwrap();
+
+    assert!(timed("verify_local", || problem.verify_local(&doc)).unwrap().is_valid());
+    assert!(timed("typecheck", || problem.typecheck(&doc)).unwrap().is_valid());
+    let schema = timed("perfect_schema", || problem.perfect_schema(&doc, "f")).unwrap();
+    assert!(schema.content(schema.start()).to_nfa().accepts(&[Symbol::new("a"); 3]));
 }

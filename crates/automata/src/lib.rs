@@ -60,7 +60,7 @@ pub use equiv::{equivalent, included, Counterexample};
 pub use error::AutomataError;
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use limits::{Budget, CancelHandle, Resource};
-pub use nfa::{Nfa, NfaMetrics};
+pub use nfa::{Nfa, NfaMetrics, ProductMove, ProductPair};
 pub use regex::Regex;
 pub use rspec::{RFormalism, RSpec};
 pub use stateset::StateSet;

@@ -2,8 +2,8 @@
 //! for the engine's worst-case-exponential loops.
 //!
 //! The engine's loops — tree-automaton determinisation of the target, the
-//! pair fixpoint of tree inclusion, the Moore-image BFS of the kernel
-//! passes, the residual walks of synthesis — and the string-automaton
+//! pair fixpoint of tree inclusion, the Moore-image pair search of the
+//! kernel passes, the residual walks of synthesis — and the string-automaton
 //! subset construction are worst-case exponential and, unbounded, run to
 //! completion no matter what. A [`Budget`] makes
 //! abusive input degrade into a *typed error*
@@ -21,6 +21,8 @@
 //! * **steps** ([`Budget::with_step_quota`]) — one unit per innermost loop
 //!   iteration of a governed search: a `(state set, symbol)` expansion in
 //!   subset construction, a popped pair or traversed edge in a product BFS,
+//!   a group of pairs sharing a word in a pair search
+//!   ([`Nfa::product_search`](crate::Nfa::product_search)),
 //!   a `(configuration, letter)` expansion in tree-automaton
 //!   determinisation, a consumed SAX event in streaming validation, a
 //!   witness-tree node built by `uta::materialise`. The step counter is the

@@ -41,13 +41,21 @@
 //! state universe (see [`crate::stateset`]), iterated in ascending state
 //! order exactly like the `BTreeSet<usize>` representation it replaced, so
 //! subset-state numbering and witness words are unchanged.
+//!
+//! # Pair search
+//!
+//! Shortest words, the tree crate's Moore images and the context walks of
+//! [`crate::quotient`] all read an automaton against a deterministic
+//! machine through one routine, [`Nfa::product_search`], over (state,
+//! machine state) pairs: never a state set per search node.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 use std::fmt;
+use std::hash::Hash;
 
 use crate::dfa::Dfa;
 use crate::error::AutomataError;
-use crate::hash::FxHashMap;
+use crate::hash::{FxHashMap, FxHashSet};
 use crate::limits::Budget;
 use crate::stateset::StateSet;
 use crate::symbol::{Alphabet, Symbol, Word};
@@ -77,6 +85,37 @@ pub struct NfaMetrics {
     /// pairwise distinct, so the subset DFA has at least
     /// `min_word_len + 1` states when the language is non-empty.
     pub min_word_len: Option<usize>,
+}
+
+/// One move of [`Nfa::product_search`]: the automaton reads a local symbol
+/// id while the machine reads a letter, and the move is tagged.
+pub type ProductMove<L> = (u32, L, usize);
+
+/// A pair of [`Nfa::product_search`]: an automaton state and a machine
+/// state, with the pair it was first reached from.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ProductPair<C> {
+    /// The automaton state.
+    pub state: StateId,
+    /// The machine state.
+    pub config: C,
+    /// The pair this one was first reached from; `None` for the start pair.
+    pub parent: Option<usize>,
+    /// The tag of the move choice that first reached this pair.
+    pub tag: usize,
+}
+
+impl<C> ProductPair<C> {
+    /// The tags of the least word reaching `pairs[i]`, in reading order.
+    pub fn word(pairs: &[ProductPair<C>], mut i: usize) -> Vec<usize> {
+        let mut tags = Vec::new();
+        while let Some(parent) = pairs[i].parent {
+            tags.push(pairs[i].tag);
+            i = parent;
+        }
+        tags.reverse();
+        tags
+    }
 }
 
 /// A nondeterministic finite automaton (without ε-transitions).
@@ -283,7 +322,7 @@ impl Nfa {
     /// the static cost model (`dxml-analysis::cost`) needs to bracket a
     /// future [`Dfa::from_nfa`](crate::dfa::Dfa::from_nfa) run, computed in
     /// polynomial time without determinising anything (the only search is
-    /// the shortest-word BFS, linear in the transition table).
+    /// the shortest-word pair search, linear in the transition table).
     pub fn metrics(&self) -> NfaMetrics {
         NfaMetrics {
             states: self.num_states,
@@ -489,77 +528,89 @@ impl Nfa {
             .expect("the unlimited budget never trips")
     }
 
-    /// Governed variant of [`Nfa::shortest_accepted`]. Linear in the size
-    /// of the automaton — it searches single states, never sets of them: a
-    /// backward breadth-first search labels every state with its distance
-    /// to acceptance, then a forward walk keeps, per position, only the
-    /// states on a shortest path and takes the least symbol that stays on
-    /// one. Every state visited by either search charges one budget step.
-    ///
-    /// # Panics
-    ///
-    /// Only on a broken internal invariant (a state at a positive distance
-    /// with no step one closer to acceptance).
+    /// Governed variant of [`Nfa::shortest_accepted`]: the word of the
+    /// first final pair of [`Nfa::product_search`] with the trivial machine
+    /// `()`, whose pairs are single states and whose moves are the symbols
+    /// in text order. Linear in the size of the automaton; it charges one
+    /// budget step per group, so at most one per reachable state.
     pub fn shortest_accepted_with_budget(&self, budget: &Budget) -> Result<Option<Word>, AutomataError> {
-        let n = self.num_states;
-        let mut preds: Vec<Vec<StateId>> = vec![Vec::new(); n];
-        for p in 0..n {
-            for &(_, q) in &self.trans[p] {
-                preds[q].push(p);
-            }
-        }
-        let mut dist = vec![usize::MAX; n];
-        let mut queue: VecDeque<StateId> = self.finals.iter().copied().collect();
-        for &f in &self.finals {
-            dist[f] = 0;
-        }
-        while let Some(q) = queue.pop_front() {
+        let moves: Vec<ProductMove<()>> =
+            self.sorted_syms().into_iter().map(|(_, sid)| (sid, (), sid as usize)).collect();
+        let pairs = self.product_search((), &moves, |(), ()| Some(()), budget)?;
+        let first = pairs.iter().position(|p| self.is_final(p.state));
+        Ok(first.map(|i| ProductPair::word(&pairs, i).into_iter().map(|sid| self.syms[sid]).collect()))
+    }
+
+    /// The pair search of this automaton against a deterministic machine:
+    /// a breadth-first search over (automaton state, machine state) pairs,
+    /// starting from `(start state, start)`. A move lets the automaton read
+    /// its local symbol id (see [`Nfa::sym_id`]) while the machine reads
+    /// the move's letter through `step`; `step` returning `None` stops the
+    /// word there. Every pair found keeps the pair it was first reached
+    /// from and the tag of the move that reached it.
+    ///
+    /// Pairs are grouped by the word that first reaches them, and each
+    /// group is expanded once, on the moves in the given order. So
+    /// the pairs come out in the length-then-move order of their least
+    /// words, and [`ProductPair::word`] spells the least word of each. All
+    /// pairs of a group share its word, hence its machine state. Unlike a
+    /// search over (state *set*, machine state) nodes, the number of pairs
+    /// is at most states × machine states, whatever the automaton's
+    /// nondeterminism.
+    ///
+    /// Charges one `budget` step per group and aborts with
+    /// [`AutomataError::BudgetExceeded`] when the budget trips.
+    pub fn product_search<C, L>(
+        &self,
+        start: C,
+        moves: &[ProductMove<L>],
+        step: impl Fn(C, L) -> Option<C>,
+        budget: &Budget,
+    ) -> Result<Vec<ProductPair<C>>, AutomataError>
+    where
+        C: Copy + Eq + Hash,
+        L: Copy,
+    {
+        let mut pairs = Vec::with_capacity(self.num_states);
+        pairs.push(ProductPair { state: self.start, config: start, parent: None, tag: 0 });
+        let mut seen: FxHashSet<(StateId, C)> =
+            FxHashSet::with_capacity_and_hasher(self.num_states, Default::default());
+        seen.insert((self.start, start));
+        // Group `g` is `pairs[ends[g]..ends[g + 1]]`. Groups are found in
+        // the order they are expanded, so this list is also the queue.
+        let mut ends = vec![0, 1];
+        let mut g = 0;
+        while g + 1 < ends.len() {
             budget.step()?;
-            for &p in &preds[q] {
-                if dist[p] == usize::MAX {
-                    dist[p] = dist[q] + 1;
-                    queue.push_back(p);
+            let group = ends[g]..ends[g + 1];
+            let config = pairs[group.start].config;
+            // Consecutive moves on one symbol are skipped together when the
+            // group cannot read it.
+            let mut rest = moves;
+            while let Some(&(sid, _, _)) = rest.first() {
+                let run = rest.iter().take_while(|m| m.0 == sid).count();
+                let (same_symbol, tail) = rest.split_at(run);
+                rest = tail;
+                if group.clone().all(|p| self.succ_slice(pairs[p].state, sid).is_empty()) {
+                    continue;
                 }
-            }
-        }
-        let mut d = dist[self.start];
-        if d == usize::MAX {
-            return Ok(None);
-        }
-        let mut rank = vec![0; self.syms.len()];
-        for (r, (_, sid)) in self.sorted_syms().into_iter().enumerate() {
-            rank[sid as usize] = r;
-        }
-        // Every state lies at one distance, so it joins at most one level.
-        let mut seen = vec![false; n];
-        seen[self.start] = true;
-        let mut level = vec![self.start];
-        let mut word = Vec::with_capacity(d);
-        while d > 0 {
-            for _ in &level {
-                budget.step()?;
-            }
-            let best = level
-                .iter()
-                .flat_map(|&q| &self.trans[q])
-                .filter(|&&(_, t)| dist[t] == d - 1)
-                .map(|&(sid, _)| sid)
-                .min_by_key(|&sid| rank[sid as usize])
-                .expect("a state at a positive distance steps one closer to acceptance");
-            let mut next = Vec::new();
-            for &q in &level {
-                for &(_, t) in self.succ_slice(q, best) {
-                    if dist[t] == d - 1 && !seen[t] {
-                        seen[t] = true;
-                        next.push(t);
+                for &(_, letter, tag) in same_symbol {
+                    let Some(next) = step(config, letter) else { continue };
+                    for p in group.clone() {
+                        for &(_, t) in self.succ_slice(pairs[p].state, sid) {
+                            if seen.insert((t, next)) {
+                                pairs.push(ProductPair { state: t, config: next, parent: Some(p), tag });
+                            }
+                        }
+                    }
+                    if pairs.len() > ends[ends.len() - 1] {
+                        ends.push(pairs.len());
                     }
                 }
             }
-            d -= 1;
-            word.push(self.syms[best as usize]);
-            level = next;
+            g += 1;
         }
-        Ok(Some(word))
+        Ok(pairs)
     }
 
     /// Enumerates accepted words of length at most `max_len`, up to `limit`
@@ -990,6 +1041,53 @@ mod tests {
         assert!(words.contains(&word_chars("ab")));
         assert!(words.contains(&word_chars("aaab")));
         assert!(!words.contains(&word_chars("b")));
+    }
+
+    #[test]
+    fn the_pair_search_charges_one_step_per_group() {
+        let k = 20;
+        let nfa = re(&format!("(a|b)*a{}", "(a|b)".repeat(k - 1)));
+        let moves: Vec<ProductMove<()>> =
+            nfa.sorted_syms().into_iter().map(|(_, sid)| (sid, (), sid as usize)).collect();
+        let search = |budget: &Budget| nfa.product_search((), &moves, |(), ()| Some(()), budget);
+        let counted = Budget::unlimited().with_step_quota(u64::MAX);
+        let pairs = search(&counted).unwrap();
+        // Every state is reached, each once; a frontier search would pop
+        // the 2^k subsets the suffix window can be in.
+        assert_eq!(pairs.len(), nfa.num_states());
+        let steps = counted.steps_spent();
+        assert!(steps <= nfa.num_states() as u64 + 1, "{steps} steps for {} states", nfa.num_states());
+        assert!(search(&crate::limits::faults::budget_tripping_after(steps)).is_ok());
+        assert!(search(&crate::limits::faults::budget_tripping_after(steps - 1)).is_err());
+        // The first final pair spells the least accepted word.
+        let first = pairs.iter().position(|p| nfa.is_final(p.state)).unwrap();
+        let word: Word = ProductPair::word(&pairs, first).into_iter().map(|sid| nfa.syms[sid]).collect();
+        assert_eq!(word, word_chars(&"a".repeat(k)));
+    }
+
+    #[test]
+    fn the_pair_search_keeps_the_least_word_per_machine_state() {
+        // `(a|b)*` read against a machine counting `a`s modulo 3: the least
+        // word of each count is `a^count`, and a `b` never beats an `a`.
+        let nfa = re("(a|b)*");
+        let moves: Vec<ProductMove<usize>> = nfa
+            .sorted_syms()
+            .into_iter()
+            .map(|(sym, sid)| (sid, usize::from(sym.as_str() == "a"), sid as usize))
+            .collect();
+        let pairs = nfa.product_search(0usize, &moves, |c, a| Some((c + a) % 3), &Budget::unlimited()).unwrap();
+        for count in 0..3 {
+            let first = pairs.iter().position(|p| nfa.is_final(p.state) && p.config == count).unwrap();
+            let word: Word = ProductPair::word(&pairs, first).into_iter().map(|sid| nfa.syms[sid]).collect();
+            assert_eq!(word, word_chars(&"a".repeat(count)));
+        }
+        // A machine refusing `b` stops every word there.
+        let a_only = nfa.product_search(0usize, &moves, |c, a| (a == 1).then_some((c + 1) % 3), &Budget::unlimited());
+        let a_only = a_only.unwrap();
+        for i in 0..a_only.len() {
+            let word = ProductPair::word(&a_only, i);
+            assert!(word.iter().all(|&sid| nfa.syms[sid].as_str() == "a"));
+        }
     }
 
     #[test]

@@ -15,6 +15,12 @@
 //!   substituted into every gap of a longer context sequence, for a function
 //!   that docks several times under the same parent.
 //!
+//! Their context walks, "which states of the subject can some word of this
+//! context reach?", are pair searches of the context automaton against the
+//! subject ([`Nfa::product_search`]), polynomial in the context however
+//! nondeterministic it is; only the residual's own set simulation runs over
+//! sets of the subject's states.
+//!
 //! Both are effective: the result is an automaton over the union of the
 //! involved alphabets. In particular, when `P` (or `S`) is the empty
 //! language the universal residual is vacuously `Σ*` over that union — the
@@ -30,9 +36,9 @@ use std::collections::VecDeque;
 
 use crate::dfa::Dfa;
 use crate::error::AutomataError;
-use crate::hash::{FxHashMap, FxHashSet};
+use crate::hash::FxHashMap;
 use crate::limits::Budget;
-use crate::nfa::{Nfa, StateId};
+use crate::nfa::{Nfa, ProductMove, StateId};
 use crate::stateset::StateSet;
 
 impl Dfa {
@@ -70,7 +76,7 @@ impl Dfa {
         let ids = d.resolve_alphabet(&sigma);
         // States the target DFA can be in after reading any realizable
         // prefix. `w` must be good from *all* of them simultaneously.
-        let entry = states_reachable_via(&d, prefixes, budget)?;
+        let entry = states_reachable_via_from(&d, d.start(), prefixes, budget)?;
         // States from which every realizable suffix still accepts.
         let safe = states_where_all_suffixes_accept(&d, suffixes, budget)?;
         // Deterministic set-simulation: track the set of states the entry
@@ -218,54 +224,15 @@ impl Dfa {
     }
 }
 
-/// The set `{ δ*(q₀, u) : u ∈ [prefixes] }` of states of `d` reachable by
-/// reading some word of `[prefixes]` from the start state.
-fn states_reachable_via(
-    d: &Dfa,
-    prefixes: &Nfa,
-    budget: &Budget,
-) -> Result<StateSet, AutomataError> {
-    states_reachable_via_from(d, d.start(), prefixes, budget)
-}
-
 /// The set `{ δ*(q, u) : u ∈ [lang] }` of states of `d` reachable by
-/// reading some word of `[lang]` from the state `q`.
-fn states_reachable_via_from(
-    d: &Dfa,
-    q: StateId,
-    prefixes: &Nfa,
-    budget: &Budget,
-) -> Result<StateSet, AutomataError> {
-    // The product only moves on symbols both machines know; resolve the
-    // local ids of the shared alphabet once.
-    let ids = shared_ids(d, prefixes);
-    let p_finals = prefixes.finals_set();
-    let p0 = prefixes.start_set();
-    let start = (p0, q);
-    let mut seen: FxHashSet<(StateSet, StateId)> = FxHashSet::from_iter([start.clone()]);
-    let mut queue = VecDeque::from([start]);
-    let mut out = StateSet::empty(d.num_states());
-    while let Some((pset, q)) = queue.pop_front() {
-        budget.step()?;
-        if pset.intersects(&p_finals) {
-            out.insert(q);
-        }
-        for &(dsid, psid) in &ids {
-            let pnext = prefixes.step_local(&pset, psid);
-            if pnext.is_empty() {
-                continue;
-            }
-            let qnext = match d.delta_local(q, dsid) {
-                Some(t) => t,
-                None => continue,
-            };
-            let state = (pnext, qnext);
-            if seen.insert(state.clone()) {
-                queue.push_back(state);
-            }
-        }
-    }
-    Ok(out)
+/// reading some word of `[lang]` from the state `q`: the machine states of
+/// the final pairs of `lang`'s pair search against `d`
+/// ([`Nfa::product_search`], one budget step per group). A symbol `d`
+/// cannot read stops the word.
+fn states_reachable_via_from(d: &Dfa, q: StateId, lang: &Nfa, budget: &Budget) -> Result<StateSet, AutomataError> {
+    let step = |t: StateId, dsid: Option<u32>| d.delta_local(t, dsid?);
+    let pairs = lang.product_search(q, &context_moves(d, lang), step, budget)?;
+    Ok(StateSet::from_iter(d.num_states(), pairs.iter().filter(|p| lang.is_final(p.state)).map(|p| p.config)))
 }
 
 /// The set of states `q` of `d` such that **every** word of `[suffixes]`
@@ -285,59 +252,28 @@ fn states_where_all_suffixes_accept(
     Ok(out)
 }
 
-/// Whether some word of `[suffixes]` read from `q` fails to accept in `d`.
+/// Whether some word of `[suffixes]` read from `q` fails to accept in `d`:
+/// some final pair of `suffixes`' pair search against `d`
+/// ([`Nfa::product_search`], one budget step per group) holds a rejecting
+/// or dead (`None`) machine state.
 fn suffix_rejects_somewhere(
     d: &Dfa,
     q: StateId,
     suffixes: &Nfa,
     budget: &Budget,
 ) -> Result<bool, AutomataError> {
-    // Unlike the reachability walks, a suffix symbol *unknown* to `d` must
-    // still be explored: a missing transition counts as rejection, so the
-    // id list covers the whole suffix alphabet with an optional `d` side.
-    let ids: Vec<(Option<u32>, u32)> = suffixes
-        .alphabet()
-        .iter()
-        .filter_map(|s| Some((d.sym_id(s), suffixes.sym_id(s)?)))
-        .collect();
-    let s_finals = suffixes.finals_set();
-    let s0 = suffixes.start_set();
-    let start = (s0, Some(q));
-    let mut seen: FxHashSet<(StateSet, Option<StateId>)> = FxHashSet::from_iter([start.clone()]);
-    let mut queue = VecDeque::from([start]);
-    while let Some((sset, dq)) = queue.pop_front() {
-        budget.step()?;
-        let suffix_ends_here = sset.intersects(&s_finals);
-        let accepts = dq.is_some_and(|t| d.is_final(t));
-        if suffix_ends_here && !accepts {
-            return Ok(true);
-        }
-        for &(dsid, ssid) in &ids {
-            let snext = suffixes.step_local(&sset, ssid);
-            if snext.is_empty() {
-                continue;
-            }
-            let dnext = dq.and_then(|t| dsid.and_then(|sid| d.delta_local(t, sid)));
-            let state = (snext, dnext);
-            if seen.insert(state.clone()) {
-                queue.push_back(state);
-            }
-        }
-    }
-    Ok(false)
+    let step =
+        |t: Option<StateId>, dsid: Option<u32>| Some(t.zip(dsid).and_then(|(t, sid)| d.delta_local(t, sid)));
+    let pairs = suffixes.product_search(Some(q), &context_moves(d, suffixes), step, budget)?;
+    Ok(pairs.iter().any(|p| suffixes.is_final(p.state) && !p.config.is_some_and(|t| d.is_final(t))))
 }
 
-/// The `(dfa local id, nfa local id)` pairs of the symbols both automata
-/// mention. In the reachability walk above, symbols missing from either side
-/// never fire (either the context cannot produce them or the subject DFA is
-/// partial there and the walk stops anyway), so restricting to the shared
-/// alphabet is exact.
-fn shared_ids(d: &Dfa, other: &Nfa) -> Vec<(u32, u32)> {
-    d.alphabet()
-        .union(&other.alphabet())
-        .iter()
-        .filter_map(|s| Some((d.sym_id(s)?, other.sym_id(s)?)))
-        .collect()
+/// The moves of a context automaton's pair search against `d`: every
+/// symbol of `lang`, read by `d` through its local id, or `None` if `d`
+/// never reads it (a missing transition: the walks stop there, or count it
+/// as rejection).
+fn context_moves(d: &Dfa, lang: &Nfa) -> Vec<ProductMove<Option<u32>>> {
+    lang.alphabet().iter().filter_map(|s| Some((lang.sym_id(s)?, d.sym_id(s), 0))).collect()
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Dense state sets for the decision-procedure hot paths.
 //!
 //! Every set-shaped loop of the crate — the subset construction, the
-//! quotient/residual walks, the equivalence BFS, the box-slot stepping and
+//! residuals' set simulation, the equivalence BFS, the box-slot stepping and
 //! (through the tree crate) the `Duta` membership frontiers — carries sets
 //! of states of a *fixed, known universe* `0..n`. The seed represented them
 //! as `BTreeSet<usize>`, which allocates a tree node per state per step;

@@ -1,12 +1,15 @@
 //! The dense automata kernels behind every design procedure: subset
 //! construction and word membership over interned `u32` symbols, NFA
-//! membership with dense bitset frontiers, and the bitset product BFS of
-//! `Duta::outputs_over` (the Moore-machine image behind `verify_local`).
+//! membership with dense bitset frontiers, and the pair search of
+//! `Duta::outputs_over` (the Moore-machine image behind `verify_local`,
+//! over (content state, configuration) pairs). Its case keeps the key
+//! `outputs_over_bitset/n=…` from when that search stepped bitset
+//! frontiers, so the committed baseline still gates it.
 //!
 //! Every case is gated (`_interned/`, `_bitset/`) against the committed
 //! baseline through `bench_compare`. The string-keyed and `BTreeSet`
-//! references these kernels replaced are pinned for agreement by the
-//! property tests (`automata/tests/stateset_props.rs`,
+//! references and the frontier search these kernels replaced are pinned
+//! for agreement by the property tests (`automata/tests/stateset_props.rs`,
 //! `tree/tests/frontier_props.rs`), not timed here.
 
 use dxml_automata::{Budget, Dfa, Nfa, RFormalism, RSpec, Regex, Symbol};
@@ -73,7 +76,7 @@ fn main() {
         session.bench(&format!("membership_bitset/n={n}"), 25, || lang.accepts(&word));
     }
 
-    section("automata_kernels: Duta::outputs_over image, bitset product BFS");
+    section("automata_kernels: Duta::outputs_over image, pair search");
     for n in [4usize, 8, 16] {
         let (problem, doc) = box_workload(n);
         // Build the cache (and the gap language) outside the timed region.

@@ -24,12 +24,20 @@
 //!   determinised: one product fixpoint ([`run_pairs`]) pairs the states of
 //!   the nondeterministic left side with the deterministic run of the right
 //!   side, its witnesses a DAG of pairs that only [`materialise`] expands.
+//!
+//! Every word-level product here (the Moore image behind
+//! [`Duta::outputs_over`] and each rule evaluation of [`run_pairs`]) is the
+//! automata crate's one pair search, [`Nfa::product_search`], over
+//! (content state, machine configuration) pairs: polynomial in the content
+//! automaton, however nondeterministic it is.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
-use dxml_automata::{Alphabet, AutomataError, Budget, Dfa, FxHashMap, FxHashSet, Nfa, StateSet, Symbol};
+use dxml_automata::{
+    Alphabet, AutomataError, Budget, Dfa, FxHashMap, Nfa, ProductMove, ProductPair, StateSet, Symbol,
+};
 
 use crate::tree::{NodeId, XTree};
 
@@ -742,8 +750,10 @@ impl Duta {
     /// language over subset states, and typing verification asks which
     /// subset states the node itself can reach.
     ///
-    /// The product BFS charges one `budget` step per popped pair and aborts
-    /// with [`AutomataError::BudgetExceeded`] when the budget trips.
+    /// The witnesses are the least words of a pair search over (content
+    /// state, configuration) pairs ([`Nfa::product_search`]), which
+    /// charges one `budget` step per group of pairs sharing a word and
+    /// aborts with [`AutomataError::BudgetExceeded`] when the budget trips.
     pub fn outputs_over(
         &self,
         label: &Symbol,
@@ -758,7 +768,7 @@ impl Duta {
             .iter()
             .filter_map(|sym| {
                 let i = self.letter_index(sym)?;
-                Some((word_lang.sym_id(sym)?, vec![(Some(i), i)]))
+                Some((word_lang.sym_id(sym)?, Some(i), i))
             })
             .collect();
         let image = moore_image(Some(machine), word_lang, &moves, budget)?;
@@ -766,69 +776,39 @@ impl Duta {
     }
 }
 
-/// What one content symbol reads in [`moore_image`]: its local id in the
-/// content automaton and its `(letter, tag)` choices.
-type Move = (u32, Vec<(Option<usize>, usize)>);
+/// A move of [`moore_image`]: a content symbol's local id, a letter it
+/// reads and its tag.
+type Move = ProductMove<Option<usize>>;
 
-/// An output of [`moore_image`] with the tags of the first path to it.
+/// An output of [`moore_image`] with the tags of the least word reaching it.
 type Reached = (Option<usize>, Vec<usize>);
 
-/// The Moore image of a content language under a label machine: a BFS over
-/// (content frontier, machine configuration) pairs in which the symbol of
-/// each move reads each of its letters, `None` being the dead state of
-/// trees outside the machine's universe. A dead letter sends the
-/// configuration to `None` for good. Returns every
-/// output (`None` for the dead configuration) reached with a final
-/// frontier, in discovery order, with the tags of the first — shortest —
-/// path to it. Charges one budget step per popped pair.
-///
-/// Without a machine the one output is `None`, reached by the least
-/// shortest word in move order, which is symbol text order. That word is
-/// found on single content states ([`Nfa::shortest_accepted_with_budget`],
-/// whose budget steps it charges), not on frontiers, whose number can be
-/// exponential in a nondeterministic content model.
+/// The Moore image of a content language under a label machine: the pair
+/// search of the content automaton against the machine
+/// ([`Nfa::product_search`]), in which the symbol of each move reads its
+/// letter, `None` being the dead state of trees outside the machine's
+/// universe. A dead letter, or a missing machine, sends the
+/// configuration to `None` for good. Returns every output (`None` for the
+/// dead configuration) of a final pair, in the order of their least words,
+/// with the tags of that word: the length-then-move-order least word the
+/// content accepts with that output. Charges one budget step per group of
+/// the search.
 fn moore_image(
     machine: Option<&LabelMachine>,
     content: &Nfa,
     moves: &[Move],
     budget: &Budget,
 ) -> Result<Vec<Reached>, AutomataError> {
-    let Some(machine) = machine else {
-        let tag = |sym: &Symbol| {
-            let sid = content.sym_id(sym)?;
-            Some(moves.iter().find(|(s, _)| *s == sid)?.1.first()?.1)
-        };
-        let word = content.filter_symbols(|sym| tag(sym).is_some()).shortest_accepted_with_budget(budget)?;
-        return Ok(word.map(|w| (None, w.iter().filter_map(tag).collect())).into_iter().collect());
+    let step = |config: Option<usize>, letter: Option<usize>| {
+        Some(machine.zip(config).zip(letter).map(|((m, c), s)| m.step(c, s)))
     };
-    let finals = content.finals_set();
-    type Node = (StateSet, Option<usize>);
-    let start: Node = (content.start_set(), Some(machine.start()));
+    let pairs = content.product_search(machine.map(LabelMachine::start), moves, step, budget)?;
     let mut image: Vec<Reached> = Vec::new();
-    let mut found: FxHashSet<Option<usize>> = FxHashSet::default();
-    let mut seen: FxHashSet<Node> = FxHashSet::from_iter([start.clone()]);
-    let mut queue: VecDeque<(Node, Vec<usize>)> = VecDeque::from([(start, Vec::new())]);
-    while let Some(((set, config), path)) = queue.pop_front() {
-        budget.step()?;
-        if set.intersects(&finals) {
-            let out = config.map(|c| machine.output(c));
-            if found.insert(out) {
-                image.push((out, path.clone()));
-            }
-        }
-        for (sid, letters) in moves {
-            let next_set = content.step_local(&set, *sid);
-            if next_set.is_empty() {
-                continue;
-            }
-            for &(letter, tag) in letters {
-                let next_config = config.zip(letter).map(|(c, s)| machine.step(c, s));
-                let next = (next_set.clone(), next_config);
-                if seen.insert(next.clone()) {
-                    let mut next_path = path.clone();
-                    next_path.push(tag);
-                    queue.push_back((next, next_path));
-                }
+    for (i, pair) in pairs.iter().enumerate() {
+        if content.is_final(pair.state) {
+            let out = machine.zip(pair.config).map(|(m, c)| m.output(c));
+            if !image.iter().any(|(known, _)| *known == out) {
+                image.push((out, ProductPair::word(&pairs, i)));
             }
         }
     }
@@ -869,8 +849,8 @@ pub struct RunPair {
 ///
 /// This is the product fixpoint behind tree-language inclusion of a
 /// nondeterministic automaton in a deterministic one: `a` is never
-/// determinised. Each rule `(q, label)` of `a` is evaluated by the BFS
-/// over (content frontier, label-machine configuration) pairs behind
+/// determinised. Each rule `(q, label)` of `a` is evaluated by the pair
+/// search over (content state, label-machine configuration) pairs behind
 /// [`Duta::outputs_over`], reading the known pairs of its content's states
 /// as letters; a rule is re-evaluated only when a state its content reads
 /// gains a pair.
@@ -884,14 +864,14 @@ pub struct RunPair {
 /// With no target (`db = None`) every label is off the universe, so there
 /// is exactly one pair per *inhabited* state of `a` (a state some tree can
 /// be assigned), its witness built from the least shortest content word
-/// over the states inhabited when its rule is evaluated. This is the
+/// over the states inhabited when its rule is evaluated: the same pair
+/// search, with the configuration `None` throughout. This is the
 /// inhabitation fixpoint behind emptiness ([`Nuta::is_empty`]), sample
 /// trees ([`Nuta::sample_tree`]) and the reduction of schemas.
 ///
-/// Every BFS pop (for a label off the universe, every content state the
-/// shortest-word search visits) charges one `budget` step, and the
-/// fixpoint aborts with [`AutomataError::BudgetExceeded`] when the budget
-/// trips.
+/// Every group of a rule evaluation's pair search charges one `budget`
+/// step, and the fixpoint aborts with [`AutomataError::BudgetExceeded`]
+/// when the budget trips.
 pub fn run_pairs(a: &Nuta, db: Option<&Duta>, budget: &Budget) -> Result<Vec<RunPair>, AutomataError> {
     budget.check_interrupts()?;
     let rules: Vec<(&Symbol, &Symbol, &Nfa)> = a.rules().collect();
@@ -914,14 +894,12 @@ pub fn run_pairs(a: &Nuta, db: Option<&Duta>, budget: &Budget) -> Result<Vec<Run
         let (&q, &label, content) = rules[r];
         // Each state the content reads moves through its pairs known so
         // far, read as their subset letters and tagged with their index.
+        let found = &pairs;
         let moves: Vec<Move> = content
             .alphabet()
             .iter()
-            .filter_map(|sym| {
-                let known_pairs = of_state.get(sym)?;
-                let letters = known_pairs.iter().map(|&p| (pairs[p].state, p)).collect();
-                Some((content.sym_id(sym)?, letters))
-            })
+            .filter_map(|sym| Some((content.sym_id(sym)?, of_state.get(sym)?)))
+            .flat_map(|(sid, of_sym)| of_sym.iter().map(move |&p| (sid, found[p].state, p)))
             .collect();
         for (state, children) in moore_image(db.and_then(|d| d.machine(&label)), content, &moves, budget)? {
             let known = of_state.entry(q).or_default();

@@ -1,8 +1,12 @@
-//! Differential property tests for the bitset membership frontiers of the
-//! tree layer: on random nUTAs, the determinised automaton's observables —
-//! bottom-up runs and the `Duta::outputs_over` Moore-machine image (subset
-//! states **and** shortest witness words) — must be byte-identical to a
+//! Differential property tests for the tree layer's word-level searches:
+//! on random nUTAs, the determinised automaton's observables — bottom-up
+//! runs and the `Duta::outputs_over` Moore-machine image (subset states
+//! **and** shortest witness words) — must be byte-identical to a
 //! `BTreeSet<usize>` reference reimplementation of the seed algorithms.
+//! For the image, that reference is the frontier search the engine used
+//! to run, over (configuration, content *state set*) nodes: it pins the
+//! pair search over (content state, configuration) pairs that replaced it
+//! to the same least witness words.
 //! The per-label content DFA ([`Duta::content_dfa`]) is checked against the
 //! bottom-up run it encodes, and the sparse determinisation against a dense
 //! reference that steps every configuration on every letter.
@@ -107,7 +111,7 @@ impl RefNfa {
     }
 }
 
-/// The seed reimplementation of [`Duta::outputs_over`]: the same product
+/// The seed reimplementation of [`Duta::outputs_over`]: the frontier
 /// BFS (FIFO queue, text-order moves, first witness wins) over
 /// `(machine config, BTreeSet frontier)` pairs, with the machine consumed
 /// through its public transition view and the letters through

@@ -5,9 +5,10 @@
 //! `a`) at `WIDTH` children must finish under `BOUND`, unoptimised too.
 //!
 //! Refuting the odd-length variant `s(a f … a f a)` against `s -> (a, a)*`
-//! splits the counterexample's child word into one piece per child; that
-//! split keeps one dense row of split points plus the reached ones, not a
-//! `children × word` table, so it stays under `BOUND` too.
+//! spreads the counterexample's child word over the children by reading
+//! the refutation's run once: each letter goes to the child whose piece of
+//! the child word holds the state its move enters. No table of split
+//! points is kept, so it stays under `BOUND` too.
 //!
 //! With `f` returning `a+`, every docking point is a gap with a loop. The
 //! kernel pass and `perfect_schema`'s context walks search (child-word

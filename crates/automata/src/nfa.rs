@@ -106,15 +106,17 @@ pub struct ProductPair<C> {
 }
 
 impl<C> ProductPair<C> {
-    /// The tags of the least word reaching `pairs[i]`, in reading order.
-    pub fn word(pairs: &[ProductPair<C>], mut i: usize) -> Vec<usize> {
-        let mut tags = Vec::new();
+    /// The least word reaching `pairs[i]`, in reading order, each move
+    /// `spell`ed from the pair it enters (the move's `tag`, and the `state`
+    /// it enters).
+    pub fn word<T>(pairs: &[ProductPair<C>], mut i: usize, spell: impl Fn(&ProductPair<C>) -> T) -> Vec<T> {
+        let mut word = Vec::new();
         while let Some(parent) = pairs[i].parent {
-            tags.push(pairs[i].tag);
+            word.push(spell(&pairs[i]));
             i = parent;
         }
-        tags.reverse();
-        tags
+        word.reverse();
+        word
     }
 }
 
@@ -538,7 +540,7 @@ impl Nfa {
             self.sorted_syms().into_iter().map(|(_, sid)| (sid, (), sid as usize)).collect();
         let pairs = self.product_search((), &moves, |(), ()| Some(()), budget)?;
         let first = pairs.iter().position(|p| self.is_final(p.state));
-        Ok(first.map(|i| ProductPair::word(&pairs, i).into_iter().map(|sid| self.syms[sid]).collect()))
+        Ok(first.map(|i| ProductPair::word(&pairs, i, |p| self.syms[p.tag])))
     }
 
     /// The pair search of this automaton against a deterministic machine:
@@ -799,6 +801,11 @@ impl Nfa {
     /// linear in `other` plus the out-edges copied onto `self`'s finals, so
     /// a word built piece by piece costs the sum of its pieces rather than
     /// a copy of the growing prefix per piece.
+    ///
+    /// Layout: `other`'s state `q` becomes `self.num_states() + q` (taken
+    /// before the call), and every added edge, copied ones included, enters
+    /// one of those states. So the states a run of a word built piece by
+    /// piece enters fall in non-decreasing piece ranges.
     pub fn append(&mut self, other: &Nfa) {
         let finals = std::mem::take(&mut self.finals);
         let o = self.absorb(other);
@@ -1061,7 +1068,7 @@ mod tests {
         assert!(search(&crate::limits::faults::budget_tripping_after(steps - 1)).is_err());
         // The first final pair spells the least accepted word.
         let first = pairs.iter().position(|p| nfa.is_final(p.state)).unwrap();
-        let word: Word = ProductPair::word(&pairs, first).into_iter().map(|sid| nfa.syms[sid]).collect();
+        let word: Word = ProductPair::word(&pairs, first, |p| nfa.syms[p.tag]);
         assert_eq!(word, word_chars(&"a".repeat(k)));
     }
 
@@ -1078,15 +1085,50 @@ mod tests {
         let pairs = nfa.product_search(0usize, &moves, |c, a| Some((c + a) % 3), &Budget::unlimited()).unwrap();
         for count in 0..3 {
             let first = pairs.iter().position(|p| nfa.is_final(p.state) && p.config == count).unwrap();
-            let word: Word = ProductPair::word(&pairs, first).into_iter().map(|sid| nfa.syms[sid]).collect();
+            let word: Word = ProductPair::word(&pairs, first, |p| nfa.syms[p.tag]);
             assert_eq!(word, word_chars(&"a".repeat(count)));
         }
         // A machine refusing `b` stops every word there.
         let a_only = nfa.product_search(0usize, &moves, |c, a| (a == 1).then_some((c + 1) % 3), &Budget::unlimited());
         let a_only = a_only.unwrap();
         for i in 0..a_only.len() {
-            let word = ProductPair::word(&a_only, i);
-            assert!(word.iter().all(|&sid| nfa.syms[sid].as_str() == "a"));
+            let word = ProductPair::word(&a_only, i, |p| nfa.syms[p.tag]);
+            assert!(word.iter().all(|sym| sym.as_str() == "a"));
+        }
+    }
+
+    #[test]
+    fn appended_pieces_own_consecutive_state_ranges() {
+        // `a* b` ◦ the ε-accepting `(a|c)*` ◦ `b a?`.
+        let pieces = [re("a*b"), re("(a|c)*"), re("ba?")];
+        let mut word = Nfa::epsilon();
+        let mut starts = Vec::new();
+        for piece in &pieces {
+            starts.push(word.num_states());
+            word.append(piece);
+        }
+        assert_eq!(word.num_states(), 1 + pieces.iter().map(Nfa::num_states).sum::<usize>());
+        let accepted = word.enumerate_accepted(5, 200);
+        assert!(accepted.contains(&word_chars("abcab")) && accepted.contains(&word_chars("bb")));
+        for w in accepted {
+            // Every accepting run, as the states its moves enter.
+            let mut runs: Vec<Vec<StateId>> = vec![vec![word.start()]];
+            for sym in &w {
+                let sid = word.sym_id(sym).unwrap();
+                runs = runs
+                    .iter()
+                    .flat_map(|run| {
+                        let last = run[run.len() - 1];
+                        word.succ_slice(last, sid).iter().map(move |&(_, t)| [&run[..], &[t]].concat())
+                    })
+                    .collect();
+            }
+            runs.retain(|run| word.is_final(run[run.len() - 1]));
+            assert!(!runs.is_empty());
+            for run in runs {
+                let pieces: Vec<usize> = run[1..].iter().map(|&q| starts.partition_point(|&s| s <= q) - 1).collect();
+                assert!(pieces.windows(2).all(|p| p[0] <= p[1]), "{w:?} runs through pieces {pieces:?}");
+            }
         }
     }
 

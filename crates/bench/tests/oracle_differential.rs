@@ -120,6 +120,10 @@ struct Tally {
     kernel_unknowns: usize,
     kernel_contents: usize,
     perfect: usize,
+    /// `Invalid` verdicts, and the nodes of their counterexamples in all:
+    /// a change that moves witnesses moves the total.
+    counterexamples: usize,
+    counterexample_nodes: usize,
 }
 
 impl Tally {
@@ -129,6 +133,8 @@ impl Tally {
         self.kernel_unknowns += other.kernel_unknowns;
         self.kernel_contents += other.kernel_contents;
         self.perfect += other.perfect;
+        self.counterexamples += other.counterexamples;
+        self.counterexample_nodes += other.counterexample_nodes;
     }
 }
 
@@ -163,6 +169,8 @@ fn check_engine(
                 "counterexample `{counterexample}` validates against the target"
             ));
         }
+        tally.counterexamples += 1;
+        tally.counterexample_nodes += counterexample.size();
     }
     // A budget that trips part-way either trips or decides the same, and
     // the problem decides the same afterwards.
@@ -518,13 +526,15 @@ fn soak_kernel_pass_against_the_tree_oracle() {
     }
     println!(
         "soak: {} seeds, {} valid, {} function faults, {} kernel unknowns, {} kernel content \
-         violations, {} perfect schemas",
+         violations, {} perfect schemas, {} counterexamples of {} nodes in all",
         seeds.len(),
         tally.valid,
         tally.function_faults,
         tally.kernel_unknowns,
         tally.kernel_contents,
-        tally.perfect
+        tally.perfect,
+        tally.counterexamples,
+        tally.counterexample_nodes
     );
     assert!(
         report.is_empty(),

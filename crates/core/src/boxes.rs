@@ -26,10 +26,10 @@
 //!   complete because the determinised run is unique, with the offending
 //!   realizable child word reported as a box;
 //! * [`BoxDesignProblem::typecheck`] — the same kernel pass, with a full
-//!   counterexample document on failure, built top-down from the pass's
-//!   witness words: each violating child word is split across the node's
-//!   children, and a docking point's share is turned back into a forest of
-//!   its function's schema;
+//!   counterexample document on failure, built top-down from the run of the
+//!   violating node's child word: each letter goes to the child whose piece
+//!   its move enters, and a docking point's letters are turned back into a
+//!   forest of its function's schema;
 //! * [`BoxDesignProblem::perfect_schema`] — perfect typing: the admissible
 //!   gap language is propagated top-down from the root to the docking
 //!   parents by context residuals over the per-label Moore machines, and
@@ -134,8 +134,7 @@ impl FunArtifacts {
             Some(p) => Some((BoxViolation::UnknownElement { element: culprit(duta, &pairs, p).label, origin }, p)),
             None => duta.empty_subset().and_then(|e| realizable(Some(e))).map(|p| {
                 let node = culprit(duta, &pairs, p);
-                let word: Vec<usize> = node.children.iter().filter_map(|&c| pairs[c].state).collect();
-                let counterexample = box_of(duta, &word);
+                let counterexample = box_of(duta, node.children.iter().filter_map(|&c| pairs[c].state));
                 (BoxViolation::Content { element: node.label, counterexample, admitted: Vec::new(), origin }, p)
             }),
         };
@@ -179,8 +178,8 @@ fn culprit<'p>(duta: &Duta, pairs: &'p [RunPair], mut p: usize) -> &'p RunPair {
 
 /// Renders a witness word of subset states as a box of specialised-name
 /// sets.
-fn box_of(duta: &Duta, witness: &[usize]) -> BoxLang {
-    BoxLang::new(witness.iter().map(|&i| duta.subset(i).clone()).collect())
+fn box_of(duta: &Duta, witness: impl IntoIterator<Item = usize>) -> BoxLang {
+    BoxLang::new(witness.into_iter().map(|i| duta.subset(i).clone()).collect())
 }
 
 /// A forest of `schema` whose trees evaluate, in order, to the subset
@@ -223,16 +222,15 @@ enum Refutation {
     /// A kernel node labelled outside the target's label universe.
     UnknownElement(NodeId),
     /// A kernel node reaching subset state `state` — the empty subset, or
-    /// at the root a non-accepting one — on the witness child word
-    /// `outputs[node][&state]`.
-    Content { node: NodeId, state: usize },
+    /// at the root a non-accepting one — on a shortest child word, given
+    /// as its `run` over the node's child word ([`Duta::outputs_over`]).
+    Content { node: NodeId, state: usize, run: Vec<(usize, usize)> },
 }
 
 /// One run of the kernel pass ([`BoxTargetCache::kernel_pass`]).
 struct KernelPass {
-    /// Per evaluated kernel node: every subset state it can reach, with a
-    /// shortest witness child word ([`Duta::outputs_over`]).
-    outputs: Vec<BTreeMap<usize, Vec<usize>>>,
+    /// Per evaluated kernel node: every subset state it can reach.
+    achievable: Vec<StateSet>,
     /// The first refutation found; `None` for a valid design.
     refutation: Option<Refutation>,
 }
@@ -293,16 +291,21 @@ impl BoxTargetCache {
 
     /// The child-word language of kernel `children` over letters: a docking
     /// point contributes its gap language, any other child the single
-    /// letters of its `achievable` subset states (one box slot).
+    /// letters of its `achievable` subset states (one box slot). `starts`,
+    /// when given, receives the first state of each child's piece.
     fn child_word(
         &self,
         doc: &DistributedDoc,
         children: &[NodeId],
         achievable: &[StateSet],
         candidate: Candidate<'_>,
+        mut starts: Option<&mut Vec<usize>>,
     ) -> Nfa {
         let mut word = Nfa::epsilon();
         for &child in children {
+            if let Some(starts) = starts.as_deref_mut() {
+                starts.push(word.num_states());
+            }
             let label = doc.kernel().label(child);
             match self.gap(label, candidate) {
                 Some(gap) if doc.is_function(label) => word.append(gap),
@@ -316,11 +319,11 @@ impl BoxTargetCache {
     /// engine. A called function with an empty language makes the design
     /// vacuously valid; a function whose forests violate the target on
     /// their own refutes it; otherwise one bottom-up pass computes, per
-    /// kernel node, the exact set of subset states its subtree can reach —
-    /// with a shortest witness child word each — and stops at the first
-    /// node that is unknown to the target, reaches the empty subset, or (at
-    /// the root) reaches a non-accepting state. `candidate` stands in for
-    /// one function's gap language, which then needs no declared schema.
+    /// kernel node, the exact set of subset states its subtree can reach,
+    /// and stops at the first node that is unknown to the target, reaches
+    /// the empty subset, or (at the root) reaches a non-accepting state (on
+    /// the kept run). `candidate` stands in for one function's gap
+    /// language, which then needs no declared schema.
     fn kernel_pass(
         &self,
         doc: &DistributedDoc,
@@ -329,7 +332,8 @@ impl BoxTargetCache {
     ) -> Result<KernelPass, AutomataError> {
         let kernel = doc.kernel();
         let called = doc.called_functions();
-        let mut pass = KernelPass { outputs: vec![BTreeMap::new(); kernel.size()], refutation: None };
+        let universe = self.duta.num_states();
+        let mut pass = KernelPass { achievable: vec![StateSet::empty(universe); kernel.size()], refutation: None };
         let stands_in = |f: &Symbol| matches!(candidate, Some((g, _)) if g == f);
         let vacuous = called.iter().any(|f| match candidate {
             Some((g, gap)) if g == f => gap.is_empty(),
@@ -342,8 +346,6 @@ impl BoxTargetCache {
             pass.refutation = Some(Refutation::Function(*f));
             return Ok(pass);
         }
-        let universe = self.duta.num_states();
-        let mut achievable: Vec<StateSet> = vec![StateSet::empty(universe); kernel.size()];
         for node in kernel.bottom_up_order() {
             let label = kernel.label(node);
             if doc.is_function(label) {
@@ -353,8 +355,8 @@ impl BoxTargetCache {
                 pass.refutation = Some(Refutation::UnknownElement(node));
                 return Ok(pass);
             }
-            let word = self.child_word(doc, kernel.children(node), &achievable, candidate);
-            let outs = self.duta.outputs_over(label, &word, budget)?;
+            let word = self.child_word(doc, kernel.children(node), &pass.achievable, candidate, None);
+            let mut outs = self.duta.outputs_over(label, &word, budget)?;
             // A realizable child word with no typing at all is already a
             // violation — the surrounding kernel always completes it to a
             // full extension (all gap languages are non-empty), and the
@@ -363,10 +365,10 @@ impl BoxTargetCache {
                 let root = node == kernel.root();
                 outs.keys().copied().find(|&s| root && !self.accepting.contains(s))
             });
-            achievable[node] = StateSet::from_iter(universe, outs.keys().copied());
-            pass.outputs[node] = outs;
+            pass.achievable[node] = StateSet::from_iter(universe, outs.keys().copied());
             if let Some(state) = bad {
-                pass.refutation = Some(Refutation::Content { node, state });
+                let run = outs.remove(&state).expect("a reached state has a run");
+                pass.refutation = Some(Refutation::Content { node, state, run });
                 return Ok(pass);
             }
         }
@@ -382,85 +384,13 @@ impl BoxTargetCache {
             Refutation::UnknownElement(node) => {
                 BoxViolation::UnknownElement { element: *kernel.label(node), origin: origin(node) }
             }
-            Refutation::Content { node, state } => BoxViolation::Content {
+            Refutation::Content { node, state, ref run } => BoxViolation::Content {
                 element: *kernel.label(node),
-                counterexample: box_of(&self.duta, &pass.outputs[node][&state]),
+                counterexample: box_of(&self.duta, run.iter().map(|&(letter, _)| letter)),
                 admitted: self.duta.subset(state).iter().cloned().collect(),
                 origin: origin(node),
             },
         })
-    }
-
-    /// Splits a witness child word of kernel `children` into one piece per
-    /// child — one letter of a kernel child's achievable states (its keys
-    /// in `outputs`), a word of the gap language for a docking point. `None`
-    /// if the word has no such split. Every split point tried and every
-    /// letter read through a gap language charges `budget`.
-    fn split<'w>(
-        &self,
-        doc: &DistributedDoc,
-        children: &[NodeId],
-        word: &'w [usize],
-        outputs: &[BTreeMap<usize, Vec<usize>>],
-        budget: &Budget,
-    ) -> Result<Option<Vec<&'w [usize]>>, AutomataError> {
-        let kernel = doc.kernel();
-        // `first[q]`: where the piece of the current child starts when the
-        // children so far read exactly `word[..q]` (the least such start,
-        // as split points are tried in increasing order), for the ends in
-        // `next`; `back[i]`: those `(end, start)` pairs of child `i`, by
-        // end. Only reached split points are stored.
-        let mut first: Vec<Option<usize>> = vec![None; word.len() + 1];
-        let mut back: Vec<Vec<(usize, usize)>> = Vec::with_capacity(children.len());
-        let mut reached = vec![0];
-        for &child in children {
-            let label = kernel.label(child);
-            let gap = self.gap(label, None).filter(|_| doc.is_function(label));
-            let mut next = Vec::new();
-            let mut end_at = |q: usize, p: usize| {
-                if first[q].is_none() {
-                    first[q] = Some(p);
-                    next.push(q);
-                }
-            };
-            for &p in &reached {
-                budget.step()?;
-                let Some(gap) = gap else {
-                    if word.get(p).is_some_and(|letter| outputs[child].contains_key(letter)) {
-                        end_at(p + 1, p);
-                    }
-                    continue;
-                };
-                let finals = gap.finals_set();
-                let mut set = gap.start_set();
-                let mut q = p;
-                loop {
-                    if set.intersects(&finals) {
-                        end_at(q, p);
-                    }
-                    let Some(&letter) = word.get(q) else { break };
-                    budget.step()?;
-                    set = gap.step(&set, &self.duta.letter(letter));
-                    if set.is_empty() {
-                        break;
-                    }
-                    q += 1;
-                }
-            }
-            next.sort_unstable();
-            let starts = next.iter().map(|&q| (q, first[q].take().expect("reached ends start")));
-            back.push(starts.collect());
-            reached = next;
-        }
-        let mut pieces = vec![&word[..0]; children.len()];
-        let mut q = word.len();
-        for (i, ends) in back.iter().enumerate().rev() {
-            let Ok(at) = ends.binary_search_by_key(&q, |&(end, _)| end) else { return Ok(None) };
-            let p = ends[at].1;
-            pieces[i] = &word[p..q];
-            q = p;
-        }
-        Ok(Some(pieces))
     }
 
     /// For a *local* target — every label has at most one non-empty
@@ -893,22 +823,25 @@ impl BoxDesignProblem {
     /// Decides whether every extension of `doc` validates against the EDTD
     /// target. Runs the kernel pass of [`BoxDesignProblem::verify_local`];
     /// on failure the verdict carries a full counterexample document, built
-    /// top-down from the pass's witnesses, and the typing failure the
+    /// top-down from the refutation's run, and the typing failure the
     /// target's own validator ([`REdtd::validate`]) reports on it.
     ///
     /// The counterexample follows the refutation: for a function whose
     /// forests violate the target on their own, a forest of it containing
     /// the offending tree at its first docking point; for a kernel
-    /// violation, the violating node's witness child word split across
-    /// its children — one letter per kernel child, a word of the gap
-    /// language per docking point, turned back into a forest of the
+    /// violation, the run of the violating node's shortest child word
+    /// ([`Duta::outputs_over`]), each letter given to the child whose piece
+    /// of the child word holds the state its move enters — one letter per
+    /// kernel child, whose child word is imaged again, and a word of the
+    /// gap language per docking point, turned back into a forest of the
     /// function — recursively down to the leaves. Every other docking point
     /// gets a default forest of its function.
     ///
     /// The target automaton is determinised once per problem (see
     /// [`BoxDesignProblem::target_cache`]); a valid design only pays for
-    /// the kernel pass, a refuted one also for searching the cached function
-    /// pairs and building the counterexample from them ([`uta::materialise`]).
+    /// the kernel pass, a refuted one also for imaging the nodes below the
+    /// violating one again, searching the cached function pairs and
+    /// building the counterexample from them ([`uta::materialise`]).
     pub fn typecheck(&self, doc: &DistributedDoc) -> Result<TypingVerdict, DesignError> {
         self.typecheck_with_budget(doc, &Budget::unlimited())
     }
@@ -975,23 +908,34 @@ impl BoxDesignProblem {
                 let fault = cache.funs[&function].fault.iter();
                 planted.extend(dock.into_iter().zip(fault).map(|(n, (_, forest))| (n, forest.clone())));
             }
-            Some(Refutation::Content { node, state }) => {
-                // Top-down from the violating node: each node's witness
-                // word for its required state, split across its children.
+            Some(Refutation::Content { node, state, ref run }) => {
+                // Top-down from the violating node: each node's run for its
+                // required state (re-imaged below the violating node) hands
+                // each letter to the child whose piece its move enters.
                 let mut todo = vec![(node, state)];
                 while let Some((x, s)) = todo.pop() {
                     budget.step()?;
                     let children = kernel.children(x);
-                    let pieces = cache
-                        .split(doc, children, &pass.outputs[x][&s], &pass.outputs, budget)?
-                        .ok_or_else(|| broken("a witness word does not split across its node's children"))?;
+                    let mut starts = Vec::with_capacity(children.len());
+                    let word = cache.child_word(doc, children, &pass.achievable, None, Some(&mut starts));
+                    let reimaged;
+                    let run = if x == node {
+                        run
+                    } else {
+                        reimaged = cache.duta.outputs_over(kernel.label(x), &word, budget)?;
+                        reimaged.get(&s).ok_or_else(|| broken("an achievable state has no run"))?
+                    };
+                    let mut pieces = vec![Vec::new(); children.len()];
+                    for &(letter, entered) in run {
+                        pieces[starts.partition_point(|&start| start <= entered) - 1].push(letter);
+                    }
                     for (&child, piece) in children.iter().zip(pieces) {
                         let label = kernel.label(child);
                         if !doc.is_function(label) {
                             todo.push((child, piece[0]));
                             continue;
                         }
-                        let forest = forest_for(&self.fun_schemas[label], &cache.funs[label].pairs, piece, budget)?
+                        let forest = forest_for(&self.fun_schemas[label], &cache.funs[label].pairs, &piece, budget)?
                             .ok_or_else(|| broken("a gap word has no forest of its function's schema"))?;
                         planted.insert(child, forest);
                     }
@@ -1203,7 +1147,7 @@ impl BoxDesignProblem {
             if !cache.duta.labels().contains(label) {
                 forced_empty = true;
             } else if !spine_set.contains(&node) {
-                let word = cache.child_word(doc, kernel.children(node), &achievable, None);
+                let word = cache.child_word(doc, kernel.children(node), &achievable, None, None);
                 let outs = cache
                     .duta
                     .outputs_over(label, &word, budget)
@@ -1217,7 +1161,7 @@ impl BoxDesignProblem {
                 achievable[node] = StateSet::from_iter(universe, typing);
             }
         }
-        let segment = |range: &[NodeId]| cache.child_word(doc, range, &achievable, None);
+        let segment = |range: &[NodeId]| cache.child_word(doc, range, &achievable, None, None);
 
         // Top-down: the admissible outputs per spine level, then the
         // residual at every docking parent.

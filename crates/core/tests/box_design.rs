@@ -19,8 +19,8 @@ use std::collections::BTreeMap;
 use dxml_automata::{RFormalism, Regex, RSpec, Symbol};
 use dxml_automata::Nfa;
 use dxml_core::{
-    BoxDesignProblem, DesignProblem, DistributedDoc, LocalVerdict, LocalViolation, Origin,
-    TypingVerdict,
+    BoxDesignProblem, BoxVerdict, BoxViolation, DesignProblem, DistributedDoc, LocalVerdict,
+    LocalViolation, Origin, TypingVerdict,
 };
 use dxml_schema::{RDtd, REdtd};
 use dxml_tree::generate::SplitRng;
@@ -453,4 +453,50 @@ fn box_repeated_synthesis_reuses_the_target_cache() {
         "a repeated synthesis must not re-determinise the target"
     );
     assert!(first.equivalent(&second));
+}
+
+#[test]
+fn bad_words_with_several_parses_over_two_functions_give_certified_counterexamples() {
+    // `f` returns `a*` and `g` at most one `a`, so `f a g` spells `a+`, and
+    // its least word `a a` parses both as `f = a, g = ε` and as
+    // `f = ε, g = a` around the kernel's `a`. The root `t` admits an odd
+    // number (≤ 3) of `a`s or one `s1`; `s` is `s1` over an odd number of
+    // `a`s and `s2` over a positive even one.
+    let rule = |src: &str| RSpec::Nre(Regex::parse(src).unwrap());
+    let mut target = REdtd::new(RFormalism::Nre, "t", "t");
+    for (spec, label) in [("s1", "s"), ("s2", "s"), ("a1", "a")] {
+        target.add_specialization(spec, label);
+    }
+    target.set_rule("t", rule("s1 | a1 | a1 a1 a1"));
+    target.set_rule("s1", rule("a1 (a1 a1)*"));
+    target.set_rule("s2", rule("(a1 a1)+"));
+    let function = |forest: &str| {
+        let mut schema = REdtd::new(RFormalism::Nre, "r", "r");
+        schema.add_specialization("x", "a");
+        schema.set_rule("r", rule(forest));
+        schema
+    };
+    let p = BoxDesignProblem::new(target).with_function("f", function("x*")).with_function("g", function("x?"));
+    // The root refuted on that word itself, and the root refuted on `s2`
+    // with the ambiguous word re-imaged at `s` below it.
+    for (kernel, ambiguous) in [("t(f a g)", 0), ("t(s(f a g))", 1)] {
+        let doc = DistributedDoc::parse(kernel, ["f", "g"]).unwrap();
+        let BoxVerdict::Invalid(BoxViolation::Content { counterexample: word, .. }) = p.verify_local(&doc).unwrap()
+        else {
+            panic!("{kernel}: expected a content violation at the root")
+        };
+        let TypingVerdict::Invalid { counterexample, .. } = p.typecheck(&doc).unwrap() else {
+            panic!("{kernel}: expected a refuted typecheck")
+        };
+        assert!(p.extension_nuta(&doc).unwrap().accepts(&counterexample), "{kernel}: `{counterexample}`");
+        assert!(p.doc_schema().validate(&counterexample).is_err(), "{kernel}: `{counterexample}`");
+        // The root's children evaluate to the reported box, slot by slot.
+        let duta = p.target_cache().duta();
+        let states = duta.run(&counterexample).unwrap();
+        let root = counterexample.root();
+        let slots: Vec<_> = counterexample.children(root).iter().map(|&c| duta.subset(states[c]).clone()).collect();
+        assert_eq!(slots, word.slots(), "{kernel}: `{counterexample}`");
+        let node = if ambiguous == 0 { root } else { counterexample.children(root)[0] };
+        assert_eq!(counterexample.child_str(node).len(), 2, "{kernel}: `{counterexample}`");
+    }
 }

@@ -12,7 +12,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use dxml_automata::{RFormalism, RSpec, Symbol};
+use dxml_automata::{Nfa, RFormalism, RSpec, Symbol};
 use dxml_tree::{Nuta, XTree};
 
 use crate::edtd::REdtd;
@@ -127,21 +127,22 @@ impl RSdtd {
             });
         }
         // types[node] = the unique specialised name assignable to the node.
-        // The per-specialisation child map (child label → the unique
-        // specialisation in the content model) is loop-invariant; build it
-        // once per specialisation, not once per node.
+        // The per-specialisation compiled content model and child map
+        // (child label → the unique specialisation in the content model)
+        // are loop-invariant; build them once per specialisation, not once
+        // per node.
         let mut types: Vec<Symbol> = vec![*start; tree.size()];
-        let mut maps: BTreeMap<Symbol, (&RSpec, BTreeMap<Symbol, Symbol>)> = BTreeMap::new();
+        let mut maps: BTreeMap<Symbol, (&RSpec, Nfa, BTreeMap<Symbol, Symbol>)> = BTreeMap::new();
         for node in tree.document_order() {
             let spec = types[node];
-            let (content, by_label) = maps.entry(spec).or_insert_with(|| {
+            let (content, compiled, by_label) = maps.entry(spec).or_insert_with(|| {
                 let content = self.edtd.content(&spec);
                 let mut by_label: BTreeMap<Symbol, Symbol> = BTreeMap::new();
                 for sym in content.alphabet().iter() {
                     let label = self.edtd.label_of(sym).cloned().unwrap_or(*sym);
                     by_label.insert(label, *sym);
                 }
-                (content, by_label)
+                (content, content.to_nfa(), by_label)
             });
             let mut child_word: Vec<Symbol> = Vec::with_capacity(tree.children(node).len());
             for &child in tree.children(node) {
@@ -160,7 +161,7 @@ impl RSdtd {
                     }
                 }
             }
-            if !content.accepts(&child_word) {
+            if !compiled.accepts(&child_word) {
                 return Err(SchemaError::InvalidContent {
                     path: tree.anc_str(node),
                     children: tree.child_str(node),

@@ -35,6 +35,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
+use dxml_automata::nfa::StateId;
 use dxml_automata::{
     Alphabet, AutomataError, Budget, Dfa, FxHashMap, Nfa, ProductMove, ProductPair, StateSet, Symbol,
 };
@@ -738,8 +739,9 @@ impl Duta {
 
     /// The image of a word language over letters ([`Duta::letter`]) under
     /// `label`'s Moore machine: for each subset state `i` that
-    /// `label`'s node reaches on some child word `w ∈ [word_lang]`, a
-    /// *shortest* such `w`, as subset states.
+    /// `label`'s node reaches on some child word `w ∈ [word_lang]`, the run
+    /// of `word_lang` on a *shortest* such `w`: per move, the letter read
+    /// (a subset state) and the state the move enters.
     ///
     /// Symbols that are not letters of this automaton contribute no
     /// transition, so words using them are unrealizable. An unknown label
@@ -750,16 +752,16 @@ impl Duta {
     /// language over subset states, and typing verification asks which
     /// subset states the node itself can reach.
     ///
-    /// The witnesses are the least words of a pair search over (content
-    /// state, configuration) pairs ([`Nfa::product_search`]), which
-    /// charges one `budget` step per group of pairs sharing a word and
-    /// aborts with [`AutomataError::BudgetExceeded`] when the budget trips.
+    /// The runs are the least words of a pair search over (content state,
+    /// configuration) pairs ([`Nfa::product_search`]), which charges one
+    /// `budget` step per group of pairs sharing a word and aborts with
+    /// [`AutomataError::BudgetExceeded`] when the budget trips.
     pub fn outputs_over(
         &self,
         label: &Symbol,
         word_lang: &Nfa,
         budget: &Budget,
-    ) -> Result<BTreeMap<usize, Vec<usize>>, AutomataError> {
+    ) -> Result<BTreeMap<usize, Vec<(usize, StateId)>>, AutomataError> {
         let Some(machine) = self.machines.get(label) else {
             return Ok(BTreeMap::new());
         };
@@ -771,8 +773,8 @@ impl Duta {
                 Some((word_lang.sym_id(sym)?, Some(i), i))
             })
             .collect();
-        let image = moore_image(Some(machine), word_lang, &moves, budget)?;
-        Ok(image.into_iter().filter_map(|(out, word)| Some((out?, word))).collect())
+        let image = moore_image(Some(machine), word_lang, &moves, |p| (p.tag, p.state), budget)?;
+        Ok(image.into_iter().filter_map(|(out, run)| Some((out?, run))).collect())
     }
 }
 
@@ -780,8 +782,9 @@ impl Duta {
 /// reads and its tag.
 type Move = ProductMove<Option<usize>>;
 
-/// An output of [`moore_image`] with the tags of the least word reaching it.
-type Reached = (Option<usize>, Vec<usize>);
+/// An output of [`moore_image`] with the least word reaching it, spelled
+/// move by move.
+type Reached<T> = (Option<usize>, Vec<T>);
 
 /// The Moore image of a content language under a label machine: the pair
 /// search of the content automaton against the machine
@@ -790,25 +793,27 @@ type Reached = (Option<usize>, Vec<usize>);
 /// universe. A dead letter, or a missing machine, sends the
 /// configuration to `None` for good. Returns every output (`None` for the
 /// dead configuration) of a final pair, in the order of their least words,
-/// with the tags of that word: the length-then-move-order least word the
-/// content accepts with that output. Charges one budget step per group of
-/// the search.
-fn moore_image(
+/// with that word — the length-then-move-order least word the content
+/// accepts with that output — `spell`ed move by move
+/// ([`ProductPair::word`]). Charges one budget step per group of the
+/// search.
+fn moore_image<T>(
     machine: Option<&LabelMachine>,
     content: &Nfa,
     moves: &[Move],
+    spell: impl Fn(&ProductPair<Option<usize>>) -> T,
     budget: &Budget,
-) -> Result<Vec<Reached>, AutomataError> {
+) -> Result<Vec<Reached<T>>, AutomataError> {
     let step = |config: Option<usize>, letter: Option<usize>| {
         Some(machine.zip(config).zip(letter).map(|((m, c), s)| m.step(c, s)))
     };
     let pairs = content.product_search(machine.map(LabelMachine::start), moves, step, budget)?;
-    let mut image: Vec<Reached> = Vec::new();
+    let mut image: Vec<Reached<T>> = Vec::new();
     for (i, pair) in pairs.iter().enumerate() {
         if content.is_final(pair.state) {
             let out = machine.zip(pair.config).map(|(m, c)| m.output(c));
             if !image.iter().any(|(known, _)| *known == out) {
-                image.push((out, ProductPair::word(&pairs, i)));
+                image.push((out, ProductPair::word(&pairs, i, &spell)));
             }
         }
     }
@@ -901,7 +906,8 @@ pub fn run_pairs(a: &Nuta, db: Option<&Duta>, budget: &Budget) -> Result<Vec<Run
             .filter_map(|sym| Some((content.sym_id(sym)?, of_state.get(sym)?)))
             .flat_map(|(sid, of_sym)| of_sym.iter().map(move |&p| (sid, found[p].state, p)))
             .collect();
-        for (state, children) in moore_image(db.and_then(|d| d.machine(&label)), content, &moves, budget)? {
+        let machine = db.and_then(|d| d.machine(&label));
+        for (state, children) in moore_image(machine, content, &moves, |p| p.tag, budget)? {
             let known = of_state.entry(q).or_default();
             if !known.iter().any(|&p| pairs[p].state == state) {
                 known.push(pairs.len());
@@ -1234,7 +1240,8 @@ mod tests {
         assert_eq!(outs2.len(), 1);
         let (&o, w) = outs2.iter().next().unwrap();
         assert!(d.subset(o).is_empty());
-        assert_eq!(w, &vec![sa], "shortest witness is the single word Sa");
+        // Its run enters the appended symbol piece's final state.
+        assert_eq!(w, &vec![(sa, good.num_states() + 1)], "shortest witness is the single word Sa");
         // Unknown labels have no machine.
         let unknown = d.outputs_over(&Symbol::new("zz"), &good, &Budget::unlimited()).unwrap();
         assert!(unknown.is_empty());

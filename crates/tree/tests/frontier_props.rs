@@ -1,8 +1,9 @@
 //! Differential property tests for the tree layer's word-level searches:
 //! on random nUTAs, the determinised automaton's observables — bottom-up
 //! runs and the `Duta::outputs_over` Moore-machine image (subset states
-//! **and** shortest witness words) — must be byte-identical to a
-//! `BTreeSet<usize>` reference reimplementation of the seed algorithms.
+//! **and** the letters of the shortest witness runs) — must be
+//! byte-identical to a `BTreeSet<usize>` reference reimplementation of the
+//! seed algorithms.
 //! For the image, that reference is the frontier search the engine used
 //! to run, over (configuration, content *state set*) nodes: it pins the
 //! pair search over (content state, configuration) pairs that replaced it
@@ -178,10 +179,29 @@ fn outputs_over_images_match_the_btreeset_reference() {
         let letters: Vec<Symbol> = (0..n).map(|i| duta.letter(i)).collect();
         for label in &labels {
             let word_lang = random_content(&mut rng, &letters);
-            let real = duta.outputs_over(label, &word_lang, &Budget::unlimited()).unwrap();
+            let runs = duta.outputs_over(label, &word_lang, &Budget::unlimited()).unwrap();
+            let real: BTreeMap<usize, Vec<usize>> =
+                runs.iter().map(|(&out, run)| (out, run.iter().map(|&(letter, _)| letter).collect())).collect();
             let want = reference_outputs_over(&duta, label, &word_lang);
             assert_eq!(real, want, "case {case}: outputs_over diverged under `{label}`");
             nonempty_images += usize::from(!real.is_empty());
+            // Each run is a run of the content automaton from its start to
+            // a final state, and the label machine reads its letters to
+            // the run's key.
+            let edges: BTreeSet<(usize, Symbol, usize)> =
+                word_lang.transitions().map(|(from, sym, to)| (from, *sym, to)).collect();
+            let machine = duta.machine(label).expect("every label determinised has a machine");
+            for (&out, run) in &runs {
+                let mut state = word_lang.start();
+                let mut config = machine.start();
+                for &(letter, entered) in run {
+                    assert!(edges.contains(&(state, letters[letter], entered)), "case {case}: {run:?} is no run");
+                    state = entered;
+                    config = machine.step(config, letter);
+                }
+                assert!(word_lang.is_final(state), "case {case}: {run:?} ends outside the finals");
+                assert_eq!(machine.output(config), out, "case {case}: {run:?} reads to another output");
+            }
         }
     }
     assert!(nonempty_images > 60, "the family must exercise non-trivial images ({nonempty_images})");
